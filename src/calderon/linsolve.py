@@ -1,4 +1,8 @@
-"""Sparse linear solves with a size-based direct/iterative switch."""
+"""Sparse linear solves with a size-based direct/iterative switch.
+
+Serves only the local interior solves of ``local_elliptic``; the extension
+problem has its own tensor-structured solver in ``extension``.
+"""
 
 from __future__ import annotations
 

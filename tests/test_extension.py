@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 import calderon as cd
-from calderon.errors import CalibrationError, FitError, MeshMismatch, ParamError
+from calderon.errors import (
+    CalibrationError,
+    FitError,
+    MeshMismatch,
+    ParamError,
+    SolveError,
+)
 from calderon.extension import (
     ExtensionField,
+    ExtensionSolver,
     assemble_extension,
     extend_via_kernel,
     poisson_kernel_constant,
@@ -218,6 +227,90 @@ def test_weighted_neumann_solve_power_datum(grid64, ident64):
     cols = fld.as_columns()
     flux = (cols[:, 1:] - cols[:, :-1]) / vm.cell_resistances()[None, :]
     assert np.max(np.abs(flux[:, 0] - 1.0)) < 1e-9
+
+
+# every layout the library solves, plus the free trace under a Neumann top
+# (singular vertical pencil): (dirichlet_trace, top, lateral)
+LAYOUTS = {
+    "mixed": (False, "dirichlet", "dirichlet"),
+    "dirichlet": (True, "dirichlet", "dirichlet"),
+    "dirichlet-open": (True, "neumann", "natural"),
+    "neumann": (None, "dirichlet", "dirichlet"),
+    "neumann-natural-lateral": (None, "dirichlet", "natural"),
+    "neumann-open-top": (None, "neumann", "dirichlet"),
+}
+
+
+def spsolve_oracle(solver: ExtensionSolver, data: np.ndarray, neumann: bool):
+    """Direct sparse solve of the assembled free block for the same datum."""
+    emesh = solver.emesh
+    S = solver.system.stiffness
+    tr = emesh.trace_indices()
+    u = np.zeros(emesh.num_nodes)
+    if neumann:
+        b = np.zeros(emesh.num_nodes)
+        b[tr] = -emesh.grid.node_volume * data
+    else:
+        fixed_tr = solver.fixed[tr]
+        u[tr[fixed_tr]] = data[fixed_tr]
+        b = -(S @ u)
+    free = solver.free
+    u[free] = spla.spsolve(S[free][:, free].tocsc(), b[free])
+    return u
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.9])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_tensor_solver_matches_sparse_oracle(layout, s, data):
+    """The tensor solve equals a direct solve of the assembled free block on
+    random small grids, bump coefficients, heights and data, at the default
+    grading (whose weights span many orders of magnitude for small s)."""
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    nodes = data.draw(st.integers(12, 40) if dim == 1 else st.integers(10, 12),
+                      label="nodes")
+    grid = make_grid(dim=dim, nodes=nodes,
+                     padding=data.draw(st.floats(0.2, 0.4), label="padding"))
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    omega_pts = grid.points[grid.omega_closure]
+    entries = [
+        1.0 + rng.uniform(-0.5, 2.0) * cd.mollifier_bump(
+            grid.points, rng.uniform(omega_pts.min(0), omega_pts.max(0)),
+            rng.uniform(0.2, 0.6))
+        for _ in range(dim)
+    ]
+    coeff = cd.diagonal_coefficient(grid, entries, identity_outside=True)
+    height = cd.default_height(grid) * rng.uniform(0.5, 1.5)
+    levels = data.draw(st.integers(48, 64), label="levels")
+    vm = cd.build_vertical_mesh(s, height, levels)
+    emesh = cd.build_extension_mesh(grid, vm)
+    dirichlet_trace, top, lateral = LAYOUTS[layout]
+    solver = ExtensionSolver(emesh, coeff, dirichlet_trace, top, lateral)
+    f = rng.standard_normal(grid.num_nodes)
+    if layout == "mixed":
+        f[grid.omega_closure] = 0.0
+    u = solver.solve(f).values
+    ref = spsolve_oracle(solver, f, neumann=dirichlet_trace is None)
+    assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_singular_free_trace_layout_fails_fast(grid64, ident64, emesh64):
+    """A free trace under a Neumann top and natural lateral conditions has
+    the constants in its kernel; the solver refuses it by name."""
+    with pytest.raises(SolveError, match="top='neumann'.*lateral='natural'"):
+        ExtensionSolver(emesh64, ident64, dirichlet_trace=None, top="neumann",
+                        lateral="natural")
+    with pytest.raises(SolveError):
+        solve_weighted_neumann(emesh64, ident64, np.ones(grid64.num_nodes),
+                               top="neumann", lateral="natural")
+
+
+def test_zero_datum_gives_zero_field(grid64, ident64, emesh64):
+    for dirichlet_trace in (False, True, None):
+        solver = ExtensionSolver(emesh64, ident64, dirichlet_trace)
+        assert not np.any(solver.solve(np.zeros(grid64.num_nodes)).values)
 
 
 def test_decay_slopes_n1():
