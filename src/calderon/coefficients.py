@@ -65,9 +65,6 @@ class Coefficient:
     def lam_max(self) -> float:
         return float(self.diag.max())
 
-    def matrix_at(self, node: int) -> np.ndarray:
-        return np.diag(self.diag[node])
-
     def is_identity(self) -> bool:
         return bool(np.allclose(self.diag, 1.0, atol=1e-14))
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 
 from .errors import ConfigError
+from .mesh import default_boxes
 
 __all__ = ["ExperimentConfig", "CONFIG_SCHEMA", "load_config", "validate_config"]
 
@@ -106,12 +107,6 @@ class ExperimentConfig:
         }
 
 
-def _default_boxes(dim: int):
-    omega = tuple((0.0, 1.0) for _ in range(dim))
-    w = ((1.5, 2.1),) + tuple((0.0, 1.0) for _ in range(dim - 1))
-    return omega, w
-
-
 def validate_config(raw: dict) -> ExperimentConfig:
     """Validate a raw dict against the schema and range rules."""
     try:
@@ -121,7 +116,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"field '{path}': {exc.message}") from exc
 
     dim = int(raw.get("dim", 1))
-    omega_default, w_default = _default_boxes(dim)
+    omega_default, w_default = default_boxes(dim)
     cfg = ExperimentConfig(
         experiment=raw["experiment"],
         dim=dim,

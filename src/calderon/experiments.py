@@ -24,7 +24,7 @@ from .coefficients import coefficient_from_spec, mollifier_bump
 from .config import EXPERIMENT_NAMES, ExperimentConfig
 from .errors import ExperimentError
 from .local_elliptic import assemble_local
-from .mesh import GeometrySpec, build_tangential_grid
+from .mesh import GeometrySpec, build_tangential_grid, default_boxes
 
 __all__ = ["ExperimentResult", "RunSummary", "run_experiment", "run_config",
            "experiment_descriptions", "EXPERIMENT_NAMES"]
@@ -61,19 +61,12 @@ def _grid_from_config(cfg: ExperimentConfig, nodes=None, dim=None):
     dim = dim if dim is not None else cfg.dim
     spec = GeometrySpec(
         dim=dim,
-        omega_box=cfg.omega_box if dim == cfg.dim else _boxes_for_dim(dim)[0],
-        w_box=cfg.w_box if dim == cfg.dim else _boxes_for_dim(dim)[1],
+        omega_box=cfg.omega_box if dim == cfg.dim else default_boxes(dim)[0],
+        w_box=cfg.w_box if dim == cfg.dim else default_boxes(dim)[1],
         nodes=nodes if nodes is not None else cfg.nodes,
         padding=cfg.padding,
     )
     return build_tangential_grid(spec)
-
-
-def _boxes_for_dim(dim: int):
-    return (
-        tuple((0.0, 1.0) for _ in range(dim)),
-        ((1.5, 2.1),) + tuple((0.0, 1.0) for _ in range(dim - 1)),
-    )
 
 
 def _w_bump(grid, center=None, width=None):

@@ -69,6 +69,7 @@ from .mesh import (
     build_extension_mesh,
     build_tangential_grid,
     build_vertical_mesh,
+    default_boxes,
     default_height,
     GeometrySpec,
 )
@@ -494,12 +495,6 @@ class CalibrationConstant:
             raise CalibrationError("normalization constant must be positive")
 
 
-def _standard_geometry(dim: int, nodes: int) -> GeometrySpec:
-    omega = tuple((0.0, 1.0) for _ in range(dim))
-    w = ((1.5, 2.1),) + tuple((0.0, 1.0) for _ in range(dim - 1))
-    return GeometrySpec(dim=dim, omega_box=omega, w_box=w, nodes=nodes, padding=0.9)
-
-
 def calibrate_cs(
     dim: int,
     s: float,
@@ -523,7 +518,9 @@ def calibrate_cs(
     from .local_elliptic import assemble_local
 
     if grid is None:
-        grid = build_tangential_grid(_standard_geometry(dim, nodes))
+        omega, w = default_boxes(dim)
+        grid = build_tangential_grid(
+            GeometrySpec(dim=dim, omega_box=omega, w_box=w, nodes=nodes, padding=0.9))
     coeff = identity_coefficient(grid)
     op = assemble_local(grid, coeff)
     P = spectral_power(op, s)

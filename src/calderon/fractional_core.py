@@ -7,6 +7,13 @@ matrix is A = K / m and its fractional power is taken through a dense
 eigendecomposition, ``A^s = V diag(lambda^s) V^T``.  Repeated eigenvalues
 need no tie-breaking: matrix functions are basis independent.
 
+With O the closed interior region and W the measurement nodes, the nonlocal
+measurement map is the Schur complement ``A_WW - A_WO A_OO^{-1} A_OW`` of
+the power, from one power and one factorization of ``A_OO``.  That block is
+a principal block of an SPD matrix (the truncated operator has no kernel),
+so Cholesky factors it at half the cost of LU; its failure means the power
+lost definiteness and raises SolveError.
+
 This is the oracle route; it scales only to a few thousand nodes and exists
 to cross-check the extension route, which scales.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .errors import EigError, ParamError, SolveError
 from .local_elliptic import LocalOperator
@@ -33,14 +41,22 @@ __all__ = [
 DENSE_NODE_CAP = 5000
 
 
-def matrix_power(A: np.ndarray, s: float) -> np.ndarray:
-    """Fractional power of a symmetric PSD matrix via eigendecomposition."""
+def _eigh_clipped(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric PSD matrix, rounding negatives clipped to 0."""
     try:
         lam, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise EigError(f"eigendecomposition failed: {exc}") from exc
-    lam = np.clip(lam, 0.0, None)
+    return np.clip(lam, 0.0, None), V
+
+
+def _reconstruct(lam: np.ndarray, V: np.ndarray, s: float) -> np.ndarray:
     return (V * lam**s) @ V.T
+
+
+def matrix_power(A: np.ndarray, s: float) -> np.ndarray:
+    """Fractional power of a symmetric PSD matrix via eigendecomposition."""
+    return _reconstruct(*_eigh_clipped(A), s)
 
 
 @dataclass
@@ -63,7 +79,7 @@ class SpectralPower:
         return self.op.grid
 
     def matrix(self) -> np.ndarray:
-        return (self.eigvecs * self.eigvals**self.s) @ self.eigvecs.T
+        return _reconstruct(self.eigvals, self.eigvecs, self.s)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Apply the power to a full-grid array; returns a full-grid array."""
@@ -88,13 +104,21 @@ def spectral_power(op: LocalOperator, s: float) -> SpectralPower:
             f"({DENSE_NODE_CAP}); this route is the desk-scale oracle"
         )
     A = op.stiffness[active][:, active].toarray() / op.node_volume
-    A = 0.5 * (A + A.T)
-    try:
-        lam, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigError(f"eigendecomposition failed: {exc}") from exc
-    lam = np.clip(lam, 0.0, None)
+    A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
+    lam, V = _eigh_clipped(A)
     return SpectralPower(op=op, s=s, active=active, eigvals=lam, eigvecs=V)
+
+
+def _interior_blocks(P: SpectralPower):
+    """The dense power over the active nodes, the mask of the closed interior
+    region among them, and the Cholesky factor of the power's interior block."""
+    A = P.matrix()
+    sol = P.grid.omega_closure[P.active]
+    try:
+        factor = cho_factor(A[np.ix_(sol, sol)])
+    except np.linalg.LinAlgError as exc:
+        raise SolveError(f"interior-block factorization failed: {exc}") from exc
+    return A, sol, factor
 
 
 def solve_fractional_dirichlet(P: SpectralPower, f: np.ndarray) -> np.ndarray:
@@ -110,17 +134,11 @@ def solve_fractional_dirichlet(P: SpectralPower, f: np.ndarray) -> np.ndarray:
     support = np.flatnonzero(f)
     if support.size and not np.all(grid.w_mask[support]):
         raise ParamError("exterior data must be supported on the measurement region")
-    A = P.matrix()
+    A, sol, factor = _interior_blocks(P)
     act = P.active
     fa = f[act]
-    sol_block = grid.omega_closure[act]
-    rhs = -(A[np.ix_(sol_block, ~sol_block)] @ fa[~sol_block])
-    try:
-        u_omega = np.linalg.solve(A[np.ix_(sol_block, sol_block)], rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(f"interior-block solve failed: {exc}") from exc
     ua = fa.copy()
-    ua[sol_block] = u_omega
+    ua[sol] = cho_solve(factor, -(A[np.ix_(sol, ~sol)] @ fa[~sol]))
     out = np.zeros(grid.num_nodes)
     out[act] = ua
     return out
@@ -152,17 +170,21 @@ class NonlocalDtN:
 
 
 def nonlocal_dtn_matrix(P: SpectralPower) -> NonlocalDtN:
+    """The measurement map as the Schur complement of the dense power; a
+    measurement node on the zero-Dirichlet frame gets a zero row and column."""
     grid = P.grid
     widx = grid.w_indices
-    cols = np.empty((len(widx), len(widx)))
-    for j, node in enumerate(widx):
-        f = np.zeros(grid.num_nodes)
-        f[node] = 1.0
-        cols[:, j] = nonlocal_dtn(P, f)
+    A, sol, factor = _interior_blocks(P)
+    w_active = P.active[widx]
+    # positions of the active measurement nodes among the active nodes
+    w = (np.cumsum(P.active) - 1)[widx[w_active]]
+    X = cho_solve(factor, A[np.ix_(sol, w)])
+    M = np.zeros((len(widx), len(widx)))
+    M[np.ix_(w_active, w_active)] = A[np.ix_(w, w)] - A[np.ix_(w, sol)] @ X
     return NonlocalDtN(
         grid_shape=grid.shape,
         w_indices=widx,
-        matrix=cols,
+        matrix=M,
         weight=grid.node_volume,
         s=P.s,
     )

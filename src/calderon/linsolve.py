@@ -35,21 +35,23 @@ class Factorized:
             self._M = sp.diags(1.0 / np.where(d > 0, d, 1.0))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve for a vector or an (n, k) block; zero columns are skipped."""
         b = np.asarray(b, dtype=float)
-        if self.n == 0:
-            return np.zeros(0)
-        if self._lu is not None:
-            x = self._lu.solve(b)
-        else:
-            x, info = spla.cg(
-                self.A, b, rtol=CG_TOL, maxiter=50 * int(np.sqrt(self.n)) + 1000,
-                M=self._M,
-            )
-            if info != 0:
-                raise SolveError(f"conjugate gradients did not converge (info={info})")
-        scale = np.linalg.norm(b)
-        if scale > 0:
-            rel = np.linalg.norm(self.A @ x - b) / scale
-            if not np.isfinite(rel) or rel > 1e-8:
-                raise SolveError(f"linear solve residual {rel:.2e} exceeds tolerance")
-        return x
+        B = b if b.ndim == 2 else b[:, None]
+        X = np.zeros_like(B)
+        live = np.flatnonzero(np.any(B != 0.0, axis=0))
+        if self._lu is None:
+            for j in live:
+                X[:, j], info = spla.cg(
+                    self.A, B[:, j], rtol=CG_TOL,
+                    maxiter=50 * int(np.sqrt(self.n)) + 1000, M=self._M,
+                )
+                if info != 0:
+                    raise SolveError(f"conjugate gradients did not converge (info={info})")
+        elif live.size:
+            X[:, live] = self._lu.solve(B[:, live])
+        rel = (np.linalg.norm(self.A @ X[:, live] - B[:, live], axis=0)
+               / np.linalg.norm(B[:, live], axis=0))
+        if not np.all(rel <= 1e-8):
+            raise SolveError(f"linear solve residual {np.max(rel):.2e} exceeds tolerance")
+        return X.reshape(b.shape)

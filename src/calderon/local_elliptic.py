@@ -208,8 +208,7 @@ def local_dtn_matrix(op: LocalOperator) -> LocalDtN:
     K_bb = K[bnodes][:, bnodes].toarray()
     K_bi = K[bnodes][:, ii].toarray()
     K_ib = K[ii][:, bnodes].toarray()
-    fact = op.interior_factorization()
-    X = np.column_stack([fact.solve(K_ib[:, j]) for j in range(K_ib.shape[1])])
+    X = op.interior_factorization().solve(K_ib)
     S = K_bb - K_bi @ X
     S = 0.5 * (S + S.T)
     w = grid.boundary_weights()

@@ -29,6 +29,7 @@ __all__ = [
     "build_tangential_grid",
     "build_vertical_mesh",
     "build_extension_mesh",
+    "default_boxes",
     "default_grading",
     "default_height",
 ]
@@ -144,18 +145,6 @@ class TangentialGrid:
             weights[:] = 1.0
         return weights
 
-    def region_diameter(self) -> float:
-        """Diameter of the union of the two region boxes."""
-        lo = np.minimum(self._box_lo(self.omega_idx), self._box_lo(self.w_idx))
-        hi = np.maximum(self._box_hi(self.omega_idx), self._box_hi(self.w_idx))
-        return float(np.linalg.norm(hi - lo))
-
-    def _box_lo(self, idx):
-        return np.array([self.axes[k][idx[k][0]] for k in range(self.dim)])
-
-    def _box_hi(self, idx):
-        return np.array([self.axes[k][idx[k][1]] for k in range(self.dim)])
-
 
 def _snap(axis: np.ndarray, value: float) -> int:
     return int(np.argmin(np.abs(axis - value)))
@@ -258,6 +247,12 @@ def build_tangential_grid(spec: GeometrySpec) -> TangentialGrid:
     if not np.all(reach.ravel()[grid.boundary_indices]):
         raise ResolutionError("a boundary node has no adjacent interior node")
     return grid
+
+
+def default_boxes(dim: int):
+    """The default regions: unit interior box, measurement box to its right."""
+    omega = tuple((0.0, 1.0) for _ in range(dim))
+    return omega, ((1.5, 2.1),) + omega[1:]
 
 
 def default_grading(s: float) -> float:

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import calderon as cd
-from calderon.errors import EigError, ParamError
-from calderon.fractional_core import matrix_power
+from calderon import linsolve
+from calderon.errors import EigError, ParamError, SolveError
+from calderon.fractional_core import SpectralPower, matrix_power
 
 from conftest import make_grid, w_bump
 
@@ -150,3 +153,84 @@ def test_dense_cap_raises():
     op = cd.assemble_local(grid, cd.identity_coefficient(grid))
     with pytest.raises(EigError):
         cd.spectral_power(op, 0.5)
+
+
+def _tiny_3d_grid():
+    spec = cd.GeometrySpec(dim=3, omega_box=((0.0, 1.0),) * 3,
+                           w_box=((1.5, 2.1), (0.0, 1.0), (0.0, 1.0)),
+                           nodes=(12, 6, 6), padding=0.3)
+    return cd.build_tangential_grid(spec)
+
+
+_MAP_GRIDS = {
+    (1, 0.9): lambda: make_grid(dim=1, nodes=40),
+    (1, 0.0): lambda: make_grid(dim=1, nodes=40, padding=0.0),  # W meets the frame
+    (2, 0.9): lambda: make_grid(dim=2, nodes=16),
+    (2, 0.0): lambda: make_grid(dim=2, nodes=16, padding=0.0),
+    (3, 0.3): _tiny_3d_grid,
+}
+
+
+def _columnwise_map(P):
+    """Reference map: one exterior-value solve per measurement node."""
+    grid = P.grid
+    widx = grid.w_indices
+    cols = []
+    for node in widx:
+        f = np.zeros(grid.num_nodes)
+        f[node] = 1.0
+        cols.append(P.apply(cd.solve_fractional_dirichlet(P, f))[widx])
+    return np.column_stack(cols)
+
+
+@given(st.sampled_from(sorted(_MAP_GRIDS)), st.sampled_from([0.1, 0.5, 0.9]),
+       st.floats(-0.5, 1.0), st.integers(0, 2**16))
+@settings(max_examples=15, deadline=None)
+def test_nonlocal_dtn_matrix_matches_columnwise_oracle(layout, s, amplitude, seed):
+    grid = _MAP_GRIDS[layout]()
+    dim = grid.dim
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(0.2, 0.8, dim)
+    width = rng.uniform(0.2, 0.5)
+    coeff = cd.diagonal_coefficient(
+        grid, [lambda p: 1.0 + amplitude * cd.mollifier_bump(p, center, width)] * dim)
+    P = cd.spectral_power(cd.assemble_local(grid, coeff), s)
+    M = cd.nonlocal_dtn_matrix(P).matrix
+    ref = _columnwise_map(P)
+    assert np.max(np.abs(M - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_nonlocal_dtn_matrix_builds_the_power_once(power_half, monkeypatch):
+    calls = []
+    build = SpectralPower.matrix
+
+    def counting(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(SpectralPower, "matrix", counting)
+    cd.nonlocal_dtn_matrix(power_half)
+    assert len(calls) == 1
+
+
+def test_lost_definiteness_raises_solve_error(power_half):
+    P = dataclasses.replace(power_half, eigvals=np.zeros_like(power_half.eigvals))
+    with pytest.raises(SolveError):
+        cd.nonlocal_dtn_matrix(P)
+    with pytest.raises(SolveError):
+        cd.solve_fractional_dirichlet(P, w_bump(P.grid))
+
+
+@pytest.mark.parametrize("direct_limit", [linsolve.DIRECT_LIMIT, 0])
+def test_block_solve_matches_column_solves(op64, monkeypatch, direct_limit):
+    """Direct and conjugate-gradient branches; a zero column stays zero."""
+    monkeypatch.setattr(linsolve, "DIRECT_LIMIT", direct_limit)
+    ii = op64.grid.omega_interior
+    fact = linsolve.Factorized(op64.omega_stiffness[ii][:, ii])
+    B = np.random.default_rng(3).standard_normal((fact.n, 4))
+    B[:, 2] = 0.0
+    X = fact.solve(B)
+    cols = np.column_stack([fact.solve(B[:, j]) for j in range(B.shape[1])])
+    assert X.shape == B.shape
+    assert not np.any(X[:, 2])
+    assert np.max(np.abs(X - cols)) <= 1e-12 * np.max(np.abs(cols))
