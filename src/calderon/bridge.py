@@ -305,8 +305,9 @@ class BridgePipeline:
 
     Holds the assembled local operator, the factorized mixed extension
     solver and the vertical mesh; every per-datum operation (extension,
-    vertical integral, Cauchy pair) reuses them.  All methods are pure in
-    the data argument, so concurrent use on a built pipeline is safe.
+    vertical integral, Cauchy pair) reuses them, and ``extensions`` solves a
+    block of data at once.  All methods are pure in the data argument, so
+    concurrent use on a built pipeline is safe.
     """
 
     def __init__(
@@ -331,12 +332,20 @@ class BridgePipeline:
         self.tail_fraction = tail_fraction
         self.cs = analytic_cs(s)
 
-    def extension(self, f: np.ndarray) -> ExtensionField:
+    def _exterior(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
-        nz = np.flatnonzero(f)
-        if nz.size and not np.all(self.grid.exterior[nz]):
+        if np.any(f[~self.grid.exterior]):
             raise ParamError("data must be supported on the exterior region")
-        return self.solver.solve(f)
+        return f
+
+    def extension(self, f: np.ndarray) -> ExtensionField:
+        return self.solver.solve(self._exterior(f))
+
+    def extensions(self, F: np.ndarray) -> list[ExtensionField]:
+        """Extensions of the columns of F, shape (N_tan, k), from one block
+        solve."""
+        U = self.solver.solve_block(self._exterior(F))
+        return [self.solver._field(u) for u in np.ascontiguousarray(U.T)]
 
     def vertical_field(self, f: np.ndarray) -> VerticalIntegralField:
         return vertical_integral(self.extension(f), self.tail_fraction)
@@ -345,7 +354,12 @@ class BridgePipeline:
         return self.vertical_field(f).values
 
     def cauchy_pair(self, f: np.ndarray, provenance: str = "") -> CauchyPair:
-        v = self.bridge_solution(f)
+        return self._field_pair(self.extension(f), provenance)
+
+    def _field_pair(self, fld: ExtensionField, provenance: str = "") -> CauchyPair:
+        """Cauchy pair of an extension field: its vertical integral (with the
+        truncation-tail check), restricted to the boundary, and its flux."""
+        v = vertical_integral(fld, self.tail_fraction).values
         vals = v[self.grid.boundary_indices]
         flux = boundary_flux(self.local_op, v)
         return CauchyPair(boundary_values=vals, boundary_flux=flux,
@@ -397,9 +411,10 @@ def density_diagnostic(
     """
     basis = list(basis)
     targets = list(targets)
-    B = np.column_stack(
-        [pipeline.cauchy_pair(f).boundary_values for f in basis]
-    )
+    B = np.column_stack([
+        pipeline._field_pair(fld).boundary_values
+        for fld in pipeline.extensions(np.column_stack(basis))
+    ])
     G = h_half_gram(pipeline.grid)
     L = np.linalg.cholesky(G)
     Bw = L.T @ B

@@ -34,10 +34,14 @@ correction: level 1, whose error the trace extraction multiplies by the
 first-cell conductance, then stays accurate to rounding.  The mixed trace
 closes on its free trace nodes B with the dense Schur complement
 ``nu_0 K_BB + g I - g**2 sum_k phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``,
-``g = m / r_0`` the first-cell conductance; it is built from block solves
-over a few columns at a time, which bounds the dense right-hand sides.
-Each solve checks its relative residual against the assembled free block
-and raises SolveError on a miss.
+``g = m / r_0`` the first-cell conductance.  There is one solve path: a
+block of data, one datum per column, goes through the tensor solve _CHUNK
+columns at a time (so do the unit columns that build the Schur complement),
+which bounds the dense temporaries whatever the block's width; ``solve`` is
+its one-column case.  Every column is checked: its relative residual
+against the assembled free block must stay below 1e-8, else SolveError.  A
+field combined from solved fields (a snapshot basis) passes the same check
+through ``checked_field``.
 
 Sign conventions.  The weak form gives, for the trace row of a solution,
 ``(S u)[i, 0] = -m_i * lim t**(1-2s) d_t u``;  the fractional operator of
@@ -165,9 +169,9 @@ class ExtensionField:
         return self.values.reshape(self.emesh.grid.num_nodes, J1)
 
 
-# columns per block solve when building the trace Schur complement; bounds the
-# dense right-hand side at 8 * |T| * |L| doubles
-_SCHUR_CHUNK = 8
+# columns per block solve (data blocks and the trace Schur complement's unit
+# columns); bounds each dense temporary at _CHUNK * |T| * |L| doubles
+_CHUNK = 8
 
 
 def _fixed_layout(emesh: ExtensionMesh, trace: str, top: str, lateral: str):
@@ -195,6 +199,11 @@ def _fixed_layout(emesh: ExtensionMesh, trace: str, top: str, lateral: str):
     elif trace != "free":
         raise ParamError(f"unknown trace condition {trace!r}")
     return fixed
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    # einsum skips the squared temporary np.linalg.norm(a, axis=0) makes
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
 def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray, shift: float):
@@ -229,7 +238,7 @@ class ExtensionSolver:
     nodes, or all nodes under natural lateral conditions) and a run L of
     levels, plus, in the mixed layout, the free trace nodes B.  The vertical
     pencil, the J shifted tangential factorizations and the trace Schur
-    complement are built once; every ``solve`` substitutes a new datum.
+    complement are built once; every solve substitutes new data.
     """
 
     def __init__(
@@ -244,6 +253,8 @@ class ExtensionSolver:
         self.emesh = emesh
         self.fixed = _fixed_layout(emesh, trace, top, lateral)
         self.free = ~self.fixed
+        # far fewer than the free nodes: clearing rows by index is the cheap way
+        self._fixed_rows = np.flatnonzero(self.fixed)
         if trace == "free" and top == "neumann" and lateral == "natural":
             raise SolveError(
                 "free trace with top='neumann' and lateral='natural' is "
@@ -251,6 +262,11 @@ class ExtensionSolver:
             )
         self.system = assemble_extension(emesh, coeff)
         self._trace = trace
+        # a constrained datum enters the right-hand side only through the
+        # stiffness columns of its trace nodes, a thin slice of S
+        tr = emesh.trace_indices()
+        self._data_nodes = np.flatnonzero(self.fixed[tr])
+        self._data_cols = self.system.stiffness[:, tr[self._data_nodes]]
         grid = emesh.grid
         vm = emesh.vertical
         J = vm.num_levels
@@ -311,18 +327,18 @@ class ExtensionSolver:
 
         ``nu0 K_BB + g I - g**2 sum_k phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``,
 
-        whose last term comes from block solves over _SCHUR_CHUNK columns.
+        whose last term comes from block solves over _CHUNK columns.
         """
         B = self._B
         nT, nL = len(self._T), len(self._L)
         phi1 = self._phi[0]
         G = np.empty((len(B), len(B)))
-        for c0 in range(0, len(B), _SCHUR_CHUNK):
-            cols = B[c0:c0 + _SCHUR_CHUNK]
+        for c0 in range(0, len(B), _CHUNK):
+            cols = B[c0:c0 + _CHUNK]
             R = np.zeros((nL, nT, len(cols)))
             R[:, cols, np.arange(len(cols))] = phi1[:, None]
             Y = self._lu.solve(R.reshape(nL * nT, -1)).reshape(nL, nT, -1)
-            G[:, c0:c0 + len(cols)] = np.einsum("k,kbc->bc", phi1, Y[:, B, :])
+            G[:, c0:c0 + len(cols)] = np.tensordot(phi1, Y[:, B], axes=(0, 0))
         g = self._g
         S = nu0 * K_T[B][:, B].toarray() + g * np.eye(len(B)) - g * g * G
         try:
@@ -333,28 +349,102 @@ class ExtensionSolver:
             ) from exc
 
     def _solve_free(self, b: np.ndarray) -> np.ndarray:
-        """Solve the free block for a right-hand side b of shape (N_tan, J+1).
+        """Solve the free block for right-hand sides b of shape (N_tan, J+1, k).
 
         The T x L block is ``(I x Phi) blockdiag(K_T + m mu_k) (I x Phi^T)``;
         its solves run in the eigenbasis, where the trace closure adds one
-        more block solve with data only on the B rows.
+        more block solve with data only on the B rows.  The level transforms
+        are tensordot (BLAS) products: einsum was ten times slower on them.
         """
         T, L, B, phi = self._T, self._L, self._B, self._phi
-        nT, nL = len(T), len(L)
-        rhs = np.ascontiguousarray((b[np.ix_(T, L)] @ phi).T).reshape(-1)
-        Y = self._lu.solve(rhs).reshape(nL, nT)
+        nT, nL, k = len(T), len(L), b.shape[2]
+        # rebinding Y frees each dense temporary once it is used
+        Y = np.tensordot(phi, b[np.ix_(T, L)], axes=(0, 1)).reshape(nL * nT, k)
+        Y = self._lu.solve(Y).reshape(nL, nT, k)
+        if B.size:
+            g = self._g
+            xB = cho_solve(self._schur,
+                           b[T[B], 0] + g * np.tensordot(phi[0], Y[:, B], axes=(0, 0)))
+            R = np.zeros((nL, nT, k))
+            R[:, B] = phi[0][:, None, None] * (g * xB)
+            Y += self._lu.solve(R.reshape(nL * nT, k)).reshape(nL, nT, k)
+            del R
         x = np.zeros_like(b)
         if B.size:
-            xB = cho_solve(self._schur, b[T[B], 0] + self._g * (phi[0] @ Y[:, B]))
-            R = np.zeros((nL, nT))
-            R[:, B] = np.outer(phi[0], self._g * xB)
-            Y += self._lu.solve(R.reshape(-1)).reshape(nL, nT)
             x[T[B], 0] = xB
-        x[np.ix_(T, L)] = Y.T @ phi.T
+        x[np.ix_(T, L)] = np.tensordot(phi, Y, axes=(1, 0)).transpose(1, 0, 2)
         return x
 
+    def _load(self, data: np.ndarray):
+        """Constrained values u and free-row right-hand sides b, both of shape
+        (num_nodes, k), for a block of data of shape (N_tan, k)."""
+        emesh = self.emesh
+        tr = emesh.trace_indices()
+        u = np.zeros((emesh.num_nodes, data.shape[1]))
+        if self._trace == "free":
+            b = np.zeros_like(u)
+            b[tr] = -emesh.grid.node_volume * data
+        else:
+            nodes = self._data_nodes
+            u[tr[nodes]] = data[nodes]
+            b = self._data_cols @ data[nodes]
+            b *= -1.0
+        b[self._fixed_rows] = 0.0
+        return u, b
+
+    def _check_residual(self, x: np.ndarray, b: np.ndarray) -> None:
+        """Raise SolveError unless every column of x solves the free rows.
+
+        The measure is ``||(S x - b)[free]|| / ||b||`` per column.  With the
+        field u = u_fixed + x and b = load - S u_fixed on the free rows, that
+        is ``||(S u - load)[free]|| / ||(S u_fixed - load)[free]||``, the load
+        being zero unless the trace is free.  Columns with b = 0 are exempt.
+        """
+        scale = _column_norms(b)
+        r = self.system.stiffness @ x
+        r -= b
+        r[self._fixed_rows] = 0.0
+        r = _column_norms(r)
+        bad = (scale > 0) & ~(r <= 1e-8 * scale)
+        if np.any(bad):
+            raise SolveError(
+                f"extension solve residual {np.max(r[bad] / scale[bad]):.2e} "
+                "exceeds tolerance"
+            )
+
+    def _field(self, values: np.ndarray) -> ExtensionField:
+        return ExtensionField(
+            emesh=self.emesh, values=values, s=self.system.s, system=self.system
+        )
+
+    def solve_block(self, data: np.ndarray) -> np.ndarray:
+        """Solve for a block of data of shape (N_tan, k), one datum per column.
+
+        Returns the nodal values, shape (num_nodes, k).  The columns go
+        through the tensor solve _CHUNK at a time, and each is checked
+        against the assembled free block; a zero column gives a zero field.
+        """
+        data = np.asarray(data, dtype=float)
+        S = self.system.stiffness
+        lifted = self._lifted
+        out = np.empty((self.emesh.num_nodes, data.shape[1]))
+        for c0 in range(0, data.shape[1], _CHUNK):
+            D = data[:, c0:c0 + _CHUNK]
+            # out takes the constrained values now and the free part below
+            out[:, c0:c0 + _CHUNK], b = self._load(D)
+            x = np.zeros_like(b)
+            cols = x.reshape(self.emesh.grid.num_nodes, -1, D.shape[1])
+            cols[np.ix_(lifted, self._L)] = D[lifted][:, None] * self._psi[:, None]
+            r = S @ x
+            np.subtract(b, r, out=r)
+            x += self._solve_free(r.reshape(cols.shape)).reshape(x.shape)
+            del r
+            self._check_residual(x, b)
+            out[:, c0:c0 + _CHUNK] += x
+        return out
+
     def solve(self, data: np.ndarray) -> ExtensionField:
-        """Solve for one trace datum.
+        """Solve for one trace datum (the one-column case of solve_block).
 
         ``data`` is a full tangential array.  With a constrained trace it
         gives the Dirichlet values, read wherever the trace row is
@@ -363,36 +453,21 @@ class ExtensionSolver:
         weighted Neumann datum h; the weak form puts ``-m_i h_i`` on the
         right-hand side of each trace row.
         """
-        emesh = self.emesh
-        grid = emesh.grid
-        S = self.system.stiffness
         data = np.asarray(data, dtype=float)
-        tr = emesh.trace_indices()
-        u = np.zeros(emesh.num_nodes)
-        if self._trace == "free":
-            b = np.zeros(emesh.num_nodes)
-            b[tr] = -grid.node_volume * data
-        else:
-            fixed_tr = self.fixed[tr]
-            u[tr[fixed_tr]] = data[fixed_tr]
-            b = -(S @ u)
-        b[self.fixed] = 0.0
-        scale = np.linalg.norm(b)
-        if scale > 0:
-            x = np.zeros(emesh.num_nodes)
-            cols = x.reshape(grid.num_nodes, -1)
-            lifted = self._lifted
-            cols[np.ix_(lifted, self._L)] = np.outer(data[lifted], self._psi)
-            x += self._solve_free((b - S @ x).reshape(cols.shape)).reshape(-1)
-            rel = np.linalg.norm((S @ x - b)[self.free]) / scale
-            if not np.isfinite(rel) or rel > 1e-8:
-                raise SolveError(
-                    f"extension solve residual {rel:.2e} exceeds tolerance"
-                )
-            u += x
-        return ExtensionField(
-            emesh=emesh, values=u, s=self.system.s, system=self.system
-        )
+        return self._field(self.solve_block(data[:, None])[:, 0])
+
+    def checked_field(self, values: np.ndarray, data: np.ndarray) -> ExtensionField:
+        """The field for datum ``data`` whose free nodes hold ``values``.
+
+        Meant for a combination of solved fields (by linearity it solves the
+        same combination of their data): the constrained nodes are set from
+        the datum as in ``solve``, and the field must pass the same residual
+        check, else SolveError.
+        """
+        u, b = self._load(np.asarray(data, dtype=float)[:, None])
+        x = np.where(self.free, values, 0.0)[:, None]
+        self._check_residual(x, b)
+        return self._field((u + x)[:, 0])
 
 
 def solve_extension(
@@ -460,15 +535,20 @@ class WeightedTrace:
     method: str = "variational"
 
 
+def _weighted_trace(system: ExtensionSystem, values: np.ndarray,
+                    nodes=slice(None)) -> np.ndarray:
+    """Variational weighted trace ``-(S u)[trace row] / m`` at the given
+    tangential nodes, for one field or a block of fields (one per column)."""
+    tr = system.emesh.trace_indices()[nodes]
+    return -(system.stiffness[tr] @ values) / system.emesh.grid.node_volume
+
+
 def neumann_trace(field: ExtensionField) -> WeightedTrace:
     if field.system is None:
         raise ParamError("field carries no assembled system; solve or assemble first")
     emesh = field.emesh
-    grid = emesh.grid
     s = field.s
-    tr = emesh.trace_indices()
-    residual = field.system.stiffness[tr] @ field.values
-    values = -residual / grid.node_volume
+    values = _weighted_trace(field.system, field.values)
     cols = field.as_columns()
     y1 = emesh.vertical.levels[1]
     fq = 2 * s * (cols[:, 1] - cols[:, 0]) / y1 ** (2 * s)
@@ -531,17 +611,11 @@ def calibrate_cs(
     solver = ExtensionSolver(emesh, coeff)
     rng = np.random.default_rng(seed)
     widx = grid.w_indices
-    num = 0.0
-    den = 0.0
-    for _ in range(num_samples):
-        f = np.zeros(grid.num_nodes)
-        f[widx] = rng.standard_normal(len(widx))
-        u = solve_fractional_dirichlet(P, f)
-        oracle = P.apply(u)[widx]
-        tr = neumann_trace(solver.solve(f)).values[widx]
-        num += float(np.dot(-tr, oracle))
-        den += float(np.dot(tr, tr))
-    fitted = num / den
+    F = np.zeros((grid.num_nodes, num_samples))
+    F[widx] = rng.standard_normal((num_samples, len(widx))).T
+    oracle = P.apply(solve_fractional_dirichlet(P, F))[widx]
+    tr = _weighted_trace(solver.system, solver.solve_block(F), widx)
+    fitted = float(np.sum(-tr * oracle)) / float(np.sum(tr * tr))
     cs = analytic_cs(s)
     rel_gap = abs(fitted - cs) / cs
     if rel_gap > 0.20:

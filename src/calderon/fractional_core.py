@@ -82,11 +82,13 @@ class SpectralPower:
         return _reconstruct(self.eigvals, self.eigvecs, self.s)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Apply the power to a full-grid array; returns a full-grid array."""
+        """Apply the power to a full-grid array, or to a block of them (one
+        per column); returns the same shape."""
         ua = u[self.active]
         out = np.zeros_like(u, dtype=float)
         coeff = self.eigvecs.T @ ua
-        out[self.active] = self.eigvecs @ (self.eigvals**self.s * coeff)
+        # the transposes scale the rows of a block and are no-ops on a vector
+        out[self.active] = self.eigvecs @ (self.eigvals**self.s * coeff.T).T
         return out
 
 
@@ -124,29 +126,31 @@ def _interior_blocks(P: SpectralPower):
 def solve_fractional_dirichlet(P: SpectralPower, f: np.ndarray) -> np.ndarray:
     """Solve the exterior-value problem for the fractional operator.
 
-    ``f`` is a full-grid array supported on the measurement region; the
-    returned full-grid field equals f on the exterior nodes and the power
-    applied to it vanishes on the closed interior region (solved as the
-    interior block of the dense power matrix).
+    ``f`` is a full-grid array supported on the measurement region, or a
+    block of them of shape (N, k); the returned full-grid field equals f on
+    the exterior nodes and the power applied to it vanishes on the closed
+    interior region (solved as the interior block of the dense power matrix).
+    A block costs one power build and one Cholesky factorization, like one
+    datum.
     """
     grid = P.grid
     f = np.asarray(f, dtype=float)
-    support = np.flatnonzero(f)
-    if support.size and not np.all(grid.w_mask[support]):
+    if np.any(f[~grid.w_mask]):
         raise ParamError("exterior data must be supported on the measurement region")
     A, sol, factor = _interior_blocks(P)
     act = P.active
     fa = f[act]
     ua = fa.copy()
     ua[sol] = cho_solve(factor, -(A[np.ix_(sol, ~sol)] @ fa[~sol]))
-    out = np.zeros(grid.num_nodes)
+    out = np.zeros(f.shape)
     out[act] = ua
     return out
 
 
 def nonlocal_dtn(P: SpectralPower, f: np.ndarray) -> np.ndarray:
     """Values of the fractional operator of the solution on the measurement
-    region (the nonlocal measurement map applied to f)."""
+    region (the nonlocal measurement map applied to f, or to each column of
+    a block f of shape (N, k))."""
     u = solve_fractional_dirichlet(P, f)
     return P.apply(u)[P.grid.w_indices]
 

@@ -2,7 +2,8 @@
 
 The admissible set is spanned by per-node snapshot fields: for every node of
 the measurement region, the mixed extension problem is solved with a unit
-Dirichlet spike there (and zero elsewhere on the exterior trace).  Restricted
+Dirichlet spike there (and zero elsewhere on the exterior trace), all of them
+in one block solve.  Restricted
 to the exterior half-slab these snapshots satisfy the weighted bulk equation
 with trace supported in the closed measurement region, so their span is a
 finite-dimensional surrogate for the constraint set; by construction the
@@ -22,6 +23,11 @@ is minimized exactly through its normal equations
 ``(alpha G_E + G_A) c = A* data``; for alpha > 0 the matrix is symmetric
 positive definite, so the minimizer is unique.
 
+The snapshots are kept with the data operator and serve the reconstruction
+too: the mixed solve of a minimizer's trace is, by linearity, the same
+combination of snapshot fields, so a reconstruction costs a matrix-vector
+product and the solver's residual check instead of a fresh solve.
+
 Convention: the second data component is the raw weighted trace
 ``lim t**(1-2s) d_t u``.  Measurements given as values of the fractional
 operator convert through ``t = -values / c_s``.
@@ -35,8 +41,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .bridge import BridgePipeline
-from .errors import ParamError, RankError, SolveError
-from .extension import neumann_trace
+from .errors import MeshMismatch, ParamError, RankError, SolveError
+from .extension import _weighted_trace
 from .fractional_core import matrix_power
 from .local_elliptic import _assemble
 from .coefficients import identity_coefficient
@@ -172,16 +178,11 @@ def build_data_operator(
     grid = pipeline.grid
     widx = grid.w_indices
     K = len(widx)
-    fields = np.empty((pipeline.emesh.num_nodes, K))
-    traces = np.empty((K, K))
-    ntraces = np.empty((K, K))
-    for k, node in enumerate(widx):
-        f = np.zeros(grid.num_nodes)
-        f[node] = 1.0
-        fld = pipeline.solver.solve(f)
-        fields[:, k] = fld.values
-        traces[:, k] = fld.level(0)[widx]
-        ntraces[:, k] = neumann_trace(fld).values[widx]
+    spikes = np.zeros((grid.num_nodes, K))
+    spikes[widx, np.arange(K)] = 1.0
+    fields = pipeline.solver.solve_block(spikes)
+    traces = fields[pipeline.emesh.trace_indices()[widx]]
+    ntraces = _weighted_trace(pipeline.solver.system, fields, widx)
     N_plus, N_minus = _fractional_norm_matrices(pipeline, eps)
     G_A = traces.T @ N_plus @ traces + ntraces.T @ N_minus @ ntraces
     G_A = 0.5 * (G_A + G_A.T)
@@ -197,7 +198,9 @@ def build_data_operator(
     return DataOperator(
         pipeline=pipeline,
         eps=eps,
-        fields=fields,
+        # column-major: every reconstruction combines the columns, and that
+        # product streams a column-major matrix a third faster
+        fields=np.asfortranarray(fields),
         trace_matrix=traces,
         ntrace_matrix=ntraces,
         N_plus=N_plus,
@@ -313,16 +316,28 @@ def reconstruct_cauchy_from_data(
 
     ``f_w`` and ``lambda_s_f`` are nodal arrays on the measurement region;
     the second is in the fractional-operator convention and is converted to
-    a raw weighted trace with the pinned constant.  The minimizer's trace is
-    re-extended through the full mixed solve (gluing the exterior field to
-    the interior), averaged vertically, and restricted to the boundary.
+    a raw weighted trace with the pinned constant.  The minimizer's trace
+    ``f_hat`` is re-extended through the full mixed problem (gluing the
+    exterior field to the interior): the snapshot fields are mixed solves of
+    the unit data, so by linearity that solve is the combination
+    ``Aop.fields @ coeffs``, and it is checked like a solve (relative
+    free-row residual at most 1e-8, else SolveError).  The field is then
+    averaged vertically, with the truncation-tail check, and restricted to
+    the boundary, as ``operator_T`` does.  Raises MeshMismatch when ``Aop``
+    was built for another pipeline, whose solver its fields belong to.
 
     Data generated by the same forward pipeline makes this an inverse crime;
     use the fine-data generation path when that matters.
     """
+    if Aop.pipeline is not pipeline:
+        raise MeshMismatch(
+            "the data operator was built for a different pipeline; its "
+            "snapshot fields belong to that pipeline's solver"
+        )
     t = -np.asarray(lambda_s_f, dtype=float) / pipeline.cs
     sol = minimize(Aop, (np.asarray(f_w, dtype=float), t), alpha)
     f_hat = np.zeros(pipeline.grid.num_nodes)
     f_hat[pipeline.grid.w_indices] = sol.coeffs
-    pair = pipeline.cauchy_pair(f_hat, provenance=f"tikhonov(alpha={alpha:g})")
+    fld = pipeline.solver.checked_field(Aop.fields @ sol.coeffs, f_hat)
+    pair = pipeline._field_pair(fld, provenance=f"tikhonov(alpha={alpha:g})")
     return pair, sol

@@ -93,6 +93,30 @@ def test_schema_prints_valid_json(capsys):
     assert "$schema" in schema
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"experiment": "duality", "s": 1.2},
+     "field 's': 1.2 is greater than or equal to the maximum of 1"),
+    ({"experiment": "duality", "nodes": 2},
+     "field 'nodes': 2 is less than the minimum of 4"),
+    ({"experiment": "duality", "bogus": 1},
+     "field 'config': Additional properties are not allowed ('bogus' was unexpected)"),
+    ({"dim": 2}, "field 'config': 'experiment' is a required property"),
+    ({"experiment": "duality", "omega_box": [[0, 1, 2]]},
+     "field 'omega_box.0': [0, 1, 2] is too long"),
+    ({"experiment": "duality", "nodes": [4, "x"]},
+     "field 'nodes.1': 'x' is not of type 'integer'"),
+])
+def test_schema_errors_keep_their_text(raw, message):
+    """The validator is built once; the error chosen and its text are those
+    of jsonschema.validate, which re-checked the schema on every call."""
+    import jsonschema
+
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert str(err.value) == message
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 

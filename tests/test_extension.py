@@ -12,6 +12,7 @@ from calderon.errors import (
     SolveError,
 )
 from calderon.extension import (
+    _CHUNK,
     ExtensionField,
     ExtensionSolver,
     assemble_extension,
@@ -294,6 +295,58 @@ def test_tensor_solver_matches_sparse_oracle(layout, s, data):
     u = solver.solve(f).values
     ref = spsolve_oracle(solver, f, neumann=dirichlet_trace is None)
     assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_block_extension_solve_matches_column_solves(layout, data):
+    """One block solve equals per-column solves, over more columns than one
+    chunk, with a zero column that must stay exactly zero."""
+    dim = data.draw(st.sampled_from([1, 2]), label="dim")
+    grid = make_grid(dim=dim, nodes=data.draw(
+        st.integers(12, 32) if dim == 1 else st.integers(10, 12), label="nodes"),
+        padding=data.draw(st.floats(0.2, 0.4), label="padding"))
+    s = data.draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]), label="s")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    coeff = cd.diagonal_coefficient(
+        grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5] * dim, 0.4)] * dim,
+        identity_outside=True)
+    vm = cd.build_vertical_mesh(s, cd.default_height(grid), data.draw(
+        st.integers(16, 40), label="levels"))
+    solver = ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff,
+                             *LAYOUTS[layout])
+    k = data.draw(st.integers(_CHUNK + 1, 2 * _CHUNK + 3), label="columns")
+    F = rng.standard_normal((grid.num_nodes, k))
+    if layout == "mixed":
+        F[grid.omega_closure] = 0.0
+    zero = data.draw(st.integers(0, k - 1), label="zero column")
+    F[:, zero] = 0.0
+    U = solver.solve_block(F)
+    cols = np.column_stack([solver.solve(F[:, j]).values for j in range(k)])
+    assert U.shape == (solver.emesh.num_nodes, k)
+    assert not np.any(U[:, zero])
+    assert np.max(np.abs(U - cols)) <= 1e-12 * np.max(np.abs(cols))
+
+
+def test_calibration_makes_one_fractional_and_one_block_solve(monkeypatch):
+    from calderon import fractional_core
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fractional_core, "solve_fractional_dirichlet", counting(
+        "fractional", fractional_core.solve_fractional_dirichlet))
+    monkeypatch.setattr(ExtensionSolver, "solve_block", counting(
+        "extension", ExtensionSolver.solve_block))
+    cal = cd.calibrate_cs(1, 0.5, nodes=48, levels=32, num_samples=5)
+    assert sorted(calls) == ["extension", "fractional"]
+    assert cal.rel_gap <= 0.05
 
 
 def test_singular_free_trace_layout_fails_fast(grid64, ident64, emesh64):

@@ -221,6 +221,33 @@ def test_lost_definiteness_raises_solve_error(power_half):
         cd.solve_fractional_dirichlet(P, w_bump(P.grid))
 
 
+def test_block_fractional_dirichlet_matches_columns(power_half, monkeypatch):
+    """A block of exterior data costs one power build and gives the
+    per-column solutions and measurement values; a zero column stays zero."""
+    grid = power_half.grid
+    widx = grid.w_indices
+    F = np.zeros((grid.num_nodes, 5))
+    F[widx] = np.random.default_rng(5).standard_normal((len(widx), 5))
+    F[:, 3] = 0.0
+    cols = np.column_stack([cd.solve_fractional_dirichlet(power_half, F[:, j])
+                            for j in range(5)])
+    maps = np.column_stack([cd.nonlocal_dtn(power_half, F[:, j]) for j in range(5)])
+    builds = []
+    build = SpectralPower.matrix
+    monkeypatch.setattr(SpectralPower, "matrix",
+                        lambda self: builds.append(self) or build(self))
+    U = cd.solve_fractional_dirichlet(power_half, F)
+    assert len(builds) == 1
+    assert U.shape == F.shape and not np.any(U[:, 3])
+    assert np.max(np.abs(U - cols)) <= 1e-12 * np.max(np.abs(cols))
+    M = cd.nonlocal_dtn(power_half, F)
+    assert np.max(np.abs(M - maps)) <= 1e-12 * np.max(np.abs(maps))
+    bad = F.copy()
+    bad[grid.omega_closure, 0] = 1.0
+    with pytest.raises(ParamError):
+        cd.solve_fractional_dirichlet(power_half, bad)
+
+
 @pytest.mark.parametrize("direct_limit", [linsolve.DIRECT_LIMIT, 0])
 def test_block_solve_matches_column_solves(op64, monkeypatch, direct_limit):
     """Direct and conjugate-gradient branches; a zero column stays zero."""

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import calderon as cd
-from calderon.errors import ParamError, RankError
+from calderon.errors import MeshMismatch, ParamError, RankError, SolveError
 from calderon.tikhonov import build_data_operator
 
 from conftest import make_grid, w_bump
@@ -197,3 +199,49 @@ def test_reconstruction_error_decreases_in_alpha(recon_setup):
         )
         errs.append(np.linalg.norm(pair.boundary_values - truth.boundary_values))
     assert errs[0] > errs[1] > errs[2]
+
+
+def _max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+def test_basis_reconstruction_matches_fresh_solve(dim, s):
+    """The reconstruction combines the snapshot fields; a fresh mixed solve
+    of the minimizer's trace gives the same field and Cauchy pair."""
+    grid = make_grid(dim=dim, nodes=40 if dim == 1 else 16)
+    pipe = cd.BridgePipeline(grid, cd.identity_coefficient(grid), s,
+                             levels=32 if dim == 1 else 20)
+    aop = build_data_operator(pipe)
+    f = w_bump(grid)
+    lam = cd.nonlocal_dtn(cd.spectral_power(pipe.local_op, s), f)
+    pair, sol = cd.reconstruct_cauchy_from_data(pipe, aop, f[grid.w_indices],
+                                                lam, 1e-6)
+    f_hat = np.zeros(grid.num_nodes)
+    f_hat[grid.w_indices] = sol.coeffs
+    fresh = pipe.extension(f_hat)
+    combined = pipe.solver.checked_field(aop.fields @ sol.coeffs, f_hat)
+    assert _max_rel(combined.values, fresh.values) <= 1e-9
+    ref = pipe.cauchy_pair(f_hat)
+    assert _max_rel(pair.boundary_values, ref.boundary_values) <= 1e-9
+    assert _max_rel(pair.boundary_flux, ref.boundary_flux) <= 1e-9
+
+
+def test_corrupted_basis_column_raises_solve_error(recon_setup):
+    grid, pipe, aop, f, lam = recon_setup
+    fields = aop.fields.copy()
+    k = aop.basis_size // 2
+    # a free node one level above the trace, below the spike of column k
+    node = pipe.emesh.trace_indices()[grid.w_indices[k]] + 1
+    fields[node, k] += 1e-3 * np.max(np.abs(fields[:, k]))
+    bad = dataclasses.replace(aop, fields=fields)
+    with pytest.raises(SolveError, match="residual"):
+        cd.reconstruct_cauchy_from_data(pipe, bad, f[grid.w_indices], lam, 1e-6)
+
+
+def test_data_operator_of_another_pipeline_raises_mesh_mismatch(recon_setup):
+    grid, pipe, aop, f, lam = recon_setup
+    other = cd.BridgePipeline(grid, pipe.coeff, pipe.s, levels=48)
+    with pytest.raises(MeshMismatch):
+        cd.reconstruct_cauchy_from_data(other, aop, f[grid.w_indices], lam, 1e-6)
