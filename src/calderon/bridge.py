@@ -114,10 +114,11 @@ def partial_vertical_integral(field: ExtensionField, start: float) -> np.ndarray
     mid = np.zeros(vm.num_levels)
     dy = y[1:] - y[:-1]
     mid[live] = ((lo[live] + hi[live]) / 2 - y[:-1][live]) / dy[live]
-    w_lo = measure * (1.0 - mid)
-    w_hi = measure * mid
-    cols = field.as_columns()
-    return cols[:, :-1] @ w_lo + cols[:, 1:] @ w_hi
+    # cell j gives its lower level measure * (1 - mid), its upper measure * mid
+    w = np.zeros(vm.num_levels + 1)
+    w[:-1] = measure * (1.0 - mid)
+    w[1:] += measure * mid
+    return field.as_columns() @ w
 
 
 def _empirical_tail(field: ExtensionField) -> float:
@@ -127,19 +128,19 @@ def _empirical_tail(field: ExtensionField) -> float:
     levels; a non-decaying field yields an infinite bound.
     """
     vm = field.emesh.vertical
-    cols = np.abs(field.as_columns())
-    sup = cols.max(axis=0)
     J = vm.num_levels
     top = slice(max(2 * J // 3, 1), J)  # exclude the (possibly pinned) top level
-    y = vm.levels[top]
-    s_vals = sup[top]
-    pos = s_vals > 0
+    sup = np.abs(field.as_columns()[:, top]).max(axis=0)
+    pos = sup > 0
     if not np.any(pos):
         return 0.0
     if np.count_nonzero(pos) < 2:
         return float("inf")
-    y, s_vals = y[pos], s_vals[pos]
-    slope, intercept = np.polyfit(y, np.log(s_vals), 1)
+    y, z = vm.levels[top][pos], np.log(sup[pos])
+    # least-squares line z ~ intercept + slope * y, in closed form
+    yc = y - y.mean()
+    slope = float(yc @ (z - z.mean()) / (yc @ yc))
+    intercept = z.mean() - slope * y.mean()
     kappa = -slope
     if not np.isfinite(kappa) or kappa <= 1e-12:
         return float("inf")

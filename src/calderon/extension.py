@@ -27,21 +27,26 @@ factored as one block-diagonal sparse LU.  The pencil is solved by LAPACK
 ``dpteqr`` on the ``nu**-1/2``-scaled tridiagonal: with the default grading
 nu spans up to 19 orders of magnitude, and a dense symmetric eigensolver
 loses the small eigenvalues (even their sign) where ``dpteqr`` keeps them to
-relative accuracy.  The all-Dirichlet and free (Neumann) traces are pure
-tensor products.  A constrained trace column is first lifted by the exact
-profile of the vertical operator alone, so the tensor solve only returns a
-correction: level 1, whose error the trace extraction multiplies by the
-first-cell conductance, then stays accurate to rounding.  The mixed trace
-closes on its free trace nodes B with the dense Schur complement
-``nu_0 K_BB + g I - g**2 sum_k phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``,
-``g = m / r_0`` the first-cell conductance.  There is one solve path: a
-block of data, one datum per column, goes through the tensor solve _CHUNK
-columns at a time (so do the unit columns that build the Schur complement),
-which bounds the dense temporaries whatever the block's width; ``solve`` is
-its one-column case.  Every column is checked: its relative residual
-against the assembled free block must stay below 1e-8, else SolveError.  A
-field combined from solved fields (a snapshot basis) passes the same check
-through ``checked_field``.
+relative accuracy.  A constrained trace column is first lifted by the exact
+profile psi of the vertical operator alone, so the tensor solve only returns
+a correction: level 1, whose error the trace extraction multiplies by the
+first-cell conductance, then stays accurate to rounding.  The lift cancels
+the vertical load exactly, so the right-hand side left on the tensor block
+is separable, ``-(K_T d) (x) (nu psi)`` (``-m h (x) e_0`` for a free trace),
+and in the eigenbasis an outer product: no forward level transform is made.
+The mixed trace closes on its free trace nodes B through the trace map
+``Z = Sch^-1 Q`` (capacitance-matrix style, |B| x |data nodes| doubles),
+built once from the dense Schur complement
+``Sch = nu_0 K_BB + g I - g**2 sum_k phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``,
+``g = m / r_0`` the first-cell conductance: a datum's free trace values are
+``Z d``, and the tensor block then takes one block solve.  There is one
+solve path: a block of data, one datum per column, goes through the tensor
+solve _CHUNK columns at a time, one block LU solve per chunk (so do the unit
+columns that build Z), which bounds the dense temporaries whatever the
+block's width; ``solve`` is its one-column case.  Every column is checked:
+its relative residual against the assembled free block must stay below
+1e-8, else SolveError.  A field combined from solved fields (a snapshot
+basis) passes the same check through ``checked_field``.
 
 Sign conventions.  The weak form gives, for the trace row of a solution,
 ``(S u)[i, 0] = -m_i * lim t**(1-2s) d_t u``;  the fractional operator of
@@ -110,44 +115,33 @@ class ExtensionSystem:
         return self.emesh.vertical.s
 
 
-def assemble_extension(emesh: ExtensionMesh, coeff: Coefficient) -> ExtensionSystem:
-    grid = emesh.grid
-    vm = emesh.vertical
-    if coeff.grid is not grid:
-        raise MeshMismatch("coefficient was built for a different grid")
-    J = vm.num_levels
-    J1 = J + 1
+def _tensor_stiffness(K_tan: sp.spmatrix, vm, m: float, columns=None) -> sp.csr_matrix:
+    """``K_tan (x) diag(nu) + m D (x) K_vert`` on the tangential-major node
+    numbering: K_tan weighted per level by the level weights nu, plus the
+    two-point vertical operator of conductances ``1 / cell resistance``.
+    D is the identity, or the 0/1 diagonal of the boolean mask ``columns``
+    (vertical fluxes kept only in those columns)."""
     nu = vm.level_weights()
     cond = 1.0 / vm.cell_resistances()
-    m = grid.node_volume
+    K_vert = sp.diags(
+        [np.append(cond, 0.0) + np.insert(cond, 0, 0.0), -cond, -cond], [0, 1, -1]
+    )
+    n = K_tan.shape[0]
+    if columns is None:
+        D = sp.identity(n, format="csr")
+    else:
+        keep = np.flatnonzero(columns)
+        D = sp.csr_matrix((np.ones(len(keep)), (keep, keep)), shape=(n, n))
+    return (sp.kron(K_tan, sp.diags(nu)) + sp.kron(D, m * K_vert)).tocsr()
 
+
+def assemble_extension(emesh: ExtensionMesh, coeff: Coefficient) -> ExtensionSystem:
+    if coeff.grid is not emesh.grid:
+        raise MeshMismatch("coefficient was built for a different grid")
     from .local_elliptic import _assemble  # tangential stiffness, same stencil
 
-    Ktan = _assemble(grid, coeff).tocoo()
-
-    # tangential couplings replicated per level with weight nu_j
-    lev = np.arange(J1)
-    rows_t = (Ktan.row[:, None] * J1 + lev[None, :]).ravel()
-    cols_t = (Ktan.col[:, None] * J1 + lev[None, :]).ravel()
-    vals_t = (Ktan.data[:, None] * nu[None, :]).ravel()
-
-    # vertical two-point couplings per tangential node
-    i_tan = np.arange(grid.num_nodes)
-    lo = (i_tan[:, None] * J1 + np.arange(J)[None, :]).ravel()
-    hi = lo + 1
-    c = np.tile(m * cond, grid.num_nodes)
-    rows_v = np.concatenate([lo, hi, lo, hi])
-    cols_v = np.concatenate([lo, hi, hi, lo])
-    vals_v = np.concatenate([c, c, -c, -c])
-
-    N = emesh.num_nodes
-    S = sp.csr_matrix(
-        (
-            np.concatenate([vals_t, vals_v]),
-            (np.concatenate([rows_t, rows_v]), np.concatenate([cols_t, cols_v])),
-        ),
-        shape=(N, N),
-    )
+    S = _tensor_stiffness(_assemble(emesh.grid, coeff), emesh.vertical,
+                          emesh.grid.node_volume)
     return ExtensionSystem(emesh=emesh, coeff=coeff, stiffness=S)
 
 
@@ -237,8 +231,8 @@ class ExtensionSolver:
     The free nodes are the tensor product of the tangential set T (active
     nodes, or all nodes under natural lateral conditions) and a run L of
     levels, plus, in the mixed layout, the free trace nodes B.  The vertical
-    pencil, the J shifted tangential factorizations and the trace Schur
-    complement are built once; every solve substitutes new data.
+    pencil, the J shifted tangential factorizations and the free-trace map
+    are built once; every solve substitutes new data.
     """
 
     def __init__(
@@ -285,7 +279,7 @@ class ExtensionSolver:
         free0 = free_cols[self._T, 0]
         lo = 0 if free0.all() else 1
         hi = J if free_cols[self._T, J].all() else J - 1
-        self._L = np.arange(lo, hi + 1)
+        self._L = slice(lo, hi + 1)
         # vertical two-point operator on the free levels; fixed neighbours
         # leave their conductance on the diagonal.  Free at both ends it is
         # singular and gets shifted (only with a Dirichlet frame, see above)
@@ -296,7 +290,7 @@ class ExtensionSolver:
         )
 
         K_T = _assemble(grid, coeff)[self._T][:, self._T].tocsc()
-        nT, nL = len(self._T), len(self._L)
+        nT, nL = len(self._T), hi + 1 - lo
         blocks = sp.kron(sp.identity(nL, format="csc"), K_T, format="csc")
         blocks = blocks + sp.diags(np.repeat(m * self._mu, nT), format="csc")
         try:
@@ -312,68 +306,68 @@ class ExtensionSolver:
 
         # a constrained trace column is lifted by the exact profile of the
         # vertical operator alone (1 under a Neumann top), so the tensor solve
-        # only computes the correction driven by the tangential stiffness;
-        # the mixed layout's free trace nodes B close through a Schur complement
-        self._B = np.flatnonzero(free0) if lo == 1 else np.zeros(0, dtype=int)
-        self._lifted = self._T[~free0]
+        # only computes the correction driven by the tangential stiffness
+        self._lift_at = ~free0
+        self._lifted = self._T[self._lift_at]
         tail = np.cumsum(res[::-1])[::-1]
         self._psi = np.ones(nL) if hi == J else tail[self._L] / tail[0]
+        # what is left of the T x L right-hand side is separable: in the
+        # eigenbasis it is the outer product of a level vector with a
+        # tangential map of the datum at the nodes _rhs_nodes
+        if trace == "free":
+            self._rhs_levels = self._phi[0]
+            self._rhs_nodes = self._T
+            self._rhs_tan = -m * sp.identity(nT, format="csr")
+        else:
+            self._rhs_levels = -self._phi.T @ (nu[self._L] * self._psi)
+            self._rhs_nodes = self._lifted
+            self._rhs_tan = K_T[:, self._lift_at].tocsr()
+        # the mixed layout's free trace nodes B close through a trace map
+        self._B = np.flatnonzero(free0) if lo == 1 else np.zeros(0, dtype=int)
         self._g = m * cond[0]
         if self._B.size:
-            self._schur = self._trace_schur(K_T, nu[0])
+            self._Z = self._trace_schur(K_T, nu[0])
 
-    def _trace_schur(self, K_T: sp.csc_matrix, nu0: float):
-        """Cholesky factor of the trace Schur complement,
+    def _trace_schur(self, K_T: sp.csc_matrix, nu0: float) -> np.ndarray:
+        """The trace map Z, (|B|, |data nodes|): ``Z @ data[_data_nodes]``
+        gives the solution on the free trace nodes B.
 
-        ``nu0 K_BB + g I - g**2 sum_k phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``,
+        Eliminating T x L leaves the trace Schur complement
 
-        whose last term comes from block solves over _CHUNK columns.
+        ``Sch = nu0 K_BB + g I - g**2 sum_k phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``
+
+        and the right-hand side ``Q d``, where Q holds the stiffness rows of
+        the B trace nodes over the data columns, plus ``g H^T`` times the
+        tangential map of the separable right-hand side, with
+        ``H = sum_k c_k phi_k(1) [(K_T + m mu_k)^-1]_{:,B}`` (c the level
+        vector of that right-hand side).  Both sums come from the same unit
+        block solves over _CHUNK columns.  Z = Sch^-1 Q; the dense Cholesky
+        factor of Sch is used once here and not kept.
         """
         B = self._B
-        nT, nL = len(self._T), len(self._L)
+        nL, nT = len(self._phi), len(self._T)
         phi1 = self._phi[0]
         G = np.empty((len(B), len(B)))
+        H = np.empty((nT, len(B)))
         for c0 in range(0, len(B), _CHUNK):
             cols = B[c0:c0 + _CHUNK]
             R = np.zeros((nL, nT, len(cols)))
             R[:, cols, np.arange(len(cols))] = phi1[:, None]
             Y = self._lu.solve(R.reshape(nL * nT, -1)).reshape(nL, nT, -1)
             G[:, c0:c0 + len(cols)] = np.tensordot(phi1, Y[:, B], axes=(0, 0))
+            H[:, c0:c0 + len(cols)] = np.tensordot(self._rhs_levels, Y, axes=(0, 0))
         g = self._g
         S = nu0 * K_T[B][:, B].toarray() + g * np.eye(len(B)) - g * g * G
+        tr = self.emesh.trace_indices()
+        Q = -self._data_cols[tr[self._T[B]]].toarray()
+        lifted = np.searchsorted(self._data_nodes, self._rhs_nodes)
+        Q[:, lifted] += g * (self._rhs_tan.T @ H).T
         try:
-            return cho_factor((S + S.T) / 2)
+            return cho_solve(cho_factor((S + S.T) / 2), Q)
         except np.linalg.LinAlgError as exc:
             raise SolveError(
                 f"trace Schur complement is not positive definite: {exc}"
             ) from exc
-
-    def _solve_free(self, b: np.ndarray) -> np.ndarray:
-        """Solve the free block for right-hand sides b of shape (N_tan, J+1, k).
-
-        The T x L block is ``(I x Phi) blockdiag(K_T + m mu_k) (I x Phi^T)``;
-        its solves run in the eigenbasis, where the trace closure adds one
-        more block solve with data only on the B rows.  The level transforms
-        are tensordot (BLAS) products: einsum was ten times slower on them.
-        """
-        T, L, B, phi = self._T, self._L, self._B, self._phi
-        nT, nL, k = len(T), len(L), b.shape[2]
-        # rebinding Y frees each dense temporary once it is used
-        Y = np.tensordot(phi, b[np.ix_(T, L)], axes=(0, 1)).reshape(nL * nT, k)
-        Y = self._lu.solve(Y).reshape(nL, nT, k)
-        if B.size:
-            g = self._g
-            xB = cho_solve(self._schur,
-                           b[T[B], 0] + g * np.tensordot(phi[0], Y[:, B], axes=(0, 0)))
-            R = np.zeros((nL, nT, k))
-            R[:, B] = phi[0][:, None, None] * (g * xB)
-            Y += self._lu.solve(R.reshape(nL * nT, k)).reshape(nL, nT, k)
-            del R
-        x = np.zeros_like(b)
-        if B.size:
-            x[T[B], 0] = xB
-        x[np.ix_(T, L)] = np.tensordot(phi, Y, axes=(1, 0)).transpose(1, 0, 2)
-        return x
 
     def _load(self, data: np.ndarray):
         """Constrained values u and free-row right-hand sides b, both of shape
@@ -417,30 +411,48 @@ class ExtensionSolver:
             emesh=self.emesh, values=values, s=self.system.s, system=self.system
         )
 
+    def _separable_rhs(self, data: np.ndarray) -> np.ndarray:
+        """The T x L right-hand side of lifted data (N_tan, k) in the
+        vertical eigenbasis, shape (L, T, k): an outer product, since the
+        lift cancels the vertical load."""
+        return np.multiply.outer(self._rhs_levels,
+                                 self._rhs_tan @ data[self._rhs_nodes])
+
     def solve_block(self, data: np.ndarray) -> np.ndarray:
         """Solve for a block of data of shape (N_tan, k), one datum per column.
 
-        Returns the nodal values, shape (num_nodes, k).  The columns go
-        through the tensor solve _CHUNK at a time, and each is checked
-        against the assembled free block; a zero column gives a zero field.
+        Returns the nodal values, shape (num_nodes, k), column-major.  The
+        columns go through the tensor solve _CHUNK at a time, one block LU
+        solve per chunk, and each is checked against the assembled free
+        block; a zero column gives a zero field.
         """
         data = np.asarray(data, dtype=float)
-        S = self.system.stiffness
-        lifted = self._lifted
-        out = np.empty((self.emesh.num_nodes, data.shape[1]))
+        T, L, B, phi = self._T, self._L, self._B, self._phi
+        nL, nT = len(phi), len(T)
+        out = np.empty((self.emesh.num_nodes, data.shape[1]), order="F")
         for c0 in range(0, data.shape[1], _CHUNK):
             D = data[:, c0:c0 + _CHUNK]
+            k = D.shape[1]
             # out takes the constrained values now and the free part below
-            out[:, c0:c0 + _CHUNK], b = self._load(D)
+            out[:, c0:c0 + k], b = self._load(D)
+            Y = self._separable_rhs(D)
+            if B.size:
+                xB = self._Z @ D[self._data_nodes]
+                Y[:, B] += np.multiply.outer(self._g * phi[0], xB)
+            # rebinding Y frees each dense temporary once it is used
+            Y = self._lu.solve(Y.reshape(nL * nT, k))
+            Y = (phi @ Y.reshape(nL, nT * k)).reshape(nL, nT, k)
+            lift = np.zeros((nT, k))
+            lift[self._lift_at] = D[self._lifted]
+            Y += np.multiply.outer(self._psi, lift)
             x = np.zeros_like(b)
-            cols = x.reshape(self.emesh.grid.num_nodes, -1, D.shape[1])
-            cols[np.ix_(lifted, self._L)] = D[lifted][:, None] * self._psi[:, None]
-            r = S @ x
-            np.subtract(b, r, out=r)
-            x += self._solve_free(r.reshape(cols.shape)).reshape(x.shape)
-            del r
+            cols = x.reshape(self.emesh.grid.num_nodes, -1, k)
+            cols[T, L] = Y.transpose(1, 0, 2)
+            del Y
+            if B.size:
+                cols[T[B], 0] = xB
             self._check_residual(x, b)
-            out[:, c0:c0 + _CHUNK] += x
+            out[:, c0:c0 + k] += x
         return out
 
     def solve(self, data: np.ndarray) -> ExtensionField:

@@ -104,14 +104,18 @@ class LocalOperator:
 
     ``stiffness`` covers the whole computational box; ``omega_stiffness`` is
     the same bilinear form restricted to the interior region and is the one
-    used for variational flux extraction.  Immutable after construction;
-    concurrent solves against it are safe.
+    used for variational flux extraction, through its rows at the boundary
+    nodes (``boundary_rows``) and the boundary quadrature weights
+    (``boundary_weights``), both stored at assembly.  Immutable after
+    construction; concurrent solves against it are safe.
     """
 
     grid: TangentialGrid
     coeff: Coefficient
     stiffness: sp.csr_matrix
     omega_stiffness: sp.csr_matrix
+    boundary_rows: sp.csr_matrix
+    boundary_weights: np.ndarray
     _interior_fact: Factorized | None = field(default=None, repr=False)
 
     @property
@@ -133,7 +137,11 @@ def assemble_local(grid: TangentialGrid, coeff: Coefficient) -> LocalOperator:
         raise EllipticityError("coefficient violates lambda_min > 0")
     K = _assemble(grid, coeff)
     K_omega = _assemble(grid, coeff, _omega_face_filter(grid))
-    return LocalOperator(grid=grid, coeff=coeff, stiffness=K, omega_stiffness=K_omega)
+    return LocalOperator(
+        grid=grid, coeff=coeff, stiffness=K, omega_stiffness=K_omega,
+        boundary_rows=K_omega[grid.boundary_indices],
+        boundary_weights=grid.boundary_weights(),
+    )
 
 
 def solve_local_dirichlet(op: LocalOperator, g: np.ndarray) -> np.ndarray:
@@ -165,9 +173,8 @@ def boundary_flux(op: LocalOperator, v: np.ndarray) -> np.ndarray:
     Outward-normal convention: on the interval (0,1) with v(x) = x the
     fluxes are (-1, +1).
     """
-    grid = op.grid
-    r = op.omega_stiffness[grid.boundary_indices] @ v
-    return r / grid.boundary_weights()
+    r = op.boundary_rows @ v
+    return r / op.boundary_weights
 
 
 def local_dtn(op: LocalOperator, g: np.ndarray) -> np.ndarray:
@@ -204,10 +211,9 @@ def local_dtn_matrix(op: LocalOperator) -> LocalDtN:
     grid = op.grid
     bnodes = grid.boundary_indices
     ii = grid.omega_interior
-    K = op.omega_stiffness
-    K_bb = K[bnodes][:, bnodes].toarray()
-    K_bi = K[bnodes][:, ii].toarray()
-    K_ib = K[ii][:, bnodes].toarray()
+    K_bb = op.boundary_rows[:, bnodes].toarray()
+    K_bi = op.boundary_rows[:, ii].toarray()
+    K_ib = op.omega_stiffness[ii][:, bnodes].toarray()
     X = op.interior_factorization().solve(K_ib)
     S = K_bb - K_bi @ X
     S = 0.5 * (S + S.T)

@@ -42,7 +42,7 @@ import scipy.sparse as sp
 
 from .bridge import BridgePipeline
 from .errors import MeshMismatch, ParamError, RankError, SolveError
-from .extension import _weighted_trace
+from .extension import _CHUNK, _tensor_stiffness, _weighted_trace
 from .fractional_core import matrix_power
 from .local_elliptic import _assemble
 from .coefficients import identity_coefficient
@@ -80,32 +80,14 @@ def _exterior_energy_matrix(pipeline: BridgePipeline) -> sp.csr_matrix:
     Tangential faces keep only pairs of exterior nodes; vertical fluxes keep
     only exterior columns.  This is the penalty quadratic form of J_alpha.
     """
-    emesh = pipeline.emesh
-    grid = emesh.grid
-    vm = emesh.vertical
+    grid = pipeline.grid
     ext = grid.exterior
 
     def face_filter(k, i, j):
         return (ext[i] & ext[j]).astype(float)
 
-    Ktan = _assemble(grid, pipeline.coeff, face_filter).tocoo()
-    J1 = vm.num_levels + 1
-    nu = vm.level_weights()
-    lev = np.arange(J1)
-    rows_t = (Ktan.row[:, None] * J1 + lev[None, :]).ravel()
-    cols_t = (Ktan.col[:, None] * J1 + lev[None, :]).ravel()
-    vals_t = (Ktan.data[:, None] * nu[None, :]).ravel()
-
-    cond = 1.0 / vm.cell_resistances()
-    i_ext = np.flatnonzero(ext)
-    lo = (i_ext[:, None] * J1 + np.arange(vm.num_levels)[None, :]).ravel()
-    hi = lo + 1
-    c = np.tile(grid.node_volume * cond, len(i_ext))
-    rows = np.concatenate([rows_t, lo, hi, lo, hi])
-    cols = np.concatenate([cols_t, lo, hi, hi, lo])
-    vals = np.concatenate([vals_t, c, c, -c, -c])
-    N = emesh.num_nodes
-    return sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
+    K_ext = _assemble(grid, pipeline.coeff, face_filter)
+    return _tensor_stiffness(K_ext, pipeline.emesh.vertical, grid.node_volume, ext)
 
 
 @dataclass
@@ -180,9 +162,19 @@ def build_data_operator(
     K = len(widx)
     spikes = np.zeros((grid.num_nodes, K))
     spikes[widx, np.arange(K)] = 1.0
+    # column-major (every reconstruction combines the columns, and that
+    # product streams a column-major matrix a third faster); the sparse
+    # products below go _CHUNK columns at a time, so no full-size copy is made
     fields = pipeline.solver.solve_block(spikes)
     traces = fields[pipeline.emesh.trace_indices()[widx]]
-    ntraces = _weighted_trace(pipeline.solver.system, fields, widx)
+    S_ext = _exterior_energy_matrix(pipeline)
+    ntraces = np.empty((K, K))
+    G_E = np.empty((K, K))
+    for c0 in range(0, K, _CHUNK):
+        U = fields[:, c0:c0 + _CHUNK]
+        ntraces[:, c0:c0 + _CHUNK] = _weighted_trace(pipeline.solver.system, U, widx)
+        G_E[:, c0:c0 + _CHUNK] = fields.T @ (S_ext @ U)
+    G_E = 0.5 * (G_E + G_E.T)
     N_plus, N_minus = _fractional_norm_matrices(pipeline, eps)
     G_A = traces.T @ N_plus @ traces + ntraces.T @ N_minus @ ntraces
     G_A = 0.5 * (G_A + G_A.T)
@@ -192,15 +184,10 @@ def build_data_operator(
             f"data columns are rank deficient (sigma_min/sigma_max = "
             f"{sv.min() / sv.max():.2e}); refine the mesh"
         )
-    S_ext = _exterior_energy_matrix(pipeline)
-    G_E = fields.T @ (S_ext @ fields)
-    G_E = 0.5 * (G_E + G_E.T)
     return DataOperator(
         pipeline=pipeline,
         eps=eps,
-        # column-major: every reconstruction combines the columns, and that
-        # product streams a column-major matrix a third faster
-        fields=np.asfortranarray(fields),
+        fields=fields,
         trace_matrix=traces,
         ntrace_matrix=ntraces,
         N_plus=N_plus,

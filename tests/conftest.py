@@ -25,6 +25,17 @@ def w_bump(grid, center=None, width=None):
     return f
 
 
+def assert_same_sparse(A, B, rtol):
+    """Same sparsity pattern, values within rtol of B's largest entry."""
+    A, B = A.tocsr(), B.tocsr()
+    A.sort_indices()
+    B.sort_indices()
+    assert A.nnz == B.nnz
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.max(np.abs(A.data - B.data)) <= rtol * np.max(np.abs(B.data))
+
+
 @pytest.fixture(scope="session")
 def grid64():
     return make_grid(nodes=64)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import gammaincc
 
 import calderon as cd
 from calderon.bridge import h_half_gram
@@ -196,3 +197,59 @@ def test_distinguishability_gaps(grid64):
     assert same.local_gap <= 1e-9 and same.nonlocal_gap <= 1e-9
     diff = cd.distinguishability_experiment(grid64, a1, a2, 0.5, levels=32)
     assert diff.local_gap > 0 and diff.nonlocal_gap > 0 and diff.t_gap > 0
+
+
+def two_product_partial_integral(field, start):
+    """Reference partial integral: one product per cell end."""
+    vm = field.emesh.vertical
+    y = vm.levels
+    e = 2.0 - 2.0 * field.s
+    lo = np.maximum(y[:-1], start)
+    hi = y[1:]
+    live = hi > lo
+    measure = np.zeros(vm.num_levels)
+    measure[live] = (hi[live] ** e - lo[live] ** e) / e
+    mid = np.zeros(vm.num_levels)
+    mid[live] = ((lo[live] + hi[live]) / 2 - y[:-1][live]) / (y[1:] - y[:-1])[live]
+    cols = field.as_columns()
+    return cols[:, :-1] @ (measure * (1.0 - mid)) + cols[:, 1:] @ (measure * mid)
+
+
+def polyfit_tail(field):
+    """Reference tail estimate: whole-field sup, line fit by np.polyfit."""
+    vm = field.emesh.vertical
+    sup = np.abs(field.as_columns()).max(axis=0)
+    J = vm.num_levels
+    top = slice(max(2 * J // 3, 1), J)
+    y, s_vals = vm.levels[top], sup[top]
+    pos = s_vals > 0
+    if not np.any(pos):
+        return 0.0
+    if np.count_nonzero(pos) < 2:
+        return float("inf")
+    slope, intercept = np.polyfit(y[pos], np.log(s_vals[pos]), 1)
+    kappa = -slope
+    if not np.isfinite(kappa) or kappa <= 1e-12:
+        return float("inf")
+    a = 2.0 - 2.0 * field.s
+    return (float(np.exp(intercept)) * kappa ** (-a)
+            * gammaincc(a, kappa * vm.height) * math.gamma(a))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_vertical_integral_matches_reference_formulas(dim, s):
+    grid = make_grid(dim=dim, nodes=48 if dim == 1 else 16)
+    pipe = cd.BridgePipeline(grid, cd.identity_coefficient(grid), s, levels=40)
+    f = np.zeros(grid.num_nodes)
+    f[grid.w_indices] = np.random.default_rng(2).standard_normal(len(grid.w_indices))
+    fld = pipe.extension(f)
+    for start in (0.0, 0.37 * pipe.emesh.vertical.height):
+        old = two_product_partial_integral(fld, start)
+        new = cd.partial_vertical_integral(fld, start)
+        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+    vi = cd.vertical_integral(fld, tail_fraction=1.0)
+    assert vi.tail_bound == pytest.approx(polyfit_tail(fld), rel=1e-12)
+    flat = ExtensionField(emesh=fld.emesh, values=np.ones_like(fld.values), s=s)
+    assert cd.vertical_integral(flat, tail_fraction=np.inf).tail_bound == np.inf
+    assert polyfit_tail(flat) == np.inf

@@ -176,3 +176,16 @@ def test_variational_flux_outward_convention(grid64, op64):
     v[~grid64.omega_closure] = 0.0
     flux = boundary_flux(op64, v)
     assert flux[0] < 0 < flux[1]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_boundary_flux_matches_row_slice_formula(dim):
+    """The stored boundary rows and weights give the row-slice flux bit for
+    bit: the rows of the region stiffness times v, over the weights."""
+    grid = make_grid(dim=dim, nodes={1: 40, 2: 16, 3: 14}[dim])
+    coeff = cd.diagonal_coefficient(
+        grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5] * dim, 0.4)] * dim)
+    op = cd.assemble_local(grid, coeff)
+    v = np.random.default_rng(4).standard_normal(grid.num_nodes)
+    old = (op.omega_stiffness[grid.boundary_indices] @ v) / grid.boundary_weights()
+    assert np.array_equal(boundary_flux(op, v), old)

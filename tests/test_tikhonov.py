@@ -2,12 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import calderon as cd
 from calderon.errors import MeshMismatch, ParamError, RankError, SolveError
-from calderon.tikhonov import build_data_operator
+from calderon.tikhonov import _exterior_energy_matrix, build_data_operator
 
-from conftest import make_grid, w_bump
+from conftest import assert_same_sparse, make_grid, w_bump
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +246,40 @@ def test_data_operator_of_another_pipeline_raises_mesh_mismatch(recon_setup):
     other = cd.BridgePipeline(grid, pipe.coeff, pipe.s, levels=48)
     with pytest.raises(MeshMismatch):
         cd.reconstruct_cauchy_from_data(other, aop, f[grid.w_indices], lam, 1e-6)
+
+
+def triplet_exterior_energy_matrix(pipeline):
+    """Reference triplet assembly of the exterior penalty form."""
+    from calderon.local_elliptic import _assemble
+
+    emesh = pipeline.emesh
+    grid, vm = emesh.grid, emesh.vertical
+    ext = grid.exterior
+    Ktan = _assemble(grid, pipeline.coeff,
+                     lambda k, i, j: (ext[i] & ext[j]).astype(float)).tocoo()
+    J1 = vm.num_levels + 1
+    nu = vm.level_weights()
+    lev = np.arange(J1)
+    rows_t = (Ktan.row[:, None] * J1 + lev[None, :]).ravel()
+    cols_t = (Ktan.col[:, None] * J1 + lev[None, :]).ravel()
+    vals_t = (Ktan.data[:, None] * nu[None, :]).ravel()
+    cond = 1.0 / vm.cell_resistances()
+    i_ext = np.flatnonzero(ext)
+    lo = (i_ext[:, None] * J1 + np.arange(vm.num_levels)[None, :]).ravel()
+    hi = lo + 1
+    c = np.tile(grid.node_volume * cond, len(i_ext))
+    rows = np.concatenate([rows_t, lo, hi, lo, hi])
+    cols = np.concatenate([cols_t, lo, hi, hi, lo])
+    vals = np.concatenate([vals_t, c, c, -c, -c])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(emesh.num_nodes,) * 2)
+
+
+@pytest.mark.parametrize("dim, s", [(1, 0.25), (1, 0.9), (2, 0.5)])
+def test_exterior_energy_matrix_matches_triplet_assembly(dim, s):
+    grid = make_grid(dim=dim, nodes=40 if dim == 1 else 14, padding=0.3)
+    coeff = cd.diagonal_coefficient(
+        grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5] * dim, 0.3)] * dim,
+        identity_outside=True)
+    pipe = cd.BridgePipeline(grid, coeff, s, levels=24)
+    assert_same_sparse(_exterior_energy_matrix(pipe),
+                       triplet_exterior_energy_matrix(pipe), 1e-14)
