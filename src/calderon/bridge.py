@@ -36,10 +36,11 @@ import numpy as np
 from scipy.special import gammaincc, gamma as gamma_fn
 
 from .coefficients import Coefficient, identity_coefficient
-from .errors import MeshMismatch, ParamError, RankWarning, TailError
+from .errors import ParamError, RankWarning, TailError
 from .extension import (
     ExtensionField,
     ExtensionSolver,
+    _fixed_layout,
     analytic_cs,
     assemble_extension,
 )
@@ -50,7 +51,6 @@ from .local_elliptic import (
     local_dtn_matrix,
 )
 from .mesh import (
-    ExtensionMesh,
     TangentialGrid,
     build_extension_mesh,
     build_vertical_mesh,
@@ -129,7 +129,7 @@ def _empirical_tail(field: ExtensionField) -> float:
     """
     vm = field.emesh.vertical
     J = vm.num_levels
-    top = slice(max(2 * J // 3, 1), J)  # exclude the (possibly pinned) top level
+    top = slice(max(2 * J // 3, 1), J)  # exclude the pinned top level
     sup = np.abs(field.as_columns()[:, top]).max(axis=0)
     pos = sup > 0
     if not np.any(pos):
@@ -165,22 +165,24 @@ def _algebraic_tail(field: ExtensionField) -> float:
     return trace_l1 * vm.height ** (-p) / p
 
 
-def vertical_integral(
-    field: ExtensionField, tail_fraction: float = 0.01
-) -> VerticalIntegralField:
+# largest admissible extrapolated tail, as a fraction of the integral's sup
+TAIL_FRACTION = 0.01
+
+
+def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
     """Full weighted vertical integral with a truncation-tail check.
 
     Raises TailError when the extrapolated tail above the truncation height
-    exceeds ``tail_fraction`` of the integral's sup norm (a constant field,
+    exceeds TAIL_FRACTION of the integral's sup norm (a constant field,
     whose weighted integral diverges, always trips this).
     """
     values = partial_vertical_integral(field, 0.0)
     tail = _empirical_tail(field)
     algebraic = _algebraic_tail(field)
     ref = float(np.max(np.abs(values)))
-    if tail > tail_fraction * ref:
+    if tail > TAIL_FRACTION * ref:
         raise TailError(
-            f"estimated truncation tail {tail:.3g} exceeds {tail_fraction:.1%} "
+            f"estimated truncation tail {tail:.3g} exceeds {TAIL_FRACTION:.1%} "
             f"of the integral's sup norm {ref:.3g}"
         )
     return VerticalIntegralField(
@@ -194,11 +196,7 @@ class DualityReport:
     trace: np.ndarray
 
 
-def duality_transform(
-    u1: ExtensionField,
-    coeff: Coefficient,
-    target_mesh: ExtensionMesh | None = None,
-):
+def duality_transform(u1: ExtensionField, coeff: Coefficient):
     """Map a solution of the dual-weight Neumann problem to the primal weight.
 
     ``u1`` must live on a mesh built for order 1 - s (weight exponent 2s-1).
@@ -208,20 +206,15 @@ def duality_transform(
     fluxes (one-sided at the ends).  On the explicit power solution
     ``t**(2-2s)/(2-2s)`` this is exact.
 
-    Returns the transformed field together with a report carrying its bulk
-    residual in the primal-weight operator and its trace row.
+    Returns the transformed field, on the mesh of order s with the same
+    height, levels and grading, together with a report carrying its bulk
+    residual in the primal-weight operator (over the rows an all-Dirichlet
+    extension solve leaves free) and its trace row.
     """
-    s_dual = u1.s
-    s = 1.0 - s_dual
+    s = 1.0 - u1.s
     vm1 = u1.emesh.vertical
-    if target_mesh is None:
-        vm = build_vertical_mesh(s, vm1.height, vm1.num_levels, vm1.grading)
-        target_mesh = build_extension_mesh(u1.emesh.grid, vm)
-    else:
-        if target_mesh.vertical.s != s or not np.allclose(
-            target_mesh.vertical.levels, vm1.levels
-        ):
-            raise MeshMismatch("target mesh does not match the dual field's levels")
+    vm = build_vertical_mesh(s, vm1.height, vm1.num_levels, vm1.grading)
+    target_mesh = build_extension_mesh(u1.emesh.grid, vm)
     cols = u1.as_columns()
     flux = (cols[:, 1:] - cols[:, :-1]) / vm1.cell_resistances()[None, :]
     J = vm1.num_levels
@@ -236,10 +229,7 @@ def duality_transform(
     # bulk residual over the free interior rows, Jacobi-normalized so that
     # constants (zero-energy fields) still get a meaningful relative scale
     S = out.system.stiffness
-    grid = target_mesh.grid
-    free = np.zeros(target_mesh.num_nodes, dtype=bool)
-    free_cols = free.reshape(grid.num_nodes, J + 1)
-    free_cols[grid.active, 1:J] = True
+    free = ~_fixed_layout(target_mesh, "dirichlet")
     r = (S @ out.values)[free]
     d = S.diagonal()[free]
     scale = float(np.sum(S.diagonal() * out.values**2))
@@ -319,7 +309,6 @@ class BridgePipeline:
         levels: int = 64,
         height: float | None = None,
         grading: float | None = None,
-        tail_fraction: float = 0.01,
     ):
         self.grid = grid
         self.coeff = coeff
@@ -330,7 +319,6 @@ class BridgePipeline:
         self.emesh = build_extension_mesh(grid, vm)
         self.local_op = assemble_local(grid, coeff)
         self.solver = ExtensionSolver(self.emesh, coeff)
-        self.tail_fraction = tail_fraction
         self.cs = analytic_cs(s)
 
     def _exterior(self, f: np.ndarray) -> np.ndarray:
@@ -349,7 +337,7 @@ class BridgePipeline:
         return [self.solver._field(u) for u in np.ascontiguousarray(U.T)]
 
     def vertical_field(self, f: np.ndarray) -> VerticalIntegralField:
-        return vertical_integral(self.extension(f), self.tail_fraction)
+        return vertical_integral(self.extension(f))
 
     def bridge_solution(self, f: np.ndarray) -> np.ndarray:
         return self.vertical_field(f).values
@@ -360,7 +348,7 @@ class BridgePipeline:
     def _field_pair(self, fld: ExtensionField, provenance: str = "") -> CauchyPair:
         """Cauchy pair of an extension field: its vertical integral (with the
         truncation-tail check), restricted to the boundary, and its flux."""
-        v = vertical_integral(fld, self.tail_fraction).values
+        v = vertical_integral(fld).values
         vals = v[self.grid.boundary_indices]
         flux = boundary_flux(self.local_op, v)
         return CauchyPair(boundary_values=vals, boundary_flux=flux,
@@ -470,14 +458,15 @@ def distinguishability_experiment(
     s: float,
     levels: int = 48,
     height: float | None = None,
-    test_f: np.ndarray | None = None,
 ) -> GapReport:
     """Gaps between the local and nonlocal measurement maps of two
-    coefficients, plus the discrepancy of the full bridge pipeline.
+    coefficients, plus the discrepancy of the full bridge pipeline on a
+    bump datum spanning the measurement region.
 
     A nonzero interior perturbation must show up in both maps; identical
     coefficients give gaps at rounding level.
     """
+    from .coefficients import mollifier_bump
     from .fractional_core import nonlocal_dtn_matrix, spectral_power
 
     op1 = assemble_local(grid, a1)
@@ -494,21 +483,16 @@ def distinguishability_experiment(
     nonlocal_gap = float(np.max(np.abs(np.linalg.eigvalsh(sym1 - sym2))))
     nonlocal_scale = float(np.max(np.abs(np.linalg.eigvalsh(sym1))))
 
-    if test_f is None:
-        from .coefficients import mollifier_bump
-
-        widx = grid.w_indices
-        center = grid.points[widx].mean(axis=0)
-        width = 0.45 * float(
-            np.max(np.ptp(grid.points[widx], axis=0)) or np.max(grid.h)
-        )
-        test_f = np.zeros(grid.num_nodes)
-        test_f[widx] = mollifier_bump(grid.points[widx], center, width)
+    widx = grid.w_indices
+    center = grid.points[widx].mean(axis=0)
+    width = 0.45 * float(np.max(np.ptp(grid.points[widx], axis=0)) or np.max(grid.h))
+    test_f = np.zeros(grid.num_nodes)
+    test_f[widx] = mollifier_bump(grid.points[widx], center, width)
     p1 = BridgePipeline(grid, a1, s, levels=levels, height=height)
     p2 = BridgePipeline(grid, a2, s, levels=levels, height=height)
     c1 = p1.cauchy_pair(test_f)
     c2 = p2.cauchy_pair(test_f)
-    wb = grid.boundary_weights()
+    wb = op1.boundary_weights
 
     def pair_norm(c):
         return float(

@@ -142,11 +142,10 @@ def coefficient_from_spec(grid: TangentialGrid, spec) -> Coefficient:
             raise ParamError(
                 f"diagonal coefficient needs {grid.dim} entries, got {len(entries)}"
             )
-        pts = grid.points
-        diag = np.stack([_eval_expression(e, pts) for e in entries], axis=1)
-        if identity_outside:
-            diag[grid.exterior] = 1.0
-        return Coefficient(grid=grid, diag=diag, identity_outside=identity_outside)
+        return diagonal_coefficient(
+            grid, [_eval_expression(e, grid.points) for e in entries],
+            identity_outside=identity_outside,
+        )
     if spec["type"] == "table":
         return diagonal_coefficient(
             grid, spec["values"], identity_outside=identity_outside

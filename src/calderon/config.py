@@ -148,6 +148,17 @@ def validate_config(raw: dict) -> ExperimentConfig:
     eps = cfg.params.get("eps")
     if eps is not None and not 0.0 < float(eps) < cfg.s:
         raise ConfigError(f"field 'params.eps': must lie in (0, s), got {eps}")
+    # an empty sweep would pass having checked nothing, and the runners
+    # index the first alpha, refinement level and basis element
+    for key in ("s_values", "dims", "amplitudes", "alphas"):
+        value = cfg.params.get(key)
+        if key in cfg.params and not (isinstance(value, (list, tuple)) and value):
+            raise ConfigError(f"field 'params.{key}': must be a non-empty list")
+    for key, least in (("refinements", 0), ("basis_size", 1)):
+        value = cfg.params.get(key)
+        if key in cfg.params and not (isinstance(value, (int, float)) and value >= least):
+            raise ConfigError(f"field 'params.{key}': must be a number >= {least}, "
+                              f"got {value!r}")
     alphas = cfg.params.get("alphas")
     if alphas is not None:
         alphas = [float(a) for a in alphas]

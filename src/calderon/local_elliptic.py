@@ -16,7 +16,7 @@ the map exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,7 +98,7 @@ def _omega_face_filter(grid: TangentialGrid):
     return face_filter
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalOperator:
     """Assembled stiffness matrices for the conductivity operator.
 
@@ -107,7 +107,9 @@ class LocalOperator:
     used for variational flux extraction, through its rows at the boundary
     nodes (``boundary_rows``) and the boundary quadrature weights
     (``boundary_weights``), both stored at assembly.  Immutable after
-    construction; concurrent solves against it are safe.
+    construction; concurrent solves against it are safe.  Interior solves
+    factor ``omega_stiffness`` on the interior nodes per call, which is once
+    per operator for ``local_dtn_matrix``.
     """
 
     grid: TangentialGrid
@@ -116,17 +118,15 @@ class LocalOperator:
     omega_stiffness: sp.csr_matrix
     boundary_rows: sp.csr_matrix
     boundary_weights: np.ndarray
-    _interior_fact: Factorized | None = field(default=None, repr=False)
 
     @property
     def node_volume(self) -> float:
         return self.grid.node_volume
 
     def interior_factorization(self) -> Factorized:
-        if self._interior_fact is None:
-            ii = self.grid.omega_interior
-            self._interior_fact = Factorized(self.omega_stiffness[ii][:, ii])
-        return self._interior_fact
+        """A new factorization of the stiffness on the interior nodes."""
+        ii = self.grid.omega_interior
+        return Factorized(self.omega_stiffness[ii][:, ii])
 
 
 def assemble_local(grid: TangentialGrid, coeff: Coefficient) -> LocalOperator:
@@ -217,5 +217,5 @@ def local_dtn_matrix(op: LocalOperator) -> LocalDtN:
     X = op.interior_factorization().solve(K_ib)
     S = K_bb - K_bi @ X
     S = 0.5 * (S + S.T)
-    w = grid.boundary_weights()
+    w = op.boundary_weights
     return LocalDtN(grid=grid, matrix=S / w[:, None], weights=w)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammaincc
 
 import calderon as cd
-from calderon.bridge import h_half_gram
-from calderon.errors import RankWarning, TailError
+from calderon.bridge import _empirical_tail, h_half_gram
+from calderon.errors import ParamError, RankWarning, TailError
 from calderon.extension import ExtensionField, assemble_extension
 
 from conftest import make_grid, w_bump
@@ -62,7 +62,7 @@ def test_bridge_solution_h1_stable_under_refinement():
 
 def test_partial_integral_at_zero_bit_identical(grid64, pipeline_half):
     fld = pipeline_half.extension(w_bump(grid64))
-    full = cd.vertical_integral(fld, tail_fraction=1.0)
+    full = cd.vertical_integral(fld)
     part = cd.partial_vertical_integral(fld, 0.0)
     assert np.array_equal(full.values, part)
 
@@ -248,8 +248,22 @@ def test_vertical_integral_matches_reference_formulas(dim, s):
         old = two_product_partial_integral(fld, start)
         new = cd.partial_vertical_integral(fld, start)
         assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
-    vi = cd.vertical_integral(fld, tail_fraction=1.0)
+    vi = cd.vertical_integral(fld)
     assert vi.tail_bound == pytest.approx(polyfit_tail(fld), rel=1e-12)
     flat = ExtensionField(emesh=fld.emesh, values=np.ones_like(fld.values), s=s)
-    assert cd.vertical_integral(flat, tail_fraction=np.inf).tail_bound == np.inf
+    assert _empirical_tail(flat) == np.inf
     assert polyfit_tail(flat) == np.inf
+    with pytest.raises(TailError):
+        cd.vertical_integral(flat)
+
+
+def test_pipeline_refuses_data_on_the_interior_region(grid64, pipeline_half):
+    """Data must vanish on the closed interior region, for one datum and for
+    every column of a block."""
+    f = w_bump(grid64)
+    f[np.flatnonzero(grid64.omega_closure)[-1]] = 1.0
+    with pytest.raises(ParamError, match="exterior region"):
+        pipeline_half.extension(f)
+    F = np.column_stack([w_bump(grid64), f])
+    with pytest.raises(ParamError, match="exterior region"):
+        pipeline_half.extensions(F)

@@ -64,6 +64,23 @@ def test_determinism_byte_identical_outputs(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+def test_threaded_run_writes_the_same_files(tmp_path, monkeypatch):
+    """oracle-crosscheck maps its s values over CALDERON_THREADS workers; two
+    workers write the same tables and curves, byte for byte, as one."""
+    p = write_config(tmp_path, params={"s_values": [0.25, 0.5, 0.75]})
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CALDERON_THREADS", threads)
+        assert main(["run", str(p), "--out", str(tmp_path / threads)]) == 0
+    names = sorted(f.name for f in (tmp_path / "1").iterdir()
+                   if f.suffix in (".csv", ".dat"))
+    assert len(names) == 4
+    assert names == sorted(f.name for f in (tmp_path / "2").iterdir()
+                           if f.suffix in (".csv", ".dat"))
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()
+
+
 def test_csv_format(tmp_path):
     p = write_config(tmp_path)
     main(["run", str(p), "--out", str(tmp_path / "out")])
@@ -128,6 +145,25 @@ def test_alpha_schedule_validation():
     with pytest.raises(ConfigError, match="eps"):
         validate_config({"experiment": "tikhonov-sweep", "s": 0.5,
                          "params": {"eps": 0.9}})
+
+
+@pytest.mark.parametrize("experiment, params, field", [
+    ("oracle-crosscheck", {"s_values": []}, "params.s_values"),
+    ("decay-slopes", {"dims": []}, "params.dims"),
+    ("distinguishability", {"amplitudes": []}, "params.amplitudes"),
+    ("tikhonov-sweep", {"alphas": []}, "params.alphas"),
+    ("duality", {"refinements": -1}, "params.refinements"),
+    ("bridge-residual", {"refinements": -2}, "params.refinements"),
+    ("density", {"basis_size": 0}, "params.basis_size"),
+])
+def test_degenerate_params_are_config_errors(tmp_path, capsys, experiment,
+                                             params, field):
+    """Empty sweeps and counts below their least useful value are refused by
+    name with exit code 2, before any experiment runs."""
+    p = write_config(tmp_path, experiment=experiment, params=params)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_tolerance_gives_exit_code_one(tmp_path):

@@ -248,10 +248,8 @@ def test_block_fractional_dirichlet_matches_columns(power_half, monkeypatch):
         cd.solve_fractional_dirichlet(power_half, bad)
 
 
-@pytest.mark.parametrize("direct_limit", [linsolve.DIRECT_LIMIT, 0])
-def test_block_solve_matches_column_solves(op64, monkeypatch, direct_limit):
-    """Direct and conjugate-gradient branches; a zero column stays zero."""
-    monkeypatch.setattr(linsolve, "DIRECT_LIMIT", direct_limit)
+def test_block_solve_matches_column_solves(op64):
+    """A block solve equals column solves; a zero column stays zero."""
     ii = op64.grid.omega_interior
     fact = linsolve.Factorized(op64.omega_stiffness[ii][:, ii])
     B = np.random.default_rng(3).standard_normal((fact.n, 4))
