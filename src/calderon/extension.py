@@ -13,26 +13,21 @@ mesh (box x graded levels).  Assembly is conservative:
 The same assembly covers the dual weight exponent 2s-1: build the vertical
 mesh with order 1-s.
 
-Boundary conditions.  The top level (decay surrogate) and the lateral frame
-(matching the truncation of the spectral route) are homogeneous Dirichlet in
-every solve.  Only the trace row varies: the production (mixed) layout takes
-Dirichlet data on the exterior trace nodes and homogeneous weighted Neumann
-on the closed interior region's trace; the all-Dirichlet layout constrains
-the whole trace row (diagnostic use); the free layout takes a weighted
-Neumann datum on the whole trace (the dual-weight problem of the duality
-transform).
+Boundary conditions of the production solve: Dirichlet data on the exterior
+trace nodes, homogeneous weighted Neumann on the closed interior region's
+trace, homogeneous Dirichlet at the top (decay surrogate) and on the lateral
+frame (matching the truncation of the spectral route).
 
 Solver.  The stiffness is the Kronecker sum ``K_tan (x) diag(nu) + m I (x)
 K_vert`` (tangential stiffness, level weights nu, node volume m, vertical
-two-point operator), so on the free levels L (level 1 up to the one
-below the top, plus level 0 under a free trace) the vertical pencil
-``K_vert phi = mu diag(nu) phi`` turns a solve into |L| decoupled shifted
-tangential solves ``(K_T + m mu_k) y_k = r_k`` on the active nodes T (fast
-diagonalization), all factored as one block-diagonal sparse LU.  The pencil
-is solved by LAPACK ``dpteqr`` on the ``nu**-1/2``-scaled tridiagonal: with
-the default grading nu spans up to 19 orders of magnitude, and a dense
-symmetric eigensolver loses the small eigenvalues (even their sign) where
-``dpteqr`` keeps them to relative accuracy.  A constrained trace column is first lifted by the exact
+two-point operator), so on the free levels L the vertical pencil
+``K_vert phi = mu diag(nu) phi`` turns a solve into J decoupled shifted
+tangential solves ``(K_T + m mu_k) y_k = r_k`` (fast diagonalization), all
+factored as one block-diagonal sparse LU.  The pencil is solved by LAPACK
+``dpteqr`` on the ``nu**-1/2``-scaled tridiagonal: with the default grading
+nu spans up to 19 orders of magnitude, and a dense symmetric eigensolver
+loses the small eigenvalues (even their sign) where ``dpteqr`` keeps them to
+relative accuracy.  A constrained trace column is first lifted by the exact
 profile psi of the vertical operator alone, so the tensor solve only returns
 a correction: level 1, whose error the trace extraction multiplies by the
 first-cell conductance, then stays accurate to rounding.  The lift cancels
@@ -173,9 +168,9 @@ class ExtensionField:
 _CHUNK = 8
 
 
-def _fixed_layout(emesh: ExtensionMesh, trace: str):
-    """Boolean mask of constrained nodes: the top level, the lateral frame,
-    and the constrained part of the trace row.
+def _fixed_layout(emesh: ExtensionMesh, trace: str, top: str = "dirichlet",
+                  lateral: str = "dirichlet"):
+    """Boolean mask of constrained nodes for a boundary-condition layout.
 
     ``trace`` is "dirichlet" (the whole trace row is constrained), "mixed"
     (only its exterior nodes) or "free" (weighted Neumann data everywhere).
@@ -184,8 +179,14 @@ def _fixed_layout(emesh: ExtensionMesh, trace: str):
     J = emesh.vertical.num_levels
     fixed = np.zeros(emesh.num_nodes, dtype=bool)
     cols = fixed.reshape(grid.num_nodes, J + 1)
-    cols[:, J] = True
-    cols[~grid.active, :] = True
+    if top == "dirichlet":
+        cols[:, J] = True
+    elif top != "neumann":
+        raise ParamError(f"unknown top condition {top!r}")
+    if lateral == "dirichlet":
+        cols[~grid.active, :] = True
+    elif lateral != "natural":
+        raise ParamError(f"unknown lateral condition {lateral!r}")
     if trace == "dirichlet":
         cols[:, 0] = True
     elif trace == "mixed":
@@ -200,39 +201,39 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
-def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray):
+def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray, shift: float):
     """Eigenpairs of the tridiagonal pencil ``K phi = mu diag(nu) phi``.
 
-    ``diag`` and ``off`` are the diagonal and off-diagonal of K, which is
-    positive definite: the Dirichlet top leaves its conductance on the last
-    diagonal entry.  The pencil is reduced to the symmetric tridiagonal
-    ``nu**-1/2 K nu**-1/2`` and solved by LAPACK ``dpteqr``, which keeps the
-    small eigenvalues to relative accuracy although the graded weights span
-    many orders of magnitude (a dense symmetric eigensolver loses them).
-    Returns ``mu`` and the nu-orthonormal eigenvectors as columns.
+    ``diag`` and ``off`` are the diagonal and off-diagonal of K.  The pencil
+    is reduced to the symmetric tridiagonal ``nu**-1/2 K nu**-1/2`` and solved
+    by LAPACK ``dpteqr``, which keeps the small eigenvalues to relative
+    accuracy although the graded weights span many orders of magnitude (a
+    dense symmetric eigensolver loses them).  ``dpteqr`` needs a positive
+    definite matrix: a singular K is passed with ``shift > 0``, which is
+    added as ``shift * nu`` and taken off the eigenvalues again.  Returns
+    ``mu`` and the nu-orthonormal eigenvectors as columns.
     """
     r = 1.0 / np.sqrt(nu)
-    d = diag * r * r
+    d = diag * r * r + shift
     e = off * r[:-1] * r[1:]
     lam, _, z, info = lapack.dpteqr(d, e, np.eye(len(d)), compute_z=2)
     if info != 0:
         raise SolveError(f"vertical eigensolver failed (dpteqr info={info})")
-    return lam, z * r[:, None]
+    return lam - shift, z * r[:, None]
 
 
 class ExtensionSolver:
     """Tensor-structured solver for repeated trace data on one layout.
 
-    The top level and the lateral frame are homogeneous Dirichlet.
     ``dirichlet_trace`` picks the trace condition: True constrains the whole
     trace row, False only its exterior nodes (the mixed production layout),
     None leaves it free, and ``solve`` then reads a weighted Neumann datum.
 
-    The free nodes are the tensor product of the active nodes T and the
-    levels L (level 1 up to the one below the top, from level 0 under a free
-    trace), plus, in the mixed layout, the free trace nodes B.  The vertical
-    pencil, the shifted tangential factorizations and the free-trace map are
-    built once; every solve substitutes new data.
+    The free nodes are the tensor product of the tangential set T (active
+    nodes, or all nodes under natural lateral conditions) and a run L of
+    levels, plus, in the mixed layout, the free trace nodes B.  The vertical
+    pencil, the J shifted tangential factorizations and the free-trace map
+    are built once; every solve substitutes new data.
     """
 
     def __init__(
@@ -240,13 +241,20 @@ class ExtensionSolver:
         emesh: ExtensionMesh,
         coeff: Coefficient,
         dirichlet_trace: bool | None = False,
+        top: str = "dirichlet",
+        lateral: str = "dirichlet",
     ):
         trace = {True: "dirichlet", False: "mixed", None: "free"}[dirichlet_trace]
         self.emesh = emesh
-        self.fixed = _fixed_layout(emesh, trace)
+        self.fixed = _fixed_layout(emesh, trace, top, lateral)
         self.free = ~self.fixed
         # far fewer than the free nodes: clearing rows by index is the cheap way
         self._fixed_rows = np.flatnonzero(self.fixed)
+        if trace == "free" and top == "neumann" and lateral == "natural":
+            raise SolveError(
+                "free trace with top='neumann' and lateral='natural' is "
+                "singular (constants solve the homogeneous problem)"
+            )
         self.system = assemble_extension(emesh, coeff)
         self._trace = trace
         # a constrained datum enters the right-hand side only through the
@@ -264,20 +272,26 @@ class ExtensionSolver:
 
         from .local_elliptic import _assemble
 
-        # T x L is the free tensor block: the active nodes times the levels
-        # below the top, the trace level included only when it is free
-        self._T = np.flatnonzero(grid.active)
-        free0 = self.free.reshape(grid.num_nodes, J + 1)[self._T, 0]
-        lo = 0 if trace == "free" else 1
-        self._L = slice(lo, J)
+        # the mask is the one description of the layout: T is what the frame
+        # leaves free (level 1 sees no other condition), L the levels free on
+        # all of T, and B the rest of the free trace
+        free_cols = self.free.reshape(grid.num_nodes, J + 1)
+        self._T = np.flatnonzero(free_cols[:, 1])
+        free0 = free_cols[self._T, 0]
+        lo = 0 if free0.all() else 1
+        hi = J if free_cols[self._T, J].all() else J - 1
+        self._L = slice(lo, hi + 1)
         # vertical two-point operator on the free levels; fixed neighbours
-        # (the top, and level 0 unless the trace is free) leave their
-        # conductance on the diagonal
+        # leave their conductance on the diagonal.  Free at both ends it is
+        # singular and gets shifted (only with a Dirichlet frame, see above)
         diag = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
-        self._mu, self._phi = _vertical_pencil(diag[lo:J], -cond[lo:J - 1], nu[lo:J])
+        shift = 1.0 / vm.height**2 if (lo, hi) == (0, J) else 0.0
+        self._mu, self._phi = _vertical_pencil(
+            diag[lo:hi + 1], -cond[lo:hi], nu[lo:hi + 1], shift
+        )
 
         K_T = _assemble(grid, coeff)[self._T][:, self._T].tocsc()
-        nT, nL = len(self._T), J - lo
+        nT, nL = len(self._T), hi + 1 - lo
         blocks = sp.kron(sp.identity(nL, format="csc"), K_T, format="csc")
         blocks = blocks + sp.diags(np.repeat(m * self._mu, nT), format="csc")
         try:
@@ -292,12 +306,12 @@ class ExtensionSolver:
             ) from exc
 
         # a constrained trace column is lifted by the exact profile of the
-        # vertical operator alone, so the tensor solve only computes the
-        # correction driven by the tangential stiffness
+        # vertical operator alone (1 under a Neumann top), so the tensor solve
+        # only computes the correction driven by the tangential stiffness
         self._lift_at = ~free0
         self._lifted = self._T[self._lift_at]
         tail = np.cumsum(res[::-1])[::-1]
-        self._psi = tail[self._L] / tail[0]
+        self._psi = np.ones(nL) if hi == J else tail[self._L] / tail[0]
         # what is left of the T x L right-hand side is separable: in the
         # eigenbasis it is the outer product of a level vector with a
         # tangential map of the datum at the nodes _rhs_nodes
@@ -310,7 +324,7 @@ class ExtensionSolver:
             self._rhs_nodes = self._lifted
             self._rhs_tan = K_T[:, self._lift_at].tocsr()
         # the mixed layout's free trace nodes B close through a trace map
-        self._B = np.flatnonzero(free0) if trace == "mixed" else np.zeros(0, dtype=int)
+        self._B = np.flatnonzero(free0) if lo == 1 else np.zeros(0, dtype=int)
         self._g = m * cond[0]
         if self._B.size:
             self._Z = self._trace_schur(K_T, nu[0])
@@ -475,6 +489,8 @@ def solve_extension(
     s: float,
     f: np.ndarray,
     dirichlet_trace: bool = False,
+    top: str = "dirichlet",
+    lateral: str = "dirichlet",
 ) -> ExtensionField:
     """One-shot mixed solve; see ExtensionSolver for the reusable form.
 
@@ -491,13 +507,18 @@ def solve_extension(
         bad = np.flatnonzero(f)
         if bad.size and not np.all(emesh.grid.exterior[bad]):
             raise ParamError("trace data must be supported on the exterior region")
-    return ExtensionSolver(emesh, coeff, dirichlet_trace=dirichlet_trace).solve(f)
+    solver = ExtensionSolver(
+        emesh, coeff, dirichlet_trace=dirichlet_trace, top=top, lateral=lateral
+    )
+    return solver.solve(f)
 
 
 def solve_weighted_neumann(
     emesh: ExtensionMesh,
     coeff: Coefficient,
     h: np.ndarray,
+    top: str = "dirichlet",
+    lateral: str = "dirichlet",
 ) -> ExtensionField:
     """Solve the bulk equation with weighted Neumann datum h on the whole trace.
 
@@ -506,7 +527,10 @@ def solve_weighted_neumann(
     feeding the duality transform: build ``emesh`` with order 1 - s to get
     the weight exponent 2s - 1.
     """
-    return ExtensionSolver(emesh, coeff, dirichlet_trace=None).solve(h)
+    solver = ExtensionSolver(
+        emesh, coeff, dirichlet_trace=None, top=top, lateral=lateral
+    )
+    return solver.solve(h)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from calderon.errors import (
     FitError,
     MeshMismatch,
     ParamError,
+    SolveError,
 )
 from calderon.extension import (
     _CHUNK,
@@ -38,6 +39,18 @@ def synthetic_field(emesh, coeff, profile):
         emesh=emesh, values=cols.ravel(), s=emesh.vertical.s,
         system=assemble_extension(emesh, coeff),
     )
+
+
+def test_constant_data_diagnostic_mode_exact(grid64, ident64, emesh64):
+    """All-Dirichlet trace with natural top/lateral conditions: constants are
+    exact discrete solutions and their weighted trace vanishes."""
+    c = 2.5
+    f = np.full(grid64.num_nodes, c)
+    fld = cd.solve_extension(emesh64, ident64, 0.5, f, dirichlet_trace=True,
+                             top="neumann", lateral="natural")
+    assert np.max(np.abs(fld.values - c)) < 1e-10
+    tr = cd.neumann_trace(fld)
+    assert np.max(np.abs(tr.values)) < 1e-10
 
 
 def test_power_profile_is_stencil_exact(grid64, ident64):
@@ -206,7 +219,8 @@ def test_kernel_agrees_with_extension_solve():
 def test_weighted_neumann_solve_power_datum(grid64, ident64):
     """A constant weighted Neumann datum under the Dirichlet top and frame:
     the variational trace of the solution gives the datum back on every
-    active node."""
+    active node; under a natural frame the solution is the dual power
+    profile."""
     s = 0.6
     vm = cd.build_vertical_mesh(1 - s, 6.0, 48)
     em = cd.build_extension_mesh(grid64, vm)
@@ -214,10 +228,25 @@ def test_weighted_neumann_solve_power_datum(grid64, ident64):
     fld = solve_weighted_neumann(em, ident64, h)
     tr = cd.neumann_trace(fld).values
     assert np.max(np.abs(tr[grid64.active] - 1.0)) < 1e-9
+    # under natural lateral conditions the exact solution is the dual power
+    # profile, checked through its cell fluxes
+    fld = solve_weighted_neumann(em, ident64, h, top="dirichlet",
+                                 lateral="natural")
+    cols = fld.as_columns()
+    flux = (cols[:, 1:] - cols[:, :-1]) / vm.cell_resistances()[None, :]
+    assert np.max(np.abs(flux[:, 0] - 1.0)) < 1e-9
 
 
-# every layout the library solves, by its dirichlet_trace argument
-LAYOUTS = {"mixed": False, "dirichlet": True, "neumann": None}
+# every layout the library solves, plus the free trace under a Neumann top
+# (singular vertical pencil): (dirichlet_trace, top, lateral)
+LAYOUTS = {
+    "mixed": (False, "dirichlet", "dirichlet"),
+    "dirichlet": (True, "dirichlet", "dirichlet"),
+    "dirichlet-open": (True, "neumann", "natural"),
+    "neumann": (None, "dirichlet", "dirichlet"),
+    "neumann-natural-lateral": (None, "dirichlet", "natural"),
+    "neumann-open-top": (None, "neumann", "dirichlet"),
+}
 
 
 def spsolve_oracle(solver: ExtensionSolver, data: np.ndarray, neumann: bool):
@@ -265,12 +294,13 @@ def test_tensor_solver_matches_sparse_oracle(layout, s, data):
     levels = data.draw(st.integers(48, 64), label="levels")
     vm = cd.build_vertical_mesh(s, height, levels)
     emesh = cd.build_extension_mesh(grid, vm)
-    solver = ExtensionSolver(emesh, coeff, LAYOUTS[layout])
+    dirichlet_trace, top, lateral = LAYOUTS[layout]
+    solver = ExtensionSolver(emesh, coeff, dirichlet_trace, top, lateral)
     f = rng.standard_normal(grid.num_nodes)
     if layout == "mixed":
         f[grid.omega_closure] = 0.0
     u = solver.solve(f).values
-    ref = spsolve_oracle(solver, f, neumann=layout == "neumann")
+    ref = spsolve_oracle(solver, f, neumann=dirichlet_trace is None)
     assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
     # the weighted trace multiplies the level-1 error by the first-cell
     # conductance, so it is checked on its own
@@ -297,7 +327,7 @@ def test_block_extension_solve_matches_column_solves(layout, data):
     vm = cd.build_vertical_mesh(s, cd.default_height(grid), data.draw(
         st.integers(16, 40), label="levels"))
     solver = ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff,
-                             LAYOUTS[layout])
+                             *LAYOUTS[layout])
     k = data.draw(st.integers(_CHUNK + 1, 2 * _CHUNK + 3), label="columns")
     F = rng.standard_normal((grid.num_nodes, k))
     if layout == "mixed":
@@ -329,7 +359,7 @@ def small_solver(layout, dim, s, nodes=None, levels=40):
         grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5] * dim, 0.4)] * dim,
         identity_outside=True)
     vm = cd.build_vertical_mesh(s, cd.default_height(grid), levels)
-    return ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff, LAYOUTS[layout])
+    return ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff, *LAYOUTS[layout])
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -446,6 +476,17 @@ def test_calibration_makes_one_fractional_and_one_block_solve(monkeypatch):
     cal = cd.calibrate_cs(1, 0.5, nodes=48, levels=32, num_samples=5)
     assert sorted(calls) == ["extension", "fractional"]
     assert cal.rel_gap <= 0.05
+
+
+def test_singular_free_trace_layout_fails_fast(grid64, ident64, emesh64):
+    """A free trace under a Neumann top and natural lateral conditions has
+    the constants in its kernel; the solver refuses it by name."""
+    with pytest.raises(SolveError, match="top='neumann'.*lateral='natural'"):
+        ExtensionSolver(emesh64, ident64, dirichlet_trace=None, top="neumann",
+                        lateral="natural")
+    with pytest.raises(SolveError):
+        solve_weighted_neumann(emesh64, ident64, np.ones(grid64.num_nodes),
+                               top="neumann", lateral="natural")
 
 
 def test_zero_datum_gives_zero_field(grid64, ident64, emesh64):
