@@ -8,6 +8,7 @@ Given the same config and seed the outputs are byte-identical.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,23 @@ __all__ = ["ExperimentResult", "RunSummary", "run_experiment", "run_config",
            "experiment_descriptions", "EXPERIMENT_NAMES"]
 
 THREAD_ENV = "CALDERON_THREADS"
+
+
+def _release_freed_memory():
+    """Hand the heap pages freed by a finished experiment back to the system.
+
+    glibc raises its mmap threshold after each large array it frees, so later
+    large arrays land on the heap, and a small long-lived block placed above
+    them keeps their pages resident after they are freed.  Whether that
+    happens varies from one process to the next: the seven experiments run
+    back to back peaked at about 126 MB in most processes and 149 MB in
+    some.  ``malloc_trim(0)`` releases the free pages; without glibc this
+    does nothing.
+    """
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass
 
 
 def _thread_count() -> int:
@@ -714,6 +732,7 @@ def run_config(cfg: ExperimentConfig, outdir, seed: int | None = None) -> RunSum
     t0 = time.perf_counter()
     result = run_experiment(cfg)
     wall = time.perf_counter() - t0
+    _release_freed_memory()
     for tname, (header, rows) in result.tables.items():
         write_csv(outdir / f"{result.name}_{tname}.csv", header, rows)
     for cname, (x, y) in result.curves.items():

@@ -192,3 +192,19 @@ def test_output_dir_from_config(tmp_path, monkeypatch):
     p = write_config(tmp_path, output="from_config")
     assert main(["run", str(p)]) == 0
     assert Path(tmp_path / "from_config" / "summary.json").exists()
+
+
+def test_run_without_malloc_trim(tmp_path, monkeypatch):
+    """Where the C library has no malloc_trim, a run still completes."""
+    import ctypes
+
+    from calderon import experiments
+
+    class NoTrim:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(ctypes, "CDLL", NoTrim)
+    experiments._release_freed_memory()
+    p = write_config(tmp_path)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
