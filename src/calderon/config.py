@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -112,6 +113,12 @@ class ExperimentConfig:
         }
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans and numeric strings are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def validate_config(raw: dict) -> ExperimentConfig:
     """Validate a raw dict against the schema and range rules."""
     # the error jsonschema.validate would raise
@@ -145,29 +152,42 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"field 's': must lie in (0, 1), got {cfg.s}")
     if len(cfg.omega_box) != dim or len(cfg.w_box) != dim:
         raise ConfigError("field 'omega_box'/'w_box': need one (lo, hi) per axis")
-    eps = cfg.params.get("eps")
-    if eps is not None and not 0.0 < float(eps) < cfg.s:
+    params = cfg.params
+    eps = params.get("eps")  # null takes the default proxy
+    if eps is not None and not _is_number(eps):
+        raise ConfigError(f"field 'params.eps': must be a number, got {eps!r}")
+    if eps is not None and not 0.0 < eps < cfg.s:
         raise ConfigError(f"field 'params.eps': must lie in (0, s), got {eps}")
     # an empty sweep would pass having checked nothing, and the runners
     # index the first alpha, refinement level and basis element
-    for key in ("s_values", "dims", "amplitudes", "alphas"):
-        value = cfg.params.get(key)
-        if key in cfg.params and not (isinstance(value, (list, tuple)) and value):
+    for key in ("s_values", "dims", "amplitudes", "alphas", "heights"):
+        if key not in params or (key == "heights" and params[key] is None):
+            continue  # null heights take the default ladder
+        value = params[key]
+        if not (isinstance(value, (list, tuple)) and value):
             raise ConfigError(f"field 'params.{key}': must be a non-empty list")
+        if not all(_is_number(v) for v in value):
+            raise ConfigError(f"field 'params.{key}': entries must be numbers, "
+                              f"got {value!r}")
+    if "dims" in params and not all(float(d).is_integer() and 1 <= d <= 3
+                                    for d in params["dims"]):
+        raise ConfigError(f"field 'params.dims': entries must be integers in "
+                          f"1..3, got {params['dims']!r}")
     for key, least in (("refinements", 0), ("basis_size", 1)):
-        value = cfg.params.get(key)
-        if key in cfg.params and not (isinstance(value, (int, float)) and value >= least):
+        value = params.get(key)
+        if key in params and not (_is_number(value) and value >= least):
             raise ConfigError(f"field 'params.{key}': must be a number >= {least}, "
                               f"got {value!r}")
-    alphas = cfg.params.get("alphas")
+    alphas = params.get("alphas")
     if alphas is not None:
-        alphas = [float(a) for a in alphas]
         if any(a <= 0 for a in alphas):
             raise ConfigError("field 'params.alphas': entries must be positive")
         if any(b >= a for a, b in zip(alphas, alphas[1:], strict=False)) and len(alphas) > 1:
             raise ConfigError("field 'params.alphas': must be strictly decreasing")
-    noise = cfg.params.get("noise")
-    if noise is not None and float(noise) < 0:
+    noise = params.get("noise", 0.0)
+    if not _is_number(noise):
+        raise ConfigError(f"field 'params.noise': must be a number, got {noise!r}")
+    if noise < 0:
         raise ConfigError("field 'params.noise': must be >= 0")
     return cfg
 

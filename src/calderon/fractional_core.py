@@ -9,10 +9,13 @@ need no tie-breaking: matrix functions are basis independent.
 
 With O the closed interior region and W the measurement nodes, the nonlocal
 measurement map is the Schur complement ``A_WW - A_WO A_OO^{-1} A_OW`` of
-the power, from one power and one factorization of ``A_OO``.  That block is
-a principal block of an SPD matrix (the truncated operator has no kernel),
-so Cholesky factors it at half the cost of LU; its failure means the power
-lost definiteness and raises SolveError.
+the power, taken from its (O u W) x (O u W) block and one factorization of
+``A_OO``.  The exterior-value solve reads only the O rows of the power.  No
+N x N power is formed: a block is ``(V[rows] * lambda^s) @ V[cols].T``, and
+the eigenvectors are the route's only N x N array.  ``A_OO`` is a principal
+block of an SPD matrix (the truncated operator has no kernel), so Cholesky
+factors it at half the cost of LU; its failure means the power lost
+definiteness and raises SolveError.
 
 This is the oracle route; it scales only to a few thousand nodes and exists
 to cross-check the extension route, which scales.
@@ -61,11 +64,12 @@ def matrix_power(A: np.ndarray, s: float) -> np.ndarray:
 
 @dataclass
 class SpectralPower:
-    """Dense fractional power of the truncated conductivity operator.
+    """Fractional power of the truncated conductivity operator, held as its
+    dense eigendecomposition.
 
     ``eigvals``/``eigvecs`` diagonalize K_active / node_volume; ``apply``
-    and ``matrix`` realize the power on full-grid arrays (frame nodes are
-    identically zero).
+    realizes the power on full-grid arrays (frame nodes are identically
+    zero) and ``matrix`` builds any block of it over the active nodes.
     """
 
     op: LocalOperator
@@ -78,8 +82,15 @@ class SpectralPower:
     def grid(self):
         return self.op.grid
 
-    def matrix(self) -> np.ndarray:
-        return _reconstruct(self.eigvals, self.eigvecs, self.s)
+    def matrix(self, rows=None, cols=None) -> np.ndarray:
+        """Block of the power over the active nodes: ``rows`` and ``cols``
+        index positions among the active nodes (None takes them all), so the
+        block costs len(rows) * len(cols) * N, not N^3.  With no arguments
+        this is the full power."""
+        V = self.eigvecs
+        left = V if rows is None else V[rows]
+        right = V if cols is None else V[cols]
+        return (left * self.eigvals**self.s) @ right.T
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Apply the power to a full-grid array, or to a block of them (one
@@ -111,16 +122,22 @@ def spectral_power(op: LocalOperator, s: float) -> SpectralPower:
     return SpectralPower(op=op, s=s, active=active, eigvals=lam, eigvecs=V)
 
 
-def _interior_blocks(P: SpectralPower):
-    """The dense power over the active nodes, the mask of the closed interior
-    region among them, and the Cholesky factor of the power's interior block."""
-    A = P.matrix()
-    sol = P.grid.omega_closure[P.active]
+def _cholesky(block: np.ndarray):
+    """Cholesky factor of the power's interior block; a failure means the
+    power lost definiteness."""
     try:
-        factor = cho_factor(A[np.ix_(sol, sol)])
+        return cho_factor(block)
     except np.linalg.LinAlgError as exc:
         raise SolveError(f"interior-block factorization failed: {exc}") from exc
-    return A, sol, factor
+
+
+def _w_positions(P: SpectralPower):
+    """Mask of the active nodes of the measurement region among its nodes, and
+    their positions among the active nodes; a measurement node on the
+    zero-Dirichlet frame is inactive and reads zero."""
+    widx = P.grid.w_indices
+    w_active = P.active[widx]
+    return w_active, (np.cumsum(P.active) - 1)[widx[w_active]]
 
 
 def solve_fractional_dirichlet(P: SpectralPower, f: np.ndarray) -> np.ndarray:
@@ -129,19 +146,20 @@ def solve_fractional_dirichlet(P: SpectralPower, f: np.ndarray) -> np.ndarray:
     ``f`` is a full-grid array supported on the measurement region, or a
     block of them of shape (N, k); the returned full-grid field equals f on
     the exterior nodes and the power applied to it vanishes on the closed
-    interior region (solved as the interior block of the dense power matrix).
-    A block costs one power build and one Cholesky factorization, like one
+    interior region (solved with the interior rows of the power).  A block
+    costs one build of those rows and one Cholesky factorization, like one
     datum.
     """
     grid = P.grid
     f = np.asarray(f, dtype=float)
     if np.any(f[~grid.w_mask]):
         raise ParamError("exterior data must be supported on the measurement region")
-    A, sol, factor = _interior_blocks(P)
     act = P.active
+    sol = grid.omega_closure[act]
+    A = P.matrix(np.flatnonzero(sol))
     fa = f[act]
     ua = fa.copy()
-    ua[sol] = cho_solve(factor, -(A[np.ix_(sol, ~sol)] @ fa[~sol]))
+    ua[sol] = cho_solve(_cholesky(A[:, sol]), -(A[:, ~sol] @ fa[~sol]))
     out = np.zeros(f.shape)
     out[act] = ua
     return out
@@ -152,7 +170,13 @@ def nonlocal_dtn(P: SpectralPower, f: np.ndarray) -> np.ndarray:
     region (the nonlocal measurement map applied to f, or to each column of
     a block f of shape (N, k))."""
     u = solve_fractional_dirichlet(P, f)
-    return P.apply(u)[P.grid.w_indices]
+    w_active, w = _w_positions(P)
+    # the power applied on the measurement rows only; the transposes scale
+    # the rows of a block and are no-ops on a vector
+    coeff = P.eigvals**P.s * (P.eigvecs.T @ u[P.active]).T
+    out = np.zeros((len(w_active),) + u.shape[1:])
+    out[w_active] = P.eigvecs[w] @ coeff.T
+    return out
 
 
 @dataclass
@@ -174,17 +198,20 @@ class NonlocalDtN:
 
 
 def nonlocal_dtn_matrix(P: SpectralPower) -> NonlocalDtN:
-    """The measurement map as the Schur complement of the dense power; a
-    measurement node on the zero-Dirichlet frame gets a zero row and column."""
+    """The measurement map as the Schur complement of the power's block over
+    the closed interior region and the measurement region, the only block
+    built; a measurement node on the zero-Dirichlet frame gets a zero row and
+    column."""
     grid = P.grid
     widx = grid.w_indices
-    A, sol, factor = _interior_blocks(P)
-    w_active = P.active[widx]
-    # positions of the active measurement nodes among the active nodes
-    w = (np.cumsum(P.active) - 1)[widx[w_active]]
-    X = cho_solve(factor, A[np.ix_(sol, w)])
+    w_active, w = _w_positions(P)
+    o = np.flatnonzero(grid.omega_closure[P.active])
+    ow = np.concatenate([o, w])
+    A = P.matrix(ow, ow)
+    k = len(o)
+    X = cho_solve(_cholesky(A[:k, :k]), A[:k, k:])
     M = np.zeros((len(widx), len(widx)))
-    M[np.ix_(w_active, w_active)] = A[np.ix_(w, w)] - A[np.ix_(w, sol)] @ X
+    M[np.ix_(w_active, w_active)] = A[k:, k:] - A[k:, :k] @ X
     return NonlocalDtN(
         grid_shape=grid.shape,
         w_indices=widx,

@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from .bridge import BridgePipeline
 from .errors import MeshMismatch, ParamError, RankError, SolveError
 from .extension import _CHUNK, _tensor_stiffness, _weighted_trace
-from .fractional_core import matrix_power
+from .fractional_core import _eigh_clipped, _reconstruct
 from .local_elliptic import _assemble
 from .coefficients import identity_coefficient
 
@@ -69,8 +69,9 @@ def _fractional_norm_matrices(pipeline: BridgePipeline, eps: float):
     B = np.eye(len(widx)) + K[widx][:, widx].toarray() / vol
     B = 0.5 * (B + B.T)
     s = pipeline.s
-    N_plus = vol * matrix_power(B, s - eps)
-    N_minus = vol * matrix_power(B, -(s + eps))
+    lam, V = _eigh_clipped(B)  # one eigendecomposition serves both powers
+    N_plus = vol * _reconstruct(lam, V, s - eps)
+    N_minus = vol * _reconstruct(lam, V, -(s + eps))
     return N_plus, N_minus
 
 

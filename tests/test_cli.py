@@ -155,11 +155,21 @@ def test_alpha_schedule_validation():
     ("duality", {"refinements": -1}, "params.refinements"),
     ("bridge-residual", {"refinements": -2}, "params.refinements"),
     ("density", {"basis_size": 0}, "params.basis_size"),
+    ("oracle-crosscheck", {"s_values": ["a"]}, "params.s_values"),
+    ("distinguishability", {"amplitudes": [0.1, None]}, "params.amplitudes"),
+    ("tikhonov-sweep", {"alphas": [1.0, "x"]}, "params.alphas"),
+    ("decay-slopes", {"heights": [2.0, "high"]}, "params.heights"),
+    ("decay-slopes", {"dims": [1.5]}, "params.dims"),
+    ("decay-slopes", {"dims": ["2"]}, "params.dims"),
+    ("tikhonov-sweep", {"eps": "small"}, "params.eps"),
+    ("tikhonov-sweep", {"noise": "loud"}, "params.noise"),
+    ("tikhonov-sweep", {"noise": None}, "params.noise"),
+    ("duality", {"refinements": True}, "params.refinements"),
 ])
 def test_degenerate_params_are_config_errors(tmp_path, capsys, experiment,
                                              params, field):
-    """Empty sweeps and counts below their least useful value are refused by
-    name with exit code 2, before any experiment runs."""
+    """Empty sweeps, non-numeric entries and counts below their least useful
+    value are refused by name with exit code 2, before any experiment runs."""
     p = write_config(tmp_path, experiment=experiment, params=params)
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
     assert f"field '{field}'" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -200,13 +201,74 @@ def test_nonlocal_dtn_matrix_matches_columnwise_oracle(layout, s, amplitude, see
     assert np.max(np.abs(M - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@functools.lru_cache(maxsize=None)
+def _bump_power(layout, s):
+    grid = _MAP_GRIDS[layout]()
+    center = np.full(grid.dim, 0.5)
+    coeff = cd.diagonal_coefficient(
+        grid, [lambda p: 1.0 + 0.5 * cd.mollifier_bump(p, center, 0.4)] * grid.dim)
+    return cd.spectral_power(cd.assemble_local(grid, coeff), s)
+
+
+@given(st.sampled_from([(1, 0.9), (2, 0.9), (3, 0.3)]), st.sampled_from([0.1, 0.5, 0.9]),
+       st.integers(0, 2**16))
+@settings(max_examples=20, deadline=None)
+def test_power_block_matches_full_power(layout, s, seed):
+    """A block of the power equals the same block cut from the full power,
+    for positions in any order, with repeats, or all of them (None)."""
+    P = _bump_power(layout, s)
+    full = P.matrix()
+    n = full.shape[0]
+    rng = np.random.default_rng(seed)
+
+    def positions():
+        if rng.random() < 0.2:
+            return None
+        return rng.choice(n, size=rng.integers(1, n + 1), replace=rng.random() < 0.5)
+
+    rows, cols = positions(), positions()
+    ref = full[np.ix_(np.arange(n) if rows is None else rows,
+                      np.arange(n) if cols is None else cols)]
+    block = P.matrix(rows, cols)
+    assert block.shape == ref.shape
+    assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_power_blocks_are_no_larger_than_read(monkeypatch):
+    """The map builds only the power's block over O u W, and the
+    exterior-value solve only its O rows; neither forms the N x N power."""
+    P = _bump_power((2, 0.9), 0.5)
+    grid = P.grid
+    n = int(P.active.sum())
+    n_o = int(grid.omega_closure.sum())
+    n_w = len(grid.w_indices)
+    assert n_o + n_w < n
+    shapes = []
+    build = SpectralPower.matrix
+
+    def recording(self, *args):
+        out = build(self, *args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(SpectralPower, "matrix", recording)
+    cd.nonlocal_dtn_matrix(P)
+    assert sum(r * c for r, c in shapes) <= (n_o + n_w) ** 2
+    shapes.clear()
+    cd.solve_fractional_dirichlet(P, w_bump(grid))
+    assert sum(r * c for r, c in shapes) <= n_o * n
+    shapes.clear()
+    cd.nonlocal_dtn(P, w_bump(grid))
+    assert sum(r * c for r, c in shapes) <= n_o * n
+
+
 def test_nonlocal_dtn_matrix_builds_the_power_once(power_half, monkeypatch):
     calls = []
     build = SpectralPower.matrix
 
-    def counting(self):
+    def counting(self, *args):
         calls.append(self)
-        return build(self)
+        return build(self, *args)
 
     monkeypatch.setattr(SpectralPower, "matrix", counting)
     cd.nonlocal_dtn_matrix(power_half)
@@ -235,7 +297,7 @@ def test_block_fractional_dirichlet_matches_columns(power_half, monkeypatch):
     builds = []
     build = SpectralPower.matrix
     monkeypatch.setattr(SpectralPower, "matrix",
-                        lambda self: builds.append(self) or build(self))
+                        lambda self, *args: builds.append(self) or build(self, *args))
     U = cd.solve_fractional_dirichlet(power_half, F)
     assert len(builds) == 1
     assert U.shape == F.shape and not np.any(U[:, 3])
