@@ -30,7 +30,7 @@ flux that decays exponentially in the truncation height.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc, gamma as gamma_fn
@@ -80,17 +80,12 @@ class VerticalIntegralField:
     """Column-wise weighted vertical integral of an extension field.
 
     ``tail_bound`` estimates the mass of the untruncated integral above the
-    top height by extrapolating the field's own vertical decay;
-    ``algebraic_tail_bound`` is the closed-form bound driven by the free-space
-    decay rate y**(-n) (infinite when the weighted integrand is not
-    integrable at that rate, which happens for n + 2s <= 2).
+    top height by extrapolating the field's own vertical decay.
     """
 
     values: np.ndarray
     s: float
     tail_bound: float
-    algebraic_tail_bound: float
-    quadrature: str = "weighted-cell-midpoint"
 
 
 def partial_vertical_integral(field: ExtensionField, start: float) -> np.ndarray:
@@ -153,18 +148,6 @@ def _empirical_tail(field: ExtensionField) -> float:
     return amplitude * tail_integral
 
 
-def _algebraic_tail(field: ExtensionField) -> float:
-    vm = field.emesh.vertical
-    grid = field.emesh.grid
-    n = grid.dim
-    s = field.s
-    p = n + 2 * s - 2
-    if p <= 0:
-        return float("inf")
-    trace_l1 = grid.node_volume * float(np.sum(np.abs(field.level(0))))
-    return trace_l1 * vm.height ** (-p) / p
-
-
 # largest admissible extrapolated tail, as a fraction of the integral's sup
 TAIL_FRACTION = 0.01
 
@@ -178,16 +161,13 @@ def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
     """
     values = partial_vertical_integral(field, 0.0)
     tail = _empirical_tail(field)
-    algebraic = _algebraic_tail(field)
     ref = float(np.max(np.abs(values)))
     if tail > TAIL_FRACTION * ref:
         raise TailError(
             f"estimated truncation tail {tail:.3g} exceeds {TAIL_FRACTION:.1%} "
             f"of the integral's sup norm {ref:.3g}"
         )
-    return VerticalIntegralField(
-        values=values, s=field.s, tail_bound=tail, algebraic_tail_bound=algebraic
-    )
+    return VerticalIntegralField(values=values, s=field.s, tail_bound=tail)
 
 
 @dataclass

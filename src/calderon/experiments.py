@@ -105,6 +105,17 @@ def _refine_nodes(nodes):
     return 2 * (nodes - 1) + 1
 
 
+def _dense_route_grids(cfg: ExperimentConfig, nodes, rungs: int):
+    """The grids of ``rungs`` refinement rungs from ``nodes``, each checked
+    against the dense route's cap before any work is built on them."""
+    grids = []
+    for _ in range(rungs):
+        grids.append(_grid_from_config(cfg, nodes=nodes))
+        fc._check_dense_cap(grids[-1])
+        nodes = _refine_nodes(nodes)
+    return grids
+
+
 # --------------------------------------------------------------------------
 # experiment runners
 # --------------------------------------------------------------------------
@@ -114,13 +125,12 @@ def _run_oracle_crosscheck(cfg: ExperimentConfig, rng) -> ExperimentResult:
     s_values = [float(v) for v in cfg.params.get("s_values", [cfg.s])]
     tol = float(cfg.params.get("tolerance", 0.05))
     cal_tol = float(cfg.params.get("calibration_tolerance", 0.05))
+    grids = _dense_route_grids(cfg, cfg.nodes, 2)
 
     def one(s):
         rows = []
-        for level, (nodes, levels) in enumerate(
-            [(cfg.nodes, cfg.levels), (_refine_nodes(cfg.nodes), 2 * cfg.levels)]
-        ):
-            grid = _grid_from_config(cfg, nodes=nodes)
+        for level, grid in enumerate(grids):
+            levels = cfg.levels * 2 ** level
             coeff = coefficient_from_spec(grid, cfg.coefficient)
             pipe = br.BridgePipeline(
                 grid, coeff, s, levels=levels, height=cfg.height, grading=cfg.grading
@@ -251,11 +261,10 @@ def _run_bridge_residual(cfg: ExperimentConfig, rng) -> ExperimentResult:
     num_levels = int(cfg.params.get("refinements", 2)) + 1
     rows = []
     res_interior, res_sourced = [], []
-    nodes, levels = cfg.nodes, cfg.levels
+    levels = cfg.levels
     from .mesh import default_height
 
-    for level in range(num_levels):
-        grid = _grid_from_config(cfg, nodes=nodes)
+    for level, grid in enumerate(_dense_route_grids(cfg, cfg.nodes, num_levels)):
         coeff = coefficient_from_spec(grid, cfg.coefficient)
         height = (cfg.height or default_height(grid)) * 2 ** (level / 2)
         pipe = br.BridgePipeline(grid, coeff, s, levels=levels, height=height,
@@ -272,7 +281,7 @@ def _run_bridge_residual(cfg: ExperimentConfig, rng) -> ExperimentResult:
         res_interior.append(r_int)
         res_sourced.append(r_src)
         rows.append([level, r_int, r_src])
-        nodes, levels = _refine_nodes(nodes), 2 * levels
+        levels *= 2
 
     dec_int = all(b < a for a, b in zip(res_interior, res_interior[1:]))
     dec_src = all(b < a for a, b in zip(res_sourced, res_sourced[1:]))
@@ -417,7 +426,11 @@ def _run_density(cfg: ExperimentConfig, rng) -> ExperimentResult:
 
 
 def _run_tikhonov(cfg: ExperimentConfig, rng) -> ExperimentResult:
-    grid = _grid_from_config(cfg)
+    # the forward data take the dense route on this grid, or on its
+    # refinement under fine_data
+    fine_data = bool(cfg.params.get("fine_data", False))
+    grids = _dense_route_grids(cfg, cfg.nodes, 1 + fine_data)
+    grid = grids[0]
     coeff = coefficient_from_spec(grid, cfg.coefficient)
     pipe = br.BridgePipeline(grid, coeff, cfg.s, levels=cfg.levels,
                              height=cfg.height, grading=cfg.grading)
@@ -448,8 +461,8 @@ def _run_tikhonov(cfg: ExperimentConfig, rng) -> ExperimentResult:
     f[widx] = mollifier_bump(wpts, center, width)
     f_w = f[widx]
     noise = float(cfg.params.get("noise", 0.0))
-    if cfg.params.get("fine_data", False):
-        lam_s_f = _fine_forward_data(cfg, grid, center, width)
+    if fine_data:
+        lam_s_f = _fine_forward_data(cfg, grids, center, width)
     else:
         P = fc.spectral_power(pipe.local_op, cfg.s)
         lam_s_f = fc.nonlocal_dtn(P, f)
@@ -502,15 +515,16 @@ def _run_tikhonov(cfg: ExperimentConfig, rng) -> ExperimentResult:
     )
 
 
-def _fine_forward_data(cfg: ExperimentConfig, grid, center, width) -> np.ndarray:
-    """Forward data generated on a once-refined grid, sampled back at the
-    coarse measurement nodes (inverse-crime mitigation).
+def _fine_forward_data(cfg: ExperimentConfig, grids, center, width) -> np.ndarray:
+    """Forward data generated on the fine grid of ``grids = (coarse, fine)``,
+    the coarse grid refined once, sampled back at the coarse measurement
+    nodes (inverse-crime mitigation).
 
     The datum is re-evaluated analytically on the fine grid; coarse nodes
     coincide with every second fine node because refinement preserves the
     box ends.
     """
-    fine = _grid_from_config(cfg, nodes=_refine_nodes(cfg.nodes))
+    grid, fine = grids
     coeff_f = coefficient_from_spec(fine, cfg.coefficient)
     f_fine = mollifier_bump(fine.points, center, width) * fine.w_mask
     P = fc.spectral_power(assemble_local(fine, coeff_f), cfg.s)

@@ -13,10 +13,11 @@ mesh (box x graded levels).  Assembly is conservative:
 The same assembly covers the dual weight exponent 2s-1: build the vertical
 mesh with order 1-s.
 
-Boundary conditions of the production solve: Dirichlet data on the exterior
-trace nodes, homogeneous weighted Neumann on the closed interior region's
-trace, homogeneous Dirichlet at the top (decay surrogate) and on the lateral
-frame (matching the truncation of the spectral route).
+Boundary conditions: homogeneous Dirichlet at the top (decay surrogate) and
+on the lateral frame (matching the truncation of the spectral route), the
+only ones the solver takes.  On the trace, the production (mixed) solve has
+Dirichlet data on the exterior nodes and homogeneous weighted Neumann on the
+closed interior region; the trace may also be all Dirichlet or all Neumann.
 
 Solver.  The stiffness is the Kronecker sum ``K_tan (x) diag(nu) + m I (x)
 K_vert`` (tangential stiffness, level weights nu, node volume m, vertical
@@ -168,9 +169,9 @@ class ExtensionField:
 _CHUNK = 8
 
 
-def _fixed_layout(emesh: ExtensionMesh, trace: str, top: str = "dirichlet",
-                  lateral: str = "dirichlet"):
-    """Boolean mask of constrained nodes for a boundary-condition layout.
+def _fixed_layout(emesh: ExtensionMesh, trace: str):
+    """Boolean mask of constrained nodes: the top level, the lateral frame
+    and the trace nodes that ``trace`` constrains.
 
     ``trace`` is "dirichlet" (the whole trace row is constrained), "mixed"
     (only its exterior nodes) or "free" (weighted Neumann data everywhere).
@@ -179,14 +180,8 @@ def _fixed_layout(emesh: ExtensionMesh, trace: str, top: str = "dirichlet",
     J = emesh.vertical.num_levels
     fixed = np.zeros(emesh.num_nodes, dtype=bool)
     cols = fixed.reshape(grid.num_nodes, J + 1)
-    if top == "dirichlet":
-        cols[:, J] = True
-    elif top != "neumann":
-        raise ParamError(f"unknown top condition {top!r}")
-    if lateral == "dirichlet":
-        cols[~grid.active, :] = True
-    elif lateral != "natural":
-        raise ParamError(f"unknown lateral condition {lateral!r}")
+    cols[:, J] = True
+    cols[~grid.active, :] = True
     if trace == "dirichlet":
         cols[:, 0] = True
     elif trace == "mixed":
@@ -201,7 +196,7 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
-def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray, shift: float):
+def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray):
     """Eigenpairs of the tridiagonal pencil ``K phi = mu diag(nu) phi``.
 
     ``diag`` and ``off`` are the diagonal and off-diagonal of K.  The pencil
@@ -209,17 +204,16 @@ def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray, shift: f
     by LAPACK ``dpteqr``, which keeps the small eigenvalues to relative
     accuracy although the graded weights span many orders of magnitude (a
     dense symmetric eigensolver loses them).  ``dpteqr`` needs a positive
-    definite matrix: a singular K is passed with ``shift > 0``, which is
-    added as ``shift * nu`` and taken off the eigenvalues again.  Returns
+    definite matrix, which K is because the top level is fixed.  Returns
     ``mu`` and the nu-orthonormal eigenvectors as columns.
     """
     r = 1.0 / np.sqrt(nu)
-    d = diag * r * r + shift
+    d = diag * r * r
     e = off * r[:-1] * r[1:]
     lam, _, z, info = lapack.dpteqr(d, e, np.eye(len(d)), compute_z=2)
     if info != 0:
         raise SolveError(f"vertical eigensolver failed (dpteqr info={info})")
-    return lam - shift, z * r[:, None]
+    return lam, z * r[:, None]
 
 
 class ExtensionSolver:
@@ -229,11 +223,12 @@ class ExtensionSolver:
     trace row, False only its exterior nodes (the mixed production layout),
     None leaves it free, and ``solve`` then reads a weighted Neumann datum.
 
-    The free nodes are the tensor product of the tangential set T (active
-    nodes, or all nodes under natural lateral conditions) and a run L of
-    levels, plus, in the mixed layout, the free trace nodes B.  The vertical
-    pencil, the J shifted tangential factorizations and the free-trace map
-    are built once; every solve substitutes new data.
+    The free nodes are the tensor product of the tangential set T, which is
+    the active set, and the levels L below the top (from level 0 when the
+    trace is free, else from level 1), plus, in the mixed layout, the free
+    trace nodes B.  The vertical pencil, the J shifted tangential
+    factorizations and the free-trace map are built once; every solve
+    substitutes new data.
     """
 
     def __init__(
@@ -241,20 +236,13 @@ class ExtensionSolver:
         emesh: ExtensionMesh,
         coeff: Coefficient,
         dirichlet_trace: bool | None = False,
-        top: str = "dirichlet",
-        lateral: str = "dirichlet",
     ):
         trace = {True: "dirichlet", False: "mixed", None: "free"}[dirichlet_trace]
         self.emesh = emesh
-        self.fixed = _fixed_layout(emesh, trace, top, lateral)
+        self.fixed = _fixed_layout(emesh, trace)
         self.free = ~self.fixed
         # far fewer than the free nodes: clearing rows by index is the cheap way
         self._fixed_rows = np.flatnonzero(self.fixed)
-        if trace == "free" and top == "neumann" and lateral == "natural":
-            raise SolveError(
-                "free trace with top='neumann' and lateral='natural' is "
-                "singular (constants solve the homogeneous problem)"
-            )
         self.system = assemble_extension(emesh, coeff)
         self._trace = trace
         # a constrained datum enters the right-hand side only through the
@@ -272,26 +260,19 @@ class ExtensionSolver:
 
         from .local_elliptic import _assemble
 
-        # the mask is the one description of the layout: T is what the frame
-        # leaves free (level 1 sees no other condition), L the levels free on
-        # all of T, and B the rest of the free trace
-        free_cols = self.free.reshape(grid.num_nodes, J + 1)
-        self._T = np.flatnonzero(free_cols[:, 1])
-        free0 = free_cols[self._T, 0]
+        # T is the active set, L the levels free on all of T (the trace only
+        # when it is free, never the top), and B the rest of the free trace
+        self._T = np.flatnonzero(grid.active)
+        free0 = self.free[tr[self._T]]
         lo = 0 if free0.all() else 1
-        hi = J if free_cols[self._T, J].all() else J - 1
-        self._L = slice(lo, hi + 1)
+        self._L = slice(lo, J)
         # vertical two-point operator on the free levels; fixed neighbours
-        # leave their conductance on the diagonal.  Free at both ends it is
-        # singular and gets shifted (only with a Dirichlet frame, see above)
+        # leave their conductance on the diagonal
         diag = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
-        shift = 1.0 / vm.height**2 if (lo, hi) == (0, J) else 0.0
-        self._mu, self._phi = _vertical_pencil(
-            diag[lo:hi + 1], -cond[lo:hi], nu[lo:hi + 1], shift
-        )
+        self._mu, self._phi = _vertical_pencil(diag[lo:J], -cond[lo:J - 1], nu[lo:J])
 
         K_T = _assemble(grid, coeff)[self._T][:, self._T].tocsc()
-        nT, nL = len(self._T), hi + 1 - lo
+        nT, nL = len(self._T), J - lo
         blocks = sp.kron(sp.identity(nL, format="csc"), K_T, format="csc")
         blocks = blocks + sp.diags(np.repeat(m * self._mu, nT), format="csc")
         try:
@@ -306,12 +287,12 @@ class ExtensionSolver:
             ) from exc
 
         # a constrained trace column is lifted by the exact profile of the
-        # vertical operator alone (1 under a Neumann top), so the tensor solve
-        # only computes the correction driven by the tangential stiffness
+        # vertical operator alone, so the tensor solve only computes the
+        # correction driven by the tangential stiffness
         self._lift_at = ~free0
         self._lifted = self._T[self._lift_at]
         tail = np.cumsum(res[::-1])[::-1]
-        self._psi = np.ones(nL) if hi == J else tail[self._L] / tail[0]
+        self._psi = tail[self._L] / tail[0]
         # what is left of the T x L right-hand side is separable: in the
         # eigenbasis it is the outer product of a level vector with a
         # tangential map of the datum at the nodes _rhs_nodes
@@ -489,8 +470,6 @@ def solve_extension(
     s: float,
     f: np.ndarray,
     dirichlet_trace: bool = False,
-    top: str = "dirichlet",
-    lateral: str = "dirichlet",
 ) -> ExtensionField:
     """One-shot mixed solve; see ExtensionSolver for the reusable form.
 
@@ -507,18 +486,11 @@ def solve_extension(
         bad = np.flatnonzero(f)
         if bad.size and not np.all(emesh.grid.exterior[bad]):
             raise ParamError("trace data must be supported on the exterior region")
-    solver = ExtensionSolver(
-        emesh, coeff, dirichlet_trace=dirichlet_trace, top=top, lateral=lateral
-    )
-    return solver.solve(f)
+    return ExtensionSolver(emesh, coeff, dirichlet_trace=dirichlet_trace).solve(f)
 
 
 def solve_weighted_neumann(
-    emesh: ExtensionMesh,
-    coeff: Coefficient,
-    h: np.ndarray,
-    top: str = "dirichlet",
-    lateral: str = "dirichlet",
+    emesh: ExtensionMesh, coeff: Coefficient, h: np.ndarray
 ) -> ExtensionField:
     """Solve the bulk equation with weighted Neumann datum h on the whole trace.
 
@@ -527,10 +499,7 @@ def solve_weighted_neumann(
     feeding the duality transform: build ``emesh`` with order 1 - s to get
     the weight exponent 2s - 1.
     """
-    solver = ExtensionSolver(
-        emesh, coeff, dirichlet_trace=None, top=top, lateral=lateral
-    )
-    return solver.solve(h)
+    return ExtensionSolver(emesh, coeff, dirichlet_trace=None).solve(h)
 
 
 @dataclass
@@ -538,13 +507,10 @@ class WeightedTrace:
     """Weighted normal trace ``lim t**(1-2s) d_t u`` on the tangential grid.
 
     ``values`` is the variational extraction (trace-row residual over the
-    tangential quadrature weight); ``finite_quotient`` is the secondary
-    estimator ``2s (u(., y_1) - u(., 0)) / y_1**(2s)``, exact on profiles
-    ``c + b t**(2s)`` and reported for cross-checking.
+    tangential quadrature weight).
     """
 
     values: np.ndarray
-    finite_quotient: np.ndarray
 
 
 def _weighted_trace(system: ExtensionSystem, values: np.ndarray,
@@ -558,13 +524,7 @@ def _weighted_trace(system: ExtensionSystem, values: np.ndarray,
 def neumann_trace(field: ExtensionField) -> WeightedTrace:
     if field.system is None:
         raise ParamError("field carries no assembled system; solve or assemble first")
-    emesh = field.emesh
-    s = field.s
-    values = _weighted_trace(field.system, field.values)
-    cols = field.as_columns()
-    y1 = emesh.vertical.levels[1]
-    fq = 2 * s * (cols[:, 1] - cols[:, 0]) / y1 ** (2 * s)
-    return WeightedTrace(values=values, finite_quotient=fq)
+    return WeightedTrace(values=_weighted_trace(field.system, field.values))
 
 
 def analytic_cs(s: float) -> float:

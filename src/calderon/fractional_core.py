@@ -35,7 +35,6 @@ __all__ = [
     "SpectralPower",
     "NonlocalDtN",
     "spectral_power",
-    "matrix_power",
     "solve_fractional_dirichlet",
     "nonlocal_dtn",
     "nonlocal_dtn_matrix",
@@ -57,9 +56,18 @@ def _reconstruct(lam: np.ndarray, V: np.ndarray, s: float) -> np.ndarray:
     return (V * lam**s) @ V.T
 
 
-def matrix_power(A: np.ndarray, s: float) -> np.ndarray:
-    """Fractional power of a symmetric PSD matrix via eigendecomposition."""
-    return _reconstruct(*_eigh_clipped(A), s)
+def _check_dense_cap(grid) -> np.ndarray:
+    """The grid's active mask, or EigError when its active nodes exceed
+    DENSE_NODE_CAP.  Callers that build other work on the grid first check
+    here before any of it."""
+    active = grid.active
+    n_active = int(active.sum())
+    if n_active > DENSE_NODE_CAP:
+        raise EigError(
+            f"{n_active} active nodes exceeds the dense-eigendecomposition cap "
+            f"({DENSE_NODE_CAP}); this route is the desk-scale oracle"
+        )
+    return active
 
 
 @dataclass
@@ -108,14 +116,7 @@ def spectral_power(op: LocalOperator, s: float) -> SpectralPower:
     eigenvalue lambda is lambda**s times it."""
     if not 0.0 < s <= 1.0:
         raise ParamError(f"s must lie in (0, 1], got {s}")
-    grid = op.grid
-    active = grid.active
-    n_active = int(active.sum())
-    if n_active > DENSE_NODE_CAP:
-        raise EigError(
-            f"{n_active} active nodes exceeds the dense-eigendecomposition cap "
-            f"({DENSE_NODE_CAP}); this route is the desk-scale oracle"
-        )
+    active = _check_dense_cap(op.grid)
     A = op.stiffness[active][:, active].toarray() / op.node_volume
     A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
     lam, V = _eigh_clipped(A)

@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 from calderon.cli import main
-from calderon.config import CONFIG_SCHEMA, validate_config
-from calderon.errors import ConfigError, ExperimentError
+from calderon.config import CONFIG_SCHEMA, load_config, validate_config
+from calderon.errors import ConfigError, EigError, ExperimentError
 from calderon.experiments import EXPERIMENT_NAMES, run_experiment
+from calderon.extension import ExtensionSolver
 
 
 def write_config(tmp_path, **overrides):
@@ -174,6 +175,30 @@ def test_degenerate_params_are_config_errors(tmp_path, capsys, experiment,
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment, nodes, params, active", [
+    ("oracle-crosscheck", 14, {}, 15625),
+    ("bridge-residual", 14, {"refinements": 1}, 15625),
+    ("tikhonov-sweep", 20, {}, 5832),
+    ("tikhonov-sweep", 14, {"fine_data": True}, 15625),
+])
+def test_dense_cap_is_checked_before_any_extension_build(
+        tmp_path, capsys, monkeypatch, experiment, nodes, params, active):
+    """In 3D the grid the dense route runs on (the refined rung, or the one
+    grid of a tikhonov-sweep without fine data) has more active nodes than
+    the cap: the run is refused (exit 2) before any extension solver is
+    built."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("extension solver built before the cap check")
+
+    monkeypatch.setattr(ExtensionSolver, "__init__", no_build)
+    p = write_config(tmp_path, experiment=experiment, dim=3, nodes=nodes,
+                     levels=48, params=params)
+    with pytest.raises(EigError, match=f"{active} active nodes"):
+        run_experiment(load_config(p))
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    assert "dense-eigendecomposition cap" in capsys.readouterr().err
 
 
 def test_failed_tolerance_gives_exit_code_one(tmp_path):

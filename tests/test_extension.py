@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 import calderon as cd
 from calderon.errors import (
@@ -10,7 +11,6 @@ from calderon.errors import (
     FitError,
     MeshMismatch,
     ParamError,
-    SolveError,
 )
 from calderon.extension import (
     _CHUNK,
@@ -41,18 +41,6 @@ def synthetic_field(emesh, coeff, profile):
     )
 
 
-def test_constant_data_diagnostic_mode_exact(grid64, ident64, emesh64):
-    """All-Dirichlet trace with natural top/lateral conditions: constants are
-    exact discrete solutions and their weighted trace vanishes."""
-    c = 2.5
-    f = np.full(grid64.num_nodes, c)
-    fld = cd.solve_extension(emesh64, ident64, 0.5, f, dirichlet_trace=True,
-                             top="neumann", lateral="natural")
-    assert np.max(np.abs(fld.values - c)) < 1e-10
-    tr = cd.neumann_trace(fld)
-    assert np.max(np.abs(tr.values)) < 1e-10
-
-
 def test_power_profile_is_stencil_exact(grid64, ident64):
     """t**(2s)/(2s) zeroes the interior rows of the weighted stencil exactly."""
     for s in (0.25, 0.5, 0.75):
@@ -81,14 +69,13 @@ def test_trace_data_support_check(grid64, ident64, emesh64):
         cd.solve_extension(emesh64, ident64, 0.5, f)
 
 
-def test_neumann_trace_power_profile_both_estimators(grid64, ident64):
+def test_neumann_trace_power_profile(grid64, ident64):
     for s in (0.25, 0.5, 0.75):
         vm = cd.build_vertical_mesh(s, 4.0, 32)
         em = cd.build_extension_mesh(grid64, vm)
         fld = synthetic_field(em, ident64, lambda y, s=s: y ** (2 * s) / (2 * s))
         tr = cd.neumann_trace(fld)
         assert np.max(np.abs(tr.values - 1.0)) < 1e-10
-        assert np.max(np.abs(tr.finite_quotient - 1.0)) < 1e-10
 
 
 def test_mixed_solve_neumann_rows_satisfied(grid64, ident64, emesh64):
@@ -219,8 +206,7 @@ def test_kernel_agrees_with_extension_solve():
 def test_weighted_neumann_solve_power_datum(grid64, ident64):
     """A constant weighted Neumann datum under the Dirichlet top and frame:
     the variational trace of the solution gives the datum back on every
-    active node; under a natural frame the solution is the dual power
-    profile."""
+    active node."""
     s = 0.6
     vm = cd.build_vertical_mesh(1 - s, 6.0, 48)
     em = cd.build_extension_mesh(grid64, vm)
@@ -228,25 +214,10 @@ def test_weighted_neumann_solve_power_datum(grid64, ident64):
     fld = solve_weighted_neumann(em, ident64, h)
     tr = cd.neumann_trace(fld).values
     assert np.max(np.abs(tr[grid64.active] - 1.0)) < 1e-9
-    # under natural lateral conditions the exact solution is the dual power
-    # profile, checked through its cell fluxes
-    fld = solve_weighted_neumann(em, ident64, h, top="dirichlet",
-                                 lateral="natural")
-    cols = fld.as_columns()
-    flux = (cols[:, 1:] - cols[:, :-1]) / vm.cell_resistances()[None, :]
-    assert np.max(np.abs(flux[:, 0] - 1.0)) < 1e-9
 
 
-# every layout the library solves, plus the free trace under a Neumann top
-# (singular vertical pencil): (dirichlet_trace, top, lateral)
-LAYOUTS = {
-    "mixed": (False, "dirichlet", "dirichlet"),
-    "dirichlet": (True, "dirichlet", "dirichlet"),
-    "dirichlet-open": (True, "neumann", "natural"),
-    "neumann": (None, "dirichlet", "dirichlet"),
-    "neumann-natural-lateral": (None, "dirichlet", "natural"),
-    "neumann-open-top": (None, "neumann", "dirichlet"),
-}
+# every trace condition the library solves: layout name -> dirichlet_trace
+LAYOUTS = {"mixed": False, "dirichlet": True, "neumann": None}
 
 
 def spsolve_oracle(solver: ExtensionSolver, data: np.ndarray, neumann: bool):
@@ -294,8 +265,8 @@ def test_tensor_solver_matches_sparse_oracle(layout, s, data):
     levels = data.draw(st.integers(48, 64), label="levels")
     vm = cd.build_vertical_mesh(s, height, levels)
     emesh = cd.build_extension_mesh(grid, vm)
-    dirichlet_trace, top, lateral = LAYOUTS[layout]
-    solver = ExtensionSolver(emesh, coeff, dirichlet_trace, top, lateral)
+    dirichlet_trace = LAYOUTS[layout]
+    solver = ExtensionSolver(emesh, coeff, dirichlet_trace)
     f = rng.standard_normal(grid.num_nodes)
     if layout == "mixed":
         f[grid.omega_closure] = 0.0
@@ -327,7 +298,7 @@ def test_block_extension_solve_matches_column_solves(layout, data):
     vm = cd.build_vertical_mesh(s, cd.default_height(grid), data.draw(
         st.integers(16, 40), label="levels"))
     solver = ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff,
-                             *LAYOUTS[layout])
+                             LAYOUTS[layout])
     k = data.draw(st.integers(_CHUNK + 1, 2 * _CHUNK + 3), label="columns")
     F = rng.standard_normal((grid.num_nodes, k))
     if layout == "mixed":
@@ -359,7 +330,7 @@ def small_solver(layout, dim, s, nodes=None, levels=40):
         grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5] * dim, 0.4)] * dim,
         identity_outside=True)
     vm = cd.build_vertical_mesh(s, cd.default_height(grid), levels)
-    return ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff, *LAYOUTS[layout])
+    return ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff, LAYOUTS[layout])
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -406,6 +377,61 @@ def test_separable_rhs_matches_gathered_transform(layout, dim, s):
     D = np.random.default_rng(11).standard_normal((solver.emesh.grid.num_nodes, 3))
     old, mag = lifted_rhs_oracle(solver, D)
     assert np.max(np.abs(solver._separable_rhs(D) - old)) <= 1e-12 * mag.max()
+
+
+def vertical_profile(vm, c=0.0):
+    """The solution w of ``(diag(c) + K_vert) w = 0`` on levels 1..J-1 with
+    w_0 = 1 and w_J = 0 (K_vert the two-point operator of conductances
+    1 / cell resistance), by a banded solve; returns levels 1..J-1."""
+    cond = 1.0 / vm.cell_resistances()
+    n = len(cond) - 1
+    ab = np.zeros((3, n))
+    ab[0, 1:] = ab[2, :-1] = -cond[1:n]
+    ab[1] = c + cond[:-1] + cond[1:]
+    rhs = np.zeros(n)
+    rhs[0] = cond[0]
+    return solve_banded((1, 1), ab, rhs)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.9])
+def test_lift_is_the_vertical_profile(s):
+    """A constrained trace column is lifted by the solution of the vertical
+    two-point operator alone, 1 at the trace and 0 at the top, on levels
+    1..J-1."""
+    solver = small_solver("dirichlet", 1, s, levels=48)
+    w = vertical_profile(solver.emesh.vertical)
+    assert solver._psi.shape == w.shape
+    assert np.max(np.abs(solver._psi - w)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.9])
+def test_eigenvector_datum_gives_the_separable_solution(dim, s):
+    """All-Dirichlet trace, a = Id, datum an eigenvector v of K_T with
+    eigenvalue lam: the exact discrete field is ``v (x) w``, where
+    ``(lam nu / m + K_vert) w = 0`` on levels 1..J-1 with w_0 = 1, w_J = 0."""
+    from calderon.local_elliptic import _assemble
+
+    grid = make_grid(dim=dim, nodes=32 if dim == 1 else 11, padding=0.3)
+    coeff = cd.identity_coefficient(grid)
+    vm = cd.build_vertical_mesh(s, cd.default_height(grid), 48)
+    solver = ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff, True)
+    act = np.flatnonzero(grid.active)
+    lams, vecs = np.linalg.eigh(_assemble(grid, coeff)[act][:, act].toarray())
+    k = len(act) // 3
+    lam, v = lams[k], np.zeros(grid.num_nodes)
+    v[act] = vecs[:, k]
+    m, nu = grid.node_volume, vm.level_weights()
+    w = np.concatenate([[1.0], vertical_profile(vm, lam * nu[1:-1] / m), [0.0]])
+    exact = np.outer(v, w).ravel()
+    fld = solver.solve(v)
+    assert np.max(np.abs(fld.values - exact)) <= 1e-12 * np.max(np.abs(exact))
+    # weighted trace of v (x) w on the active nodes (frame rows also carry
+    # the tangential coupling): -(lam nu_0 / m + (w_0 - w_1) / r_0) v
+    r0 = vm.cell_resistances()[0]
+    tr_exact = -(lam * nu[0] / m + (w[0] - w[1]) / r0) * v[act]
+    tr = cd.neumann_trace(fld).values[act]
+    assert np.max(np.abs(tr - tr_exact)) <= 1e-10 * np.max(np.abs(tr_exact))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -476,17 +502,6 @@ def test_calibration_makes_one_fractional_and_one_block_solve(monkeypatch):
     cal = cd.calibrate_cs(1, 0.5, nodes=48, levels=32, num_samples=5)
     assert sorted(calls) == ["extension", "fractional"]
     assert cal.rel_gap <= 0.05
-
-
-def test_singular_free_trace_layout_fails_fast(grid64, ident64, emesh64):
-    """A free trace under a Neumann top and natural lateral conditions has
-    the constants in its kernel; the solver refuses it by name."""
-    with pytest.raises(SolveError, match="top='neumann'.*lateral='natural'"):
-        ExtensionSolver(emesh64, ident64, dirichlet_trace=None, top="neumann",
-                        lateral="natural")
-    with pytest.raises(SolveError):
-        solve_weighted_neumann(emesh64, ident64, np.ones(grid64.num_nodes),
-                               top="neumann", lateral="natural")
 
 
 def test_zero_datum_gives_zero_field(grid64, ident64, emesh64):
