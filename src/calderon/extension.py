@@ -13,11 +13,13 @@ mesh (box x graded levels).  Assembly is conservative:
 The same assembly covers the dual weight exponent 2s-1: build the vertical
 mesh with order 1-s.
 
-Boundary conditions: homogeneous Dirichlet at the top (decay surrogate) and
-on the lateral frame (matching the truncation of the spectral route), the
-only ones the solver takes.  On the trace, the production (mixed) solve has
-Dirichlet data on the exterior nodes and homogeneous weighted Neumann on the
-closed interior region; the trace may also be all Dirichlet or all Neumann.
+Boundary conditions: homogeneous Dirichlet on the lateral frame (matching
+the truncation of the spectral route), the only lateral condition the solver
+takes, and at the top (decay surrogate); ``ExtensionSolver`` also takes a
+homogeneous Neumann top, which no production caller uses.  On the trace, the
+production (mixed) solve has Dirichlet data on the exterior nodes and
+homogeneous weighted Neumann on the closed interior region; the trace may
+also be all Dirichlet or all Neumann.
 
 Solver.  The stiffness is the Kronecker sum ``K_tan (x) diag(nu) + m I (x)
 K_vert`` (tangential stiffness, level weights nu, node volume m, vertical
@@ -169,9 +171,10 @@ class ExtensionField:
 _CHUNK = 8
 
 
-def _fixed_layout(emesh: ExtensionMesh, trace: str):
-    """Boolean mask of constrained nodes: the top level, the lateral frame
-    and the trace nodes that ``trace`` constrains.
+def _fixed_layout(emesh: ExtensionMesh, trace: str, top: str = "dirichlet"):
+    """Boolean mask of constrained nodes: the lateral frame, the top level
+    under ``top="dirichlet"`` (none under "neumann") and the trace nodes that
+    ``trace`` constrains.
 
     ``trace`` is "dirichlet" (the whole trace row is constrained), "mixed"
     (only its exterior nodes) or "free" (weighted Neumann data everywhere).
@@ -180,7 +183,10 @@ def _fixed_layout(emesh: ExtensionMesh, trace: str):
     J = emesh.vertical.num_levels
     fixed = np.zeros(emesh.num_nodes, dtype=bool)
     cols = fixed.reshape(grid.num_nodes, J + 1)
-    cols[:, J] = True
+    if top == "dirichlet":
+        cols[:, J] = True
+    elif top != "neumann":
+        raise ParamError(f"unknown top condition {top!r}")
     cols[~grid.active, :] = True
     if trace == "dirichlet":
         cols[:, 0] = True
@@ -196,7 +202,7 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
-def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray):
+def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray, shift: float):
     """Eigenpairs of the tridiagonal pencil ``K phi = mu diag(nu) phi``.
 
     ``diag`` and ``off`` are the diagonal and off-diagonal of K.  The pencil
@@ -204,16 +210,18 @@ def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray):
     by LAPACK ``dpteqr``, which keeps the small eigenvalues to relative
     accuracy although the graded weights span many orders of magnitude (a
     dense symmetric eigensolver loses them).  ``dpteqr`` needs a positive
-    definite matrix, which K is because the top level is fixed.  Returns
-    ``mu`` and the nu-orthonormal eigenvectors as columns.
+    definite matrix: a singular K (free trace under a Neumann top) is passed
+    with ``shift > 0``, which is added as ``shift * nu`` and taken off the
+    eigenvalues again.  Returns ``mu`` and the nu-orthonormal eigenvectors as
+    columns.
     """
     r = 1.0 / np.sqrt(nu)
-    d = diag * r * r
+    d = diag * r * r + shift
     e = off * r[:-1] * r[1:]
     lam, _, z, info = lapack.dpteqr(d, e, np.eye(len(d)), compute_z=2)
     if info != 0:
         raise SolveError(f"vertical eigensolver failed (dpteqr info={info})")
-    return lam, z * r[:, None]
+    return lam - shift, z * r[:, None]
 
 
 class ExtensionSolver:
@@ -222,13 +230,14 @@ class ExtensionSolver:
     ``dirichlet_trace`` picks the trace condition: True constrains the whole
     trace row, False only its exterior nodes (the mixed production layout),
     None leaves it free, and ``solve`` then reads a weighted Neumann datum.
+    ``top`` is "dirichlet" (the production condition) or "neumann".
 
     The free nodes are the tensor product of the tangential set T, which is
-    the active set, and the levels L below the top (from level 0 when the
-    trace is free, else from level 1), plus, in the mixed layout, the free
-    trace nodes B.  The vertical pencil, the J shifted tangential
-    factorizations and the free-trace map are built once; every solve
-    substitutes new data.
+    the active set, and the levels L (from level 0 when the trace is free,
+    else from level 1, up to the top under a Neumann top, else to the level
+    below it), plus, in the mixed layout, the free trace nodes B.  The
+    vertical pencil, the J shifted tangential factorizations and the
+    free-trace map are built once; every solve substitutes new data.
     """
 
     def __init__(
@@ -236,10 +245,11 @@ class ExtensionSolver:
         emesh: ExtensionMesh,
         coeff: Coefficient,
         dirichlet_trace: bool | None = False,
+        top: str = "dirichlet",
     ):
         trace = {True: "dirichlet", False: "mixed", None: "free"}[dirichlet_trace]
         self.emesh = emesh
-        self.fixed = _fixed_layout(emesh, trace)
+        self.fixed = _fixed_layout(emesh, trace, top)
         self.free = ~self.fixed
         # far fewer than the free nodes: clearing rows by index is the cheap way
         self._fixed_rows = np.flatnonzero(self.fixed)
@@ -261,18 +271,24 @@ class ExtensionSolver:
         from .local_elliptic import _assemble
 
         # T is the active set, L the levels free on all of T (the trace only
-        # when it is free, never the top), and B the rest of the free trace
+        # when it is free, the top only when it is Neumann), and B the rest
+        # of the free trace
         self._T = np.flatnonzero(grid.active)
         free0 = self.free[tr[self._T]]
         lo = 0 if free0.all() else 1
-        self._L = slice(lo, J)
+        hi = J if top == "neumann" else J - 1
+        self._L = slice(lo, hi + 1)
         # vertical two-point operator on the free levels; fixed neighbours
-        # leave their conductance on the diagonal
+        # leave their conductance on the diagonal.  Free at both ends it is
+        # singular and gets shifted
         diag = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
-        self._mu, self._phi = _vertical_pencil(diag[lo:J], -cond[lo:J - 1], nu[lo:J])
+        shift = 1.0 / vm.height**2 if (lo, hi) == (0, J) else 0.0
+        self._mu, self._phi = _vertical_pencil(
+            diag[lo:hi + 1], -cond[lo:hi], nu[lo:hi + 1], shift
+        )
 
         K_T = _assemble(grid, coeff)[self._T][:, self._T].tocsc()
-        nT, nL = len(self._T), J - lo
+        nT, nL = len(self._T), hi + 1 - lo
         blocks = sp.kron(sp.identity(nL, format="csc"), K_T, format="csc")
         blocks = blocks + sp.diags(np.repeat(m * self._mu, nT), format="csc")
         try:
@@ -287,12 +303,12 @@ class ExtensionSolver:
             ) from exc
 
         # a constrained trace column is lifted by the exact profile of the
-        # vertical operator alone, so the tensor solve only computes the
-        # correction driven by the tangential stiffness
+        # vertical operator alone (1 under a Neumann top), so the tensor solve
+        # only computes the correction driven by the tangential stiffness
         self._lift_at = ~free0
         self._lifted = self._T[self._lift_at]
         tail = np.cumsum(res[::-1])[::-1]
-        self._psi = tail[self._L] / tail[0]
+        self._psi = np.ones(nL) if hi == J else tail[self._L] / tail[0]
         # what is left of the T x L right-hand side is separable: in the
         # eigenbasis it is the outer product of a level vector with a
         # tangential map of the datum at the nodes _rhs_nodes

@@ -216,8 +216,16 @@ def test_weighted_neumann_solve_power_datum(grid64, ident64):
     assert np.max(np.abs(tr[grid64.active] - 1.0)) < 1e-9
 
 
-# every trace condition the library solves: layout name -> dirichlet_trace
-LAYOUTS = {"mixed": False, "dirichlet": True, "neumann": None}
+# every layout the library solves: (dirichlet_trace, top); the Neumann-top
+# layouts keep the open-top lift (psi = 1) and, for the free trace, the
+# shifted singular vertical pencil under test
+LAYOUTS = {
+    "mixed": (False, "dirichlet"),
+    "dirichlet": (True, "dirichlet"),
+    "dirichlet-open": (True, "neumann"),
+    "neumann": (None, "dirichlet"),
+    "neumann-open-top": (None, "neumann"),
+}
 
 
 def spsolve_oracle(solver: ExtensionSolver, data: np.ndarray, neumann: bool):
@@ -265,8 +273,8 @@ def test_tensor_solver_matches_sparse_oracle(layout, s, data):
     levels = data.draw(st.integers(48, 64), label="levels")
     vm = cd.build_vertical_mesh(s, height, levels)
     emesh = cd.build_extension_mesh(grid, vm)
-    dirichlet_trace = LAYOUTS[layout]
-    solver = ExtensionSolver(emesh, coeff, dirichlet_trace)
+    dirichlet_trace, top = LAYOUTS[layout]
+    solver = ExtensionSolver(emesh, coeff, dirichlet_trace, top)
     f = rng.standard_normal(grid.num_nodes)
     if layout == "mixed":
         f[grid.omega_closure] = 0.0
@@ -298,7 +306,7 @@ def test_block_extension_solve_matches_column_solves(layout, data):
     vm = cd.build_vertical_mesh(s, cd.default_height(grid), data.draw(
         st.integers(16, 40), label="levels"))
     solver = ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff,
-                             LAYOUTS[layout])
+                             *LAYOUTS[layout])
     k = data.draw(st.integers(_CHUNK + 1, 2 * _CHUNK + 3), label="columns")
     F = rng.standard_normal((grid.num_nodes, k))
     if layout == "mixed":
@@ -330,7 +338,7 @@ def small_solver(layout, dim, s, nodes=None, levels=40):
         grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5] * dim, 0.4)] * dim,
         identity_outside=True)
     vm = cd.build_vertical_mesh(s, cd.default_height(grid), levels)
-    return ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff, LAYOUTS[layout])
+    return ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff, *LAYOUTS[layout])
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
