@@ -52,7 +52,7 @@ class Coefficient:
             )
         if self.identity_outside:
             ext = self.grid.exterior
-            if not np.allclose(self.diag[ext], 1.0, atol=1e-12):
+            if not np.allclose(self.diag[ext], 1.0, rtol=0.0, atol=1e-12):
                 raise EllipticityError(
                     "identity_outside set but coefficient != Id at exterior nodes"
                 )
@@ -66,7 +66,7 @@ class Coefficient:
         return float(self.diag.max())
 
     def is_identity(self) -> bool:
-        return bool(np.allclose(self.diag, 1.0, atol=1e-14))
+        return bool(np.allclose(self.diag, 1.0, rtol=0.0, atol=1e-14))
 
 
 def identity_coefficient(grid: TangentialGrid) -> Coefficient:

@@ -520,10 +520,13 @@ def solve_weighted_neumann(
 
 @dataclass
 class WeightedTrace:
-    """Weighted normal trace ``lim t**(1-2s) d_t u`` on the tangential grid.
+    """Weighted normal trace ``lim t**(1-2s) d_t u`` at the active nodes.
 
     ``values`` is the variational extraction (trace-row residual over the
-    tangential quadrature weight).
+    tangential quadrature weight) on the whole tangential grid.  Only the
+    active entries are a weighted normal trace: at an inactive frame node the
+    residual carries the tangential coupling to its active neighbour, so read
+    the measurement rows or the active rows only.
     """
 
     values: np.ndarray
@@ -538,6 +541,8 @@ def _weighted_trace(system: ExtensionSystem, values: np.ndarray,
 
 
 def neumann_trace(field: ExtensionField) -> WeightedTrace:
+    """Weighted normal trace of a solved field; its frame entries are
+    trace-row residuals, not a trace (see WeightedTrace)."""
     if field.system is None:
         raise ParamError("field carries no assembled system; solve or assemble first")
     return WeightedTrace(values=_weighted_trace(field.system, field.values))

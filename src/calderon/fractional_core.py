@@ -3,18 +3,38 @@
 The operator is defined on the computational box with zero Dirichlet
 truncation at the frame: with K the stiffness matrix over the interior
 ("active") nodes and m = prod(h) the uniform node volume, the operator
-matrix is A = K / m and its fractional power is taken through a dense
-eigendecomposition, ``A^s = V diag(lambda^s) V^T``.  Repeated eigenvalues
-need no tie-breaking: matrix functions are basis independent.
+matrix is A = K / m and its fractional power is ``A^s = V diag(lambda^s)
+V^T``.  Repeated eigenvalues need no tie-breaking: matrix functions are
+basis independent.
+
+The orthonormal eigenbasis V is held as a tuple of factors whose Kronecker
+product is V over the active nodes in C order, and is found on one of two
+routes chosen by the coefficient:
+
+* a = Id: A is the Kronecker sum of the one-dimensional second differences
+  ``tridiag(-1, 2, -1) / h_k^2``, which the sine transform diagonalizes
+  exactly (fast diagonalization).  The factors are the closed-form DST-I
+  matrices ``sqrt(2/(n-1)) sin(pi i j/(n-1))``, i, j = 1..n-2, one per axis,
+  and the eigenvalues ``sum_k (4/h_k^2) sin^2(pi j_k / (2(n_k-1)))``; no
+  dense operator and no eigendecomposition is formed.
+* any other coefficient: a dense ``eigh`` of A, held as the single factor V.
+
+Consumers read V only through factor rows (an eigenvector row is the product
+of one row of each factor) and mode products (one small matrix product per
+axis), so a single factor is the plain dense arithmetic and the sine route
+forms no N x N array.  ``DENSE_NODE_CAP`` bounds both routes: the map and the
+exterior-value solve still build dense blocks of the power over the interior
+and measurement nodes, and callers check the cap before building anything
+else on the grid.
 
 With O the closed interior region and W the measurement nodes, the nonlocal
 measurement map is the Schur complement ``A_WW - A_WO A_OO^{-1} A_OW`` of
 the power, taken from its (O u W) x (O u W) block and one factorization of
 ``A_OO``.  The exterior-value solve reads only the O rows of the power.  No
 N x N power is formed: a block is ``(V[rows] * lambda^s) @ V[cols].T``, and
-the eigenvectors are the route's only N x N array.  ``A_OO`` is a principal
-block of an SPD matrix (the truncated operator has no kernel), so Cholesky
-factors it at half the cost of LU; its failure means the power lost
+rows against all columns go through the mode products.  ``A_OO`` is a
+principal block of an SPD matrix (the truncated operator has no kernel), so
+Cholesky factors it at half the cost of LU; its failure means the power lost
 definiteness and raises SolveError.
 
 This is the oracle route; it scales only to a few thousand nodes and exists
@@ -70,57 +90,111 @@ def _check_dense_cap(grid) -> np.ndarray:
     return active
 
 
+def _sine_basis(grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Closed-form eigenbasis of the identity operator on the active nodes:
+    one DST-I factor per axis and the eigenvalues in the C order of the
+    mode indices (ascending along each axis)."""
+    factors = []
+    lam = np.zeros(())
+    for n, h in zip(grid.shape, grid.h):
+        j = np.arange(1, n - 1)
+        # the integer product is reduced mod 2(n-1) first, so every argument
+        # of sin lies in [0, 2 pi) and keeps its rounding at that size
+        phase = np.outer(j, j) % (2 * (n - 1))
+        factors.append(np.sqrt(2.0 / (n - 1)) * np.sin(np.pi * phase / (n - 1)))
+        lam = np.add.outer(lam, 4.0 / h**2 * np.sin(np.pi * j / (2 * (n - 1))) ** 2)
+    return tuple(factors), lam.ravel()
+
+
 @dataclass
 class SpectralPower:
     """Fractional power of the truncated conductivity operator, held as its
-    dense eigendecomposition.
+    eigendecomposition.
 
-    ``eigvals``/``eigvecs`` diagonalize K_active / node_volume; ``apply``
-    realizes the power on full-grid arrays (frame nodes are identically
-    zero) and ``matrix`` builds any block of it over the active nodes.
+    ``eigvals`` and the orthonormal eigenbasis V diagonalize
+    K_active / node_volume.  V is the Kronecker product of ``factors`` in
+    C order: the per-axis sine matrices for a = Id, or the single dense
+    eigenvector matrix otherwise, so position p among the active nodes pairs
+    with the mode whose multi-index unravels p over the factor sizes.
+    ``apply`` realizes the power on full-grid arrays (frame nodes are
+    identically zero) and ``matrix`` builds any block of it over the active
+    nodes.
     """
 
     op: LocalOperator
     s: float
     active: np.ndarray
     eigvals: np.ndarray
-    eigvecs: np.ndarray
+    factors: tuple[np.ndarray, ...]
 
     @property
     def grid(self):
         return self.op.grid
+
+    @property
+    def _mode_shape(self) -> tuple[int, ...]:
+        return tuple(F.shape[0] for F in self.factors)
+
+    def eigvec_rows(self, pos=None) -> np.ndarray:
+        """Rows of V at positions among the active nodes (None takes them
+        all), each the Kronecker product of one row of every factor."""
+        if pos is None:
+            pos = np.arange(len(self.eigvals))
+        idx = np.unravel_index(pos, self._mode_shape)
+        rows = self.factors[0][idx[0]]
+        for F, i in zip(self.factors[1:], idx[1:]):
+            rows = (rows[:, :, None] * F[i][:, None, :]).reshape(
+                len(pos), rows.shape[1] * F.shape[1])
+        return rows
+
+    def _mode_product(self, X: np.ndarray, to_modes: bool) -> np.ndarray:
+        """``X @ V`` (to_modes) or ``X @ V.T`` for X of shape (..., N), one
+        contraction per factor; a vector is one row."""
+        shape = X.shape
+        X = X.reshape((int(np.prod(shape[:-1])),) + self._mode_shape)
+        for F in self.factors:
+            # contracting axis 1 moves the result axis to the end, so after
+            # every factor the axes are back in order
+            X = np.tensordot(X, F, axes=([1], [0 if to_modes else 1]))
+        return X.reshape(shape)
 
     def matrix(self, rows=None, cols=None) -> np.ndarray:
         """Block of the power over the active nodes: ``rows`` and ``cols``
         index positions among the active nodes (None takes them all), so the
         block costs len(rows) * len(cols) * N, not N^3.  With no arguments
         this is the full power."""
-        V = self.eigvecs
-        left = V if rows is None else V[rows]
-        right = V if cols is None else V[cols]
-        return (left * self.eigvals**self.s) @ right.T
+        if rows is None and cols is not None:
+            return self.matrix(cols).T
+        left = self.eigvec_rows(rows) * self.eigvals**self.s
+        if cols is None:
+            return self._mode_product(left, to_modes=False)
+        return left @ self.eigvec_rows(cols).T
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Apply the power to a full-grid array, or to a block of them (one
         per column); returns the same shape."""
-        ua = u[self.active]
         out = np.zeros_like(u, dtype=float)
-        coeff = self.eigvecs.T @ ua
-        # the transposes scale the rows of a block and are no-ops on a vector
-        out[self.active] = self.eigvecs @ (self.eigvals**self.s * coeff.T).T
+        coeff = self._mode_product(u[self.active].T, to_modes=True)
+        out[self.active] = self._mode_product(
+            self.eigvals**self.s * coeff, to_modes=False).T
         return out
 
 
 def spectral_power(op: LocalOperator, s: float) -> SpectralPower:
-    """Eigendecompose the active-node operator; action on an eigenvector with
+    """Eigenbasis of the active-node operator, in closed form for a = Id and
+    by a dense eigendecomposition otherwise; action on an eigenvector with
     eigenvalue lambda is lambda**s times it."""
     if not 0.0 < s <= 1.0:
         raise ParamError(f"s must lie in (0, 1], got {s}")
     active = _check_dense_cap(op.grid)
-    A = op.stiffness[active][:, active].toarray() / op.node_volume
-    A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
-    lam, V = _eigh_clipped(A)
-    return SpectralPower(op=op, s=s, active=active, eigvals=lam, eigvecs=V)
+    if op.coeff.is_identity():
+        factors, lam = _sine_basis(op.grid)
+    else:
+        A = op.stiffness[active][:, active].toarray() / op.node_volume
+        A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
+        lam, V = _eigh_clipped(A)
+        factors = (V,)
+    return SpectralPower(op=op, s=s, active=active, eigvals=lam, factors=factors)
 
 
 def _cholesky(block: np.ndarray):
@@ -172,11 +246,11 @@ def nonlocal_dtn(P: SpectralPower, f: np.ndarray) -> np.ndarray:
     a block f of shape (N, k))."""
     u = solve_fractional_dirichlet(P, f)
     w_active, w = _w_positions(P)
-    # the power applied on the measurement rows only; the transposes scale
-    # the rows of a block and are no-ops on a vector
-    coeff = P.eigvals**P.s * (P.eigvecs.T @ u[P.active]).T
+    # the power applied on the measurement rows only; a block is one row
+    # per column
+    coeff = P.eigvals**P.s * P._mode_product(u[P.active].T, to_modes=True)
     out = np.zeros((len(w_active),) + u.shape[1:])
-    out[w_active] = P.eigvecs[w] @ coeff.T
+    out[w_active] = P.eigvec_rows(w) @ coeff.T
     return out
 
 

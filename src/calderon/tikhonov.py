@@ -153,7 +153,7 @@ def build_data_operator(
     if not 0.0 < eps < s:
         raise ParamError(f"eps must lie in (0, s) = (0, {s}), got {eps}")
     ext_diag = pipeline.coeff.diag[pipeline.grid.exterior]
-    if not np.allclose(ext_diag, 1.0, atol=1e-12):
+    if not np.allclose(ext_diag, 1.0, rtol=0.0, atol=1e-12):
         raise ParamError(
             "the data operator requires the coefficient to be the identity "
             "on the exterior region"

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from conftest import make_grid, w_bump
 
 def test_eigenpair_maps_to_power(power_half, op64):
     lam = power_half.eigvals[3]
-    e = power_half.eigvecs[:, 3]
+    e = power_half.eigvec_rows()[:, 3]
     u = np.zeros(op64.grid.num_nodes)
     u[power_half.active] = e
     out = power_half.apply(u)
@@ -132,6 +133,22 @@ def test_power_spectrum_monotone(op64):
     assert np.all(np.diff(lam**0.3) >= -1e-10)
 
 
+@pytest.mark.parametrize("entry, eigh_calls", [
+    (lambda p: np.ones(len(p)), 0),
+    (lambda p: 1.0 + 1e-9 * (p[:, 0] > 0.5), 1),  # near, not equal to, the identity
+    (lambda p: 1.0 + 0.5 * cd.mollifier_bump(p, [0.5, 0.5], 0.4), 1),
+], ids=["identity", "near-identity", "bump"])
+def test_identity_power_makes_no_eigh_call(entry, eigh_calls, monkeypatch):
+    grid = make_grid(dim=2, nodes=16)
+    op = cd.assemble_local(grid, cd.diagonal_coefficient(grid, [entry] * 2))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+    P = cd.spectral_power(op, 0.5)
+    assert len(calls) == eigh_calls
+    assert len(P.factors) == (2 if eigh_calls == 0 else 1)
+
+
 def test_periodic_symbol_check():
     """Fourier oracle: the discrete symbol (2 - 2cos(xi h))^s / h^(2s) gives
     the eigenvalues of the fractional power of the periodic ring operator."""
@@ -161,6 +178,59 @@ def _tiny_3d_grid():
                            w_box=((1.5, 2.1), (0.0, 1.0), (0.0, 1.0)),
                            nodes=(12, 6, 6), padding=0.3)
     return cd.build_tangential_grid(spec)
+
+
+def _eigh_power(P):
+    """The same power through a dense eigendecomposition of the operator."""
+    op, act = P.op, P.active
+    A = op.stiffness[act][:, act].toarray() / op.node_volume
+    lam, V = _eigh_clipped(0.5 * (A + A.T))
+    return dataclasses.replace(P, eigvals=lam, factors=(V,))
+
+
+_SINE_GRIDS = {
+    1: lambda: make_grid(dim=1, nodes=40),
+    2: lambda: make_grid(dim=2, nodes=(18, 13)),  # unequal spacing per axis
+    3: _tiny_3d_grid,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _sine_and_eigh_powers(dim, s):
+    grid = _SINE_GRIDS[dim]()
+    P = cd.spectral_power(cd.assemble_local(grid, cd.identity_coefficient(grid)), s)
+    assert len(P.factors) == dim
+    return P, _eigh_power(P)
+
+
+@given(st.sampled_from(sorted(_SINE_GRIDS)), st.sampled_from([0.1, 0.5, 0.9]),
+       st.integers(0, 2**16))
+@settings(max_examples=20, deadline=None)
+def test_sine_route_matches_eigh(dim, s, seed):
+    """On a = Id the closed-form sine basis gives the power, its action and
+    both measurement maps of a dense eigendecomposition of the operator."""
+    P, R = _sine_and_eigh_powers(dim, s)
+    grid = P.grid
+    n = len(P.eigvals)
+    rng = np.random.default_rng(seed)
+
+    def close(a, b):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def positions():
+        if rng.random() < 0.2:
+            return None
+        return rng.choice(n, size=rng.integers(1, n + 1), replace=rng.random() < 0.5)
+
+    rows, cols = positions(), positions()
+    close(P.matrix(rows, cols), R.matrix(rows, cols))
+    F = np.zeros((grid.num_nodes, 3))
+    F[grid.w_indices] = rng.standard_normal((len(grid.w_indices), 3))
+    close(P.apply(F), R.apply(F))
+    close(cd.solve_fractional_dirichlet(P, F), cd.solve_fractional_dirichlet(R, F))
+    close(cd.nonlocal_dtn(P, F), cd.nonlocal_dtn(R, F))
+    close(cd.nonlocal_dtn_matrix(P).matrix, cd.nonlocal_dtn_matrix(R).matrix)
 
 
 _MAP_GRIDS = {
@@ -234,15 +304,15 @@ def test_power_block_matches_full_power(layout, s, seed):
     assert np.max(np.abs(block - ref)) <= 1e-13 * np.max(np.abs(full))
 
 
+def _sine_power_3d():
+    grid = make_grid(dim=3, nodes=16)
+    return cd.spectral_power(cd.assemble_local(grid, cd.identity_coefficient(grid)), 0.5)
+
+
 def test_power_blocks_are_no_larger_than_read(monkeypatch):
     """The map builds only the power's block over O u W, and the
-    exterior-value solve only its O rows; neither forms the N x N power."""
-    P = _bump_power((2, 0.9), 0.5)
-    grid = P.grid
-    n = int(P.active.sum())
-    n_o = int(grid.omega_closure.sum())
-    n_w = len(grid.w_indices)
-    assert n_o + n_w < n
+    exterior-value solve only its O rows; neither forms the N x N power,
+    and no call allocates an N x N array (on the 3D sine route not even V)."""
     shapes = []
     build = SpectralPower.matrix
 
@@ -252,14 +322,31 @@ def test_power_blocks_are_no_larger_than_read(monkeypatch):
         return out
 
     monkeypatch.setattr(SpectralPower, "matrix", recording)
-    cd.nonlocal_dtn_matrix(P)
-    assert sum(r * c for r, c in shapes) <= (n_o + n_w) ** 2
-    shapes.clear()
-    cd.solve_fractional_dirichlet(P, w_bump(grid))
-    assert sum(r * c for r, c in shapes) <= n_o * n
-    shapes.clear()
-    cd.nonlocal_dtn(P, w_bump(grid))
-    assert sum(r * c for r, c in shapes) <= n_o * n
+    for P in (_bump_power((2, 0.9), 0.5), _sine_power_3d()):
+        grid = P.grid
+        f = w_bump(grid)
+        n = int(P.active.sum())
+        n_o = int(grid.omega_closure.sum())
+        n_w = len(grid.w_indices)
+        assert n_o + n_w < n
+        shapes.clear()
+        cd.nonlocal_dtn_matrix(P)
+        assert sum(r * c for r, c in shapes) <= (n_o + n_w) ** 2
+        shapes.clear()
+        cd.solve_fractional_dirichlet(P, f)
+        assert sum(r * c for r, c in shapes) <= n_o * n
+        shapes.clear()
+        cd.nonlocal_dtn(P, f)
+        assert sum(r * c for r, c in shapes) <= n_o * n
+        for call in (cd.nonlocal_dtn_matrix, lambda P: cd.solve_fractional_dirichlet(P, f),
+                     lambda P: cd.nonlocal_dtn(P, f), lambda P: P.apply(f)):
+            tracemalloc.start()
+            try:
+                call(P)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n * 8
 
 
 def test_nonlocal_dtn_matrix_builds_the_power_once(power_half, monkeypatch):

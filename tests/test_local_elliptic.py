@@ -49,6 +49,19 @@ def test_ellipticity_error():
         cd.diagonal_coefficient(grid, [lambda p: p[:, 0] - 10.0])
 
 
+def test_identity_checks_are_absolute():
+    """Identity is tested to an absolute tolerance only: numpy's default
+    relative tolerance would pass entries up to 1 +- 1e-5."""
+    grid = make_grid(nodes=32)
+    diag = np.ones((grid.num_nodes, 1))
+    diag[5] = 1.0 + 1e-9
+    assert not cd.Coefficient(grid=grid, diag=diag).is_identity()
+    assert cd.Coefficient(grid=grid, diag=np.ones_like(diag)).is_identity()
+    diag[np.flatnonzero(grid.exterior)[0]] = 1.0 + 1e-7
+    with pytest.raises(EllipticityError):
+        cd.Coefficient(grid=grid, diag=diag, identity_outside=True)
+
+
 def test_bump_amplitude_validated_against_ellipticity():
     grid = make_grid(nodes=32)
     spec = {"type": "diagonal",

@@ -4,10 +4,14 @@ The solvers are dimension generic; these checks pin the n = 3 geometry and
 operators at a resolution where everything stays exact.  The full 3+1
 dimensional extension solve is exercised only through its stencil (the
 factorization cost grows steeply with dimension and belongs in experiment
-scripts, not the routine suite).
+scripts, not the routine suite).  The nonlocal invariants are property
+tested on the closed-form identity power, near both ends of s.
 """
 
+import functools
+
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 import calderon as cd
 from calderon.extension import ExtensionField, assemble_extension
@@ -53,3 +57,57 @@ def test_extension_stencil_power_profile_exact():
     assert np.max(np.abs(r)) < 1e-12 * scale
     tr = cd.neumann_trace(fld)
     assert np.max(np.abs(tr.values - 1.0)) < 1e-10
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_power(s):
+    grid = make_grid(dim=3, nodes=16)
+    return cd.spectral_power(cd.assemble_local(grid, cd.identity_coefficient(grid)), s)
+
+
+@functools.lru_cache(maxsize=None)
+def _nonlocal_map(s):
+    return cd.nonlocal_dtn_matrix(_identity_power(s))
+
+
+def _w_data(grid, rng):
+    f = np.zeros(grid.num_nodes)
+    f[grid.w_indices] = rng.standard_normal(len(grid.w_indices))
+    return f
+
+
+@given(st.sampled_from([0.1, 0.9]), st.integers(0, 2**16))
+@settings(max_examples=10, deadline=None)
+def test_nonlocal_map_symmetric_and_psd(s, seed):
+    dtn = _nonlocal_map(s)
+    M = dtn.matrix
+    rng = np.random.default_rng(seed)
+    f, g = rng.standard_normal((2, M.shape[0]))
+    scale = np.max(np.abs(M)) * np.linalg.norm(f) * np.linalg.norm(g) * dtn.weight
+    assert abs(dtn.pairing(M @ f, g) - dtn.pairing(f, M @ g)) <= 1e-12 * scale
+    assert np.max(np.abs(M - M.T)) <= 1e-12 * np.max(np.abs(M))
+    assert np.linalg.eigvalsh(0.5 * (M + M.T)).min() >= -1e-12 * np.max(np.abs(M))
+
+
+@given(st.sampled_from([0.1, 0.9]), st.floats(-2.0, 2.0), st.integers(0, 2**16))
+@settings(max_examples=10, deadline=None)
+def test_fractional_dirichlet_linear(s, alpha, seed):
+    P = _identity_power(s)
+    rng = np.random.default_rng(seed)
+    f, g = _w_data(P.grid, rng), _w_data(P.grid, rng)
+    u = cd.solve_fractional_dirichlet(P, alpha * f + g)
+    split = (alpha * cd.solve_fractional_dirichlet(P, f)
+             + cd.solve_fractional_dirichlet(P, g))
+    assert np.max(np.abs(u - split)) <= 1e-12 * max(1.0, np.max(np.abs(split)))
+
+
+@given(st.sampled_from([0.1, 0.9]), st.sampled_from([0.05, 0.1]), st.integers(0, 2**16))
+@settings(max_examples=10, deadline=None)
+def test_power_semigroup(s, t, seed):
+    """P_s(P_t u) = P_{s+t} u on active-supported data."""
+    Ps, Pt, Pst = (_identity_power(r) for r in (s, t, round(s + t, 12)))
+    grid = Ps.grid
+    u = np.random.default_rng(seed).standard_normal(grid.num_nodes)
+    u[~grid.active] = 0.0
+    ref = Pst.apply(u)
+    assert np.max(np.abs(Ps.apply(Pt.apply(u)) - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -66,6 +66,11 @@ def test_requires_identity_exterior():
     pipe = cd.BridgePipeline(grid, a, 0.5, levels=32)
     with pytest.raises(ParamError):
         build_data_operator(pipe)
+    near = np.ones(grid.num_nodes)
+    near[np.flatnonzero(grid.exterior)[0]] = 1.0 + 1e-7
+    pipe = cd.BridgePipeline(grid, cd.diagonal_coefficient(grid, [near]), 0.5, levels=32)
+    with pytest.raises(ParamError):
+        build_data_operator(pipe)
 
 
 def test_rank_error_with_absurd_threshold(small_pipe):
