@@ -25,12 +25,18 @@ Solver.  The stiffness is the Kronecker sum ``K_tan (x) diag(nu) + m I (x)
 K_vert`` (tangential stiffness, level weights nu, node volume m, vertical
 two-point operator), so on the free levels L the vertical pencil
 ``K_vert phi = mu diag(nu) phi`` turns a solve into J decoupled shifted
-tangential solves ``(K_T + m mu_k) y_k = r_k`` (fast diagonalization), all
-factored as one block-diagonal sparse LU.  The pencil is solved by LAPACK
-``dpteqr`` on the ``nu**-1/2``-scaled tridiagonal: with the default grading
-nu spans up to 19 orders of magnitude, and a dense symmetric eigensolver
-loses the small eigenvalues (even their sign) where ``dpteqr`` keeps them to
-relative accuracy.  A constrained trace column is first lifted by the exact
+tangential solves ``(K_T + m mu_k) y_k = r_k`` (fast diagonalization).  T is
+the box interior, so for a = Id (``Coefficient.is_identity``, the dispatch
+of ``fractional_core.spectral_power``) ``K_T = m V diag(lam) V^T`` with V the
+Kronecker product of the per-axis sine factors of
+``fractional_core._sine_basis``: a shifted solve is a mode product, a
+division by ``m (mu_k + lam)`` and the mode product back, and no matrix is
+factored.  Every other coefficient factors the J shifted matrices as one
+block-diagonal sparse LU.  The pencil is solved by LAPACK ``dpteqr`` on the
+``nu**-1/2``-scaled tridiagonal: with the default grading nu spans up to 19
+orders of magnitude, and a dense symmetric eigensolver loses the small
+eigenvalues (even their sign) where ``dpteqr`` keeps them to relative
+accuracy.  A constrained trace column is first lifted by the exact
 profile psi of the vertical operator alone, so the tensor solve only returns
 a correction: level 1, whose error the trace extraction multiplies by the
 first-cell conductance, then stays accurate to rounding.  The lift cancels
@@ -42,14 +48,17 @@ The mixed trace closes on its free trace nodes B through the trace map
 built once from the dense Schur complement
 ``Sch = nu_0 K_BB + g I - g**2 sum_k phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``,
 ``g = m / r_0`` the first-cell conductance: a datum's free trace values are
-``Z d``, and the tensor block then takes one block solve.  There is one
+``Z d``, and the tensor block then takes one block solve.  For a = Id the
+sum is diagonal in the sine basis and Sch follows in closed form from the
+sine rows at B; otherwise it comes from unit block solves.  There is one
 solve path: a block of data, one datum per column, goes through the tensor
-solve _CHUNK columns at a time, one block LU solve per chunk (so do the unit
-columns that build Z), which bounds the dense temporaries whatever the
-block's width; ``solve`` is its one-column case.  Every column is checked:
-its relative residual against the assembled free block must stay below
-1e-8, else SolveError.  A field combined from solved fields (a snapshot
-basis) passes the same check through ``checked_field``.
+solve _CHUNK columns at a time, one shifted solve of all levels per chunk
+(so do the unit columns that build Z on the LU route), which bounds the
+dense temporaries whatever the block's width; ``solve`` is its one-column
+case.  Every column, on either route, is checked: its relative residual
+against the assembled free block must stay below 1e-8, else SolveError.  A
+field combined from solved fields (a snapshot basis) passes the same check
+through ``checked_field``.
 
 Sign conventions.  The weak form gives, for the trace row of a solution,
 ``(S u)[i, 0] = -m_i * lim t**(1-2s) d_t u``;  the fractional operator of
@@ -75,6 +84,7 @@ from .errors import (
     ParamError,
     SolveError,
 )
+from .fractional_core import _factor_rows, _mode_product, _sine_basis
 from .mesh import (
     ExtensionMesh,
     TangentialGrid,
@@ -107,11 +117,13 @@ __all__ = [
 
 @dataclass
 class ExtensionSystem:
-    """Assembled weighted stiffness on an extension mesh."""
+    """Assembled weighted stiffness on an extension mesh, with the tangential
+    stiffness it was built from."""
 
     emesh: ExtensionMesh
     coeff: Coefficient
     stiffness: sp.csr_matrix
+    tangential: sp.csr_matrix
 
     @property
     def s(self) -> float:
@@ -143,9 +155,9 @@ def assemble_extension(emesh: ExtensionMesh, coeff: Coefficient) -> ExtensionSys
         raise MeshMismatch("coefficient was built for a different grid")
     from .local_elliptic import _assemble  # tangential stiffness, same stencil
 
-    S = _tensor_stiffness(_assemble(emesh.grid, coeff), emesh.vertical,
-                          emesh.grid.node_volume)
-    return ExtensionSystem(emesh=emesh, coeff=coeff, stiffness=S)
+    K_tan = _assemble(emesh.grid, coeff)
+    S = _tensor_stiffness(K_tan, emesh.vertical, emesh.grid.node_volume)
+    return ExtensionSystem(emesh=emesh, coeff=coeff, stiffness=S, tangential=K_tan)
 
 
 @dataclass
@@ -236,8 +248,10 @@ class ExtensionSolver:
     the active set, and the levels L (from level 0 when the trace is free,
     else from level 1, up to the top under a Neumann top, else to the level
     below it), plus, in the mixed layout, the free trace nodes B.  The
-    vertical pencil, the J shifted tangential factorizations and the
-    free-trace map are built once; every solve substitutes new data.
+    vertical pencil, the J shifted tangential solvers and the free-trace
+    map are built once; every solve substitutes new data.  The shifted
+    solvers are closed-form sine solves for an identity coefficient and one
+    block-diagonal sparse LU for any other (see the module docstring).
     """
 
     def __init__(
@@ -268,8 +282,6 @@ class ExtensionSolver:
         res = vm.cell_resistances()
         cond = 1.0 / res
 
-        from .local_elliptic import _assemble
-
         # T is the active set, L the levels free on all of T (the trace only
         # when it is free, the top only when it is Neumann), and B the rest
         # of the free trace
@@ -287,20 +299,28 @@ class ExtensionSolver:
             diag[lo:hi + 1], -cond[lo:hi], nu[lo:hi + 1], shift
         )
 
-        K_T = _assemble(grid, coeff)[self._T][:, self._T].tocsc()
+        K_T = self.system.tangential[self._T][:, self._T].tocsc()
         nT, nL = len(self._T), hi + 1 - lo
-        blocks = sp.kron(sp.identity(nL, format="csc"), K_T, format="csc")
-        blocks = blocks + sp.diags(np.repeat(m * self._mu, nT), format="csc")
-        try:
-            # SPD blocks: symmetric ordering, no pivoting
-            self._lu = spla.splu(
-                blocks, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:
-            raise SolveError(
-                f"shifted tangential factorization failed: {exc}"
-            ) from exc
+        if coeff.is_identity():
+            # K_T = m V diag(lam) V^T with V the Kronecker product of the
+            # sine factors over the box interior (T in C order), so every
+            # shifted matrix is diagonal in that basis
+            self._factors, lam = _sine_basis(grid)
+            self._shifted = m * np.add.outer(self._mu, lam)
+        else:
+            self._factors = None
+            blocks = sp.kron(sp.identity(nL, format="csc"), K_T, format="csc")
+            blocks = blocks + sp.diags(np.repeat(m * self._mu, nT), format="csc")
+            try:
+                # SPD blocks: symmetric ordering, no pivoting
+                self._lu = spla.splu(
+                    blocks, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError as exc:
+                raise SolveError(
+                    f"shifted tangential factorization failed: {exc}"
+                ) from exc
 
         # a constrained trace column is lifted by the exact profile of the
         # vertical operator alone (1 under a Neumann top), so the tensor solve
@@ -338,22 +358,36 @@ class ExtensionSolver:
         the B trace nodes over the data columns, plus ``g H^T`` times the
         tangential map of the separable right-hand side, with
         ``H = sum_k c_k phi_k(1) [(K_T + m mu_k)^-1]_{:,B}`` (c the level
-        vector of that right-hand side).  Both sums come from the same unit
-        block solves over _CHUNK columns.  Z = Sch^-1 Q; the dense Cholesky
-        factor of Sch is used once here and not kept.
+        vector of that right-hand side).  G below is the sum in Sch.
+
+        For a = Id the shifted inverses share the sine eigenvectors V, so
+        both sums are diagonal in that basis: ``G = V_B diag(g) V_B^T`` and
+        ``H = V diag(h) V_B^T`` with ``g = sum_k phi_k(1)**2 / (m (mu_k +
+        lam))`` and ``h = sum_k c_k phi_k(1) / (m (mu_k + lam))``, from the
+        sine rows at B and one mode product.  Any other coefficient takes
+        both sums from unit block solves over _CHUNK columns.  Z = Sch^-1 Q;
+        the dense Cholesky factor of Sch is used once here and not kept.
         """
         B = self._B
         nL, nT = len(self._phi), len(self._T)
         phi1 = self._phi[0]
-        G = np.empty((len(B), len(B)))
-        H = np.empty((nT, len(B)))
-        for c0 in range(0, len(B), _CHUNK):
-            cols = B[c0:c0 + _CHUNK]
-            R = np.zeros((nL, nT, len(cols)))
-            R[:, cols, np.arange(len(cols))] = phi1[:, None]
-            Y = self._lu.solve(R.reshape(nL * nT, -1)).reshape(nL, nT, -1)
-            G[:, c0:c0 + len(cols)] = np.tensordot(phi1, Y[:, B], axes=(0, 0))
-            H[:, c0:c0 + len(cols)] = np.tensordot(self._rhs_levels, Y, axes=(0, 0))
+        if self._factors is not None:
+            inv = 1.0 / self._shifted
+            V_B = _factor_rows(self._factors, B)
+            G = (V_B * (phi1**2 @ inv)) @ V_B.T
+            h = (self._rhs_levels * phi1) @ inv
+            H = _mode_product(self._factors, V_B * h, to_modes=False).T
+        else:
+            G = np.empty((len(B), len(B)))
+            H = np.empty((nT, len(B)))
+            for c0 in range(0, len(B), _CHUNK):
+                cols = B[c0:c0 + _CHUNK]
+                R = np.zeros((nL, nT, len(cols)))
+                R[:, cols, np.arange(len(cols))] = phi1[:, None]
+                Y = self._tangential_solve(R)
+                G[:, c0:c0 + len(cols)] = np.tensordot(phi1, Y[:, B], axes=(0, 0))
+                H[:, c0:c0 + len(cols)] = np.tensordot(self._rhs_levels, Y,
+                                                       axes=(0, 0))
         g = self._g
         S = nu0 * K_T[B][:, B].toarray() + g * np.eye(len(B)) - g * g * G
         tr = self.emesh.trace_indices()
@@ -366,6 +400,16 @@ class ExtensionSolver:
             raise SolveError(
                 f"trace Schur complement is not positive definite: {exc}"
             ) from exc
+
+    def _tangential_solve(self, Y: np.ndarray) -> np.ndarray:
+        """``(K_T + m mu_k)^-1 Y[k]`` for every free level k, Y of shape
+        (L, T, k): a division in the sine basis for a = Id, else one solve
+        with the block-diagonal LU."""
+        if self._factors is None:
+            return self._lu.solve(Y.reshape(-1, Y.shape[2])).reshape(Y.shape)
+        X = _mode_product(self._factors, Y.transpose(0, 2, 1), to_modes=True)
+        X /= self._shifted[:, None, :]
+        return _mode_product(self._factors, X, to_modes=False).transpose(0, 2, 1)
 
     def _load(self, data: np.ndarray):
         """Constrained values u and free-row right-hand sides b, both of shape
@@ -420,8 +464,8 @@ class ExtensionSolver:
         """Solve for a block of data of shape (N_tan, k), one datum per column.
 
         Returns the nodal values, shape (num_nodes, k), column-major.  The
-        columns go through the tensor solve _CHUNK at a time, one block LU
-        solve per chunk, and each is checked against the assembled free
+        columns go through the tensor solve _CHUNK at a time, one shifted
+        solve of all levels per chunk, and each is checked against the assembled free
         block; a zero column gives a zero field.
         """
         data = np.asarray(data, dtype=float)
@@ -438,7 +482,7 @@ class ExtensionSolver:
                 xB = self._Z @ D[self._data_nodes]
                 Y[:, B] += np.multiply.outer(self._g * phi[0], xB)
             # rebinding Y frees each dense temporary once it is used
-            Y = self._lu.solve(Y.reshape(nL * nT, k))
+            Y = self._tangential_solve(Y)
             Y = (phi @ Y.reshape(nL, nT * k)).reshape(nL, nT, k)
             lift = np.zeros((nT, k))
             lift[self._lift_at] = D[self._lifted]

@@ -22,10 +22,11 @@ routes chosen by the coefficient:
 Consumers read V only through factor rows (an eigenvector row is the product
 of one row of each factor) and mode products (one small matrix product per
 axis), so a single factor is the plain dense arithmetic and the sine route
-forms no N x N array.  ``DENSE_NODE_CAP`` bounds both routes: the map and the
-exterior-value solve still build dense blocks of the power over the interior
-and measurement nodes, and callers check the cap before building anything
-else on the grid.
+forms no N x N array.  The extension solver's identity route reads the same
+sine factors through the same two helpers.  ``DENSE_NODE_CAP`` bounds both
+routes: the map and the exterior-value solve still build dense blocks of the
+power over the interior and measurement nodes, and callers check the cap
+before building anything else on the grid.
 
 With O the closed interior region and W the measurement nodes, the nonlocal
 measurement map is the Schur complement ``A_WW - A_WO A_OO^{-1} A_OW`` of
@@ -106,6 +107,31 @@ def _sine_basis(grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(factors), lam.ravel()
 
 
+def _factor_rows(factors, pos) -> np.ndarray:
+    """Rows ``pos`` of the Kronecker product of ``factors`` (C order), each
+    the product of one row of every factor."""
+    idx = np.unravel_index(pos, tuple(F.shape[0] for F in factors))
+    rows = factors[0][idx[0]]
+    for F, i in zip(factors[1:], idx[1:]):
+        rows = (rows[:, :, None] * F[i][:, None, :]).reshape(
+            len(pos), rows.shape[1] * F.shape[1])
+    return rows
+
+
+def _mode_product(factors, X: np.ndarray, to_modes: bool) -> np.ndarray:
+    """``X @ V`` (to_modes) or ``X @ V.T`` for X of shape (..., N), with V
+    the Kronecker product of ``factors`` (C order): one contraction per
+    factor; a vector is one row."""
+    shape = X.shape
+    modes = tuple(F.shape[0] for F in factors)
+    X = X.reshape((int(np.prod(shape[:-1])),) + modes)
+    for F in factors:
+        # contracting axis 1 moves the result axis to the end, so after
+        # every factor the axes are back in order
+        X = np.tensordot(X, F, axes=([1], [0 if to_modes else 1]))
+    return X.reshape(shape)
+
+
 @dataclass
 class SpectralPower:
     """Fractional power of the truncated conductivity operator, held as its
@@ -131,32 +157,12 @@ class SpectralPower:
     def grid(self):
         return self.op.grid
 
-    @property
-    def _mode_shape(self) -> tuple[int, ...]:
-        return tuple(F.shape[0] for F in self.factors)
-
     def eigvec_rows(self, pos=None) -> np.ndarray:
         """Rows of V at positions among the active nodes (None takes them
         all), each the Kronecker product of one row of every factor."""
         if pos is None:
             pos = np.arange(len(self.eigvals))
-        idx = np.unravel_index(pos, self._mode_shape)
-        rows = self.factors[0][idx[0]]
-        for F, i in zip(self.factors[1:], idx[1:]):
-            rows = (rows[:, :, None] * F[i][:, None, :]).reshape(
-                len(pos), rows.shape[1] * F.shape[1])
-        return rows
-
-    def _mode_product(self, X: np.ndarray, to_modes: bool) -> np.ndarray:
-        """``X @ V`` (to_modes) or ``X @ V.T`` for X of shape (..., N), one
-        contraction per factor; a vector is one row."""
-        shape = X.shape
-        X = X.reshape((int(np.prod(shape[:-1])),) + self._mode_shape)
-        for F in self.factors:
-            # contracting axis 1 moves the result axis to the end, so after
-            # every factor the axes are back in order
-            X = np.tensordot(X, F, axes=([1], [0 if to_modes else 1]))
-        return X.reshape(shape)
+        return _factor_rows(self.factors, pos)
 
     def matrix(self, rows=None, cols=None) -> np.ndarray:
         """Block of the power over the active nodes: ``rows`` and ``cols``
@@ -167,16 +173,16 @@ class SpectralPower:
             return self.matrix(cols).T
         left = self.eigvec_rows(rows) * self.eigvals**self.s
         if cols is None:
-            return self._mode_product(left, to_modes=False)
+            return _mode_product(self.factors, left, to_modes=False)
         return left @ self.eigvec_rows(cols).T
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Apply the power to a full-grid array, or to a block of them (one
         per column); returns the same shape."""
         out = np.zeros_like(u, dtype=float)
-        coeff = self._mode_product(u[self.active].T, to_modes=True)
-        out[self.active] = self._mode_product(
-            self.eigvals**self.s * coeff, to_modes=False).T
+        coeff = _mode_product(self.factors, u[self.active].T, to_modes=True)
+        out[self.active] = _mode_product(
+            self.factors, self.eigvals**self.s * coeff, to_modes=False).T
         return out
 
 
@@ -248,7 +254,7 @@ def nonlocal_dtn(P: SpectralPower, f: np.ndarray) -> np.ndarray:
     w_active, w = _w_positions(P)
     # the power applied on the measurement rows only; a block is one row
     # per column
-    coeff = P.eigvals**P.s * P._mode_product(u[P.active].T, to_modes=True)
+    coeff = P.eigvals**P.s * _mode_product(P.factors, u[P.active].T, to_modes=True)
     out = np.zeros((len(w_active),) + u.shape[1:])
     out[w_active] = P.eigvec_rows(w) @ coeff.T
     return out

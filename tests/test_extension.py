@@ -543,3 +543,83 @@ def test_decay_fit_error_on_narrow_range():
         cd.decay_diagnostic(grid, u, 0.5, np.geomspace(2.0, 10.0, 6))
     with pytest.raises(FitError):
         cd.decay_diagnostic(grid, u, 0.5, np.geomspace(0.05, 10.0, 6))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.9])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_identity_route_matches_sparse_oracle(layout, s, data):
+    """For a = Id the shifted solves and the trace map come from the sine
+    basis; the result equals a direct solve of the assembled free block on
+    random small grids in one to three dimensions."""
+    dim = data.draw(st.sampled_from([1, 2, 3]), label="dim")
+    # a 3D grid keeps the direct solve small with few nodes across W
+    nodes = data.draw({1: st.integers(12, 40), 2: st.integers(10, 14),
+                       3: st.tuples(st.integers(10, 11), st.integers(6, 7),
+                                    st.integers(6, 7))}[dim], label="nodes")
+    grid = make_grid(dim=dim, nodes=nodes,
+                     padding=data.draw(st.floats(0.2, 0.4), label="padding"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    vm = cd.build_vertical_mesh(s, cd.default_height(grid) * rng.uniform(0.5, 1.5),
+                                data.draw(st.integers(48, 64), label="levels"))
+    dirichlet_trace, top = LAYOUTS[layout]
+    solver = ExtensionSolver(cd.build_extension_mesh(grid, vm),
+                             cd.identity_coefficient(grid), dirichlet_trace, top)
+    f = rng.standard_normal(grid.num_nodes)
+    if layout == "mixed":
+        f[grid.omega_closure] = 0.0
+    u = solver.solve(f).values
+    ref = spsolve_oracle(solver, f, neumann=dirichlet_trace is None)
+    assert np.max(np.abs(u - ref)) <= 1e-9 * np.max(np.abs(ref))
+    act = grid.active
+    tr, tr_ref = (_weighted_trace(solver.system, v)[act] for v in (u, ref))
+    assert np.max(np.abs(tr - tr_ref)) <= 1e-9 * np.max(np.abs(tr_ref))
+
+
+@pytest.mark.parametrize("dim, nodes", [(1, 48), (2, 14), (3, (10, 6, 6))])
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.9])
+def test_near_identity_lu_route_agrees_with_the_sine_route(dim, nodes, s):
+    """A coefficient 1 + 1e-13 on the interior region is not the identity
+    (``is_identity`` is absolute to 1e-14), so it takes the sparse LU; its
+    trace map and block solve match the identity's sine route."""
+    grid = make_grid(dim=dim, nodes=nodes, padding=0.3)
+    diag = np.ones((grid.num_nodes, dim))
+    diag[grid.omega_closure] += 1e-13
+    near = cd.Coefficient(grid=grid, diag=diag, identity_outside=True)
+    assert not near.is_identity()
+    em = cd.build_extension_mesh(
+        grid, cd.build_vertical_mesh(s, cd.default_height(grid), 48))
+    sine = ExtensionSolver(em, cd.identity_coefficient(grid))
+    lu = ExtensionSolver(em, near)
+    assert np.max(np.abs(sine._Z - lu._Z)) <= 1e-10 * np.max(np.abs(lu._Z))
+    F = np.zeros((grid.num_nodes, _CHUNK + 2))
+    F[grid.w_indices] = np.random.default_rng(2).standard_normal(
+        (len(grid.w_indices), F.shape[1]))
+    U, ref = sine.solve_block(F), lu.solve_block(F)
+    assert np.max(np.abs(U - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_identity_solver_makes_no_sparse_lu(monkeypatch):
+    """An identity build and its solves call no ``splu`` and no LU solve;
+    a bump coefficient still factors once."""
+    factored = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factored.append(CountingLU(splu(*args, **kwargs)))
+        return factored[-1]
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    grid = make_grid(dim=2, nodes=11, padding=0.3)
+    F = np.random.default_rng(4).standard_normal((grid.num_nodes, 3))
+    F[grid.omega_closure] = 0.0
+    for layout in sorted(LAYOUTS):
+        vm = cd.build_vertical_mesh(0.5, cd.default_height(grid), 40)
+        solver = ExtensionSolver(cd.build_extension_mesh(grid, vm),
+                                 cd.identity_coefficient(grid), *LAYOUTS[layout])
+        solver.solve_block(F)
+        solver.solve(F[:, 0])
+    assert factored == []
+    small_solver("mixed", 2, 0.5).solve_block(F)
+    assert len(factored) == 1 and factored[0].solves > 0

@@ -1,16 +1,19 @@
 """Smoke coverage for the third tangential dimension.
 
 The solvers are dimension generic; these checks pin the n = 3 geometry and
-operators at a resolution where everything stays exact.  The full 3+1
-dimensional extension solve is exercised only through its stencil (the
-factorization cost grows steeply with dimension and belongs in experiment
-scripts, not the routine suite).  The nonlocal invariants are property
-tested on the closed-form identity power, near both ends of s.
+operators at a resolution where everything stays exact.  The nonlocal
+invariants are property tested on the closed-form identity power, and the
+extension-side ones (linearity of T, the Neumann rows of the mixed solve,
+the calibration gap) on the identity extension, whose shifted solves are
+closed-form sine solves; both near either end of s.  Variable-coefficient
+3+1 dimensional solves factor a sparse LU whose cost grows steeply with
+dimension and belong in experiment scripts, not the routine suite.
 """
 
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import calderon as cd
@@ -111,3 +114,38 @@ def test_power_semigroup(s, t, seed):
     u[~grid.active] = 0.0
     ref = Pst.apply(u)
     assert np.max(np.abs(Ps.apply(Pt.apply(u)) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_pipeline(s):
+    grid = make_grid(dim=3, nodes=16)
+    return cd.BridgePipeline(grid, cd.identity_coefficient(grid), s, levels=48)
+
+
+@given(st.sampled_from([0.1, 0.9]), st.floats(-2.0, 2.0), st.integers(0, 2**16))
+@settings(max_examples=10, deadline=None)
+def test_operator_t_linear(s, alpha, seed):
+    pipe = _identity_pipeline(s)
+    rng = np.random.default_rng(seed)
+    f, g = _w_data(pipe.grid, rng), _w_data(pipe.grid, rng)
+    t_f, t_g, t_fg = (cd.operator_T(pipe, d) for d in (f, g, alpha * f + g))
+    scale = np.abs(t_fg.boundary_values).max() + np.abs(t_fg.boundary_flux).max()
+    for part in ("boundary_values", "boundary_flux"):
+        split = alpha * getattr(t_f, part) + getattr(t_g, part)
+        assert np.max(np.abs(getattr(t_fg, part) - split)) <= 1e-10 * scale
+
+
+@given(st.sampled_from([0.1, 0.9]), st.integers(0, 2**16))
+@settings(max_examples=10, deadline=None)
+def test_mixed_solve_neumann_rows_satisfied(s, seed):
+    """The weighted trace of the mixed solve vanishes on the closed interior
+    region."""
+    pipe = _identity_pipeline(s)
+    f = _w_data(pipe.grid, np.random.default_rng(seed))
+    tr = cd.neumann_trace(pipe.extension(f)).values
+    assert np.max(np.abs(tr[pipe.grid.omega_closure])) <= 1e-9 * np.abs(tr).max()
+
+
+@pytest.mark.parametrize("s", [0.1, 0.9])
+def test_calibration_within_tolerance(s):
+    assert cd.calibrate_cs(3, s, nodes=16, levels=48).rel_gap <= 0.05
