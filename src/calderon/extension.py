@@ -14,12 +14,11 @@ The same assembly covers the dual weight exponent 2s-1: build the vertical
 mesh with order 1-s.
 
 Boundary conditions: homogeneous Dirichlet on the lateral frame (matching
-the truncation of the spectral route), the only lateral condition the solver
-takes, and at the top (decay surrogate); ``ExtensionSolver`` also takes a
-homogeneous Neumann top, which no production caller uses.  On the trace, the
-production (mixed) solve has Dirichlet data on the exterior nodes and
-homogeneous weighted Neumann on the closed interior region; the trace may
-also be all Dirichlet or all Neumann.
+the truncation of the spectral route) and at the top, the truncation height
+of O(|log h|) standing in for the decay at infinity; these are the only
+conditions off the trace.  On the trace, the production (mixed) solve has
+Dirichlet data on the exterior nodes and homogeneous weighted Neumann on the
+closed interior region; the trace may also be all Dirichlet or all Neumann.
 
 Solver.  The stiffness is the Kronecker sum ``K_tan (x) diag(nu) + m I (x)
 K_vert`` (tangential stiffness, level weights nu, node volume m, vertical
@@ -169,10 +168,6 @@ class ExtensionField:
     s: float
     system: ExtensionSystem | None = None
 
-    def level(self, j: int) -> np.ndarray:
-        J1 = self.emesh.vertical.num_levels + 1
-        return self.values.reshape(self.emesh.grid.num_nodes, J1)[:, j]
-
     def as_columns(self) -> np.ndarray:
         J1 = self.emesh.vertical.num_levels + 1
         return self.values.reshape(self.emesh.grid.num_nodes, J1)
@@ -183,10 +178,9 @@ class ExtensionField:
 _CHUNK = 8
 
 
-def _fixed_layout(emesh: ExtensionMesh, trace: str, top: str = "dirichlet"):
-    """Boolean mask of constrained nodes: the lateral frame, the top level
-    under ``top="dirichlet"`` (none under "neumann") and the trace nodes that
-    ``trace`` constrains.
+def _fixed_layout(emesh: ExtensionMesh, trace: str):
+    """Boolean mask of constrained nodes: the lateral frame, the top level and
+    the trace nodes that ``trace`` constrains.
 
     ``trace`` is "dirichlet" (the whole trace row is constrained), "mixed"
     (only its exterior nodes) or "free" (weighted Neumann data everywhere).
@@ -195,10 +189,7 @@ def _fixed_layout(emesh: ExtensionMesh, trace: str, top: str = "dirichlet"):
     J = emesh.vertical.num_levels
     fixed = np.zeros(emesh.num_nodes, dtype=bool)
     cols = fixed.reshape(grid.num_nodes, J + 1)
-    if top == "dirichlet":
-        cols[:, J] = True
-    elif top != "neumann":
-        raise ParamError(f"unknown top condition {top!r}")
+    cols[:, J] = True
     cols[~grid.active, :] = True
     if trace == "dirichlet":
         cols[:, 0] = True
@@ -214,7 +205,7 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
-def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray, shift: float):
+def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray):
     """Eigenpairs of the tridiagonal pencil ``K phi = mu diag(nu) phi``.
 
     ``diag`` and ``off`` are the diagonal and off-diagonal of K.  The pencil
@@ -222,18 +213,17 @@ def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray, shift: f
     by LAPACK ``dpteqr``, which keeps the small eigenvalues to relative
     accuracy although the graded weights span many orders of magnitude (a
     dense symmetric eigensolver loses them).  ``dpteqr`` needs a positive
-    definite matrix: a singular K (free trace under a Neumann top) is passed
-    with ``shift > 0``, which is added as ``shift * nu`` and taken off the
-    eigenvalues again.  Returns ``mu`` and the nu-orthonormal eigenvectors as
-    columns.
+    definite matrix, which K is: the Dirichlet top leaves the conductance of
+    the last cell on its diagonal, even when the trace is free.  Returns
+    ``mu`` and the nu-orthonormal eigenvectors as columns.
     """
     r = 1.0 / np.sqrt(nu)
-    d = diag * r * r + shift
+    d = diag * r * r
     e = off * r[:-1] * r[1:]
     lam, _, z, info = lapack.dpteqr(d, e, np.eye(len(d)), compute_z=2)
     if info != 0:
         raise SolveError(f"vertical eigensolver failed (dpteqr info={info})")
-    return lam - shift, z * r[:, None]
+    return lam, z * r[:, None]
 
 
 class ExtensionSolver:
@@ -241,17 +231,18 @@ class ExtensionSolver:
 
     ``dirichlet_trace`` picks the trace condition: True constrains the whole
     trace row, False only its exterior nodes (the mixed production layout),
-    None leaves it free, and ``solve`` then reads a weighted Neumann datum.
-    ``top`` is "dirichlet" (the production condition) or "neumann".
+    None leaves it free, and ``solve`` then reads a weighted Neumann datum;
+    any other value raises ParamError.  The lateral frame and the top are
+    homogeneous Dirichlet.
 
     The free nodes are the tensor product of the tangential set T, which is
     the active set, and the levels L (from level 0 when the trace is free,
-    else from level 1, up to the top under a Neumann top, else to the level
-    below it), plus, in the mixed layout, the free trace nodes B.  The
-    vertical pencil, the J shifted tangential solvers and the free-trace
-    map are built once; every solve substitutes new data.  The shifted
-    solvers are closed-form sine solves for an identity coefficient and one
-    block-diagonal sparse LU for any other (see the module docstring).
+    else from level 1, up to the level below the top), plus, in the mixed
+    layout, the free trace nodes B.  The vertical pencil, the J shifted
+    tangential solvers and the free-trace map are built once; every solve
+    substitutes new data.  The shifted solvers are closed-form sine solves
+    for an identity coefficient and one block-diagonal sparse LU for any
+    other (see the module docstring).
     """
 
     def __init__(
@@ -259,11 +250,15 @@ class ExtensionSolver:
         emesh: ExtensionMesh,
         coeff: Coefficient,
         dirichlet_trace: bool | None = False,
-        top: str = "dirichlet",
     ):
+        # bool has no subclasses and only the two instances, so this is an
+        # identity check: 1 and 0, equal to True and False, are refused
+        if dirichlet_trace is not None and not isinstance(dirichlet_trace, bool):
+            raise ParamError(f"dirichlet_trace must be True, False or None, "
+                             f"got {dirichlet_trace!r}")
         trace = {True: "dirichlet", False: "mixed", None: "free"}[dirichlet_trace]
         self.emesh = emesh
-        self.fixed = _fixed_layout(emesh, trace, top)
+        self.fixed = _fixed_layout(emesh, trace)
         self.free = ~self.fixed
         # far fewer than the free nodes: clearing rows by index is the cheap way
         self._fixed_rows = np.flatnonzero(self.fixed)
@@ -283,24 +278,20 @@ class ExtensionSolver:
         cond = 1.0 / res
 
         # T is the active set, L the levels free on all of T (the trace only
-        # when it is free, the top only when it is Neumann), and B the rest
-        # of the free trace
+        # when it is free, never the top), and B the rest of the free trace
         self._T = np.flatnonzero(grid.active)
         free0 = self.free[tr[self._T]]
         lo = 0 if free0.all() else 1
-        hi = J if top == "neumann" else J - 1
-        self._L = slice(lo, hi + 1)
+        self._L = slice(lo, J)
         # vertical two-point operator on the free levels; fixed neighbours
-        # leave their conductance on the diagonal.  Free at both ends it is
-        # singular and gets shifted
+        # leave their conductance on the diagonal
         diag = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
-        shift = 1.0 / vm.height**2 if (lo, hi) == (0, J) else 0.0
         self._mu, self._phi = _vertical_pencil(
-            diag[lo:hi + 1], -cond[lo:hi], nu[lo:hi + 1], shift
+            diag[lo:J], -cond[lo:J - 1], nu[lo:J]
         )
 
         K_T = self.system.tangential[self._T][:, self._T].tocsc()
-        nT, nL = len(self._T), hi + 1 - lo
+        nT, nL = len(self._T), J - lo
         if coeff.is_identity():
             # K_T = m V diag(lam) V^T with V the Kronecker product of the
             # sine factors over the box interior (T in C order), so every
@@ -323,12 +314,13 @@ class ExtensionSolver:
                 ) from exc
 
         # a constrained trace column is lifted by the exact profile of the
-        # vertical operator alone (1 under a Neumann top), so the tensor solve
-        # only computes the correction driven by the tangential stiffness
+        # vertical operator alone, 1 at the trace and 0 at the top, so the
+        # tensor solve only computes the correction driven by the tangential
+        # stiffness
         self._lift_at = ~free0
         self._lifted = self._T[self._lift_at]
         tail = np.cumsum(res[::-1])[::-1]
-        self._psi = np.ones(nL) if hi == J else tail[self._L] / tail[0]
+        self._psi = tail[self._L] / tail[0]
         # what is left of the T x L right-hand side is separable: in the
         # eigenbasis it is the outer product of a level vector with a
         # tangential map of the datum at the nodes _rhs_nodes

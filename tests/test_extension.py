@@ -69,6 +69,14 @@ def test_trace_data_support_check(grid64, ident64, emesh64):
         cd.solve_extension(emesh64, ident64, 0.5, f)
 
 
+@pytest.mark.parametrize("value", ["mixed", 2, 1, 0])
+def test_dirichlet_trace_accepts_only_true_false_none(ident64, emesh64, value):
+    """Any other value, even one equal to True or False, raises ParamError
+    naming it."""
+    with pytest.raises(ParamError, match=repr(value)):
+        ExtensionSolver(emesh64, ident64, value)
+
+
 def test_neumann_trace_power_profile(grid64, ident64):
     for s in (0.25, 0.5, 0.75):
         vm = cd.build_vertical_mesh(s, 4.0, 32)
@@ -216,15 +224,17 @@ def test_weighted_neumann_solve_power_datum(grid64, ident64):
     assert np.max(np.abs(tr[grid64.active] - 1.0)) < 1e-9
 
 
-# every layout the library solves: (dirichlet_trace, top); the Neumann-top
-# layouts keep the open-top lift (psi = 1) and, for the free trace, the
-# shifted singular vertical pencil under test
+# every trace layout the library solves: (dirichlet_trace, height scale);
+# "neumann" (a free trace) keeps the pencil that starts at level 0 under
+# test.  The "-open" layouts put the Dirichlet top four times higher, the
+# stand-in for an untruncated extension: there the free-trace pencil has
+# the smallest eigenvalues that the unshifted tridiagonal solve meets
 LAYOUTS = {
-    "mixed": (False, "dirichlet"),
-    "dirichlet": (True, "dirichlet"),
-    "dirichlet-open": (True, "neumann"),
-    "neumann": (None, "dirichlet"),
-    "neumann-open-top": (None, "neumann"),
+    "mixed": (False, 1.0),
+    "dirichlet": (True, 1.0),
+    "dirichlet-open": (True, 4.0),
+    "neumann": (None, 1.0),
+    "neumann-open-top": (None, 4.0),
 }
 
 
@@ -269,12 +279,12 @@ def test_tensor_solver_matches_sparse_oracle(layout, s, data):
         for _ in range(dim)
     ]
     coeff = cd.diagonal_coefficient(grid, entries, identity_outside=True)
-    height = cd.default_height(grid) * rng.uniform(0.5, 1.5)
+    dirichlet_trace, scale = LAYOUTS[layout]
+    height = cd.default_height(grid) * rng.uniform(0.5, 1.5) * scale
     levels = data.draw(st.integers(48, 64), label="levels")
     vm = cd.build_vertical_mesh(s, height, levels)
     emesh = cd.build_extension_mesh(grid, vm)
-    dirichlet_trace, top = LAYOUTS[layout]
-    solver = ExtensionSolver(emesh, coeff, dirichlet_trace, top)
+    solver = ExtensionSolver(emesh, coeff, dirichlet_trace)
     f = rng.standard_normal(grid.num_nodes)
     if layout == "mixed":
         f[grid.omega_closure] = 0.0
@@ -303,10 +313,11 @@ def test_block_extension_solve_matches_column_solves(layout, data):
     coeff = cd.diagonal_coefficient(
         grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5] * dim, 0.4)] * dim,
         identity_outside=True)
-    vm = cd.build_vertical_mesh(s, cd.default_height(grid), data.draw(
+    dirichlet_trace, scale = LAYOUTS[layout]
+    vm = cd.build_vertical_mesh(s, cd.default_height(grid) * scale, data.draw(
         st.integers(16, 40), label="levels"))
     solver = ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff,
-                             *LAYOUTS[layout])
+                             dirichlet_trace)
     k = data.draw(st.integers(_CHUNK + 1, 2 * _CHUNK + 3), label="columns")
     F = rng.standard_normal((grid.num_nodes, k))
     if layout == "mixed":
@@ -337,8 +348,9 @@ def small_solver(layout, dim, s, nodes=None, levels=40):
     coeff = cd.diagonal_coefficient(
         grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5] * dim, 0.4)] * dim,
         identity_outside=True)
-    vm = cd.build_vertical_mesh(s, cd.default_height(grid), levels)
-    return ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff, *LAYOUTS[layout])
+    dirichlet_trace, scale = LAYOUTS[layout]
+    vm = cd.build_vertical_mesh(s, cd.default_height(grid) * scale, levels)
+    return ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff, dirichlet_trace)
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -561,11 +573,12 @@ def test_identity_route_matches_sparse_oracle(layout, s, data):
     grid = make_grid(dim=dim, nodes=nodes,
                      padding=data.draw(st.floats(0.2, 0.4), label="padding"))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
-    vm = cd.build_vertical_mesh(s, cd.default_height(grid) * rng.uniform(0.5, 1.5),
-                                data.draw(st.integers(48, 64), label="levels"))
-    dirichlet_trace, top = LAYOUTS[layout]
+    dirichlet_trace, scale = LAYOUTS[layout]
+    vm = cd.build_vertical_mesh(
+        s, cd.default_height(grid) * rng.uniform(0.5, 1.5) * scale,
+        data.draw(st.integers(48, 64), label="levels"))
     solver = ExtensionSolver(cd.build_extension_mesh(grid, vm),
-                             cd.identity_coefficient(grid), dirichlet_trace, top)
+                             cd.identity_coefficient(grid), dirichlet_trace)
     f = rng.standard_normal(grid.num_nodes)
     if layout == "mixed":
         f[grid.omega_closure] = 0.0
@@ -614,10 +627,10 @@ def test_identity_solver_makes_no_sparse_lu(monkeypatch):
     grid = make_grid(dim=2, nodes=11, padding=0.3)
     F = np.random.default_rng(4).standard_normal((grid.num_nodes, 3))
     F[grid.omega_closure] = 0.0
-    for layout in sorted(LAYOUTS):
-        vm = cd.build_vertical_mesh(0.5, cd.default_height(grid), 40)
+    for dirichlet_trace, scale in LAYOUTS.values():
+        vm = cd.build_vertical_mesh(0.5, cd.default_height(grid) * scale, 40)
         solver = ExtensionSolver(cd.build_extension_mesh(grid, vm),
-                                 cd.identity_coefficient(grid), *LAYOUTS[layout])
+                                 cd.identity_coefficient(grid), dirichlet_trace)
         solver.solve_block(F)
         solver.solve(F[:, 0])
     assert factored == []

@@ -4,8 +4,9 @@ The solvers are dimension generic; these checks pin the n = 3 geometry and
 operators at a resolution where everything stays exact.  The nonlocal
 invariants are property tested on the closed-form identity power, and the
 extension-side ones (linearity of T, the Neumann rows of the mixed solve,
-the calibration gap) on the identity extension, whose shifted solves are
-closed-form sine solves; both near either end of s.  Variable-coefficient
+the calibration gap, the exactness and linearity of the duality transform)
+on the identity extension, whose shifted solves are closed-form sine
+solves; both near either end of s.  Variable-coefficient
 3+1 dimensional solves factor a sparse LU whose cost grows steeply with
 dimension and belong in experiment scripts, not the routine suite.
 """
@@ -17,7 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import calderon as cd
-from calderon.extension import ExtensionField, assemble_extension
+from calderon.extension import (
+    ExtensionField,
+    assemble_extension,
+    solve_weighted_neumann,
+)
 
 from conftest import make_grid
 
@@ -149,3 +154,39 @@ def test_mixed_solve_neumann_rows_satisfied(s, seed):
 @pytest.mark.parametrize("s", [0.1, 0.9])
 def test_calibration_within_tolerance(s):
     assert cd.calibrate_cs(3, s, nodes=16, levels=48).rel_gap <= 0.05
+
+
+def _dual_mesh(s):
+    """The identity grid at nodes = 16 and a J = 48 mesh graded for the dual
+    order 1 - s (weight exponent 2s - 1)."""
+    grid = make_grid(dim=3, nodes=16)
+    vm = cd.build_vertical_mesh(1 - s, cd.default_height(grid), 48)
+    return grid, cd.build_extension_mesh(grid, vm)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.9])
+def test_duality_power_solution_exact(s):
+    """The dual power solution t**(2-2s)/(2-2s) maps to the constant 1."""
+    grid, em = _dual_mesh(s)
+    a = cd.identity_coefficient(grid)
+    cols = np.tile(em.vertical.levels ** (2 - 2 * s) / (2 - 2 * s),
+                   (grid.num_nodes, 1))
+    u1 = ExtensionField(emesh=em, values=cols.ravel(), s=1 - s,
+                        system=assemble_extension(em, a))
+    u2, rep = cd.duality_transform(u1, a)
+    assert np.max(np.abs(u2.values - 1.0)) <= 1e-12
+    assert rep.bulk_residual <= 1e-10
+    assert np.max(np.abs(rep.trace - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.1, 0.9])
+def test_duality_linearity(s):
+    """The weighted Neumann solve followed by the duality transform is
+    linear in the datum."""
+    grid, em = _dual_mesh(s)
+    a = cd.identity_coefficient(grid)
+    h1, h2 = np.random.default_rng(7).standard_normal((2, grid.num_nodes))
+    alpha = -0.7
+    v1, v2, v12 = (cd.duality_transform(solve_weighted_neumann(em, a, h), a)[0].values
+                   for h in (h1, h2, alpha * h1 + h2))
+    assert np.max(np.abs(v12 - (alpha * v1 + v2))) <= 1e-12 * np.max(np.abs(v12))
