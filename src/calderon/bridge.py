@@ -341,17 +341,31 @@ def operator_T(pipeline: BridgePipeline, f: np.ndarray) -> CauchyPair:
     return pipeline.cauchy_pair(f, provenance="operator_T")
 
 
+# singular values of the weighted bridge traces below this fraction of the
+# largest are rounding: density_diagnostic warns, and the report's
+# numerical rank leaves them out
+_RANK_RTOL = 1e-10
+
+
 @dataclass
 class DensityReport:
     """Least-squares distances from targets to nested spans of bridge traces.
 
     ``distances[t, k]`` is the distance (in the discrete H^{1/2} proxy norm)
     from target t to the span of the first k+1 traces; no rate is asserted.
+    Past ``numerical_rank`` traces the distances are rounding.
     """
 
     distances: np.ndarray
     target_norms: np.ndarray
     singular_values: np.ndarray
+
+    @property
+    def numerical_rank(self) -> int:
+        """Count of the weighted traces' singular values at least
+        _RANK_RTOL times the largest (the RankWarning's threshold)."""
+        sv = self.singular_values
+        return int(np.count_nonzero(sv >= _RANK_RTOL * sv.max())) if sv.size else 0
 
 
 def h_half_gram(grid: TangentialGrid) -> np.ndarray:
@@ -388,7 +402,7 @@ def density_diagnostic(
     L = np.linalg.cholesky(G)
     Bw = L.T @ B
     sv = np.linalg.svd(Bw, compute_uv=False)
-    if sv.size and sv.min() < 1e-10 * sv.max():
+    if sv.size and sv.min() < _RANK_RTOL * sv.max():
         warnings.warn(
             "bridge traces are numerically rank deficient", RankWarning
         )

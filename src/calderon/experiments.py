@@ -414,6 +414,9 @@ def _run_density(cfg: ExperimentConfig, rng) -> ExperimentResult:
             "nonincreasing": nonincreasing,
             "first_k_below_line": first_k,
             "line": line,
+            "basis_size": basis_size,
+            # the distance curves are rounding past this many traces
+            "numerical_rank": rep.numerical_rank,
         },
         tables={
             "distances": (

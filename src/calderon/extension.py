@@ -10,6 +10,14 @@ mesh (box x graded levels).  Assembly is conservative:
   ``t**(2s) / (2s)`` are exact discrete solutions and the weight is never
   evaluated at t = 0.
 
+The stiffness is the Kronecker sum ``K_tan (x) diag(nu) + m D (x) K_vert``
+(D = I, or the exterior columns for the Tikhonov penalty form), and its CSR
+arrays are filled directly: every level of a tangential row has the same
+column layout, so indptr, indices and data are the tangential stiffness's
+row pattern broadcast over the levels, with no sparse product, sum or sort.
+The entries equal those of ``sp.kron`` and a sparse add to the bit (each
+diagonal entry is the one addition of the same two products).
+
 The same assembly covers the dual weight exponent 2s-1: build the vertical
 mesh with order 1-s.
 
@@ -134,19 +142,73 @@ def _tensor_stiffness(K_tan: sp.spmatrix, vm, m: float, columns=None) -> sp.csr_
     numbering: K_tan weighted per level by the level weights nu, plus the
     two-point vertical operator of conductances ``1 / cell resistance``.
     D is the identity, or the 0/1 diagonal of the boolean mask ``columns``
-    (vertical fluxes kept only in those columns)."""
+    (vertical fluxes kept only in those columns).  K_tan is a canonical CSR
+    matrix (sorted, no duplicates, no stored zeros), as ``_assemble`` builds.
+
+    The CSR arrays are filled directly.  Row (i, j) holds, in column order:
+    K_tan row i left of the diagonal times nu_j, the vertical lower entry,
+    the diagonal ``K_ii nu_j + m kd_j`` (kd the diagonal of K_vert), the
+    vertical upper entry, and K_tan row i right of the diagonal times nu_j;
+    the vertical entries only where D keeps column i.  So every level of a
+    tangential row has the same slots: the slots of row i are laid out once
+    and broadcast over the levels, dropping the lower slot at level 0 and
+    the upper slot at the top.
+    """
+    K = sp.csr_matrix(K_tan)
     nu = vm.level_weights()
     cond = 1.0 / vm.cell_resistances()
-    K_vert = sp.diags(
-        [np.append(cond, 0.0) + np.insert(cond, 0, 0.0), -cond, -cond], [0, 1, -1]
-    )
-    n = K_tan.shape[0]
-    if columns is None:
-        D = sp.identity(n, format="csr")
-    else:
-        keep = np.flatnonzero(columns)
-        D = sp.csr_matrix((np.ones(len(keep)), (keep, keep)), shape=(n, n))
-    return (sp.kron(K_tan, sp.diags(nu)) + sp.kron(D, m * K_vert)).tocsr()
+    n, J1 = K.shape[0], len(nu)
+    keep = (np.ones(n, dtype=bool) if columns is None
+            else np.asarray(columns, dtype=bool))
+    rows = np.repeat(np.arange(n), np.diff(K.indptr))
+    right = K.indices > rows
+    has_diag = np.zeros(n, dtype=bool)
+    has_diag[rows[K.indices == rows]] = True
+    left = np.bincount(rows[K.indices < rows], minlength=n)
+    # slots per tangential row: K's entries, and where the vertical operator
+    # is kept the lower, the diagonal (unless K has one) and the upper slot
+    width = np.diff(K.indptr) + 2 * keep + (keep & ~has_diag)
+    W = int(width.max(initial=0))
+    idx_dtype = np.int32 if n * J1 * max(W, 1) < 2**31 else np.int64
+    # slot column (tangential column * J1 + level offset) and K value, on a
+    # (n, W) layout padded past each row's width
+    slot_col = np.zeros((n, W), dtype=idx_dtype)
+    slot_val = np.zeros((n, W))
+    # a kept row's lower and diagonal slots precede K_ii, and the upper slot
+    # (with the diagonal slot where K has none) precedes K's right entries
+    shift = (K.indices >= rows).astype(int) + right + (right & ~has_diag[rows])
+    pos = np.arange(K.nnz) - K.indptr[rows] + keep[rows] * shift
+    slot_col[rows, pos] = K.indices * J1
+    slot_val[rows, pos] = K.data
+    kept = np.flatnonzero(keep)
+    lo = left[kept]
+    for offset in (-1, 0, 1):
+        slot_col[kept, lo + 1 + offset] = kept * J1 + offset
+
+    # every tangential row's slots repeated over the levels, flattened in
+    # the (row, level, slot) order of the CSR arrays; the tiled operands keep
+    # numpy's inner loops J1 * W long
+    levels = np.repeat(np.arange(J1, dtype=idx_dtype), W)
+    indices = (np.tile(slot_col, J1) + levels).ravel()
+    data = (np.tile(slot_val, J1) * np.repeat(nu, W)).ravel()
+    live = np.tile(np.arange(W) < width[:, None], J1).ravel()
+    # flat position of a kept row's lower vertical slot on every level, the
+    # diagonal and upper slots right after it; the lower slot of level 0 and
+    # the upper slot of the top are dropped
+    at = (kept * (J1 * W) + lo)[:, None] + np.arange(J1) * W
+    mvert = m * -cond
+    data[at] = np.insert(mvert, 0, 0.0)
+    data[at + 1] += m * (np.append(cond, 0.0) + np.insert(cond, 0, 0.0))
+    data[at + 2] = np.append(mvert, 0.0)
+    live[at[:, 0]] = False
+    live[at[:, -1] + 2] = False
+    counts = np.empty((n, J1), dtype=idx_dtype)
+    counts[:] = width[:, None]
+    counts[:, [0, J1 - 1]] -= keep[:, None]
+    indptr = np.zeros(n * J1 + 1, dtype=idx_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_matrix((data[live], indices[live], indptr),
+                         shape=(n * J1, n * J1))
 
 
 def assemble_extension(emesh: ExtensionMesh, coeff: Coefficient) -> ExtensionSystem:
@@ -657,6 +719,22 @@ def poisson_kernel_constant(dim: int, s: float) -> float:
     return math.gamma(dim / 2 + s) / (math.pi ** (dim / 2) * math.gamma(s))
 
 
+def _squared_distances(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``|x_p - z_q|**2`` for point rows x (k, n) and z (l, n), as (k, l).
+
+    The squares are added axis by axis into one (k, l) array, in the order
+    a sum over the last axis of the (k, l, n) difference array adds them, so
+    the values are the same to the bit without that array.
+    """
+    d2 = np.subtract.outer(x[:, 0], z[:, 0])
+    d2 *= d2
+    for k in range(1, x.shape[1]):
+        diff = np.subtract.outer(x[:, k], z[:, k])
+        diff *= diff
+        d2 += diff
+    return d2
+
+
 def extend_via_kernel(
     grid: TangentialGrid,
     u: np.ndarray,
@@ -671,19 +749,29 @@ def extend_via_kernel(
     preserves constants in the continuum.
 
     ``points`` optionally evaluates off-grid; default is the grid's nodes.
+    It takes k points as a (k, grid.dim) array, or on a 1D grid also as a
+    flat array of k coordinates; any other shape raises ParamError.  Returns
+    the k values.
     """
     if y <= 0:
         raise ParamError(f"height must be positive, got {y}")
     u = np.asarray(u, dtype=float)
-    src = np.flatnonzero(u)
-    pts = grid.points if points is None else np.atleast_2d(points)
     n = grid.dim
+    if points is None:
+        pts = grid.points
+    else:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1 and n == 1:
+            pts = pts[:, None]
+        if pts.ndim != 2 or pts.shape[1] != n:
+            shapes = f"(k, {n})" + (" or (k,)" if n == 1 else "")
+            raise ParamError(f"points must have shape {shapes}, got {pts.shape}")
+    src = np.flatnonzero(u)
     vol = grid.node_volume
     C = poisson_kernel_constant(n, s)
     if src.size == 0:
         return np.zeros(len(pts))
-    zs = grid.points[src]
-    d2 = np.sum((pts[:, None, :] - zs[None, :, :]) ** 2, axis=2)
+    d2 = _squared_distances(pts, grid.points[src])
     ker = C * y ** (2 * s) / (d2 + y**2) ** (n / 2 + s)
     return (ker @ u[src]) * vol
 
@@ -694,11 +782,14 @@ def _kernel_gradient_sup(grid, u, s, y, pts) -> float:
     src = np.flatnonzero(u)
     zs = grid.points[src]
     C = poisson_kernel_constant(n, s)
-    diff = pts[:, None, :] - zs[None, :, :]
-    d2 = np.sum(diff**2, axis=2)
-    base = (d2 + y**2) ** (n / 2 + s + 1)
-    gk = -(n + 2 * s) * C * y ** (2 * s) * diff / base[:, :, None]
-    grads = np.tensordot(gk, u[src], axes=([1], [0])) * grid.node_volume
+    base = (_squared_distances(pts, zs) + y**2) ** (n / 2 + s + 1)
+    scale = -(n + 2 * s) * C * y ** (2 * s)
+    # kernel gradients laid out (points, axes, sources): one matrix-vector
+    # product with the data covers every axis
+    gk = np.empty((len(pts), n, len(src)))
+    for k in range(n):
+        gk[:, k] = scale * np.subtract.outer(pts[:, k], zs[:, k]) / base
+    grads = (gk.reshape(-1, len(src)) @ u[src]).reshape(len(pts), n) * grid.node_volume
     return float(np.max(np.linalg.norm(grads, axis=1)))
 
 
@@ -742,9 +833,7 @@ def decay_diagnostic(
     if src.size == 0:
         raise ParamError("data field is identically zero")
     pts_src = grid.points[src]
-    diam = float(
-        np.max(np.linalg.norm(pts_src[:, None, :] - pts_src[None, :, :], axis=2))
-    )
+    diam = math.sqrt(float(np.max(_squared_distances(pts_src, pts_src))))
     diam = max(diam, float(np.max(grid.h)))
     if len(heights) < 4:
         raise FitError("need at least 4 heights for a slope fit")

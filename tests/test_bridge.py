@@ -185,6 +185,31 @@ def test_density_warns_on_duplicate_basis(grid64, pipeline_half):
         cd.density_diagnostic(pipeline_half, [target], [f, f])
 
 
+def test_density_experiment_records_numerical_rank(monkeypatch):
+    from calderon import bridge
+    from calderon.config import validate_config
+    from calderon.experiments import run_experiment
+
+    real = bridge.density_diagnostic
+    reports = []
+
+    def recording(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(bridge, "density_diagnostic", recording)
+    # a 1D box has two boundary nodes, so six traces have rank at most two
+    cfg = validate_config({"experiment": "density", "s": 0.5, "nodes": 40,
+                           "levels": 24, "seed": 5,
+                           "params": {"dim": 1, "basis_size": 6}})
+    result = run_experiment(cfg)
+    sv = reports[0].singular_values
+    rank = int(np.count_nonzero(sv >= 1e-10 * sv.max()))
+    assert result.metrics["numerical_rank"] == rank
+    assert result.metrics["basis_size"] == 6
+    assert 0 < rank < 6
+
+
 def test_distinguishability_gaps(grid64):
     a1 = cd.identity_coefficient(grid64)
     spec = {"type": "diagonal",

@@ -192,6 +192,81 @@ def test_kernel_param_error(grid64):
         extend_via_kernel(grid64, np.ones(grid64.num_nodes), 0.5, 0.0)
 
 
+def test_kernel_point_shapes():
+    grid1 = make_grid(nodes=48)
+    u1 = cd.mollifier_bump(grid1.points, [0.5], 0.3)
+    x = np.array([0.2, 0.5, 1.7])
+    # a flat array on a 1D grid is k points, not one k-coordinate point
+    flat = extend_via_kernel(grid1, u1, 0.5, 0.4, points=x)
+    assert flat.shape == (3,)
+    assert np.array_equal(flat, extend_via_kernel(grid1, u1, 0.5, 0.4, points=x[:, None]))
+    for bad in (np.zeros((3, 2)), np.zeros((2, 3, 1))):
+        with pytest.raises(ParamError, match="points"):
+            extend_via_kernel(grid1, u1, 0.5, 0.4, points=bad)
+    grid2 = make_grid(dim=2, nodes=14, padding=0.3)
+    u2 = cd.mollifier_bump(grid2.points, [0.5, 0.5], 0.3)
+    assert extend_via_kernel(grid2, u2, 0.5, 0.4, points=np.zeros((4, 2))).shape == (4,)
+    for bad in (np.zeros((4, 1)), np.zeros(2), np.zeros((4, 3))):
+        with pytest.raises(ParamError, match="points"):
+            extend_via_kernel(grid2, u2, 0.5, 0.4, points=bad)
+
+
+def broadcast_kernel_values(grid, u, s, y, pts):
+    """Reference kernel extension through the (points, sources, dim)
+    difference array."""
+    n = grid.dim
+    src = np.flatnonzero(u)
+    zs = grid.points[src]
+    d2 = np.sum((pts[:, None, :] - zs[None, :, :]) ** 2, axis=2)
+    ker = poisson_kernel_constant(n, s) * y ** (2 * s) / (d2 + y**2) ** (n / 2 + s)
+    return (ker @ u[src]) * grid.node_volume
+
+
+def broadcast_gradient_sup(grid, u, s, y, pts):
+    n = grid.dim
+    src = np.flatnonzero(u)
+    zs = grid.points[src]
+    C = poisson_kernel_constant(n, s)
+    diff = pts[:, None, :] - zs[None, :, :]
+    d2 = np.sum(diff**2, axis=2)
+    base = (d2 + y**2) ** (n / 2 + s + 1)
+    gk = -(n + 2 * s) * C * y ** (2 * s) * diff / base[:, :, None]
+    grads = np.tensordot(gk, u[src], axes=([1], [0])) * grid.node_volume
+    return float(np.max(np.linalg.norm(grads, axis=1)))
+
+
+@pytest.mark.parametrize("dim, nodes, l2_points",
+                         [(1, 48, 201), (2, 24, 121), (3, 10, 9)])
+def test_decay_diagnostic_matches_broadcast_formula_bitwise(dim, nodes, l2_points):
+    from calderon.extension import _fit_slope
+
+    grid = make_grid(dim=dim, nodes=nodes, padding=0.3 if dim == 3 else 0.9)
+    u = cd.mollifier_bump(grid.points, grid.points[grid.omega_closure].mean(axis=0), 0.3)
+    s = 0.4
+    heights = np.geomspace(2.0, 80.0, 6)
+    rep = cd.decay_diagnostic(grid, u, s, heights, l2_points=l2_points)
+    src = np.flatnonzero(u)
+    centroid = grid.points[src].mean(axis=0)
+    cloud = np.stack([m.ravel() for m in np.meshgrid(
+        *[np.linspace(-2.0, 2.0, 9)] * dim, indexing="ij")], axis=1)
+    axes = [np.linspace(-24.0, 24.0, l2_points)] * dim
+    wpts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    dw = np.prod([ax[1] - ax[0] for ax in axes])
+    sup, grad, l2 = [], [], []
+    for y in heights:
+        pts = centroid + y * cloud
+        sup.append(float(np.max(np.abs(broadcast_kernel_values(grid, u, s, y, pts)))))
+        grad.append(broadcast_gradient_sup(grid, u, s, y, pts))
+        scaled = broadcast_kernel_values(grid, u, s, y, centroid + y * wpts)
+        l2.append(float(np.sqrt(y**dim * np.sum(scaled**2) * dw)))
+    assert np.array_equal(rep.sup_values, sup)
+    assert np.array_equal(rep.grad_values, grad)
+    assert np.array_equal(rep.l2_values, l2)
+    assert rep.sup_slope == _fit_slope(heights, np.array(sup))
+    assert rep.grad_slope == _fit_slope(heights, np.array(grad))
+    assert rep.l2_slope == _fit_slope(heights, np.array(l2))
+
+
 def test_kernel_agrees_with_extension_solve():
     """Two independent realizations: kernel quadrature versus mixed solve in
     all-Dirichlet diagnostic mode, compared at mid heights away from the
@@ -502,6 +577,56 @@ def test_kron_assembly_matches_triplet_assembly(dim, s):
     em = cd.build_extension_mesh(grid, cd.build_vertical_mesh(s, 4.0, 24))
     assert_same_sparse(assemble_extension(em, coeff).stiffness,
                        coo_assemble_extension(em, coeff), 1e-14)
+
+
+def kron_stiffness(K_tan, vm, m, columns=None):
+    """Reference Kronecker-sum assembly ``K_tan (x) diag(nu) + m D (x) K_vert``
+    through sp.kron and a sparse add."""
+    nu = vm.level_weights()
+    cond = 1.0 / vm.cell_resistances()
+    K_vert = sp.diags(
+        [np.append(cond, 0.0) + np.insert(cond, 0, 0.0), -cond, -cond], [0, 1, -1]
+    )
+    n = K_tan.shape[0]
+    if columns is None:
+        D = sp.identity(n, format="csr")
+    else:
+        keep = np.flatnonzero(columns)
+        D = sp.csr_matrix((np.ones(len(keep)), (keep, keep)), shape=(n, n))
+    return (sp.kron(K_tan, sp.diags(nu)) + sp.kron(D, m * K_vert)).tocsr()
+
+
+@pytest.mark.parametrize("s", [0.1, 0.9])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("coefficient", ["identity", "bump"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tensor_stiffness_matches_kron_formula_bitwise(dim, coefficient, masked, s):
+    from calderon.extension import _tensor_stiffness
+    from calderon.local_elliptic import _assemble
+
+    grid = make_grid(dim=dim, nodes={1: 40, 2: 14, 3: 10}[dim], padding=0.3)
+    if coefficient == "identity":
+        coeff = cd.identity_coefficient(grid)
+    else:
+        coeff = cd.diagonal_coefficient(
+            grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5] * dim, 0.4)] * dim,
+            identity_outside=True)
+    vm = cd.build_vertical_mesh(s, 4.0, 24 if dim < 3 else 12)
+    ext = grid.exterior
+    # the exterior form of the Tikhonov penalty: faces between exterior
+    # nodes only (interior rows of K empty), vertical fluxes in exterior
+    # columns only
+    face_filter = (lambda k, i, j: (ext[i] & ext[j]).astype(float)) if masked else None
+    columns = ext if masked else None
+    K = _assemble(grid, coeff, face_filter)
+    if masked:
+        assert np.any(np.diff(K.indptr) == 0)
+    S = _tensor_stiffness(K, vm, grid.node_volume, columns)
+    R = kron_stiffness(K, vm, grid.node_volume, columns)
+    assert S.shape == R.shape
+    assert np.array_equal(S.indptr, R.indptr)
+    assert np.array_equal(S.indices, R.indices)
+    assert np.array_equal(S.data, R.data)
 
 
 def test_calibration_makes_one_fractional_and_one_block_solve(monkeypatch):
