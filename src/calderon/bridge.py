@@ -342,8 +342,8 @@ def operator_T(pipeline: BridgePipeline, f: np.ndarray) -> CauchyPair:
 
 
 # singular values of the weighted bridge traces below this fraction of the
-# largest are rounding: density_diagnostic warns, and the report's
-# numerical rank leaves them out
+# largest are rounding: the report's numerical rank leaves them out, and
+# density_diagnostic warns when that rank is below the number of traces
 _RANK_RTOL = 1e-10
 
 
@@ -363,7 +363,8 @@ class DensityReport:
     @property
     def numerical_rank(self) -> int:
         """Count of the weighted traces' singular values at least
-        _RANK_RTOL times the largest (the RankWarning's threshold)."""
+        _RANK_RTOL times the largest; below the number of traces, a
+        RankWarning is raised."""
         sv = self.singular_values
         return int(np.count_nonzero(sv >= _RANK_RTOL * sv.max())) if sv.size else 0
 
@@ -389,8 +390,9 @@ def density_diagnostic(
 
     ``basis`` is a list of exterior data arrays (must be linearly
     independent on the measurement nodes); ``targets`` is a list of arrays
-    over the boundary nodes.  Warns with RankWarning when the traces are
-    numerically rank deficient.
+    over the boundary nodes.  Warns with RankWarning when the traces'
+    numerical rank is below their number, as it always is with more traces
+    than boundary nodes.
     """
     basis = list(basis)
     targets = list(targets)
@@ -402,10 +404,6 @@ def density_diagnostic(
     L = np.linalg.cholesky(G)
     Bw = L.T @ B
     sv = np.linalg.svd(Bw, compute_uv=False)
-    if sv.size and sv.min() < _RANK_RTOL * sv.max():
-        warnings.warn(
-            "bridge traces are numerically rank deficient", RankWarning
-        )
     # progressive orthogonalization: residuals of the targets shrink as each
     # new direction is subtracted, so distances are nonincreasing in k by
     # construction even when the traces are nearly dependent
@@ -425,7 +423,12 @@ def density_diagnostic(
             Q.append(q)
             R = R - np.outer(q, q @ R)
         dists[:, k] = np.linalg.norm(R, axis=0)
-    return DensityReport(distances=dists, target_norms=norms, singular_values=sv)
+    report = DensityReport(distances=dists, target_norms=norms, singular_values=sv)
+    if report.numerical_rank < len(basis):
+        warnings.warn(
+            "bridge traces are numerically rank deficient", RankWarning
+        )
+    return report
 
 
 @dataclass

@@ -6,8 +6,8 @@ Subcommands:
     schema                                     print the config JSON schema
 
 Exit code 0 means every declared tolerance was met; 1 means a tolerance
-failed; 2 means a configuration or runtime error.  The environment variable
-CALDERON_THREADS bounds the worker threads experiments may use internally.
+failed; 2 means a configuration or runtime error.  ``list`` prints each
+experiment's params from the table that ``run`` validates them against.
 """
 
 from __future__ import annotations
@@ -60,9 +60,8 @@ def main(argv=None) -> int:
     except CalderonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for res in summary.results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name}  ({summary.wall_clock_s:.2f}s)")
+    status = "PASS" if summary.passed else "FAIL"
+    print(f"[{status}] {summary.result.name}  ({summary.wall_clock_s:.2f}s)")
     print(f"summary written to {outdir}/summary.json")
     return 0 if summary.passed else 1
 

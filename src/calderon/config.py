@@ -12,17 +12,62 @@ import jsonschema
 from .errors import ConfigError
 from .mesh import default_boxes
 
-__all__ = ["ExperimentConfig", "CONFIG_SCHEMA", "load_config", "validate_config"]
+__all__ = ["ExperimentConfig", "CONFIG_SCHEMA", "PARAMS", "load_config",
+           "validate_config"]
 
-EXPERIMENT_NAMES = [
-    "oracle-crosscheck",
-    "duality",
-    "bridge-residual",
-    "decay-slopes",
-    "density",
-    "tikhonov-sweep",
-    "distinguishability",
-]
+_tolerance = {"type": "number", "minimum": 0}
+_refinements = {"type": "integer", "minimum": 0}
+_nodes = {"type": "integer", "minimum": 4}
+_levels = {"type": "integer", "minimum": 8}
+
+
+def _numbers(**bounds) -> dict:
+    # an empty sweep would pass having checked nothing, and the runners index
+    # the first s value, height, alpha and amplitude
+    return {"type": "array", "items": {"type": "number", **bounds}, "minItems": 1}
+
+
+# The params each experiment reads, with their JSON types, in the order
+# `calderon list` prints them.  A key its experiment does not read is refused.
+PARAMS = {
+    "oracle-crosscheck": {
+        "s_values": _numbers(exclusiveMinimum=0, exclusiveMaximum=1),
+        "tolerance": _tolerance,
+        "calibration_tolerance": _tolerance,
+        # null takes the measurement region's centre and a width of 0.45 of
+        # its extent
+        "bump_center": {"type": ["array", "null"], "items": {"type": "number"}},
+        "bump_width": {"type": ["number", "null"], "exclusiveMinimum": 0},
+    },
+    "duality": {"refinements": _refinements},
+    "bridge-residual": {"tolerance": _tolerance, "refinements": _refinements},
+    "decay-slopes": {
+        "dims": {"type": "array", "minItems": 1,
+                 "items": {"type": "integer", "minimum": 1, "maximum": 3}},
+        # null takes the default ladder
+        "heights": {**_numbers(exclusiveMinimum=0), "type": ["array", "null"]},
+        "nodes": _nodes,
+        "tolerance": _tolerance,
+    },
+    "density": {
+        "dim": {"type": "integer", "minimum": 1, "maximum": 3},
+        "nodes": _nodes,
+        "levels": _levels,
+        "basis_size": {"type": "integer", "minimum": 1},
+        "target_fraction": {"type": "number", "exclusiveMinimum": 0},
+    },
+    "tikhonov-sweep": {
+        "alphas": _numbers(exclusiveMinimum=0),
+        # null takes the default proxy
+        "eps": {"type": ["number", "null"], "exclusiveMinimum": 0},
+        "noise": {"type": "number", "minimum": 0},
+        "alpha_reconstruct": {"type": "number", "exclusiveMinimum": 0},
+        "fine_data": {"type": "boolean"},
+    },
+    "distinguishability": {"amplitudes": _numbers(), "levels": _levels},
+}
+
+EXPERIMENT_NAMES = list(PARAMS)
 
 _box = {
     "type": "array",
@@ -47,7 +92,9 @@ CONFIG_SCHEMA = {
         "omega_box": _box,
         "w_box": _box,
         "nodes": {
-            "oneOf": [
+            # the branches exclude each other; anyOf stops at the first match
+            # where oneOf also tries, and builds an error for, the other
+            "anyOf": [
                 {"type": "integer", "minimum": 4},
                 {"type": "array", "items": {"type": "integer", "minimum": 4}},
             ]
@@ -68,7 +115,12 @@ CONFIG_SCHEMA = {
 
 # built once: jsonschema.validate re-checks the schema itself on every call,
 # which cost a hundred times the validation of a config
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_Validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+_VALIDATOR = _Validator(CONFIG_SCHEMA)
+_PARAM_VALIDATORS = {
+    name: _Validator({"type": "object", "properties": props})
+    for name, props in PARAMS.items()
+}
 
 
 @dataclass
@@ -113,10 +165,44 @@ class ExperimentConfig:
         }
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number; booleans and numeric strings are not numbers."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+def _finite(value) -> bool:
+    """No NaN or infinity anywhere in a JSON value; the schema lets them by."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _validate_params(cfg: ExperimentConfig):
+    """Check ``cfg.params`` against the experiment's row of PARAMS, then what
+    the schema cannot express: finite numbers, eps < s, strictly decreasing
+    alphas and one bump-centre coordinate per axis.  An unknown experiment
+    is refused when it runs."""
+    known = PARAMS.get(cfg.experiment)
+    if known is None:
+        return
+    params = cfg.params
+    for key in params:
+        if key not in known:
+            raise ConfigError(f"field 'params.{key}': {cfg.experiment} reads no such "
+                              f"param; it reads {', '.join(known)}")
+    exc = jsonschema.exceptions.best_match(
+        _PARAM_VALIDATORS[cfg.experiment].iter_errors(params))
+    if exc is not None:
+        raise ConfigError(f"field 'params.{exc.absolute_path[0]}': {exc.message}") from exc
+    for key, value in params.items():
+        if not _finite(value):
+            raise ConfigError(f"field 'params.{key}': numbers must be finite, "
+                              f"got {value!r}")
+    eps = params.get("eps")
+    if eps is not None and eps >= cfg.s:
+        raise ConfigError(f"field 'params.eps': must lie in (0, s), got {eps}")
+    alphas = params.get("alphas", [])
+    if any(b >= a for a, b in zip(alphas, alphas[1:])):
+        raise ConfigError("field 'params.alphas': must be strictly decreasing")
+    center = params.get("bump_center")
+    if center is not None and len(center) != cfg.dim:
+        raise ConfigError(f"field 'params.bump_center': need {cfg.dim} "
+                          f"coordinates, got {center!r}")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
@@ -152,43 +238,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"field 's': must lie in (0, 1), got {cfg.s}")
     if len(cfg.omega_box) != dim or len(cfg.w_box) != dim:
         raise ConfigError("field 'omega_box'/'w_box': need one (lo, hi) per axis")
-    params = cfg.params
-    eps = params.get("eps")  # null takes the default proxy
-    if eps is not None and not _is_number(eps):
-        raise ConfigError(f"field 'params.eps': must be a number, got {eps!r}")
-    if eps is not None and not 0.0 < eps < cfg.s:
-        raise ConfigError(f"field 'params.eps': must lie in (0, s), got {eps}")
-    # an empty sweep would pass having checked nothing, and the runners
-    # index the first alpha, refinement level and basis element
-    for key in ("s_values", "dims", "amplitudes", "alphas", "heights"):
-        if key not in params or (key == "heights" and params[key] is None):
-            continue  # null heights take the default ladder
-        value = params[key]
-        if not (isinstance(value, (list, tuple)) and value):
-            raise ConfigError(f"field 'params.{key}': must be a non-empty list")
-        if not all(_is_number(v) for v in value):
-            raise ConfigError(f"field 'params.{key}': entries must be numbers, "
-                              f"got {value!r}")
-    if "dims" in params and not all(float(d).is_integer() and 1 <= d <= 3
-                                    for d in params["dims"]):
-        raise ConfigError(f"field 'params.dims': entries must be integers in "
-                          f"1..3, got {params['dims']!r}")
-    for key, least in (("refinements", 0), ("basis_size", 1)):
-        value = params.get(key)
-        if key in params and not (_is_number(value) and value >= least):
-            raise ConfigError(f"field 'params.{key}': must be a number >= {least}, "
-                              f"got {value!r}")
-    alphas = params.get("alphas")
-    if alphas is not None:
-        if any(a <= 0 for a in alphas):
-            raise ConfigError("field 'params.alphas': entries must be positive")
-        if any(b >= a for a, b in zip(alphas, alphas[1:], strict=False)) and len(alphas) > 1:
-            raise ConfigError("field 'params.alphas': must be strictly decreasing")
-    noise = params.get("noise", 0.0)
-    if not _is_number(noise):
-        raise ConfigError(f"field 'params.noise': must be a number, got {noise!r}")
-    if noise < 0:
-        raise ConfigError("field 'params.noise': must be >= 0")
+    _validate_params(cfg)
     return cfg
 
 

@@ -1,9 +1,10 @@
 """Named experiments, their runners, and file emission for the CLI.
 
-Every experiment consumes a validated ExperimentConfig and a seeded RNG and
-returns tables (written as CSV), curves (two-column whitespace files for any
-plotting tool), metrics and a pass flag against its declared tolerances.
-Given the same config and seed the outputs are byte-identical.
+Every experiment consumes a validated ExperimentConfig and an RNG seeded
+from its ``seed``, and returns tables (written as CSV), curves (two-column
+whitespace files for any plotting tool), metrics and a pass flag against its
+declared tolerances.  A run is one serial pass in the calling thread; given
+the same config, seed and BLAS thread count the outputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import ctypes
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -22,15 +22,13 @@ from . import extension as ext
 from . import fractional_core as fc
 from . import tikhonov as tk
 from .coefficients import coefficient_from_spec, mollifier_bump
-from .config import EXPERIMENT_NAMES, ExperimentConfig
+from .config import EXPERIMENT_NAMES, PARAMS, ExperimentConfig
 from .errors import ExperimentError
 from .local_elliptic import assemble_local
 from .mesh import GeometrySpec, build_tangential_grid, default_boxes
 
 __all__ = ["ExperimentResult", "RunSummary", "run_experiment", "run_config",
            "experiment_descriptions", "EXPERIMENT_NAMES"]
-
-THREAD_ENV = "CALDERON_THREADS"
 
 
 def _release_freed_memory():
@@ -48,22 +46,6 @@ def _release_freed_memory():
         ctypes.CDLL(None).malloc_trim(0)
     except (AttributeError, OSError, TypeError):
         pass
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREAD_ENV, "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    workers = _thread_count()
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -127,7 +109,11 @@ def _run_oracle_crosscheck(cfg: ExperimentConfig, rng) -> ExperimentResult:
     cal_tol = float(cfg.params.get("calibration_tolerance", 0.05))
     grids = _dense_route_grids(cfg, cfg.nodes, 2)
 
-    def one(s):
+    table = []
+    curves = {}
+    passed = True
+    metrics = {}
+    for s in s_values:
         rows = []
         for level, grid in enumerate(grids):
             levels = cfg.levels * 2 ** level
@@ -150,13 +136,6 @@ def _run_oracle_crosscheck(cfg: ExperimentConfig, rng) -> ExperimentResult:
             cfg.dim, s, nodes=cfg.nodes if isinstance(cfg.nodes, int) else cfg.nodes[0],
             levels=cfg.levels, height=cfg.height, grading=cfg.grading,
         )
-        return s, rows, cal
-
-    table = []
-    curves = {}
-    passed = True
-    metrics = {}
-    for s, rows, cal in _parallel_map(one, s_values):
         err0, err1 = rows[0][1], rows[1][1]
         ok = err0 <= tol and err1 < err0 and cal.rel_gap <= cal_tol
         if abs(s - 0.5) < 1e-12:
@@ -197,10 +176,7 @@ def _run_duality(cfg: ExperimentConfig, rng) -> ExperimentResult:
     em_dual = build_extension_mesh(grid, vm_dual)
     y = vm_dual.levels
     cols = np.tile(y ** (2 - 2 * s) / (2 - 2 * s), (grid.num_nodes, 1))
-    u1 = ext.ExtensionField(
-        emesh=em_dual, values=cols.ravel(), s=1 - s,
-        system=ext.assemble_extension(em_dual, coeff),
-    )
+    u1 = ext.ExtensionField(emesh=em_dual, values=cols.ravel(), s=1 - s)
     u2, rep = br.duality_transform(u1, coeff)
     power_dev = float(np.max(np.abs(u2.values - 1.0)))
     power_res = rep.bulk_residual
@@ -621,61 +597,50 @@ _DESCRIPTIONS = {
     "oracle-crosscheck": (
         "Weighted Neumann trace of the degenerate extension against the "
         "spectral fractional operator on the measurement region, plus the "
-        "normalization-constant calibration.",
-        "params: s_values, tolerance, bump_center, bump_width",
+        "normalization-constant calibration."
     ),
     "duality": (
         "The weighted vertical derivative maps dual-weight Neumann solutions "
         "to primal-weight Dirichlet solutions; exact on the power profile, "
-        "with a bump-datum refinement sweep.",
-        "params: refinements",
+        "with a bump-datum refinement sweep."
     ),
     "bridge-residual": (
         "The vertical average of the extension weakly solves the tangential "
         "conductivity equation: zero source inside the interior region, "
-        "fractional source elsewhere; residuals over a refinement sweep.",
-        "params: tolerance, refinements",
+        "fractional source elsewhere; residuals over a refinement sweep."
     ),
     "decay-slopes": (
         "Large-height decay exponents of the constant-coefficient extension: "
-        "sup ~ y^-n, gradient ~ y^-(n+1), L2 ~ y^-(n/2).",
-        "params: dims, heights, nodes, tolerance",
+        "sup ~ y^-n, gradient ~ y^-(n+1), L2 ~ y^-(n/2)."
     ),
     "density": (
         "Boundary traces of bridged solutions approximate boundary targets: "
-        "least-squares distance versus basis size in the H^1/2 proxy norm.",
-        "params: basis_size, levels, target_fraction, dim, nodes",
+        "least-squares distance versus basis size in the H^1/2 proxy norm."
     ),
     "tikhonov-sweep": (
         "Regularized recovery of the exterior field from measurement pairs: "
         "misfit/penalty monotonicity, optimality probes, and closed-loop "
-        "reconstruction of the Cauchy pair.",
-        "params: alphas, eps, noise, alpha_reconstruct, fine_data",
+        "reconstruction of the Cauchy pair."
     ),
     "distinguishability": (
         "Distinct interior coefficients produce distinct local and nonlocal "
-        "measurement maps; gap magnitudes over bump amplitudes.",
-        "params: amplitudes, levels",
+        "measurement maps; gap magnitudes over bump amplitudes."
     ),
 }
 
 
 def experiment_descriptions() -> str:
-    lines = []
-    for name in EXPERIMENT_NAMES:
-        desc, params = _DESCRIPTIONS[name]
-        lines.append(f"{name}\n    {desc}\n    {params}")
-    return "\n".join(lines)
+    return "\n".join(f"{name}\n    {_DESCRIPTIONS[name]}\n    params: {', '.join(params)}"
+                     for name, params in PARAMS.items())
 
 
-def run_experiment(cfg: ExperimentConfig, rng=None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     if cfg.experiment not in _RUNNERS:
         raise ExperimentError(
             f"unknown experiment {cfg.experiment!r}; known: "
             + ", ".join(EXPERIMENT_NAMES)
         )
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
-    return _RUNNERS[cfg.experiment](cfg, rng)
+    return _RUNNERS[cfg.experiment](cfg, np.random.default_rng(cfg.seed))
 
 
 # --------------------------------------------------------------------------
@@ -714,12 +679,12 @@ def write_curve(path: Path, x, y):
 class RunSummary:
     config: dict
     seed: int
-    results: list
+    result: ExperimentResult
     wall_clock_s: float
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.results)
+        return self.result.passed
 
     def as_dict(self) -> dict:
         return {
@@ -728,8 +693,8 @@ class RunSummary:
             "passed": self.passed,
             "wall_clock_s": self.wall_clock_s,
             "experiments": {
-                r.name: {"passed": r.passed, "metrics": r.metrics}
-                for r in self.results
+                self.result.name: {"passed": self.passed,
+                                   "metrics": self.result.metrics},
             },
         }
 
@@ -755,7 +720,7 @@ def run_config(cfg: ExperimentConfig, outdir, seed: int | None = None) -> RunSum
     for cname, (x, y) in result.curves.items():
         write_curve(outdir / f"{result.name}_{cname}.dat", x, y)
     summary = RunSummary(
-        config=cfg.echo(), seed=cfg.seed, results=[result], wall_clock_s=wall
+        config=cfg.echo(), seed=cfg.seed, result=result, wall_clock_s=wall
     )
     _atomic_write(outdir / "summary.json",
                   json.dumps(summary.as_dict(), indent=2, sort_keys=True) + "\n")

@@ -48,38 +48,23 @@ def test_unknown_experiment(tmp_path, capsys):
     assert main(["run", str(p)]) == 2
 
 
-def test_determinism_byte_identical_outputs(tmp_path):
-    p = write_config(tmp_path, experiment="tikhonov-sweep", nodes=32,
-                     levels=24, seed=9)
+@pytest.mark.parametrize("overrides", [
+    {"experiment": "tikhonov-sweep", "nodes": 32, "levels": 24, "seed": 9},
+    # three s values in one run: one table and three curves
+    {"params": {"s_values": [0.25, 0.5, 0.75]}},
+], ids=["tikhonov-sweep", "oracle-crosscheck-three-s"])
+def test_determinism_byte_identical_outputs(tmp_path, overrides):
+    p = write_config(tmp_path, **overrides)
     rc1 = main(["run", str(p), "--out", str(tmp_path / "a")])
     rc2 = main(["run", str(p), "--out", str(tmp_path / "b")])
     assert rc1 == 0 and rc2 == 0
-    csvs = sorted(f.name for f in (tmp_path / "a").glob("*.csv"))
-    assert csvs
-    for name in csvs:
+    names = [sorted(f.name for f in (tmp_path / run).iterdir()
+                    if f.suffix in (".csv", ".dat")) for run in "ab"]
+    assert any(name.endswith(".csv") for name in names[0])
+    assert names[0] == names[1]
+    for name in names[0]:
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
-    dats = sorted(f.name for f in (tmp_path / "a").glob("*.dat"))
-    for name in dats:
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
-
-
-def test_threaded_run_writes_the_same_files(tmp_path, monkeypatch):
-    """oracle-crosscheck maps its s values over CALDERON_THREADS workers; two
-    workers write the same tables and curves, byte for byte, as one."""
-    p = write_config(tmp_path, params={"s_values": [0.25, 0.5, 0.75]})
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CALDERON_THREADS", threads)
-        assert main(["run", str(p), "--out", str(tmp_path / threads)]) == 0
-    names = sorted(f.name for f in (tmp_path / "1").iterdir()
-                   if f.suffix in (".csv", ".dat"))
-    assert len(names) == 4
-    assert names == sorted(f.name for f in (tmp_path / "2").iterdir()
-                           if f.suffix in (".csv", ".dat"))
-    for name in names:
-        assert (tmp_path / "1" / name).read_bytes() == \
-            (tmp_path / "2" / name).read_bytes()
 
 
 def test_csv_format(tmp_path):
@@ -166,11 +151,18 @@ def test_alpha_schedule_validation():
     ("tikhonov-sweep", {"noise": "loud"}, "params.noise"),
     ("tikhonov-sweep", {"noise": None}, "params.noise"),
     ("duality", {"refinements": True}, "params.refinements"),
+    ("bridge-residual", {"tolerance": "tight"}, "params.tolerance"),
+    ("oracle-crosscheck", {"bump_width": "wide"}, "params.bump_width"),
+    ("bridge-residual", {"tolerence": 1e-12}, "params.tolerence"),
+    ("tikhonov-sweep", {"fine_data": "no"}, "params.fine_data"),
+    ("density", {"levels": 30.7}, "params.levels"),
+    ("oracle-crosscheck", {"bump_center": [1.8, 0.5]}, "params.bump_center"),
 ])
 def test_degenerate_params_are_config_errors(tmp_path, capsys, experiment,
                                              params, field):
-    """Empty sweeps, non-numeric entries and counts below their least useful
-    value are refused by name with exit code 2, before any experiment runs."""
+    """Empty sweeps, entries of the wrong type, counts below their least
+    useful value and keys the experiment does not read are refused by name
+    with exit code 2, before any experiment runs."""
     p = write_config(tmp_path, experiment=experiment, params=params)
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
