@@ -8,9 +8,11 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
+from .coefficients import mollifier_bump
 from .errors import ConfigError
-from .mesh import default_boxes
+from .mesh import GeometrySpec, build_tangential_grid, default_boxes
 
 __all__ = ["ExperimentConfig", "CONFIG_SCHEMA", "PARAMS", "load_config",
            "validate_config"]
@@ -165,6 +167,26 @@ class ExperimentConfig:
         }
 
 
+def _grid_from_config(cfg: ExperimentConfig, nodes=None, dim=None):
+    dim = dim if dim is not None else cfg.dim
+    omega, w = (cfg.omega_box, cfg.w_box) if dim == cfg.dim else default_boxes(dim)
+    return build_tangential_grid(GeometrySpec(
+        dim=dim, omega_box=omega, w_box=w, padding=cfg.padding,
+        nodes=nodes if nodes is not None else cfg.nodes))
+
+
+def _w_bump(grid, center=None, width=None):
+    widx = grid.w_indices
+    wpts = grid.points[widx]
+    if center is None:
+        center = wpts.mean(axis=0)
+    if width is None:
+        width = 0.45 * float(np.max(wpts.max(axis=0) - wpts.min(axis=0)))
+    f = np.zeros(grid.num_nodes)
+    f[widx] = mollifier_bump(wpts, center, width)
+    return f
+
+
 def _finite(value) -> bool:
     """No NaN or infinity anywhere in a JSON value; the schema lets them by."""
     if isinstance(value, list):
@@ -175,8 +197,9 @@ def _finite(value) -> bool:
 def _validate_params(cfg: ExperimentConfig):
     """Check ``cfg.params`` against the experiment's row of PARAMS, then what
     the schema cannot express: finite numbers, eps < s, strictly decreasing
-    alphas and one bump-centre coordinate per axis.  An unknown experiment
-    is refused when it runs."""
+    alphas, one bump-centre coordinate per axis and a bump that is nonzero
+    on some measurement node.  An unknown experiment is refused when it
+    runs."""
     known = PARAMS.get(cfg.experiment)
     if known is None:
         return
@@ -203,6 +226,14 @@ def _validate_params(cfg: ExperimentConfig):
     if center is not None and len(center) != cfg.dim:
         raise ConfigError(f"field 'params.bump_center': need {cfg.dim} "
                           f"coordinates, got {center!r}")
+    width = params.get("bump_width")
+    # the datum is this bump on W: zero on every node of W leaves no map to
+    # measure, and the relative errors would divide by zero
+    if (center is not None or width is not None) and not np.any(
+            _w_bump(_grid_from_config(cfg), center, width)):
+        key = "bump_center" if center is not None else "bump_width"
+        raise ConfigError(f"field 'params.{key}': the bump is zero on every "
+                          "measurement node")
 
 
 def validate_config(raw: dict) -> ExperimentConfig:

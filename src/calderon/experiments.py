@@ -22,10 +22,10 @@ from . import extension as ext
 from . import fractional_core as fc
 from . import tikhonov as tk
 from .coefficients import coefficient_from_spec, mollifier_bump
-from .config import EXPERIMENT_NAMES, PARAMS, ExperimentConfig
+from .config import (EXPERIMENT_NAMES, PARAMS, ExperimentConfig, _grid_from_config,
+                     _w_bump)
 from .errors import ExperimentError
 from .local_elliptic import assemble_local
-from .mesh import GeometrySpec, build_tangential_grid, default_boxes
 
 __all__ = ["ExperimentResult", "RunSummary", "run_experiment", "run_config",
            "experiment_descriptions", "EXPERIMENT_NAMES"]
@@ -55,30 +55,6 @@ class ExperimentResult:
     metrics: dict
     tables: dict = dc_field(default_factory=dict)   # name -> (header, rows)
     curves: dict = dc_field(default_factory=dict)   # name -> (x, y)
-
-
-def _grid_from_config(cfg: ExperimentConfig, nodes=None, dim=None):
-    dim = dim if dim is not None else cfg.dim
-    spec = GeometrySpec(
-        dim=dim,
-        omega_box=cfg.omega_box if dim == cfg.dim else default_boxes(dim)[0],
-        w_box=cfg.w_box if dim == cfg.dim else default_boxes(dim)[1],
-        nodes=nodes if nodes is not None else cfg.nodes,
-        padding=cfg.padding,
-    )
-    return build_tangential_grid(spec)
-
-
-def _w_bump(grid, center=None, width=None):
-    widx = grid.w_indices
-    wpts = grid.points[widx]
-    if center is None:
-        center = wpts.mean(axis=0)
-    if width is None:
-        width = 0.45 * float(np.max(wpts.max(axis=0) - wpts.min(axis=0)))
-    f = np.zeros(grid.num_nodes)
-    f[widx] = mollifier_bump(wpts, center, width)
-    return f
 
 
 def _refine_nodes(nodes):

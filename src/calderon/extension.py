@@ -28,44 +28,33 @@ conditions off the trace.  On the trace, the production (mixed) solve has
 Dirichlet data on the exterior nodes and homogeneous weighted Neumann on the
 closed interior region; the trace may also be all Dirichlet or all Neumann.
 
-Solver.  The stiffness is the Kronecker sum ``K_tan (x) diag(nu) + m I (x)
-K_vert`` (tangential stiffness, level weights nu, node volume m, vertical
-two-point operator), so on the free levels L the vertical pencil
-``K_vert phi = mu diag(nu) phi`` turns a solve into J decoupled shifted
-tangential solves ``(K_T + m mu_k) y_k = r_k`` (fast diagonalization).  T is
-the box interior, so for a = Id (``Coefficient.is_identity``, the dispatch
-of ``fractional_core.spectral_power``) ``K_T = m V diag(lam) V^T`` with V the
-Kronecker product of the per-axis sine factors of
-``fractional_core._sine_basis``: a shifted solve is a mode product, a
-division by ``m (mu_k + lam)`` and the mode product back, and no matrix is
-factored.  Every other coefficient factors the J shifted matrices as one
-block-diagonal sparse LU.  The pencil is solved by LAPACK ``dpteqr`` on the
-``nu**-1/2``-scaled tridiagonal: with the default grading nu spans up to 19
-orders of magnitude, and a dense symmetric eigensolver loses the small
+Solver.  With D = I, on the free levels L the vertical pencil ``K_vert phi
+= mu diag(nu) phi`` (nu the level weights, m the node volume) turns a solve
+into J decoupled shifted tangential solves ``(K_T + m mu_k) y_k = r_k``
+(fast diagonalization), all made by one ``fractional_core.ShiftedSolver``,
+whose routes are described there.  The pencil is solved by LAPACK ``dpteqr``
+on the ``nu**-1/2``-scaled tridiagonal: with the default grading nu spans up
+to 19 orders of magnitude, and a dense symmetric eigensolver loses the small
 eigenvalues (even their sign) where ``dpteqr`` keeps them to relative
-accuracy.  A constrained trace column is first lifted by the exact
-profile psi of the vertical operator alone, so the tensor solve only returns
-a correction: level 1, whose error the trace extraction multiplies by the
+accuracy.  A constrained trace column is first lifted by the exact profile
+psi of the vertical operator alone, so the tensor solve only returns a
+correction: level 1, whose error the trace extraction multiplies by the
 first-cell conductance, then stays accurate to rounding.  The lift cancels
 the vertical load exactly, so the right-hand side left on the tensor block
 is separable, ``-(K_T d) (x) (nu psi)`` (``-m h (x) e_0`` for a free trace),
 and in the eigenbasis an outer product: no forward level transform is made.
-The mixed trace closes on its free trace nodes B through the trace map
-``Z = Sch^-1 Q`` (capacitance-matrix style, |B| x |data nodes| doubles),
-built once from the dense Schur complement
-``Sch = nu_0 K_BB + g I - g**2 sum_k phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``,
-``g = m / r_0`` the first-cell conductance: a datum's free trace values are
-``Z d``, and the tensor block then takes one block solve.  For a = Id the
-sum is diagonal in the sine basis and Sch follows in closed form from the
-sine rows at B; otherwise it comes from unit block solves.  There is one
-solve path: a block of data, one datum per column, goes through the tensor
-solve _CHUNK columns at a time, one shifted solve of all levels per chunk
-(so do the unit columns that build Z on the LU route), which bounds the
-dense temporaries whatever the block's width; ``solve`` is its one-column
-case.  Every column, on either route, is checked: its relative residual
-against the assembled free block must stay below 1e-8, else SolveError.  A
-field combined from solved fields (a snapshot basis) passes the same check
-through ``checked_field``.
+The mixed trace closes on its free trace nodes B through the trace map ``Z =
+Sch^-1 Q`` (capacitance-matrix style, |B| x |data nodes| doubles), built
+once from the dense Schur complement ``Sch = nu_0 K_BB + g I - g**2 sum_k
+phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``, ``g = m / r_0`` the first-cell
+conductance: a datum's free trace values are ``Z d``, and the tensor block
+then takes one block solve.  There is one solve path: a block of data, one
+datum per column, goes through the tensor solve _CHUNK columns at a time,
+one shifted solve of all levels per chunk, which bounds the dense
+temporaries whatever the block's width; ``solve`` is its one-column case.
+Every column is checked: its relative residual against the assembled free
+block must stay below 1e-8, else SolveError.  A field combined from solved
+fields (a snapshot basis) passes the same check through ``checked_field``.
 
 Sign conventions.  The weak form gives, for the trace row of a solution,
 ``(S u)[i, 0] = -m_i * lim t**(1-2s) d_t u``;  the fractional operator of
@@ -80,7 +69,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve, lapack
 
 from .coefficients import Coefficient, identity_coefficient
@@ -91,7 +79,7 @@ from .errors import (
     ParamError,
     SolveError,
 )
-from .fractional_core import _factor_rows, _mode_product, _sine_basis
+from .fractional_core import _CHUNK, ShiftedSolver
 from .mesh import (
     ExtensionMesh,
     TangentialGrid,
@@ -235,11 +223,6 @@ class ExtensionField:
         return self.values.reshape(self.emesh.grid.num_nodes, J1)
 
 
-# columns per block solve (data blocks and the trace Schur complement's unit
-# columns); bounds each dense temporary at _CHUNK * |T| * |L| doubles
-_CHUNK = 8
-
-
 def _fixed_layout(emesh: ExtensionMesh, trace: str):
     """Boolean mask of constrained nodes: the lateral frame, the top level and
     the trace nodes that ``trace`` constrains.
@@ -300,19 +283,13 @@ class ExtensionSolver:
     The free nodes are the tensor product of the tangential set T, which is
     the active set, and the levels L (from level 0 when the trace is free,
     else from level 1, up to the level below the top), plus, in the mixed
-    layout, the free trace nodes B.  The vertical pencil, the J shifted
-    tangential solvers and the free-trace map are built once; every solve
-    substitutes new data.  The shifted solvers are closed-form sine solves
-    for an identity coefficient and one block-diagonal sparse LU for any
-    other (see the module docstring).
+    layout, the free trace nodes B.  The vertical pencil, the shifted
+    tangential solves (``fractional_core.ShiftedSolver``) and the free-trace
+    map are built once; every solve substitutes new data.
     """
 
-    def __init__(
-        self,
-        emesh: ExtensionMesh,
-        coeff: Coefficient,
-        dirichlet_trace: bool | None = False,
-    ):
+    def __init__(self, emesh: ExtensionMesh, coeff: Coefficient,
+                 dirichlet_trace: bool | None = False):
         # bool has no subclasses and only the two instances, so this is an
         # identity check: 1 and 0, equal to True and False, are refused
         if dirichlet_trace is not None and not isinstance(dirichlet_trace, bool):
@@ -348,32 +325,10 @@ class ExtensionSolver:
         # vertical two-point operator on the free levels; fixed neighbours
         # leave their conductance on the diagonal
         diag = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
-        self._mu, self._phi = _vertical_pencil(
-            diag[lo:J], -cond[lo:J - 1], nu[lo:J]
-        )
+        self._mu, self._phi = _vertical_pencil(diag[lo:J], -cond[lo:J - 1], nu[lo:J])
 
         K_T = self.system.tangential[self._T][:, self._T].tocsc()
-        nT, nL = len(self._T), J - lo
-        if coeff.is_identity():
-            # K_T = m V diag(lam) V^T with V the Kronecker product of the
-            # sine factors over the box interior (T in C order), so every
-            # shifted matrix is diagonal in that basis
-            self._factors, lam = _sine_basis(grid)
-            self._shifted = m * np.add.outer(self._mu, lam)
-        else:
-            self._factors = None
-            blocks = sp.kron(sp.identity(nL, format="csc"), K_T, format="csc")
-            blocks = blocks + sp.diags(np.repeat(m * self._mu, nT), format="csc")
-            try:
-                # SPD blocks: symmetric ordering, no pivoting
-                self._lu = spla.splu(
-                    blocks, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
-                )
-            except RuntimeError as exc:
-                raise SolveError(
-                    f"shifted tangential factorization failed: {exc}"
-                ) from exc
+        self._shifted_solver = ShiftedSolver(grid, coeff, K_T, m, self._mu)
 
         # a constrained trace column is lifted by the exact profile of the
         # vertical operator alone, 1 at the trace and 0 at the top, so the
@@ -389,7 +344,7 @@ class ExtensionSolver:
         if trace == "free":
             self._rhs_levels = self._phi[0]
             self._rhs_nodes = self._T
-            self._rhs_tan = -m * sp.identity(nT, format="csr")
+            self._rhs_tan = -m * sp.identity(len(self._T), format="csr")
         else:
             self._rhs_levels = -self._phi.T @ (nu[self._L] * self._psi)
             self._rhs_nodes = self._lifted
@@ -412,36 +367,12 @@ class ExtensionSolver:
         the B trace nodes over the data columns, plus ``g H^T`` times the
         tangential map of the separable right-hand side, with
         ``H = sum_k c_k phi_k(1) [(K_T + m mu_k)^-1]_{:,B}`` (c the level
-        vector of that right-hand side).  G below is the sum in Sch.
-
-        For a = Id the shifted inverses share the sine eigenvectors V, so
-        both sums are diagonal in that basis: ``G = V_B diag(g) V_B^T`` and
-        ``H = V diag(h) V_B^T`` with ``g = sum_k phi_k(1)**2 / (m (mu_k +
-        lam))`` and ``h = sum_k c_k phi_k(1) / (m (mu_k + lam))``, from the
-        sine rows at B and one mode product.  Any other coefficient takes
-        both sums from unit block solves over _CHUNK columns.  Z = Sch^-1 Q;
+        vector of that right-hand side).  G below is the sum in Sch; both
+        sums come from one ``ShiftedSolver.trace_sums`` pass.  Z = Sch^-1 Q;
         the dense Cholesky factor of Sch is used once here and not kept.
         """
         B = self._B
-        nL, nT = len(self._phi), len(self._T)
-        phi1 = self._phi[0]
-        if self._factors is not None:
-            inv = 1.0 / self._shifted
-            V_B = _factor_rows(self._factors, B)
-            G = (V_B * (phi1**2 @ inv)) @ V_B.T
-            h = (self._rhs_levels * phi1) @ inv
-            H = _mode_product(self._factors, V_B * h, to_modes=False).T
-        else:
-            G = np.empty((len(B), len(B)))
-            H = np.empty((nT, len(B)))
-            for c0 in range(0, len(B), _CHUNK):
-                cols = B[c0:c0 + _CHUNK]
-                R = np.zeros((nL, nT, len(cols)))
-                R[:, cols, np.arange(len(cols))] = phi1[:, None]
-                Y = self._tangential_solve(R)
-                G[:, c0:c0 + len(cols)] = np.tensordot(phi1, Y[:, B], axes=(0, 0))
-                H[:, c0:c0 + len(cols)] = np.tensordot(self._rhs_levels, Y,
-                                                       axes=(0, 0))
+        G, H = self._shifted_solver.trace_sums(B, self._phi[0], self._rhs_levels)
         g = self._g
         S = nu0 * K_T[B][:, B].toarray() + g * np.eye(len(B)) - g * g * G
         tr = self.emesh.trace_indices()
@@ -451,19 +382,8 @@ class ExtensionSolver:
         try:
             return cho_solve(cho_factor((S + S.T) / 2), Q)
         except np.linalg.LinAlgError as exc:
-            raise SolveError(
-                f"trace Schur complement is not positive definite: {exc}"
-            ) from exc
-
-    def _tangential_solve(self, Y: np.ndarray) -> np.ndarray:
-        """``(K_T + m mu_k)^-1 Y[k]`` for every free level k, Y of shape
-        (L, T, k): a division in the sine basis for a = Id, else one solve
-        with the block-diagonal LU."""
-        if self._factors is None:
-            return self._lu.solve(Y.reshape(-1, Y.shape[2])).reshape(Y.shape)
-        X = _mode_product(self._factors, Y.transpose(0, 2, 1), to_modes=True)
-        X /= self._shifted[:, None, :]
-        return _mode_product(self._factors, X, to_modes=False).transpose(0, 2, 1)
+            raise SolveError(f"trace Schur complement is not positive "
+                             f"definite: {exc}") from exc
 
     def _load(self, data: np.ndarray):
         """Constrained values u and free-row right-hand sides b, both of shape
@@ -536,7 +456,7 @@ class ExtensionSolver:
                 xB = self._Z @ D[self._data_nodes]
                 Y[:, B] += np.multiply.outer(self._g * phi[0], xB)
             # rebinding Y frees each dense temporary once it is used
-            Y = self._tangential_solve(Y)
+            Y = self._shifted_solver.solve(Y)
             Y = (phi @ Y.reshape(nL, nT * k)).reshape(nL, nT, k)
             lift = np.zeros((nT, k))
             lift[self._lift_at] = D[self._lifted]

@@ -1,4 +1,5 @@
-"""Spectral fractional powers of the conductivity operator (reference route).
+"""Spectral fractional powers of the conductivity operator (reference route)
+and the extension's shifted tangential solves.
 
 The operator is defined on the computational box with zero Dirichlet
 truncation at the frame: with K the stiffness matrix over the interior
@@ -9,7 +10,8 @@ basis independent.
 
 The orthonormal eigenbasis V is held as a tuple of factors whose Kronecker
 product is V over the active nodes in C order, and is found on one of two
-routes chosen by the coefficient:
+routes chosen by the coefficient (``_sine_basis`` is the one place that
+reads ``Coefficient.is_identity``):
 
 * a = Id: A is the Kronecker sum of the one-dimensional second differences
   ``tridiag(-1, 2, -1) / h_k^2``, which the sine transform diagonalizes
@@ -22,11 +24,18 @@ routes chosen by the coefficient:
 Consumers read V only through factor rows (an eigenvector row is the product
 of one row of each factor) and mode products (one small matrix product per
 axis), so a single factor is the plain dense arithmetic and the sine route
-forms no N x N array.  The extension solver's identity route reads the same
-sine factors through the same two helpers.  ``DENSE_NODE_CAP`` bounds both
-routes: the map and the exterior-value solve still build dense blocks of the
-power over the interior and measurement nodes, and callers check the cap
-before building anything else on the grid.
+forms no N x N array.  ``DENSE_NODE_CAP`` bounds both routes: the map and
+the exterior-value solve still build dense blocks of the power over the
+interior and measurement nodes, and callers check the cap before building
+anything else on the grid.
+
+Shifted solves.  ``ShiftedSolver`` makes the extension's ``(K_T + m mu_k)
+y_k = r_k`` on all levels k at once, on a route chosen by the same test.
+For a = Id ``K_T = m V diag(lam) V^T`` with the sine factors: a solve is two
+mode products around a division by ``m (mu_k + lam)``, and the trace sums
+are closed forms in the sine rows at the trace nodes.  Otherwise one
+block-diagonal sparse LU of the shifted matrices solves, and the trace sums
+come from unit block solves, _CHUNK columns at a time.
 
 With O the closed interior region and W the measurement nodes, the nonlocal
 measurement map is the Schur complement ``A_WW - A_WO A_OO^{-1} A_OW`` of
@@ -47,6 +56,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import EigError, ParamError, SolveError
@@ -54,6 +65,7 @@ from .local_elliptic import LocalOperator
 
 __all__ = [
     "SpectralPower",
+    "ShiftedSolver",
     "NonlocalDtN",
     "spectral_power",
     "solve_fractional_dirichlet",
@@ -62,6 +74,10 @@ __all__ = [
 ]
 
 DENSE_NODE_CAP = 5000
+
+# columns per block solve (data blocks and the unit columns of the trace
+# sums); bounds each dense temporary at _CHUNK * |T| * |L| doubles
+_CHUNK = 8
 
 
 def _eigh_clipped(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -91,10 +107,13 @@ def _check_dense_cap(grid) -> np.ndarray:
     return active
 
 
-def _sine_basis(grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Closed-form eigenbasis of the identity operator on the active nodes:
-    one DST-I factor per axis and the eigenvalues in the C order of the
-    mode indices (ascending along each axis)."""
+def _sine_basis(grid, coeff):
+    """Closed-form eigenbasis of the operator on the active nodes when the
+    coefficient is the identity, else None: one DST-I factor per axis and
+    the eigenvalues in the C order of the mode indices (ascending along each
+    axis)."""
+    if not coeff.is_identity():
+        return None
     factors = []
     lam = np.zeros(())
     for n, h in zip(grid.shape, grid.h):
@@ -193,14 +212,65 @@ def spectral_power(op: LocalOperator, s: float) -> SpectralPower:
     if not 0.0 < s <= 1.0:
         raise ParamError(f"s must lie in (0, 1], got {s}")
     active = _check_dense_cap(op.grid)
-    if op.coeff.is_identity():
-        factors, lam = _sine_basis(op.grid)
-    else:
+    basis = _sine_basis(op.grid, op.coeff)
+    if basis is None:
         A = op.stiffness[active][:, active].toarray() / op.node_volume
         A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
         lam, V = _eigh_clipped(A)
-        factors = (V,)
-    return SpectralPower(op=op, s=s, active=active, eigvals=lam, factors=factors)
+        basis = (V,), lam
+    return SpectralPower(op=op, s=s, active=active, eigvals=basis[1], factors=basis[0])
+
+
+class ShiftedSolver:
+    """``(K_T + m mu_k)^-1`` on every level k, K_T the tangential stiffness
+    over the active nodes of ``grid`` (C order), m the node volume and mu
+    the level shifts; the route is chosen once, here."""
+
+    def __init__(self, grid, coeff, K_T: sp.csc_matrix, m: float, mu: np.ndarray):
+        self._n, self._lu = K_T.shape[0], None
+        basis = _sine_basis(grid, coeff)
+        if basis is not None:
+            self._factors, lam = basis
+            self._shifted = m * np.add.outer(mu, lam)
+            return
+        blocks = sp.kron(sp.identity(len(mu), format="csc"), K_T, format="csc")
+        blocks = blocks + sp.diags(np.repeat(m * mu, self._n), format="csc")
+        try:
+            # SPD blocks: symmetric ordering, no pivoting
+            self._lu = spla.splu(blocks, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SolveError(f"shifted tangential factorization failed: {exc}") from exc
+
+    def solve(self, Y: np.ndarray) -> np.ndarray:
+        """``(K_T + m mu_k)^-1 Y[k]`` for Y of shape (levels, T, columns)."""
+        if self._lu is not None:
+            return self._lu.solve(Y.reshape(-1, Y.shape[2])).reshape(Y.shape)
+        X = _mode_product(self._factors, Y.transpose(0, 2, 1), to_modes=True)
+        X /= self._shifted[:, None, :]
+        return _mode_product(self._factors, X, to_modes=False).transpose(0, 2, 1)
+
+    def trace_sums(self, B: np.ndarray, w: np.ndarray, c: np.ndarray):
+        """``G = sum_k w_k**2 [(K_T + m mu_k)^-1]_BB`` and ``H = sum_k c_k w_k
+        [(K_T + m mu_k)^-1]_{:,B}`` in one pass, B positions among the active
+        nodes: ``V_B diag(g) V_B^T`` and ``V diag(h) V_B^T`` in the sine basis
+        (g, h the level sums of w**2 and c w over ``m (mu_k + lam)``), else
+        from solves of the unit columns ``w (x) e_b``."""
+        if self._lu is None:
+            inv = 1.0 / self._shifted
+            V_B = _factor_rows(self._factors, B)
+            G = (V_B * (w**2 @ inv)) @ V_B.T
+            return G, _mode_product(self._factors, V_B * ((c * w) @ inv),
+                                    to_modes=False).T
+        G, H = np.empty((len(B), len(B))), np.empty((self._n, len(B)))
+        for c0 in range(0, len(B), _CHUNK):
+            cols = B[c0:c0 + _CHUNK]
+            R = np.zeros((len(w), self._n, len(cols)))
+            R[:, cols, np.arange(len(cols))] = w[:, None]
+            Y = self.solve(R)
+            G[:, c0:c0 + len(cols)] = np.tensordot(w, Y[:, B], axes=(0, 0))
+            H[:, c0:c0 + len(cols)] = np.tensordot(c, Y, axes=(0, 0))
+        return G, H
 
 
 def _cholesky(block: np.ndarray):

@@ -157,6 +157,7 @@ def test_alpha_schedule_validation():
     ("tikhonov-sweep", {"fine_data": "no"}, "params.fine_data"),
     ("density", {"levels": 30.7}, "params.levels"),
     ("oracle-crosscheck", {"bump_center": [1.8, 0.5]}, "params.bump_center"),
+    ("oracle-crosscheck", {"bump_center": [0.5]}, "params.bump_center"),
 ])
 def test_degenerate_params_are_config_errors(tmp_path, capsys, experiment,
                                              params, field):

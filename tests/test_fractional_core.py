@@ -5,12 +5,20 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import calderon as cd
 from calderon import linsolve
 from calderon.errors import EigError, ParamError, SolveError
-from calderon.fractional_core import SpectralPower, _eigh_clipped, _reconstruct
+from calderon.extension import ExtensionSolver
+from calderon.fractional_core import (
+    _CHUNK,
+    ShiftedSolver,
+    SpectralPower,
+    _eigh_clipped,
+    _reconstruct,
+)
 
 from conftest import make_grid, w_bump
 
@@ -408,3 +416,81 @@ def test_block_solve_matches_column_solves(op64):
     assert X.shape == B.shape
     assert not np.any(X[:, 2])
     assert np.max(np.abs(X - cols)) <= 1e-12 * np.max(np.abs(cols))
+
+
+def _shifted_inputs(dim, s, bump):
+    """The inputs an extension solver hands its shifted solver on one of the
+    sine grids: the coefficient, K_T, the pencil's shifts mu and the level
+    vectors w = phi(1) and c of the trace sums."""
+    grid = _SINE_GRIDS[dim]()
+    coeff = (cd.diagonal_coefficient(grid, [1.0 + 0.5 * cd.mollifier_bump(
+        grid.points, [0.5] * dim, 0.4)] * dim, identity_outside=True) if bump
+        else cd.identity_coefficient(grid))
+    ext = ExtensionSolver(cd.build_extension_mesh(grid, cd.build_vertical_mesh(
+        s, cd.default_height(grid), 24)), coeff)
+    T = np.flatnonzero(grid.active)
+    K_T = ext.system.tangential[T][:, T].tocsc()
+    return grid, coeff, K_T, ext._mu, ext._phi[0], ext._rhs_levels
+
+
+@functools.lru_cache(maxsize=None)
+def _shifted_and_dense(dim, s, bump):
+    grid, coeff, K_T, mu, w, c = _shifted_inputs(dim, s, bump)
+    m = grid.node_volume
+    A = K_T.toarray() + m * mu[:, None, None] * np.eye(K_T.shape[0])
+    return ShiftedSolver(grid, coeff, K_T, m, mu), A, w, c
+
+
+@given(st.sampled_from(sorted(_SINE_GRIDS)), st.sampled_from([0.1, 0.9]),
+       st.booleans(), st.integers(0, 2**16))
+@settings(max_examples=20, deadline=None)
+def test_shifted_solver_matches_dense_shifted_matrices(dim, s, bump, seed):
+    """On both routes a block solve equals per-level dense solves of
+    ``K_T + m mu_k I`` and the trace sums equal the same sums of the dense
+    inverses' blocks, for trace positions spanning one to three chunks."""
+    shifted, A, w, c = _shifted_and_dense(dim, s, bump)
+    assert (shifted._lu is None) == (not bump)
+    rng = np.random.default_rng(seed)
+    nT = A.shape[1]
+
+    def close(a, b):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    Y = rng.standard_normal((len(w), nT, 3))
+    close(shifted.solve(Y), np.linalg.solve(A, Y))
+    B = np.sort(rng.choice(nT, size=rng.integers(1, 3 * _CHUNK + 1), replace=False))
+    inv = np.linalg.inv(A)
+    G, H = shifted.trace_sums(B, w, c)
+    close(G, np.einsum("k,kij->ij", w**2, inv[:, B][:, :, B]))
+    close(H, np.einsum("k,kij->ij", c * w, inv[:, :, B]))
+
+
+@pytest.mark.parametrize("size", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 2])
+def test_trace_sums_make_one_lu_solve_per_chunk(size, monkeypatch):
+    """The LU route's trace sums cost ceil(|B| / _CHUNK) block solves; the
+    sine route calls no ``splu``, in its build or its trace sums."""
+    factored, solves = [], []
+    splu = spla.splu
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(rhs.shape)
+            return self.lu.solve(rhs)
+
+    def counting_splu(*args, **kwargs):
+        factored.append(CountingLU(splu(*args, **kwargs)))
+        return factored[-1]
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    B = np.arange(size)
+    for bump in (False, True):
+        grid, coeff, K_T, mu, w, c = _shifted_inputs(2, 0.5, bump)
+        factored.clear()
+        solves.clear()
+        ShiftedSolver(grid, coeff, K_T, grid.node_volume, mu).trace_sums(B, w, c)
+        assert len(factored) == bump
+        assert len(solves) == bump * -(-size // _CHUNK)
