@@ -30,12 +30,23 @@ interior and measurement nodes, and callers check the cap before building
 anything else on the grid.
 
 Shifted solves.  ``ShiftedSolver`` makes the extension's ``(K_T + m mu_k)
-y_k = r_k`` on all levels k at once, on a route chosen by the same test.
-For a = Id ``K_T = m V diag(lam) V^T`` with the sine factors: a solve is two
-mode products around a division by ``m (mu_k + lam)``, and the trace sums
-are closed forms in the sine rows at the trace nodes.  Otherwise one
-block-diagonal sparse LU of the shifted matrices solves, and the trace sums
-come from unit block solves, _CHUNK columns at a time.
+y_k = r_k`` on all levels k at once, on one of three routes chosen once:
+
+* a = Id, any dimension: ``K_T = m V diag(lam) V^T`` with the sine factors,
+  so a solve is two mode products around a division by ``m (mu_k + lam)``,
+  and the trace sums are closed forms in the sine rows at the trace nodes.
+* any other coefficient in 1D: each shifted block is an SPD tridiagonal,
+  whose Cholesky factor has no fill in the natural order, so no
+  fill-reducing ordering or symbolic analysis is needed.  The J blocks are
+  stacked into one tridiagonal with zero coupling between levels and
+  factored once by LAPACK ``dpttrf``; a solve is one ``dpttrs``, O(J |T|)
+  per column, the exact direct tangential solve behind the vertical fast
+  diagonalization (Buzbee, Golub and Nielson, 1970).
+* any other coefficient in 2D and 3D: one block-diagonal sparse LU of the
+  shifted matrices.
+
+On both factored routes the trace sums come from unit block solves, _CHUNK
+columns at a time.
 
 With O the closed interior region and W the measurement nodes, the nonlocal
 measurement map is the Schur complement ``A_WW - A_WO A_OO^{-1} A_OW`` of
@@ -58,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, lapack
 
 from .errors import EigError, ParamError, SolveError
 from .local_elliptic import LocalOperator
@@ -221,31 +232,59 @@ def spectral_power(op: LocalOperator, s: float) -> SpectralPower:
     return SpectralPower(op=op, s=s, active=active, eigvals=basis[1], factors=basis[0])
 
 
+class _TridiagonalCholesky:
+    """LAPACK ``dpttrf`` factor of the SPD tridiagonal matrix with diagonal d
+    and off-diagonal e; ``solve`` takes a block of right-hand sides, one per
+    column, like a SuperLU object."""
+
+    def __init__(self, d: np.ndarray, e: np.ndarray):
+        self._d, self._e, info = lapack.dpttrf(d, e)
+        if info != 0:
+            raise SolveError(f"shifted tangential factorization failed: dpttrf "
+                             f"info {info} (leading minor not positive definite)")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return lapack.dpttrs(self._d, self._e, rhs)[0]
+
+
 class ShiftedSolver:
     """``(K_T + m mu_k)^-1`` on every level k, K_T the tangential stiffness
     over the active nodes of ``grid`` (C order), m the node volume and mu
-    the level shifts; the route is chosen once, here."""
+    the level shifts.  The route is chosen once, here: the sine division for
+    a = Id, else a factor of the block-diagonal shifted matrix, a stacked
+    tridiagonal Cholesky in 1D (no fill, so no ordering) and a sparse LU in
+    2D and 3D."""
 
     def __init__(self, grid, coeff, K_T: sp.csc_matrix, m: float, mu: np.ndarray):
-        self._n, self._lu = K_T.shape[0], None
+        self._n, self._factor = K_T.shape[0], None
         basis = _sine_basis(grid, coeff)
         if basis is not None:
             self._factors, lam = basis
             self._shifted = m * np.add.outer(mu, lam)
             return
+        if grid.dim == 1:
+            # T is a run of neighbouring nodes, so K_T is tridiagonal; the
+            # last off-diagonal slot of each level is the zero coupling to
+            # the next
+            d = K_T.diagonal()[None, :] + (m * mu)[:, None]
+            e = np.zeros((len(mu), self._n))
+            e[:, :-1] = K_T.diagonal(1)
+            self._factor = _TridiagonalCholesky(d.ravel(), e.ravel()[:-1])
+            return
         blocks = sp.kron(sp.identity(len(mu), format="csc"), K_T, format="csc")
         blocks = blocks + sp.diags(np.repeat(m * mu, self._n), format="csc")
         try:
             # SPD blocks: symmetric ordering, no pivoting
-            self._lu = spla.splu(blocks, permc_spec="MMD_AT_PLUS_A",
-                                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            self._factor = spla.splu(blocks, permc_spec="MMD_AT_PLUS_A",
+                                     diag_pivot_thresh=0.0,
+                                     options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SolveError(f"shifted tangential factorization failed: {exc}") from exc
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
         """``(K_T + m mu_k)^-1 Y[k]`` for Y of shape (levels, T, columns)."""
-        if self._lu is not None:
-            return self._lu.solve(Y.reshape(-1, Y.shape[2])).reshape(Y.shape)
+        if self._factor is not None:
+            return self._factor.solve(Y.reshape(-1, Y.shape[2])).reshape(Y.shape)
         X = _mode_product(self._factors, Y.transpose(0, 2, 1), to_modes=True)
         X /= self._shifted[:, None, :]
         return _mode_product(self._factors, X, to_modes=False).transpose(0, 2, 1)
@@ -256,7 +295,7 @@ class ShiftedSolver:
         nodes: ``V_B diag(g) V_B^T`` and ``V diag(h) V_B^T`` in the sine basis
         (g, h the level sums of w**2 and c w over ``m (mu_k + lam)``), else
         from solves of the unit columns ``w (x) e_b``."""
-        if self._lu is None:
+        if self._factor is None:
             inv = 1.0 / self._shifted
             V_B = _factor_rows(self._factors, B)
             G = (V_B * (w**2 @ inv)) @ V_B.T

@@ -144,8 +144,11 @@ def build_data_operator(
     """Snapshot basis, data map and Grams for the pipeline's geometry.
 
     ``eps`` defaults to s/4.  Raises RankError when the data columns are
-    numerically rank deficient beyond ``rank_tol`` (the mesh is too coarse
-    to separate the snapshots).
+    numerically rank deficient beyond ``rank_tol``.  The trace rows are the
+    identity by construction (unit Dirichlet data on W read back at the
+    trace), so the stacked columns have sigma_min >= 1 and the check fires
+    only when the weighted Neumann traces exceed 1/rank_tol in norm: it
+    guards a broken solve, not a coarse mesh.
     """
     s = pipeline.s
     if eps is None:

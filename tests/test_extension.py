@@ -432,13 +432,13 @@ def small_solver(layout, dim, s, nodes=None, levels=40):
 def test_one_lu_solve_per_chunk(layout):
     """Every chunk of a block, and a single datum, costs one block LU solve."""
     solver = small_solver(layout, 2, 0.5)
-    solver._shifted_solver._lu = CountingLU(solver._shifted_solver._lu)
+    solver._shifted_solver._factor = CountingLU(solver._shifted_solver._factor)
     k = 2 * _CHUNK + 3
     F = np.random.default_rng(3).standard_normal((solver.emesh.grid.num_nodes, k))
     solver.solve_block(F)
-    assert solver._shifted_solver._lu.solves == 3
+    assert solver._shifted_solver._factor.solves == 3
     solver.solve(F[:, 0])
-    assert solver._shifted_solver._lu.solves == 4
+    assert solver._shifted_solver._factor.solves == 4
 
 
 def lifted_rhs_oracle(solver, D):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import calderon as cd
 from calderon import linsolve
@@ -18,6 +18,7 @@ from calderon.fractional_core import (
     SpectralPower,
     _eigh_clipped,
     _reconstruct,
+    _TridiagonalCholesky,
 )
 
 from conftest import make_grid, w_bump
@@ -443,13 +444,16 @@ def _shifted_and_dense(dim, s, bump):
 
 @given(st.sampled_from(sorted(_SINE_GRIDS)), st.sampled_from([0.1, 0.9]),
        st.booleans(), st.integers(0, 2**16))
+@example(dim=1, s=0.1, bump=True, seed=0)
+@example(dim=1, s=0.9, bump=True, seed=1)
 @settings(max_examples=20, deadline=None)
 def test_shifted_solver_matches_dense_shifted_matrices(dim, s, bump, seed):
-    """On both routes a block solve equals per-level dense solves of
+    """On every route a block solve equals per-level dense solves of
     ``K_T + m mu_k I`` and the trace sums equal the same sums of the dense
     inverses' blocks, for trace positions spanning one to three chunks."""
     shifted, A, w, c = _shifted_and_dense(dim, s, bump)
-    assert (shifted._lu is None) == (not bump)
+    assert (shifted._factor is None) == (not bump)
+    assert isinstance(shifted._factor, _TridiagonalCholesky) == (bump and dim == 1)
     rng = np.random.default_rng(seed)
     nT = A.shape[1]
 
@@ -466,31 +470,50 @@ def test_shifted_solver_matches_dense_shifted_matrices(dim, s, bump, seed):
     close(H, np.einsum("k,kij->ij", c * w, inv[:, :, B]))
 
 
+class CountingFactor:
+    """A factor whose block solves are counted."""
+
+    def __init__(self, factor):
+        self.factor, self.solves = factor, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.factor.solve(rhs)
+
+
 @pytest.mark.parametrize("size", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 2])
 def test_trace_sums_make_one_lu_solve_per_chunk(size, monkeypatch):
-    """The LU route's trace sums cost ceil(|B| / _CHUNK) block solves; the
-    sine route calls no ``splu``, in its build or its trace sums."""
-    factored, solves = [], []
+    """The factored routes' trace sums cost ceil(|B| / _CHUNK) block solves;
+    ``splu`` runs once for a 2D bump and never for the sine route or a 1D
+    bump (the tridiagonal Cholesky), in the build or the trace sums."""
+    factored = []
     splu = spla.splu
 
-    class CountingLU:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, rhs):
-            solves.append(rhs.shape)
-            return self.lu.solve(rhs)
-
     def counting_splu(*args, **kwargs):
-        factored.append(CountingLU(splu(*args, **kwargs)))
-        return factored[-1]
+        factored.append(args)
+        return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     B = np.arange(size)
-    for bump in (False, True):
-        grid, coeff, K_T, mu, w, c = _shifted_inputs(2, 0.5, bump)
+    for dim, bump in ((2, False), (2, True), (1, True)):
+        grid, coeff, K_T, mu, w, c = _shifted_inputs(dim, 0.5, bump)
         factored.clear()
-        solves.clear()
-        ShiftedSolver(grid, coeff, K_T, grid.node_volume, mu).trace_sums(B, w, c)
-        assert len(factored) == bump
-        assert len(solves) == bump * -(-size // _CHUNK)
+        shifted = ShiftedSolver(grid, coeff, K_T, grid.node_volume, mu)
+        assert isinstance(shifted._factor, _TridiagonalCholesky) == (dim == 1)
+        if bump:
+            shifted._factor = CountingFactor(shifted._factor)
+        shifted.trace_sums(B, w, c)
+        assert len(factored) == (bump and dim == 2)
+        if bump:
+            assert shifted._factor.solves == -(-size // _CHUNK)
+
+
+def test_1d_indefinite_shift_raises_solve_error():
+    """A shift that makes one level's block indefinite stops the tridiagonal
+    factorization at that block's first row, and raises SolveError."""
+    grid, coeff, K_T, mu, w, c = _shifted_inputs(1, 0.5, True)
+    m, n, k = grid.node_volume, K_T.shape[0], 3
+    bad = mu.copy()
+    bad[k] = -2.0 * K_T.diagonal().max() / m
+    with pytest.raises(SolveError, match=f"dpttrf info {k * n + 1} "):
+        ShiftedSolver(grid, coeff, K_T, m, bad)

@@ -53,6 +53,21 @@ def test_basis_trace_is_nodal(aop):
     assert np.allclose(aop.trace_matrix, np.eye(aop.basis_size), atol=1e-12)
 
 
+@pytest.mark.parametrize("dim, bump", [(1, False), (1, True), (2, True)])
+def test_trace_matrix_is_exactly_the_identity(dim, bump):
+    """Unit data on W read back at the trace give the identity to the bit on
+    every shifted-solve route (sine, tridiagonal Cholesky, sparse LU), so
+    the data columns' sigma_min is at least 1."""
+    grid = make_grid(dim=dim, nodes=32 if dim == 1 else 16, padding=0.3)
+    a = (cd.diagonal_coefficient(grid, [1.0 + 0.5 * cd.mollifier_bump(
+        grid.points, [0.5] * dim, 0.4)] * dim, identity_outside=True) if bump
+        else cd.identity_coefficient(grid))
+    op = build_data_operator(cd.BridgePipeline(grid, a, 0.5, levels=24))
+    assert np.array_equal(op.trace_matrix, np.eye(len(grid.w_indices)))
+    sv = np.linalg.svd(np.vstack([op.trace_matrix, op.ntrace_matrix]), compute_uv=False)
+    assert sv.min() >= 1.0 - 1e-12
+
+
 def test_eps_validation(small_pipe):
     with pytest.raises(ParamError):
         build_data_operator(small_pipe, eps=0.5)
