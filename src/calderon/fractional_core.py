@@ -41,12 +41,19 @@ y_k = r_k`` on all levels k at once, on one of three routes chosen once:
   stacked into one tridiagonal with zero coupling between levels and
   factored once by LAPACK ``dpttrf``; a solve is one ``dpttrs``, O(J |T|)
   per column, the exact direct tangential solve behind the vertical fast
-  diagonalization (Buzbee, Golub and Nielson, 1970).
+  diagonalization (Buzbee, Golub and Nielson, 1970).  The trace sums need
+  no solve: an SPD tridiagonal's inverse is fixed entry by entry by its
+  forward and backward pivots (Meurant, 1992).  Its diagonal is ``1 /
+  (delta + gamma - d)`` and an off-diagonal entry is a diagonal entry
+  times a product of the pivot ratios ``-e / delta`` (above) or ``-e /
+  gamma`` (below).  The shifted blocks are diagonally dominant, so the
+  ratios lie in (0, 1) and the products can underflow but never overflow;
+  the product form ``u_i v_j`` of two recurrence sequences overflows at
+  the pencil's largest shifts (mu = 2.3e10 at 1D n = 384 and J = 128,
+  where u is no longer finite from row 49 of 382).
 * any other coefficient in 2D and 3D: one block-diagonal sparse LU of the
-  shifted matrices.
-
-On both factored routes the trace sums come from unit block solves, _CHUNK
-columns at a time.
+  shifted matrices, whose trace sums come from unit block solves, _CHUNK
+  columns at a time.
 
 With O the closed interior region and W the measurement nodes, the nonlocal
 measurement map is the Schur complement ``A_WW - A_WO A_OO^{-1} A_OW`` of
@@ -232,45 +239,103 @@ def spectral_power(op: LocalOperator, s: float) -> SpectralPower:
     return SpectralPower(op=op, s=s, active=active, eigvals=basis[1], factors=basis[0])
 
 
+def _dpttrf(d: np.ndarray, e: np.ndarray):
+    """LAPACK ``dpttrf`` pivots and multipliers of the SPD tridiagonal with
+    diagonal d and off-diagonal e; a lost minor raises SolveError."""
+    piv, mult, info = lapack.dpttrf(d, e)
+    if info != 0:
+        raise SolveError(f"shifted tangential factorization failed: dpttrf "
+                         f"info {info} (leading minor not positive definite)")
+    return piv, mult
+
+
 class _TridiagonalCholesky:
-    """LAPACK ``dpttrf`` factor of the SPD tridiagonal matrix with diagonal d
-    and off-diagonal e; ``solve`` takes a block of right-hand sides, one per
-    column, like a SuperLU object."""
+    """LAPACK ``dpttrf`` factor of J SPD tridiagonal blocks, block k with
+    diagonal ``d[k]`` and the common off-diagonal e, stacked into one
+    tridiagonal with zero coupling between blocks; ``solve`` takes a block
+    of stacked right-hand sides, one per column, like a SuperLU object."""
 
     def __init__(self, d: np.ndarray, e: np.ndarray):
-        self._d, self._e, info = lapack.dpttrf(d, e)
-        if info != 0:
-            raise SolveError(f"shifted tangential factorization failed: dpttrf "
-                             f"info {info} (leading minor not positive definite)")
+        J, n = d.shape
+        off = np.zeros((J, n))
+        off[:, :-1] = e
+        self._diag, self._off = d.ravel(), off.ravel()[:-1]
+        self._d, self._e = _dpttrf(self._diag, self._off)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return lapack.dpttrs(self._d, self._e, rhs)[0]
+
+    def trace_sums(self, B: np.ndarray, w: np.ndarray, c: np.ndarray):
+        """``ShiftedSolver.trace_sums`` from the entries of the block
+        inverses, with no solve, for J = len(w) blocks.
+
+        With forward pivots delta (this factor) and backward pivots gamma
+        (``dpttrf`` of the reversed matrix), block k's inverse has diagonal
+        ``D = 1 / (delta + gamma - d)``, and its entry (i, j) is D_j times
+        ``prod_{l=i}^{j-1} alpha_l`` above the diagonal (``alpha_l = -e_l /
+        delta_l``, minus this factor's multipliers) or ``prod_{l=j+1}^{i}
+        beta_l`` below it (``beta_l = -e_{l-1} / gamma_l``).  On the hull
+        [min B, max B] a loop over the distance from the diagonal forms both
+        level-weighted sums, one product over the levels per distance; the
+        rows of H above (below) the hull continue each block's first (last)
+        hull row by products of alphas (betas), one matrix product over the
+        levels per side.  The cost is O(J h^2) for a hull of h nodes."""
+        J = len(w)
+        n = len(self._diag) // J
+        piv_r, mult_r = _dpttrf(self._diag[::-1], self._off[::-1])
+        D = 1.0 / (self._d + piv_r[::-1] - self._diag).reshape(J, n)
+        alpha = -np.append(self._e, 0.0).reshape(J, n)
+        beta = -np.concatenate([[0.0], mult_r[::-1]]).reshape(J, n)
+        lo, hi = int(B.min()), int(B.max())
+        h = hi - lo + 1
+        weights = np.stack([w**2, c * w])
+        # level-weighted hull blocks of the inverses; a flat view walks the
+        # t-th super- and sub-diagonal with stride h + 1
+        S = np.empty((2, h, h))
+        flat = S.reshape(2, h * h)
+        first, last = np.empty((J, h)), np.empty((J, h))
+        E = D[:, lo:hi + 1]
+        for t in range(h):
+            # E[k, i] is entry (lo + i, lo + i + t) of block k's inverse
+            v = weights @ E
+            flat[:, t::h + 1][:, :h - t] = v
+            flat[:, t * h::h + 1][:, :h - t] = v
+            first[:, t], last[:, h - 1 - t] = E[:, 0], E[:, -1]
+            E = E[:, 1:] * alpha[:, lo:hi - t]
+        b = B - lo
+        cw = (c * w)[:, None]
+        H = np.empty((n, len(B)))
+        H[lo:hi + 1] = S[1][:, b]
+        above = np.cumprod(alpha[:, :lo][:, ::-1], axis=1)[:, ::-1]
+        H[:lo] = above.T @ (cw * first[:, b])
+        H[hi + 1:] = np.cumprod(beta[:, hi + 1:], axis=1).T @ (cw * last[:, b])
+        return S[0][np.ix_(b, b)], H
 
 
 class ShiftedSolver:
     """``(K_T + m mu_k)^-1`` on every level k, K_T the tangential stiffness
     over the active nodes of ``grid`` (C order), m the node volume and mu
-    the level shifts.  The route is chosen once, here: the sine division for
-    a = Id, else a factor of the block-diagonal shifted matrix, a stacked
-    tridiagonal Cholesky in 1D (no fill, so no ordering) and a sparse LU in
-    2D and 3D."""
+    the level shifts.  The route is chosen once, here, and read back from
+    ``route``: "sine", the sine division for a = Id; else a factor of the
+    block-diagonal shifted matrix, "tridiagonal", a stacked tridiagonal
+    Cholesky in 1D (no fill, so no ordering), or "lu", a sparse LU in 2D
+    and 3D."""
 
     def __init__(self, grid, coeff, K_T: sp.csc_matrix, m: float, mu: np.ndarray):
         self._n, self._factor = K_T.shape[0], None
         basis = _sine_basis(grid, coeff)
         if basis is not None:
+            self._route = "sine"
             self._factors, lam = basis
             self._shifted = m * np.add.outer(mu, lam)
             return
         if grid.dim == 1:
-            # T is a run of neighbouring nodes, so K_T is tridiagonal; the
-            # last off-diagonal slot of each level is the zero coupling to
-            # the next
-            d = K_T.diagonal()[None, :] + (m * mu)[:, None]
-            e = np.zeros((len(mu), self._n))
-            e[:, :-1] = K_T.diagonal(1)
-            self._factor = _TridiagonalCholesky(d.ravel(), e.ravel()[:-1])
+            # T is a run of neighbouring nodes, so K_T is tridiagonal
+            self._route = "tridiagonal"
+            self._factor = _TridiagonalCholesky(
+                K_T.diagonal()[None, :] + (m * mu)[:, None], K_T.diagonal(1))
             return
+        self._route = "lu"
         blocks = sp.kron(sp.identity(len(mu), format="csc"), K_T, format="csc")
         blocks = blocks + sp.diags(np.repeat(m * mu, self._n), format="csc")
         try:
@@ -280,6 +345,11 @@ class ShiftedSolver:
                                      options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SolveError(f"shifted tangential factorization failed: {exc}") from exc
+
+    @property
+    def route(self) -> str:
+        """The route chosen at construction: "sine", "tridiagonal" or "lu"."""
+        return self._route
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
         """``(K_T + m mu_k)^-1 Y[k]`` for Y of shape (levels, T, columns)."""
@@ -291,16 +361,21 @@ class ShiftedSolver:
 
     def trace_sums(self, B: np.ndarray, w: np.ndarray, c: np.ndarray):
         """``G = sum_k w_k**2 [(K_T + m mu_k)^-1]_BB`` and ``H = sum_k c_k w_k
-        [(K_T + m mu_k)^-1]_{:,B}`` in one pass, B positions among the active
-        nodes: ``V_B diag(g) V_B^T`` and ``V diag(h) V_B^T`` in the sine basis
-        (g, h the level sums of w**2 and c w over ``m (mu_k + lam)``), else
-        from solves of the unit columns ``w (x) e_b``."""
-        if self._factor is None:
+        [(K_T + m mu_k)^-1]_{:,B}`` in one pass, B a nonempty set of
+        positions among the active nodes: ``V_B diag(g) V_B^T`` and ``V
+        diag(h) V_B^T`` in the sine basis (g, h the level sums of w**2 and
+        c w over ``m (mu_k + lam)``), the closed form in the tridiagonal
+        pivots (``_TridiagonalCholesky.trace_sums``) in 1D, and on the LU
+        route from solves of the unit columns ``w (x) e_b``, _CHUNK at a
+        time."""
+        if self._route == "sine":
             inv = 1.0 / self._shifted
             V_B = _factor_rows(self._factors, B)
             G = (V_B * (w**2 @ inv)) @ V_B.T
             return G, _mode_product(self._factors, V_B * ((c * w) @ inv),
                                     to_modes=False).T
+        if self._route == "tridiagonal":
+            return self._factor.trace_sums(B, w, c)
         G, H = np.empty((len(B), len(B))), np.empty((self._n, len(B)))
         for c0 in range(0, len(B), _CHUNK):
             cols = B[c0:c0 + _CHUNK]

@@ -18,7 +18,6 @@ from calderon.fractional_core import (
     SpectralPower,
     _eigh_clipped,
     _reconstruct,
-    _TridiagonalCholesky,
 )
 
 from conftest import make_grid, w_bump
@@ -434,6 +433,10 @@ def _shifted_inputs(dim, s, bump):
     return grid, coeff, K_T, ext._mu, ext._phi[0], ext._rhs_levels
 
 
+def _route(dim, bump):
+    return ("tridiagonal" if dim == 1 else "lu") if bump else "sine"
+
+
 @functools.lru_cache(maxsize=None)
 def _shifted_and_dense(dim, s, bump):
     grid, coeff, K_T, mu, w, c = _shifted_inputs(dim, s, bump)
@@ -452,8 +455,7 @@ def test_shifted_solver_matches_dense_shifted_matrices(dim, s, bump, seed):
     ``K_T + m mu_k I`` and the trace sums equal the same sums of the dense
     inverses' blocks, for trace positions spanning one to three chunks."""
     shifted, A, w, c = _shifted_and_dense(dim, s, bump)
-    assert (shifted._factor is None) == (not bump)
-    assert isinstance(shifted._factor, _TridiagonalCholesky) == (bump and dim == 1)
+    assert shifted.route == _route(dim, bump)
     rng = np.random.default_rng(seed)
     nT = A.shape[1]
 
@@ -483,29 +485,94 @@ class CountingFactor:
 
 @pytest.mark.parametrize("size", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 2])
 def test_trace_sums_make_one_lu_solve_per_chunk(size, monkeypatch):
-    """The factored routes' trace sums cost ceil(|B| / _CHUNK) block solves;
-    ``splu`` runs once for a 2D bump and never for the sine route or a 1D
-    bump (the tridiagonal Cholesky), in the build or the trace sums."""
-    factored = []
-    splu = spla.splu
+    """The LU route's trace sums cost ceil(|B| / _CHUNK) block solves and the
+    1D tridiagonal route's none (a closed form in its pivots); ``splu`` runs
+    once for a 2D bump and never for the sine route or a 1D bump (the
+    tridiagonal Cholesky), in the build or the trace sums."""
+    factored, tridiagonal_solves = [], []
+    splu, dpttrs = spla.splu, scipy.linalg.lapack.dpttrs
 
     def counting_splu(*args, **kwargs):
         factored.append(args)
         return splu(*args, **kwargs)
 
+    def counting_dpttrs(*args, **kwargs):
+        tridiagonal_solves.append(args)
+        return dpttrs(*args, **kwargs)
+
     monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counting_dpttrs)
     B = np.arange(size)
     for dim, bump in ((2, False), (2, True), (1, True)):
         grid, coeff, K_T, mu, w, c = _shifted_inputs(dim, 0.5, bump)
         factored.clear()
         shifted = ShiftedSolver(grid, coeff, K_T, grid.node_volume, mu)
-        assert isinstance(shifted._factor, _TridiagonalCholesky) == (dim == 1)
-        if bump:
+        assert shifted.route == _route(dim, bump)
+        if shifted.route == "lu":
             shifted._factor = CountingFactor(shifted._factor)
+        tridiagonal_solves.clear()
         shifted.trace_sums(B, w, c)
         assert len(factored) == (bump and dim == 2)
-        if bump:
+        assert not tridiagonal_solves
+        if shifted.route == "lu":
             assert shifted._factor.solves == -(-size // _CHUNK)
+
+
+@functools.lru_cache(maxsize=None)
+def _recovery_1d_trace_sums():
+    """The extension solver of the recovery-1d benchmark's grid (1D, n = 384,
+    J = 128, a bump coefficient), its trace-sum level vectors, and the
+    level-weighted sums of its block inverses over all of T made from unit
+    solves through the tridiagonal factor."""
+    grid = make_grid(dim=1, nodes=384)
+    coeff = cd.diagonal_coefficient(grid, [1.0 + 0.2 * cd.mollifier_bump(
+        grid.points, [0.45], 0.3)], identity_outside=True)
+    solver = cd.BridgePipeline(grid, coeff, 0.5, levels=128).solver
+    shifted, w, c = solver._shifted_solver, solver._phi[0], solver._rhs_levels
+    assert shifted.route == "tridiagonal"
+    n = shifted._n
+    sums = np.empty((2, n, n))
+    for c0 in range(0, n, 32):
+        cols = np.arange(c0, min(c0 + 32, n))
+        R = np.zeros((len(w), n, len(cols)))
+        R[:, cols, np.arange(len(cols))] = 1.0
+        Y = shifted._factor.solve(R.reshape(-1, len(cols))).reshape(R.shape)
+        sums[:, :, cols] = np.tensordot(np.stack([w**2, c * w]), Y, axes=(1, 0))
+    return solver, w, c, sums
+
+
+@pytest.mark.parametrize("case", ["omega", "scattered", "all", "first", "last"])
+def test_tridiagonal_trace_sums_match_unit_solves(case):
+    """The 1D closed-form trace sums equal sums of unit solves on the
+    solver's real pencil (shifts up to about 2e10), for B the free trace
+    nodes (the interior interval), a scattered set, all of T (no rows
+    outside the hull), and one end node (one side of the hull empty)."""
+    solver, w, c, (inv_w2, inv_cw) = _recovery_1d_trace_sums()
+    n = inv_w2.shape[0]
+    B = {"omega": solver._B,
+         "scattered": np.array([3, 40, 41, 90, 200, 201, 202, 350]),
+         "all": np.arange(n),
+         "first": np.array([0]),
+         "last": np.array([n - 1])}[case]
+    G, H = solver._shifted_solver.trace_sums(B, w, c)
+    for got, ref in ((G, inv_w2[np.ix_(B, B)]), (H, inv_cw[:, B])):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_tridiagonal_trace_sums_check_reversed_factorization(monkeypatch):
+    """The backward pivots come from a second ``dpttrf``, on the reversed
+    matrix; a lost minor there raises SolveError like the forward one."""
+    solver, w, c, _ = _recovery_1d_trace_sums()
+    dpttrf = scipy.linalg.lapack.dpttrf
+
+    def failing_dpttrf(d, e):
+        piv, mult, _ = dpttrf(d, e)
+        return piv, mult, 7
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", failing_dpttrf)
+    with pytest.raises(SolveError, match="dpttrf info 7 "):
+        solver._shifted_solver.trace_sums(solver._B, w, c)
 
 
 def test_1d_indefinite_shift_raises_solve_error():
