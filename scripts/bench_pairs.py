@@ -3,25 +3,27 @@
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \\
         --claim recovery-1d:setup_s --seed 1 --held-out-seed 5 \\
-        [--pairs 10] [--seconds 25] [--traced-pairs 2] [--annotations FILE]
+        [--traced-pairs 2] [--annotations FILE]
 
 DIR is a checkout holding ``src/`` and ``perfbench/`` (a fresh copy of a
 commit, made with ``git archive``).  Every workload of the change's
-BENCHMARK.json runs ``--pairs`` pairs of ``perfbench/run.py`` at ``--seed``,
-and the claimed workload as many again at ``--held-out-seed``.  Pairs
-alternate which side runs first (even pairs the parent), one process at a
-time.  ``--traced-pairs`` adds that many pairs of ``--trace 1`` runs of the
-claimed workload at ``--seed`` for the per-layer medians.  ``--annotations``
-names a JSON object whose keys (``change``, ``notes``, ``checks``) are copied
-into the record.
+BENCHMARK.json runs ten pairs of ``perfbench/run.py`` at ``--seed``, and the
+claimed workload ten more at ``--held-out-seed``, each run as long as the
+benchmark's ``run_seconds``.  Pairs alternate which side runs first (even
+pairs the parent), one process at a time.  ``--traced-pairs`` adds that many
+pairs of ``--trace 1`` runs of the claimed workload at ``--seed`` for the
+per-layer medians.  ``--annotations`` names a JSON object whose keys
+(``change``, ``notes``, ``checks``) are copied into the record.
 
 For each metric and side the record keeps every run, the median and the
 quartiles (``statistics.quantiles(n=4, method='inclusive')``); for each pair
 whether the change won, lost or tied; and whether the change's median is
 within the metric's bound of the parent's and better by more than the
-parent's interquartile range.  The claim is met when, on every seed, the
-change wins at least nine pairs in ten and its median is better by more
-than the parent's interquartile range.
+parent's interquartile range.  The claim is met when, on every seed, at
+least ten pairs ran, the change wins at least nine pairs in ten and its
+median is better by more than the parent's interquartile range, and the
+change fails no larger share of the claimed workload's operations than the
+parent.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import sys
 from pathlib import Path
 
 RUN_TIMEOUT_S = 1200
+PAIRS = 10
 PROTOCOL = ("alternating pairs, one process at a time: even pairs run the parent "
             "first, odd pairs the change first; each side is a fresh copy of its "
             "commit's src/ and perfbench/")
@@ -131,8 +134,11 @@ def summarize(spec: dict, runs: dict, claim: tuple[str, str], held_out_seed: int
             "parent_median": row["parent"]["median"],
             "change_median": row["change"]["median"],
             "parent_iqr": row["parent"]["q3"] - row["parent"]["q1"]}
-    met = all(10 * s["pairs_won"] >= 9 * s["pairs_run"] and s["median_gap_exceeds_parent_iqr"]
-              for s in per_seed.values())
+    claimed = workloads[workload]
+    failed_share = {s: claimed["failed"][s] / max(claimed["attempted"][s], 1) for s in SIDES}
+    met = (failed_share["change"] <= failed_share["parent"]
+           and all(s["pairs_run"] >= PAIRS and 10 * s["pairs_won"] >= 9 * s["pairs_run"]
+                   and s["median_gap_exceeds_parent_iqr"] for s in per_seed.values()))
     seeds = [s for s in per_seed if s != str(held_out_seed)]
     return {
         "claim": {"workload": workload, "metric": name, "better": better, "met": met,
@@ -164,15 +170,14 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--held-out-seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--traced-pairs", type=int, default=0)
     parser.add_argument("--annotations", type=Path)
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.seed == args.held_out_seed:
-        parser.error("--pairs must be >= 2 and --held-out-seed must differ from --seed")
+    if args.seed == args.held_out_seed:
+        parser.error("--held-out-seed must differ from --seed")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     claim = tuple(args.claim.split(":", 1))
     names = [w["name"] for w in spec["workloads"]]
     if (len(claim) != 2 or claim[0] not in names
@@ -183,17 +188,17 @@ def main(argv=None) -> int:
     runs = {}
     for workload in names:
         seeds = [args.seed] + ([args.held_out_seed] if workload == claim[0] else [])
-        runs[workload] = {seed: run_pairs(checkouts, workload, seed, args.pairs,
-                                          args.seconds) for seed in seeds}
+        runs[workload] = {seed: run_pairs(checkouts, workload, seed, PAIRS, seconds)
+                          for seed in seeds}
     record = {"change": "", "command": "python3 perfbench/run.py --workload <name> "
-              f"--seed <seed> --seconds {args.seconds:g}", "seconds": args.seconds}
+              f"--seed <seed> --seconds {seconds:g}", "seconds": seconds}
     record.update(summarize(spec, runs, claim, args.held_out_seed))
     if args.traced_pairs:
         traced = run_pairs(checkouts, claim[0], args.seed, args.traced_pairs,
-                           args.seconds, trace=1)
+                           seconds, trace=1)
         record["per_layer"] = {
             "command": f"python3 perfbench/run.py --workload {claim[0]} --seed {args.seed} "
-                       f"--seconds {args.seconds:g} --trace 1",
+                       f"--seconds {seconds:g} --trace 1",
             "value": "median over the traced runs of each side of the per-layer "
                      "metric (itself the median over traced rounds)",
             claim[0]: summarize_layers(traced)}

@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -86,16 +85,29 @@ def test_claim_met_needs_every_seed_and_bounds_follow_direction():
     assert battery["wall_s"]["within_bound"]
 
 
-def test_record_passes_the_benchmark_records_check():
-    """Every workload and end-to-end metric has finite medians on both
-    sides, the condition CI applies to each committed BENCH_*.json."""
-    record = bench_pairs.summarize(SPEC, _runs(), ("recovery-1d", "setup_s"), 5)
-    record = json.loads(json.dumps(record))
-    for w in SPEC["workloads"]:
-        for m in SPEC["end_to_end"]:
-            for side in ("parent", "change"):
-                v = record["workloads"][w["name"]]["metrics"][m["name"]][side]["median"]
-                assert isinstance(v, float) and math.isfinite(v)
+def test_claim_needs_ten_pairs_on_every_seed():
+    """Winning every pair is not enough when fewer than ten pairs ran."""
+    runs = _runs()
+    runs["recovery-1d"][5] = runs["recovery-1d"][1]
+    runs["recovery-1d"][1] = runs["recovery-1d"][1][:9]
+    claim = bench_pairs.summarize(SPEC, runs, ("recovery-1d", "setup_s"), 5)["claim"]
+    assert claim["per_seed"]["1"]["pairs_won"] == claim["per_seed"]["1"]["pairs_run"] == 9
+    assert claim["per_seed"]["1"]["median_gap_exceeds_parent_iqr"]
+    assert not claim["met"]
+
+
+def test_claim_needs_no_larger_failed_share():
+    """A change that fails more of the claimed workload's operations does
+    not meet the claim, however fast; failures elsewhere do not count."""
+    runs = _runs()
+    runs["recovery-1d"][5] = runs["recovery-1d"][1]
+    runs["battery"][1][0]["change"]["failed"] = 3
+    assert bench_pairs.summarize(SPEC, runs, ("recovery-1d", "setup_s"), 5)["claim"]["met"]
+    runs["recovery-1d"][5] = [dict(p, change=dict(p["change"], failed=1))
+                              for p in runs["recovery-1d"][1]]
+    record = bench_pairs.summarize(SPEC, runs, ("recovery-1d", "setup_s"), 5)
+    assert record["workloads"]["recovery-1d"]["failed"] == {"parent": 0, "change": 10}
+    assert not record["claim"]["met"]
 
 
 def test_layer_summary_takes_per_side_medians():
