@@ -2,18 +2,21 @@
 """Paired benchmark of two checkouts, summarized into a BENCH_<n>.json record.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \\
-        --claim recovery-1d:setup_s --seed 1 --held-out-seed 5 \\
+        [--claim recovery-1d:setup_s --held-out-seed 5] [--seed 1] \\
         [--traced-pairs 2] [--annotations FILE]
 
 DIR is a checkout holding ``src/`` and ``perfbench/`` (a fresh copy of a
 commit, made with ``git archive``).  Every workload of the change's
 BENCHMARK.json runs ten pairs of ``perfbench/run.py`` at ``--seed``, and the
 claimed workload ten more at ``--held-out-seed``, each run as long as the
-benchmark's ``run_seconds``.  Pairs alternate which side runs first (even
-pairs the parent), one process at a time.  ``--traced-pairs`` adds that many
-pairs of ``--trace 1`` runs of the claimed workload at ``--seed`` for the
-per-layer medians.  ``--annotations`` names a JSON object whose keys
-(``change``, ``notes``, ``checks``) are copied into the record.
+benchmark's ``run_seconds``.  ``--claim`` and ``--held-out-seed`` go
+together; without them the record only shows whether each metric stays
+within its bound, and its ``claim`` is null.  Pairs alternate which side
+runs first (even pairs the parent), one process at a time.
+``--traced-pairs`` adds that many pairs of ``--trace 1`` runs of the claimed
+workload at ``--seed`` for the per-layer medians.  ``--annotations`` names a
+JSON object whose keys (``change``, ``notes``, ``checks``) are copied into
+the record.
 
 For each metric and side the record keeps every run, the median and the
 quartiles (``statistics.quantiles(n=4, method='inclusive')``); for each pair
@@ -101,9 +104,11 @@ def compare(pairs: list[dict], name: str, better: str) -> dict:
     }
 
 
-def summarize(spec: dict, runs: dict, claim: tuple[str, str], held_out_seed: int) -> dict:
+def summarize(spec: dict, runs: dict, claim: tuple[str, str] | None = None,
+              held_out_seed: int | None = None) -> dict:
     """The record's measured part from ``runs[workload][seed]``, each a list
-    of pairs as ``run_pairs`` returns them."""
+    of pairs as ``run_pairs`` returns them; with no ``claim`` its entry is
+    None."""
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     workloads = {}
     for workload, by_seed in runs.items():
@@ -121,6 +126,13 @@ def summarize(spec: dict, runs: dict, claim: tuple[str, str], held_out_seed: int
             entry["metrics"][name] = {"unit": m["unit"], "better": m["better"],
                                       "bound": m["bound"], **row}
         workloads[workload] = entry
+    # every run records the same host: take the first workload's first pair
+    first = next(iter(runs.values()))
+    record = {"claim": None, "protocol": PROTOCOL, "quartiles": QUARTILES,
+              "host": next(iter(first.values()))[0]["parent"]["env"],
+              "workloads": workloads}
+    if claim is None:
+        return record
 
     workload, name = claim
     better = metrics[name]["better"]
@@ -140,16 +152,11 @@ def summarize(spec: dict, runs: dict, claim: tuple[str, str], held_out_seed: int
            and all(s["pairs_run"] >= PAIRS and 10 * s["pairs_won"] >= 9 * s["pairs_run"]
                    and s["median_gap_exceeds_parent_iqr"] for s in per_seed.values()))
     seeds = [s for s in per_seed if s != str(held_out_seed)]
-    return {
-        "claim": {"workload": workload, "metric": name, "better": better, "met": met,
-                  "per_seed": per_seed, "held_out_seed": held_out_seed,
-                  "note": f"seed {', '.join(seeds)} was used while building the change; "
-                          f"seed {held_out_seed} was not"},
-        "protocol": PROTOCOL,
-        "quartiles": QUARTILES,
-        "host": runs[workload][int(seeds[0])][0]["parent"]["env"],
-        "workloads": workloads,
-    }
+    record["claim"] = {"workload": workload, "metric": name, "better": better, "met": met,
+                       "per_seed": per_seed, "held_out_seed": held_out_seed,
+                       "note": f"seed {', '.join(seeds)} was used while building the "
+                               f"change; seed {held_out_seed} was not"}
+    return record
 
 
 def summarize_layers(pairs: list[dict]) -> dict:
@@ -167,27 +174,31 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--held-out-seed", type=int, required=True)
+    parser.add_argument("--held-out-seed", type=int)
     parser.add_argument("--traced-pairs", type=int, default=0)
     parser.add_argument("--annotations", type=Path)
     args = parser.parse_args(argv)
+    if (args.claim is None) != (args.held_out_seed is None):
+        parser.error("--claim and --held-out-seed go together")
     if args.seed == args.held_out_seed:
         parser.error("--held-out-seed must differ from --seed")
+    if args.traced_pairs and args.claim is None:
+        parser.error("--traced-pairs traces the claimed workload; give --claim")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    claim = tuple(args.claim.split(":", 1))
+    claim = tuple(args.claim.split(":", 1)) if args.claim else None
     names = [w["name"] for w in spec["workloads"]]
-    if (len(claim) != 2 or claim[0] not in names
-            or claim[1] not in [m["name"] for m in spec["end_to_end"]]):
+    if claim and (len(claim) != 2 or claim[0] not in names
+                  or claim[1] not in [m["name"] for m in spec["end_to_end"]]):
         parser.error("--claim must be WORKLOAD:METRIC, a workload and an end-to-end "
                      "metric of BENCHMARK.json")
 
     runs = {}
     for workload in names:
-        seeds = [args.seed] + ([args.held_out_seed] if workload == claim[0] else [])
+        seeds = [args.seed] + ([args.held_out_seed] if claim and workload == claim[0] else [])
         runs[workload] = {seed: run_pairs(checkouts, workload, seed, PAIRS, seconds)
                           for seed in seeds}
     record = {"change": "", "command": "python3 perfbench/run.py --workload <name> "
@@ -205,7 +216,10 @@ def main(argv=None) -> int:
     if args.annotations:
         record.update(json.loads(args.annotations.read_text()))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"{args.out}: claim met: {record['claim']['met']}")
+    outside = [f"{w} {m}" for w, entry in record["workloads"].items()
+               for m, row in entry["metrics"].items() if not row["within_bound"]]
+    print(f"{args.out}: claim met: {record['claim'] and record['claim']['met']}; "
+          f"outside their bound: {', '.join(outside) or 'none'}")
     return 0
 
 

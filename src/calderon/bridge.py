@@ -18,13 +18,15 @@ Core constructions:
 * a least-squares density diagnostic for boundary traces of the v's, and a
   coefficient-distinguishability experiment for the two measurement maps.
 
-Discrete identity worth knowing when reading residual reports: column-summing
-the assembled extension equations gives, exactly,
+Discrete identity behind the truncation check and the residual reports:
+column-summing the assembled extension equations gives, exactly,
 
-    (K' v)_i = -m_i * trace_i - m_i * (top truncation flux)_i,
+    (K' v)_i = -m_i * trace_i - m_i * q_i,
 
-so the weak residual of v is the trace-versus-oracle mismatch plus a top
-flux that decays exponentially in the truncation height.
+with ``q_i`` the flux the pinned top draws through the top cell.  So the
+weak residual of v is the trace-versus-oracle mismatch plus that top flux,
+which decays exponentially in the truncation height; ``vertical_integral``
+reads the flux off the field and refuses a truncation where it is not small.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gamma as gamma_fn
 
-from .coefficients import Coefficient, identity_coefficient
+from .coefficients import Coefficient, identity_coefficient, w_bump
 from .errors import ParamError, RankWarning, TailError
 from .extension import (
     ExtensionField,
@@ -79,8 +80,9 @@ __all__ = [
 class VerticalIntegralField:
     """Column-wise weighted vertical integral of an extension field.
 
-    ``tail_bound`` estimates the mass of the untruncated integral above the
-    top height by extrapolating the field's own vertical decay.
+    ``tail_bound`` is the truncation defect: the largest flux through the
+    top cell over the smallest eigenvalue of the tangential operator (see
+    ``vertical_integral``).
     """
 
     values: np.ndarray
@@ -116,56 +118,41 @@ def partial_vertical_integral(field: ExtensionField, start: float) -> np.ndarray
     return field.as_columns() @ w
 
 
-def _empirical_tail(field: ExtensionField) -> float:
-    """Extrapolated weighted tail above the truncation height.
-
-    Fits an exponential decay rate to the column sup norms over the upper
-    levels; a non-decaying field yields an infinite bound.
-    """
-    vm = field.emesh.vertical
-    J = vm.num_levels
-    top = slice(max(2 * J // 3, 1), J)  # exclude the pinned top level
-    sup = np.abs(field.as_columns()[:, top]).max(axis=0)
-    pos = sup > 0
-    if not np.any(pos):
-        return 0.0
-    if np.count_nonzero(pos) < 2:
-        return float("inf")
-    y, z = vm.levels[top][pos], np.log(sup[pos])
-    # least-squares line z ~ intercept + slope * y, in closed form
-    yc = y - y.mean()
-    slope = float(yc @ (z - z.mean()) / (yc @ yc))
-    intercept = z.mean() - slope * y.mean()
-    kappa = -slope
-    if not np.isfinite(kappa) or kappa <= 1e-12:
-        return float("inf")
-    a = 2.0 - 2.0 * field.s
-    M = vm.height
-    x = kappa * M
-    # int_M^inf t^{1-2s} exp(-kappa t) dt = kappa^(2s-2) Gamma(2-2s, kappa M)
-    tail_integral = kappa ** (-a) * gammaincc(a, x) * gamma_fn(a)
-    amplitude = float(np.exp(intercept))
-    return amplitude * tail_integral
-
-
-# largest admissible extrapolated tail, as a fraction of the integral's sup
+# largest admissible truncation defect, as a fraction of the integral's sup
 TAIL_FRACTION = 0.01
 
 
 def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
-    """Full weighted vertical integral with a truncation-tail check.
+    """Full weighted vertical integral with a truncation check.
 
-    Raises TailError when the extrapolated tail above the truncation height
-    exceeds TAIL_FRACTION of the integral's sup norm (a constant field,
-    whose weighted integral diverges, always trips this).
+    The pinned top draws the flux ``q_i = u_{i,J-1} / r_{J-1}`` per
+    tangential node (``r`` the cell resistances), and by the module's
+    identity that flux is the source the truncation adds to v's equation.
+    ``tail_bound = max|q| / lambda_lo`` sizes its effect on v, with
+    ``lambda_lo = a_min * sum_k (4 / h_k**2) sin**2(pi / (2 (n_k - 1)))``
+    the smallest eigenvalue of the operator on the active nodes for
+    ``a = a_min * Id`` (``a_min`` the coefficient's smallest entry, 1 when
+    the field carries no system), so ``||A**-1||_2 <= 1 / lambda_lo`` for
+    the operator A of v's equation.
+
+    Raises TailError when ``tail_bound`` exceeds TAIL_FRACTION of the
+    integral's sup norm.  A field that is not zero at the top (a constant
+    one, whose weighted integral diverges) is charged the same flux and
+    trips this.
     """
     values = partial_vertical_integral(field, 0.0)
-    tail = _empirical_tail(field)
+    grid = field.emesh.grid
+    q = field.as_columns()[:, -2] / field.emesh.vertical.cell_resistances()[-1]
+    a_min = 1.0 if field.system is None else field.system.coeff.lam_min
+    n = np.asarray(grid.shape)
+    lam_lo = a_min * float(np.sum(4.0 / grid.h**2 * np.sin(np.pi / (2 * (n - 1))) ** 2))
+    tail = float(np.max(np.abs(q))) / lam_lo
     ref = float(np.max(np.abs(values)))
     if tail > TAIL_FRACTION * ref:
         raise TailError(
-            f"estimated truncation tail {tail:.3g} exceeds {TAIL_FRACTION:.1%} "
-            f"of the integral's sup norm {ref:.3g}"
+            f"truncation defect {tail:.3g} (top flux over the smallest "
+            f"eigenvalue) exceeds {TAIL_FRACTION:.1%} of the integral's sup "
+            f"norm {ref:.3g}; a taller extension lowers it"
         )
     return VerticalIntegralField(values=values, s=field.s, tail_bound=tail)
 
@@ -268,7 +255,6 @@ class CauchyPair:
 
     boundary_values: np.ndarray
     boundary_flux: np.ndarray
-    provenance: str = ""
 
 
 class BridgePipeline:
@@ -316,29 +302,24 @@ class BridgePipeline:
         U = self.solver.solve_block(self._exterior(F))
         return [self.solver._field(u) for u in np.ascontiguousarray(U.T)]
 
-    def vertical_field(self, f: np.ndarray) -> VerticalIntegralField:
-        return vertical_integral(self.extension(f))
-
     def bridge_solution(self, f: np.ndarray) -> np.ndarray:
-        return self.vertical_field(f).values
+        return vertical_integral(self.extension(f)).values
 
-    def cauchy_pair(self, f: np.ndarray, provenance: str = "") -> CauchyPair:
-        return self._field_pair(self.extension(f), provenance)
+    def cauchy_pair(self, f: np.ndarray) -> CauchyPair:
+        return self._field_pair(self.extension(f))
 
-    def _field_pair(self, fld: ExtensionField, provenance: str = "") -> CauchyPair:
+    def _field_pair(self, fld: ExtensionField) -> CauchyPair:
         """Cauchy pair of an extension field: its vertical integral (with the
-        truncation-tail check), restricted to the boundary, and its flux."""
+        truncation check), restricted to the boundary, and its flux."""
         v = vertical_integral(fld).values
-        vals = v[self.grid.boundary_indices]
-        flux = boundary_flux(self.local_op, v)
-        return CauchyPair(boundary_values=vals, boundary_flux=flux,
-                          provenance=provenance)
+        return CauchyPair(boundary_values=v[self.grid.boundary_indices],
+                          boundary_flux=boundary_flux(self.local_op, v))
 
 
 def operator_T(pipeline: BridgePipeline, f: np.ndarray) -> CauchyPair:
     """Cauchy-data operator: exterior datum -> (v, conormal flux of v) on the
     interior-region boundary.  Linear in f; (0, 0) at f = 0."""
-    return pipeline.cauchy_pair(f, provenance="operator_T")
+    return pipeline.cauchy_pair(f)
 
 
 # singular values of the weighted bridge traces below this fraction of the
@@ -463,7 +444,6 @@ def distinguishability_experiment(
     A nonzero interior perturbation must show up in both maps; identical
     coefficients give gaps at rounding level.
     """
-    from .coefficients import mollifier_bump
     from .fractional_core import nonlocal_dtn_matrix, spectral_power
 
     op1 = assemble_local(grid, a1)
@@ -480,11 +460,7 @@ def distinguishability_experiment(
     nonlocal_gap = float(np.max(np.abs(np.linalg.eigvalsh(sym1 - sym2))))
     nonlocal_scale = float(np.max(np.abs(np.linalg.eigvalsh(sym1))))
 
-    widx = grid.w_indices
-    center = grid.points[widx].mean(axis=0)
-    width = 0.45 * float(np.max(np.ptp(grid.points[widx], axis=0)) or np.max(grid.h))
-    test_f = np.zeros(grid.num_nodes)
-    test_f[widx] = mollifier_bump(grid.points[widx], center, width)
+    test_f = w_bump(grid)
     p1 = BridgePipeline(grid, a1, s, levels=levels, height=height)
     p2 = BridgePipeline(grid, a2, s, levels=levels, height=height)
     c1 = p1.cauchy_pair(test_f)

@@ -21,6 +21,7 @@ __all__ = [
     "diagonal_coefficient",
     "coefficient_from_spec",
     "mollifier_bump",
+    "w_bump",
 ]
 
 
@@ -81,6 +82,21 @@ def mollifier_bump(points: np.ndarray, center, width: float) -> np.ndarray:
     inside = r2 < 1.0
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
     return out
+
+
+def w_bump(grid: TangentialGrid, center=None, width=None) -> np.ndarray:
+    """The default exterior datum: a mollifier bump on the measurement nodes,
+    zero elsewhere, centred by default at their mean with a width of 0.45
+    times their largest extent."""
+    widx = grid.w_indices
+    wpts = grid.points[widx]
+    if center is None:
+        center = wpts.mean(axis=0)
+    if width is None:
+        width = 0.45 * float(np.max(wpts.max(axis=0) - wpts.min(axis=0)))
+    f = np.zeros(grid.num_nodes)
+    f[widx] = mollifier_bump(wpts, center, width)
+    return f
 
 
 def diagonal_coefficient(

@@ -10,7 +10,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .coefficients import mollifier_bump
+from .coefficients import w_bump
 from .errors import ConfigError
 from .mesh import GeometrySpec, build_tangential_grid, default_boxes
 
@@ -175,18 +175,6 @@ def _grid_from_config(cfg: ExperimentConfig, nodes=None, dim=None):
         nodes=nodes if nodes is not None else cfg.nodes))
 
 
-def _w_bump(grid, center=None, width=None):
-    widx = grid.w_indices
-    wpts = grid.points[widx]
-    if center is None:
-        center = wpts.mean(axis=0)
-    if width is None:
-        width = 0.45 * float(np.max(wpts.max(axis=0) - wpts.min(axis=0)))
-    f = np.zeros(grid.num_nodes)
-    f[widx] = mollifier_bump(wpts, center, width)
-    return f
-
-
 def _finite(value) -> bool:
     """No NaN or infinity anywhere in a JSON value; the schema lets them by."""
     if isinstance(value, list):
@@ -230,7 +218,7 @@ def _validate_params(cfg: ExperimentConfig):
     # the datum is this bump on W: zero on every node of W leaves no map to
     # measure, and the relative errors would divide by zero
     if (center is not None or width is not None) and not np.any(
-            _w_bump(_grid_from_config(cfg), center, width)):
+            w_bump(_grid_from_config(cfg), center, width)):
         key = "bump_center" if center is not None else "bump_width"
         raise ConfigError(f"field 'params.{key}': the bump is zero on every "
                           "measurement node")

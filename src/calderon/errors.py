@@ -39,7 +39,9 @@ class CalibrationError(CalderonError):
 
 
 class TailError(CalderonError):
-    """The vertical integral's truncation tail exceeds the configured fraction."""
+    """The vertical integral's truncation defect, the flux through the top
+    cell over the operator's smallest eigenvalue, exceeds TAIL_FRACTION of
+    the integral's sup norm: the extension was cut too low."""
 
 
 class FitError(CalderonError):

@@ -21,9 +21,8 @@ from . import bridge as br
 from . import extension as ext
 from . import fractional_core as fc
 from . import tikhonov as tk
-from .coefficients import coefficient_from_spec, mollifier_bump
-from .config import (EXPERIMENT_NAMES, PARAMS, ExperimentConfig, _grid_from_config,
-                     _w_bump)
+from .coefficients import coefficient_from_spec, mollifier_bump, w_bump
+from .config import EXPERIMENT_NAMES, PARAMS, ExperimentConfig, _grid_from_config
 from .errors import ExperimentError
 from .local_elliptic import assemble_local
 
@@ -98,7 +97,7 @@ def _run_oracle_crosscheck(cfg: ExperimentConfig, rng) -> ExperimentResult:
                 grid, coeff, s, levels=levels, height=cfg.height, grading=cfg.grading
             )
             P = fc.spectral_power(pipe.local_op, s)
-            f = _w_bump(grid, cfg.params.get("bump_center"), cfg.params.get("bump_width"))
+            f = w_bump(grid, cfg.params.get("bump_center"), cfg.params.get("bump_width"))
             u = fc.solve_fractional_dirichlet(P, f)
             oracle = P.apply(u)
             tr = ext.neumann_trace(pipe.extension(f)).values
@@ -212,7 +211,7 @@ def _run_bridge_residual(cfg: ExperimentConfig, rng) -> ExperimentResult:
     tol = float(cfg.params.get("tolerance", 0.10))
     num_levels = int(cfg.params.get("refinements", 2)) + 1
     rows = []
-    res_interior, res_sourced = [], []
+    res_interior, res_sourced, tail_bounds = [], [], []
     levels = cfg.levels
     from .mesh import default_height
 
@@ -221,8 +220,10 @@ def _run_bridge_residual(cfg: ExperimentConfig, rng) -> ExperimentResult:
         height = (cfg.height or default_height(grid)) * 2 ** (level / 2)
         pipe = br.BridgePipeline(grid, coeff, s, levels=levels, height=height,
                                  grading=cfg.grading)
-        f = _w_bump(grid)
-        v = pipe.bridge_solution(f)
+        f = w_bump(grid)
+        vi = br.vertical_integral(pipe.extension(f))
+        v = vi.values
+        tail_bounds.append(vi.tail_bound / float(np.max(np.abs(v))))
         r_int = br.verify_local_equation(
             v, pipe.local_op, np.zeros(grid.num_nodes), region="omega"
         ).normalized
@@ -247,6 +248,9 @@ def _run_bridge_residual(cfg: ExperimentConfig, rng) -> ExperimentResult:
             "sourced_residuals": res_sourced,
             "interior_decreasing": dec_int,
             "sourced_decreasing": dec_src,
+            # truncation defect over max|v| per level; the check refuses
+            # more than br.TAIL_FRACTION
+            "tail_bounds": tail_bounds,
         },
         tables={
             "residuals": (
@@ -408,16 +412,14 @@ def _run_tikhonov(cfg: ExperimentConfig, rng) -> ExperimentResult:
     spd_ok = bool(eigs.min() >= sol.alpha * lam_e.min() * (1 - 1e-8))
 
     # closed-loop reconstruction from forward data
-    widx = grid.w_indices
-    wpts = grid.points[widx]
-    center = wpts.mean(axis=0)
-    width = 0.45 * float(np.max(wpts.max(axis=0) - wpts.min(axis=0)))
-    f = np.zeros(grid.num_nodes)
-    f[widx] = mollifier_bump(wpts, center, width)
-    f_w = f[widx]
+    f = w_bump(grid)
+    f_w = f[grid.w_indices]
     noise = float(cfg.params.get("noise", 0.0))
     if fine_data:
-        lam_s_f = _fine_forward_data(cfg, grids, center, width)
+        # the same bump, centre and width taken on the coarse W nodes
+        wpts = grid.points[grid.w_indices]
+        width = 0.45 * float(np.max(wpts.max(axis=0) - wpts.min(axis=0)))
+        lam_s_f = _fine_forward_data(cfg, grids, wpts.mean(axis=0), width)
     else:
         P = fc.spectral_power(pipe.local_op, cfg.s)
         lam_s_f = fc.nonlocal_dtn(P, f)

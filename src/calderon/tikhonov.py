@@ -330,5 +330,5 @@ def reconstruct_cauchy_from_data(
     f_hat = np.zeros(pipeline.grid.num_nodes)
     f_hat[pipeline.grid.w_indices] = sol.coeffs
     fld = pipeline.solver.checked_field(Aop.fields @ sol.coeffs, f_hat)
-    pair = pipeline._field_pair(fld, provenance=f"tikhonov(alpha={alpha:g})")
+    pair = pipeline._field_pair(fld)
     return pair, sol

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import calderon as cd
+from calderon.coefficients import w_bump  # noqa: F401  (re-exported to the tests)
 
 
 def make_grid(dim=1, nodes=64, padding=0.9):
@@ -11,18 +12,6 @@ def make_grid(dim=1, nodes=64, padding=0.9):
     spec = cd.GeometrySpec(dim=dim, omega_box=omega, w_box=w, nodes=nodes,
                            padding=padding)
     return cd.build_tangential_grid(spec)
-
-
-def w_bump(grid, center=None, width=None):
-    widx = grid.w_indices
-    wpts = grid.points[widx]
-    if center is None:
-        center = wpts.mean(axis=0)
-    if width is None:
-        width = 0.45 * float(np.max(wpts.max(axis=0) - wpts.min(axis=0)))
-    f = np.zeros(grid.num_nodes)
-    f[widx] = cd.mollifier_bump(wpts, center, width)
-    return f
 
 
 def assert_same_sparse(A, B, rtol):

@@ -110,6 +110,23 @@ def test_claim_needs_no_larger_failed_share():
     assert not record["claim"]["met"]
 
 
+def test_record_without_a_claim_keeps_the_bounds():
+    """With no claim every workload runs at one seed, the record's claim is
+    null and each metric still says whether it stays within its bound."""
+    runs = {w: {1: by_seed[1]} for w, by_seed in _runs().items()}
+    runs["battery"][1] = [{"parent": _result(1.0, 0.3, 100.0, 50.0),
+                           "change": _result(1.0, 0.3, 70.0, 50.0)}] * 10
+    record = bench_pairs.summarize(SPEC, runs)
+    assert record["claim"] is None and record["host"] == ENV
+    assert set(record["workloads"]) == {w["name"] for w in SPEC["workloads"]}
+    recovery = record["workloads"]["recovery-1d"]
+    assert recovery["seeds"] == [1] and recovery["pairs_run"] == 10
+    assert recovery["metrics"]["setup_s"]["within_bound"]
+    battery = record["workloads"]["battery"]["metrics"]
+    assert not battery["data_per_s"]["within_bound"]
+    assert battery["wall_s"]["within_bound"]
+
+
 def test_layer_summary_takes_per_side_medians():
     pairs = [{"parent": {"metrics": {"a_s": a, "b": 1.0}},
               "change": {"metrics": {"a_s": a / 2, "b": 1.0}}} for a in (1.0, 3.0, 2.0)]
