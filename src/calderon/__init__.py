@@ -55,7 +55,6 @@ from .bridge import (
     distinguishability_experiment,
     duality_transform,
     operator_T,
-    partial_vertical_integral,
     verify_local_equation,
     vertical_integral,
 )

@@ -3,9 +3,9 @@
 Core constructions:
 
 * the vertical integral ``v(x') = int_0^inf t**(1-2s) u(x', t) dt`` of an
-  extension field, by exact weighted cell measures times the midpoint value
-  of the per-cell linear interpolant (no singular sampling at t = 0);
-* its partial variant from an arbitrary starting height;
+  extension field, as the sum ``sum_j nu_j u_j`` with the level weights
+  ``nu`` the extension is assembled with (exact weighted cell measures, no
+  singular sampling at t = 0);
 * the duality transform ``u2 = t**(2s-1) d_t u1`` mapping solutions of the
   (2s-1)-weight Neumann problem to solutions of the (1-2s)-weight Dirichlet
   problem;
@@ -53,6 +53,7 @@ from .local_elliptic import (
 )
 from .mesh import (
     TangentialGrid,
+    VerticalMesh,
     build_extension_mesh,
     build_vertical_mesh,
     default_height,
@@ -62,7 +63,6 @@ __all__ = [
     "VerticalIntegralField",
     "CauchyPair",
     "vertical_integral",
-    "partial_vertical_integral",
     "duality_transform",
     "DualityReport",
     "verify_local_equation",
@@ -90,34 +90,6 @@ class VerticalIntegralField:
     tail_bound: float
 
 
-def partial_vertical_integral(field: ExtensionField, start: float) -> np.ndarray:
-    """``int_start^M t**(1-2s) u(x', t) dt`` per tangential node.
-
-    Cells below ``start`` are dropped; the cell containing it contributes its
-    exact clipped weighted measure times the linear interpolant at the
-    clipped midpoint.  ``start = 0`` is the full integral (same code path).
-    """
-    vm = field.emesh.vertical
-    y = vm.levels
-    if start < 0 or start > vm.height:
-        raise ParamError(f"start height {start} outside [0, {vm.height}]")
-    e = 2.0 - 2.0 * field.s
-    lo = np.maximum(y[:-1], start)
-    hi = y[1:]
-    live = hi > lo
-    measure = np.zeros(vm.num_levels)
-    measure[live] = (hi[live] ** e - lo[live] ** e) / e
-    # linear interpolant evaluated at the clipped midpoint
-    mid = np.zeros(vm.num_levels)
-    dy = y[1:] - y[:-1]
-    mid[live] = ((lo[live] + hi[live]) / 2 - y[:-1][live]) / dy[live]
-    # cell j gives its lower level measure * (1 - mid), its upper measure * mid
-    w = np.zeros(vm.num_levels + 1)
-    w[:-1] = measure * (1.0 - mid)
-    w[1:] += measure * mid
-    return field.as_columns() @ w
-
-
 # largest admissible truncation defect, as a fraction of the integral's sup
 TAIL_FRACTION = 0.01
 
@@ -125,9 +97,12 @@ TAIL_FRACTION = 0.01
 def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
     """Full weighted vertical integral with a truncation check.
 
-    The pinned top draws the flux ``q_i = u_{i,J-1} / r_{J-1}`` per
-    tangential node (``r`` the cell resistances), and by the module's
-    identity that flux is the source the truncation adds to v's equation.
+    ``v = sum_j nu_j u_j`` per tangential node, with ``nu`` the vertical
+    mesh's level weights, the sum the extension's stiffness and the module's
+    identity are built from.  The pinned top draws the flux
+    ``q_i = u_{i,J-1} / r_{J-1}`` per tangential node (``r`` the cell
+    resistances), and by the module's identity that flux is the source the
+    truncation adds to v's equation.
     ``tail_bound = max|q| / lambda_lo`` sizes its effect on v, with
     ``lambda_lo = a_min * sum_k (4 / h_k**2) sin**2(pi / (2 (n_k - 1)))``
     the smallest eigenvalue of the operator on the active nodes for
@@ -140,9 +115,11 @@ def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
     one, whose weighted integral diverges) is charged the same flux and
     trips this.
     """
-    values = partial_vertical_integral(field, 0.0)
+    vm = field.emesh.vertical
+    cols = field.as_columns()
+    values = cols @ vm.level_weights()
     grid = field.emesh.grid
-    q = field.as_columns()[:, -2] / field.emesh.vertical.cell_resistances()[-1]
+    q = cols[:, -2] / vm.cell_resistances()[-1]
     a_min = 1.0 if field.system is None else field.system.coeff.lam_min
     n = np.asarray(grid.shape)
     lam_lo = a_min * float(np.sum(4.0 / grid.h**2 * np.sin(np.pi / (2 * (n - 1))) ** 2))
@@ -151,8 +128,9 @@ def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
     if tail > TAIL_FRACTION * ref:
         raise TailError(
             f"truncation defect {tail:.3g} (top flux over the smallest "
-            f"eigenvalue) exceeds {TAIL_FRACTION:.1%} of the integral's sup "
-            f"norm {ref:.3g}; a taller extension lowers it"
+            f"eigenvalue) at truncation height {vm.height:.4g} exceeds "
+            f"{TAIL_FRACTION:.1%} of the integral's sup norm {ref:.3g}; a larger "
+            f"'height' in the config raises the cut and lowers it"
         )
     return VerticalIntegralField(values=values, s=field.s, tail_bound=tail)
 
@@ -180,7 +158,7 @@ def duality_transform(u1: ExtensionField, coeff: Coefficient):
     """
     s = 1.0 - u1.s
     vm1 = u1.emesh.vertical
-    vm = build_vertical_mesh(s, vm1.height, vm1.num_levels, vm1.grading)
+    vm = VerticalMesh(s=s, height=vm1.height, grading=vm1.grading, levels=vm1.levels)
     target_mesh = build_extension_mesh(u1.emesh.grid, vm)
     cols = u1.as_columns()
     flux = (cols[:, 1:] - cols[:, :-1]) / vm1.cell_resistances()[None, :]

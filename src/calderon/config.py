@@ -12,7 +12,7 @@ import numpy as np
 
 from .coefficients import w_bump
 from .errors import ConfigError
-from .mesh import GeometrySpec, build_tangential_grid, default_boxes
+from .mesh import DEFAULT_PADDING, GeometrySpec, build_tangential_grid, default_boxes
 
 __all__ = ["ExperimentConfig", "CONFIG_SCHEMA", "PARAMS", "load_config",
            "validate_config"]
@@ -130,23 +130,31 @@ class ExperimentConfig:
     """Resolved experiment configuration with defaults filled in.
 
     Deterministic contract: the same config and seed reproduce the same
-    numeric outputs byte for byte.
+    numeric outputs byte for byte.  ``omega_box`` and ``w_box`` left at None
+    take ``mesh.default_boxes(dim)``.
     """
 
     experiment: str
     dim: int = 1
     s: float = 0.5
-    omega_box: tuple = ((0.0, 1.0),)
-    w_box: tuple = ((1.5, 2.1),)
+    omega_box: tuple | None = None
+    w_box: tuple | None = None
     nodes: int | tuple = 64
     levels: int = 64
     height: float | None = None
     grading: float | None = None
-    padding: float = 0.9
+    padding: float = DEFAULT_PADDING
     coefficient: object = "identity"
     seed: int = 0
     output: str | None = None
     params: dict = dc_field(default_factory=dict)
+
+    def __post_init__(self):
+        omega, w = default_boxes(self.dim)
+        if self.omega_box is None:
+            self.omega_box = omega
+        if self.w_box is None:
+            self.w_box = w
 
     def echo(self) -> dict:
         """JSON-serializable echo of the resolved configuration."""
@@ -233,13 +241,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"field '{path}': {exc.message}") from exc
 
     dim = int(raw.get("dim", 1))
-    omega_default, w_default = default_boxes(dim)
     cfg = ExperimentConfig(
         experiment=raw["experiment"],
         dim=dim,
         s=float(raw.get("s", 0.5)),
-        omega_box=tuple(tuple(b) for b in raw.get("omega_box", omega_default)),
-        w_box=tuple(tuple(b) for b in raw.get("w_box", w_default)),
+        omega_box=tuple(map(tuple, raw["omega_box"])) if "omega_box" in raw else None,
+        w_box=tuple(map(tuple, raw["w_box"])) if "w_box" in raw else None,
         nodes=(
             tuple(raw["nodes"]) if isinstance(raw.get("nodes"), list)
             else int(raw.get("nodes", 64))
@@ -247,7 +254,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         levels=int(raw.get("levels", 64)),
         height=raw.get("height"),
         grading=raw.get("grading"),
-        padding=float(raw.get("padding", 0.9)),
+        padding=float(raw.get("padding", DEFAULT_PADDING)),
         coefficient=raw.get("coefficient", "identity"),
         seed=int(raw.get("seed", 0)),
         output=raw.get("output"),

@@ -81,6 +81,7 @@ from .errors import (
 )
 from .fractional_core import _CHUNK, ShiftedSolver
 from .mesh import (
+    DEFAULT_PADDING,
     ExtensionMesh,
     TangentialGrid,
     build_extension_mesh,
@@ -607,8 +608,8 @@ def calibrate_cs(
     from .local_elliptic import assemble_local
 
     omega, w = default_boxes(dim)
-    grid = build_tangential_grid(
-        GeometrySpec(dim=dim, omega_box=omega, w_box=w, nodes=nodes, padding=0.9))
+    grid = build_tangential_grid(GeometrySpec(dim=dim, omega_box=omega, w_box=w,
+                                              nodes=nodes, padding=DEFAULT_PADDING))
     coeff = identity_coefficient(grid)
     op = assemble_local(grid, coeff)
     P = spectral_power(op, s)

@@ -29,6 +29,7 @@ __all__ = [
     "build_tangential_grid",
     "build_vertical_mesh",
     "build_extension_mesh",
+    "DEFAULT_PADDING",
     "default_boxes",
     "default_grading",
     "default_height",
@@ -249,6 +250,10 @@ def build_tangential_grid(spec: GeometrySpec) -> TangentialGrid:
     return grid
 
 
+# margin between the regions' bounding box and the computational box's frame
+DEFAULT_PADDING = 0.9
+
+
 def default_boxes(dim: int):
     """The default regions: unit interior box, measurement box to its right."""
     omega = tuple((0.0, 1.0) for _ in range(dim))
@@ -316,7 +321,13 @@ class VerticalMesh:
         return (y[1:] ** (2 * self.s) - y[:-1] ** (2 * self.s)) / (2 * self.s)
 
     def level_weights(self) -> np.ndarray:
-        """Half-cell lumped weights: integral of t**(1-2s) against each level hat."""
+        """Level weights ``nu_j``: half the weighted measure of each cell at
+        level j, summing to ``total_measure``.
+
+        The one vertical quadrature: the extension's stiffness is
+        ``K_T (x) diag(nu) + m (x) K_vert``, and the bridged integral is
+        ``v = sum_j nu_j u_j``.
+        """
         nu = np.zeros(len(self.levels))
         nu[:-1] += self.cell_measures / 2
         nu[1:] += self.cell_measures / 2

@@ -3,12 +3,13 @@ import pytest
 
 import calderon as cd
 from calderon.coefficients import w_bump  # noqa: F401  (re-exported to the tests)
+from calderon.mesh import DEFAULT_PADDING, default_boxes
 
 
-def make_grid(dim=1, nodes=64, padding=0.9):
-    """Standard test geometry: unit interior box, measurement box to its right."""
-    omega = tuple((0.0, 1.0) for _ in range(dim))
-    w = ((1.5, 2.1),) + tuple((0.0, 1.0) for _ in range(dim - 1))
+def make_grid(dim=1, nodes=64, padding=DEFAULT_PADDING):
+    """Standard test geometry: the default boxes, unit interior box and
+    measurement box to its right."""
+    omega, w = default_boxes(dim)
     spec = cd.GeometrySpec(dim=dim, omega_box=omega, w_box=w, nodes=nodes,
                            padding=padding)
     return cd.build_tangential_grid(spec)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import calderon as cd
 from calderon.bridge import TAIL_FRACTION, h_half_gram
 from calderon.errors import ParamError, RankWarning, TailError
 from calderon.extension import ExtensionField, assemble_extension
+from calderon.local_elliptic import boundary_flux
 
 from conftest import make_grid, w_bump
 
@@ -60,28 +62,30 @@ def test_bridge_solution_h1_stable_under_refinement():
     assert abs(norms[1] - norms[0]) / norms[1] < 0.05
 
 
-def test_partial_integral_at_zero_bit_identical(grid64, pipeline_half):
+def test_vertical_integral_is_the_level_weight_sum(grid64, pipeline_half):
+    """v is the sum of the levels with the weights the extension is
+    assembled with, to the bit."""
     fld = pipeline_half.extension(w_bump(grid64))
-    full = cd.vertical_integral(fld)
-    part = cd.partial_vertical_integral(fld, 0.0)
-    assert np.array_equal(full.values, part)
+    nu = pipeline_half.emesh.vertical.level_weights()
+    assert np.array_equal(cd.vertical_integral(fld).values, fld.as_columns() @ nu)
 
 
-def test_partial_integral_at_top_is_zero(grid64, pipeline_half):
-    fld = pipeline_half.extension(w_bump(grid64))
-    top = pipeline_half.emesh.vertical.height
-    assert np.max(np.abs(cd.partial_vertical_integral(fld, top))) == 0.0
-
-
-@given(start=st.floats(0.0, 1.0))
-@settings(max_examples=20, deadline=None)
-def test_partial_integral_monotone_for_nonnegative(grid64, pipeline_half, start):
-    fld = pipeline_half.extension(w_bump(grid64))
-    top = pipeline_half.emesh.vertical.height
-    y1, y2 = start * top, min(start * top + 0.3 * top, top)
-    v1 = cd.partial_vertical_integral(fld, y1)
-    v2 = cd.partial_vertical_integral(fld, y2)
-    assert np.all(v2 <= v1 + 1e-12)
+@pytest.mark.parametrize("dim,nodes", [(1, 64), (2, 24)])
+def test_cauchy_pair_is_the_level_average(dim, nodes):
+    """The bridged Cauchy pair is two vertical averages with the level
+    weights: of the per-level boundary traces and of the per-level conormal
+    fluxes."""
+    grid = make_grid(dim=dim, nodes=nodes)
+    pipe = cd.BridgePipeline(grid, _bump_coefficient(grid), 0.5, levels=48)
+    fld = pipe.extension(w_bump(grid))
+    cols = fld.as_columns()
+    nu = pipe.emesh.vertical.level_weights()
+    fluxes = np.column_stack([boundary_flux(pipe.local_op, u) for u in cols.T])
+    pair = pipe.cauchy_pair(w_bump(grid))
+    for got, levels in ((pair.boundary_values, cols[grid.boundary_indices]),
+                        (pair.boundary_flux, fluxes)):
+        want = levels @ nu
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_duality_power_solution_exact(grid64, ident64):
@@ -227,8 +231,9 @@ def test_distinguishability_gaps(grid64):
     assert diff.local_gap > 0 and diff.nonlocal_gap > 0 and diff.t_gap > 0
 
 
-def two_product_partial_integral(field, start):
-    """Reference partial integral: one product per cell end."""
+def clipped_midpoint_integral(field, start):
+    """Reference integral from ``start``: clipped weighted cell measures times
+    the linear interpolant at the clipped midpoint, one product per cell end."""
     vm = field.emesh.vertical
     y = vm.levels
     e = 2.0 - 2.0 * field.s
@@ -251,10 +256,9 @@ def test_vertical_integral_matches_reference_formulas(dim, s):
     f = np.zeros(grid.num_nodes)
     f[grid.w_indices] = np.random.default_rng(2).standard_normal(len(grid.w_indices))
     fld = pipe.extension(f)
-    for start in (0.0, 0.37 * pipe.emesh.vertical.height):
-        old = two_product_partial_integral(fld, start)
-        new = cd.partial_vertical_integral(fld, start)
-        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
+    old = clipped_midpoint_integral(fld, 0.0)
+    new = cd.vertical_integral(fld).values
+    assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
     flat = ExtensionField(emesh=fld.emesh, values=np.ones_like(fld.values), s=s)
     with pytest.raises(TailError):
         cd.vertical_integral(flat)
@@ -294,7 +298,7 @@ def test_tail_bound_is_the_omega_residual(dim, nodes, levels, bump, s):
     pipe = cd.BridgePipeline(grid, a, s, levels=levels)
     fld = pipe.extension(w_bump(grid))
     q = fld.as_columns()[:, -2] / pipe.emesh.vertical.cell_resistances()[-1]
-    v = cd.partial_vertical_integral(fld, 0.0)
+    v = fld.as_columns() @ pipe.emesh.vertical.level_weights()
     omega = grid.omega_interior
     residual = (pipe.local_op.stiffness @ v)[omega] / grid.node_volume
     assert np.max(np.abs(residual + q[omega])) <= 1e-6 * np.max(np.abs(residual))
@@ -302,7 +306,8 @@ def test_tail_bound_is_the_omega_residual(dim, nodes, levels, bump, s):
     refused = np.max(np.abs(q)) / lam_lo > TAIL_FRACTION * np.max(np.abs(v))
     assert refused == (dim == 1 and s == 0.1)
     if refused:
-        with pytest.raises(TailError):
+        height = f"{pipe.emesh.vertical.height:.4g}"
+        with pytest.raises(TailError, match=f"height {re.escape(height)} .*'height'"):
             cd.vertical_integral(fld)
         return
     vi = cd.vertical_integral(fld)

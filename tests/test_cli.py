@@ -4,10 +4,12 @@ from pathlib import Path
 import pytest
 
 from calderon.cli import main
-from calderon.config import CONFIG_SCHEMA, load_config, validate_config
+from calderon.config import (CONFIG_SCHEMA, ExperimentConfig, _grid_from_config,
+                             load_config, validate_config)
 from calderon.errors import ConfigError, EigError, ExperimentError
 from calderon.experiments import EXPERIMENT_NAMES, run_experiment
 from calderon.extension import ExtensionSolver
+from calderon.mesh import default_boxes
 
 
 def write_config(tmp_path, **overrides):
@@ -222,17 +224,11 @@ def test_output_dir_from_config(tmp_path, monkeypatch):
     assert Path(tmp_path / "from_config" / "summary.json").exists()
 
 
-def test_run_without_malloc_trim(tmp_path, monkeypatch):
-    """Where the C library has no malloc_trim, a run still completes."""
-    import ctypes
-
-    from calderon import experiments
-
-    class NoTrim:
-        def __init__(self, name):
-            pass
-
-    monkeypatch.setattr(ctypes, "CDLL", NoTrim)
-    experiments._release_freed_memory()
-    p = write_config(tmp_path)
-    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
+@pytest.mark.parametrize("dim", [2, 3])
+def test_direct_config_takes_the_default_geometry(dim):
+    """A config built without boxes takes default_boxes(dim), as a validated
+    one does, and its grid builds."""
+    cfg = ExperimentConfig(experiment="duality", dim=dim, nodes=16)
+    assert (cfg.omega_box, cfg.w_box) == default_boxes(dim)
+    assert cfg == validate_config({"experiment": "duality", "dim": dim, "nodes": 16})
+    assert _grid_from_config(cfg).shape == (16,) * dim
