@@ -292,7 +292,7 @@ def test_tail_bound_is_the_omega_residual(dim, nodes, levels, bump, s):
     between the interior region and W, so ``tail_bound * lam_lo`` bounds
     the interior residual rather than equals it.  In 1D at
     s = 0.1 the default height leaves a defect over 1% of max|v|, which is
-    refused."""
+    refused with a message naming the height and the config key."""
     grid = make_grid(dim=dim, nodes=nodes)
     a = _bump_coefficient(grid) if bump else cd.identity_coefficient(grid)
     pipe = cd.BridgePipeline(grid, a, s, levels=levels)
