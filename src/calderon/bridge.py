@@ -82,7 +82,7 @@ class VerticalIntegralField:
 
     ``tail_bound`` is the truncation defect: the largest flux through the
     top cell over the smallest eigenvalue of the tangential operator (see
-    ``vertical_integral``).
+    ``_checked_integral``).
     """
 
     values: np.ndarray
@@ -102,25 +102,35 @@ def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
     identity are built from.  The pinned top draws the flux
     ``q_i = u_{i,J-1} / r_{J-1}`` per tangential node (``r`` the cell
     resistances), and by the module's identity that flux is the source the
-    truncation adds to v's equation.
+    truncation adds to v's equation; ``_checked_integral`` sizes its effect
+    and refuses a truncation where it is not small.  The coefficient's
+    smallest entry enters that bound, 1 when the field carries no system.
+    """
+    vm = field.emesh.vertical
+    cols = field.as_columns()
+    a_min = 1.0 if field.system is None else field.system.coeff.lam_min
+    return _checked_integral(cols @ vm.level_weights(),
+                             cols[:, -2] / vm.cell_resistances()[-1],
+                             field.emesh, a_min, field.s)
+
+
+def _checked_integral(values: np.ndarray, q: np.ndarray, emesh, a_min: float,
+                      s: float) -> VerticalIntegralField:
+    """The vertical integral ``values`` with its truncation check.
+
+    ``q`` is the flux through the top cell per tangential node.
     ``tail_bound = max|q| / lambda_lo`` sizes its effect on v, with
     ``lambda_lo = a_min * sum_k (4 / h_k**2) sin**2(pi / (2 (n_k - 1)))``
     the smallest eigenvalue of the operator on the active nodes for
-    ``a = a_min * Id`` (``a_min`` the coefficient's smallest entry, 1 when
-    the field carries no system), so ``||A**-1||_2 <= 1 / lambda_lo`` for
-    the operator A of v's equation.
+    ``a = a_min * Id`` (``a_min`` the coefficient's smallest entry), so
+    ``||A**-1||_2 <= 1 / lambda_lo`` for the operator A of v's equation.
 
     Raises TailError when ``tail_bound`` exceeds TAIL_FRACTION of the
     integral's sup norm.  A field that is not zero at the top (a constant
     one, whose weighted integral diverges) is charged the same flux and
     trips this.
     """
-    vm = field.emesh.vertical
-    cols = field.as_columns()
-    values = cols @ vm.level_weights()
-    grid = field.emesh.grid
-    q = cols[:, -2] / vm.cell_resistances()[-1]
-    a_min = 1.0 if field.system is None else field.system.coeff.lam_min
+    grid = emesh.grid
     n = np.asarray(grid.shape)
     lam_lo = a_min * float(np.sum(4.0 / grid.h**2 * np.sin(np.pi / (2 * (n - 1))) ** 2))
     tail = float(np.max(np.abs(q))) / lam_lo
@@ -128,11 +138,11 @@ def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
     if tail > TAIL_FRACTION * ref:
         raise TailError(
             f"truncation defect {tail:.3g} (top flux over the smallest "
-            f"eigenvalue) at truncation height {vm.height:.4g} exceeds "
+            f"eigenvalue) at truncation height {emesh.vertical.height:.4g} exceeds "
             f"{TAIL_FRACTION:.1%} of the integral's sup norm {ref:.3g}; a larger "
             f"'height' in the config raises the cut and lowers it"
         )
-    return VerticalIntegralField(values=values, s=field.s, tail_bound=tail)
+    return VerticalIntegralField(values=values, s=s, tail_bound=tail)
 
 
 @dataclass
@@ -289,7 +299,11 @@ class BridgePipeline:
     def _field_pair(self, fld: ExtensionField) -> CauchyPair:
         """Cauchy pair of an extension field: its vertical integral (with the
         truncation check), restricted to the boundary, and its flux."""
-        v = vertical_integral(fld).values
+        return self._integral_pair(vertical_integral(fld).values)
+
+    def _integral_pair(self, v: np.ndarray) -> CauchyPair:
+        """Cauchy pair of a bridged solution v: its boundary values and its
+        conormal flux."""
         return CauchyPair(boundary_values=v[self.grid.boundary_indices],
                           boundary_flux=boundary_flux(self.local_op, v))
 

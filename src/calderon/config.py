@@ -240,29 +240,20 @@ def validate_config(raw: dict) -> ExperimentConfig:
         path = ".".join(str(p) for p in exc.absolute_path) or "config"
         raise ConfigError(f"field '{path}': {exc.message}") from exc
 
-    dim = int(raw.get("dim", 1))
-    cfg = ExperimentConfig(
-        experiment=raw["experiment"],
-        dim=dim,
-        s=float(raw.get("s", 0.5)),
-        omega_box=tuple(map(tuple, raw["omega_box"])) if "omega_box" in raw else None,
-        w_box=tuple(map(tuple, raw["w_box"])) if "w_box" in raw else None,
-        nodes=(
-            tuple(raw["nodes"]) if isinstance(raw.get("nodes"), list)
-            else int(raw.get("nodes", 64))
-        ),
-        levels=int(raw.get("levels", 64)),
-        height=raw.get("height"),
-        grading=raw.get("grading"),
-        padding=float(raw.get("padding", DEFAULT_PADDING)),
-        coefficient=raw.get("coefficient", "identity"),
-        seed=int(raw.get("seed", 0)),
-        output=raw.get("output"),
-        params=dict(raw.get("params", {})),
-    )
+    # only the keys present, converted; ExperimentConfig holds the defaults
+    convert = {
+        "dim": int, "s": float, "levels": int, "padding": float, "seed": int,
+        "omega_box": lambda v: tuple(map(tuple, v)),
+        "w_box": lambda v: tuple(map(tuple, v)),
+        "nodes": lambda v: tuple(v) if isinstance(v, list) else int(v),
+        "params": dict,
+    }
+    cfg = ExperimentConfig(**{
+        key: convert.get(key, lambda v: v)(value) for key, value in raw.items()
+    })
     if not 0.0 < cfg.s < 1.0:
         raise ConfigError(f"field 's': must lie in (0, 1), got {cfg.s}")
-    if len(cfg.omega_box) != dim or len(cfg.w_box) != dim:
+    if len(cfg.omega_box) != cfg.dim or len(cfg.w_box) != cfg.dim:
         raise ConfigError("field 'omega_box'/'w_box': need one (lo, hi) per axis")
     _validate_params(cfg)
     return cfg

@@ -53,8 +53,7 @@ datum per column, goes through the tensor solve _CHUNK columns at a time,
 one shifted solve of all levels per chunk, which bounds the dense
 temporaries whatever the block's width; ``solve`` is its one-column case.
 Every column is checked: its relative residual against the assembled free
-block must stay below 1e-8, else SolveError.  A field combined from solved
-fields (a snapshot basis) passes the same check through ``checked_field``.
+block must stay below 1e-8, else SolveError.
 
 Sign conventions.  The weak form gives, for the trace row of a solution,
 ``(S u)[i, 0] = -m_i * lim t**(1-2s) d_t u``;  the fractional operator of
@@ -398,8 +397,7 @@ class ExtensionSolver:
         else:
             nodes = self._data_nodes
             u[tr[nodes]] = data[nodes]
-            b = self._data_cols @ data[nodes]
-            b *= -1.0
+            b = self._data_cols @ -data[nodes]
         b[self._fixed_rows] = 0.0
         return u, b
 
@@ -484,19 +482,6 @@ class ExtensionSolver:
         """
         data = np.asarray(data, dtype=float)
         return self._field(self.solve_block(data[:, None])[:, 0])
-
-    def checked_field(self, values: np.ndarray, data: np.ndarray) -> ExtensionField:
-        """The field for datum ``data`` whose free nodes hold ``values``.
-
-        Meant for a combination of solved fields (by linearity it solves the
-        same combination of their data): the constrained nodes are set from
-        the datum as in ``solve``, and the field must pass the same residual
-        check, else SolveError.
-        """
-        u, b = self._load(np.asarray(data, dtype=float)[:, None])
-        x = np.where(self.free, values, 0.0)[:, None]
-        self._check_residual(x, b)
-        return self._field((u + x)[:, 0])
 
 
 def solve_extension(

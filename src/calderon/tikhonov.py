@@ -23,10 +23,14 @@ is minimized exactly through its normal equations
 ``(alpha G_E + G_A) c = A* data``; for alpha > 0 the matrix is symmetric
 positive definite, so the minimizer is unique.
 
-The snapshots are kept with the data operator and serve the reconstruction
-too: the mixed solve of a minimizer's trace is, by linearity, the same
-combination of snapshot fields, so a reconstruction costs a matrix-vector
-product and the solver's residual check instead of a fresh solve.
+The snapshots serve the reconstruction too: the mixed solve of a
+minimizer's trace is, by linearity, the same combination of snapshot fields,
+and a reconstruction reads only that combination's vertical integral, its
+flux through the top cell and its residual.  So the build reduces each
+snapshot to its tangential images (integral and top flux, N_tan values
+each) and its free-row residual norm, and keeps no field: a reconstruction
+is two N_tan x K products, the bridge's truncation check and a bounded
+residual check, with no solve.
 
 Convention: the second data component is the raw weighted trace
 ``lim t**(1-2s) d_t u``.  Measurements given as values of the fractional
@@ -40,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .bridge import BridgePipeline
+from .bridge import BridgePipeline, _checked_integral
 from .errors import MeshMismatch, ParamError, RankError, SolveError
-from .extension import _CHUNK, _tensor_stiffness, _weighted_trace
+from .extension import _CHUNK, _column_norms, _tensor_stiffness
 from .fractional_core import _eigh_clipped, _reconstruct
 from .local_elliptic import _assemble
 from .coefficients import identity_coefficient
@@ -93,26 +97,35 @@ def _exterior_energy_matrix(pipeline: BridgePipeline) -> sp.csr_matrix:
 
 @dataclass
 class DataOperator:
-    """Snapshot basis with its data map and penalty Gram matrices.
+    """Snapshot basis reduced to its data map, its tangential images and its
+    penalty Gram matrices.
 
     ``trace_matrix[i, k]`` and ``ntrace_matrix[i, k]`` hold the trace and
     weighted Neumann trace of basis field k at measurement node i; ``G_A``
     and ``G_E`` are the data and penalty Grams in the coefficient basis.
+    ``integrals`` and ``top_fluxes`` (N_tan x K) hold each field's
+    level-weight vertical integral and its flux through the top cell,
+    ``residual_norms`` (K) its free-row residual norm ``||(S u_k)[free]||``,
+    and ``loads`` the free-row loads of the unit data, restricted to the
+    rows they touch.  No extension field is kept.
     """
 
     pipeline: BridgePipeline
     eps: float
-    fields: np.ndarray  # (num extension nodes, basis size)
     trace_matrix: np.ndarray
     ntrace_matrix: np.ndarray
     N_plus: np.ndarray
     N_minus: np.ndarray
     G_A: np.ndarray
     G_E: np.ndarray
+    integrals: np.ndarray
+    top_fluxes: np.ndarray
+    residual_norms: np.ndarray
+    loads: sp.csr_matrix
 
     @property
     def basis_size(self) -> int:
-        return self.fields.shape[1]
+        return self.trace_matrix.shape[1]
 
     def apply(self, coeffs: np.ndarray):
         """A applied to a coefficient vector: (trace, weighted trace) on W."""
@@ -162,22 +175,43 @@ def build_data_operator(
             "on the exterior region"
         )
     grid = pipeline.grid
+    emesh = pipeline.emesh
+    solver = pipeline.solver
+    vm = emesh.vertical
     widx = grid.w_indices
+    tw = emesh.trace_indices()[widx]
     K = len(widx)
-    spikes = np.zeros((grid.num_nodes, K))
+    N = grid.num_nodes
+    spikes = np.zeros((N, K))
     spikes[widx, np.arange(K)] = 1.0
-    # column-major (every reconstruction combines the columns, and that
-    # product streams a column-major matrix a third faster); the sparse
-    # products below go _CHUNK columns at a time, so no full-size copy is made
-    fields = pipeline.solver.solve_block(spikes)
-    traces = fields[pipeline.emesh.trace_indices()[widx]]
+    # column-major, so each chunk of columns below is contiguous; the sparse
+    # products go _CHUNK columns at a time, so no full-size copy is made
+    fields = solver.solve_block(spikes)
+    traces = fields[tw]
+    S = solver.system.stiffness
     S_ext = _exterior_energy_matrix(pipeline)
+    nu = vm.level_weights()
+    r_top = vm.cell_resistances()[-1]
     ntraces = np.empty((K, K))
     G_E = np.empty((K, K))
+    integrals = np.empty((N, K))
+    top_fluxes = np.empty((N, K))
+    residual_norms = np.empty(K)
     for c0 in range(0, K, _CHUNK):
-        U = fields[:, c0:c0 + _CHUNK]
-        ntraces[:, c0:c0 + _CHUNK] = _weighted_trace(pipeline.solver.system, U, widx)
-        G_E[:, c0:c0 + _CHUNK] = fields.T @ (S_ext @ U)
+        chunk = slice(c0, c0 + _CHUNK)
+        U = fields[:, chunk]
+        # the sparse products read a row-major block; one copy serves both
+        Uc = np.ascontiguousarray(U)
+        SU = S @ Uc
+        ntraces[:, chunk] = -SU[tw] / grid.node_volume
+        SU[solver._fixed_rows] = 0.0
+        residual_norms[chunk] = _column_norms(SU)
+        G_E[:, chunk] = fields.T @ (S_ext @ Uc)
+        # (k, N_tan, J + 1), a view: one field's level columns per index
+        cols = U.T.reshape(U.shape[1], N, -1)
+        integrals[:, chunk] = (cols @ nu).T
+        top_fluxes[:, chunk] = cols[:, :, -2].T / r_top
+    del fields
     G_E = 0.5 * (G_E + G_E.T)
     N_plus, N_minus = _fractional_norm_matrices(pipeline, eps)
     G_A = traces.T @ N_plus @ traces + ntraces.T @ N_minus @ ntraces
@@ -188,16 +222,20 @@ def build_data_operator(
             f"data columns are rank deficient (sigma_min/sigma_max = "
             f"{sv.min() / sv.max():.2e}); refine the mesh"
         )
+    loads = S[:, tw][solver.free]
     return DataOperator(
         pipeline=pipeline,
         eps=eps,
-        fields=fields,
         trace_matrix=traces,
         ntrace_matrix=ntraces,
         N_plus=N_plus,
         N_minus=N_minus,
         G_A=G_A,
         G_E=G_E,
+        integrals=integrals,
+        top_fluxes=top_fluxes,
+        residual_norms=residual_norms,
+        loads=loads[np.diff(loads.indptr) > 0],
     )
 
 
@@ -311,11 +349,17 @@ def reconstruct_cauchy_from_data(
     ``f_hat`` is re-extended through the full mixed problem (gluing the
     exterior field to the interior): the snapshot fields are mixed solves of
     the unit data, so by linearity that solve is the combination
-    ``Aop.fields @ coeffs``, and it is checked like a solve (relative
-    free-row residual at most 1e-8, else SolveError).  The field is then
-    averaged vertically, with the truncation-tail check, and restricted to
-    the boundary, as ``operator_T`` does.  Raises MeshMismatch when ``Aop``
-    was built for another pipeline, whose solver its fields belong to.
+    ``u = sum_k c_k u_k`` of them, and only its images are formed.
+
+    The combination is checked like a solve.  Its free-row residual is at
+    most ``sum_k |c_k| rho_k`` (``rho`` the snapshots' residual norms), and
+    that bound must stay within 1e-8 of the free-row load of ``f_hat``, else
+    SolveError; zero data is exempt.  This refuses every combination whose
+    own relative residual exceeds 1e-8.  Its vertical integral and top flux
+    (``Aop.integrals @ c`` and ``Aop.top_fluxes @ c``) then pass the
+    bridge's truncation check, and the integral is restricted to the
+    boundary, as ``operator_T`` does.  Raises MeshMismatch when ``Aop`` was
+    built for another pipeline, whose solver its snapshots belong to.
 
     Data generated by the same forward pipeline makes this an inverse crime;
     use the fine-data generation path when that matters.
@@ -327,8 +371,12 @@ def reconstruct_cauchy_from_data(
         )
     t = -np.asarray(lambda_s_f, dtype=float) / pipeline.cs
     sol = minimize(Aop, (np.asarray(f_w, dtype=float), t), alpha)
-    f_hat = np.zeros(pipeline.grid.num_nodes)
-    f_hat[pipeline.grid.w_indices] = sol.coeffs
-    fld = pipeline.solver.checked_field(Aop.fields @ sol.coeffs, f_hat)
-    pair = pipeline._field_pair(fld)
-    return pair, sol
+    c = sol.coeffs
+    scale = float(np.linalg.norm(Aop.loads @ c))
+    bound = float(np.abs(c) @ Aop.residual_norms)
+    if scale > 0 and not bound <= 1e-8 * scale:
+        raise SolveError(f"reconstruction residual bound {bound / scale:.2e} "
+                         "exceeds tolerance")
+    vi = _checked_integral(Aop.integrals @ c, Aop.top_fluxes @ c, pipeline.emesh,
+                           pipeline.coeff.lam_min, pipeline.s)
+    return pipeline._integral_pair(vi.values), sol

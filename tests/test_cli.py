@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -232,3 +233,12 @@ def test_direct_config_takes_the_default_geometry(dim):
     assert (cfg.omega_box, cfg.w_box) == default_boxes(dim)
     assert cfg == validate_config({"experiment": "duality", "dim": dim, "nodes": 16})
     assert _grid_from_config(cfg).shape == (16,) * dim
+
+
+def test_validated_defaults_are_the_dataclass_defaults():
+    """A config with only its experiment takes every default from
+    ExperimentConfig, field by field."""
+    cfg = validate_config({"experiment": "duality"})
+    ref = ExperimentConfig(experiment="duality")
+    for f in dataclasses.fields(ExperimentConfig):
+        assert getattr(cfg, f.name) == getattr(ref, f.name), f.name

@@ -1,11 +1,14 @@
-import dataclasses
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import calderon as cd
-from calderon.errors import MeshMismatch, ParamError, RankError, SolveError
+from calderon.errors import MeshMismatch, ParamError, RankError, SolveError, TailError
+from calderon.local_elliptic import boundary_flux
 from calderon.tikhonov import _exterior_energy_matrix, build_data_operator
 
 from conftest import assert_same_sparse, make_grid, w_bump
@@ -34,8 +37,17 @@ def test_penalty_gram_spd(aop):
     assert eigs.min() > 0
 
 
+def _snapshots(pipe):
+    """The snapshot fields, re-solved: one unit spike per measurement node."""
+    widx = pipe.grid.w_indices
+    spikes = np.zeros((pipe.grid.num_nodes, len(widx)))
+    spikes[widx, np.arange(len(widx))] = 1.0
+    return pipe.solver.solve_block(spikes)
+
+
 def test_basis_fields_satisfy_exterior_bulk_rows(small_pipe, aop):
     """Every snapshot zeroes the free rows over the exterior columns."""
+    fields = _snapshots(small_pipe)
     grid = small_pipe.grid
     em = small_pipe.emesh
     S = small_pipe.solver.system.stiffness
@@ -45,7 +57,7 @@ def test_basis_fields_satisfy_exterior_bulk_rows(small_pipe, aop):
     cols[grid.active & grid.exterior, 1:J] = True
     scale = np.abs(S.diagonal()).max()
     for k in range(aop.basis_size):
-        r = (S @ aop.fields[:, k])[free]
+        r = (S @ fields[:, k])[free]
         assert np.max(np.abs(r)) < 1e-9 * scale
 
 
@@ -242,21 +254,27 @@ def test_basis_reconstruction_matches_fresh_solve(dim, s):
     f_hat = np.zeros(grid.num_nodes)
     f_hat[grid.w_indices] = sol.coeffs
     fresh = pipe.extension(f_hat)
-    combined = pipe.solver.checked_field(aop.fields @ sol.coeffs, f_hat)
+    combined = pipe.solver._field(_snapshots(pipe) @ sol.coeffs)
     assert _max_rel(combined.values, fresh.values) <= 1e-9
     ref = pipe.cauchy_pair(f_hat)
     assert _max_rel(pair.boundary_values, ref.boundary_values) <= 1e-9
     assert _max_rel(pair.boundary_flux, ref.boundary_flux) <= 1e-9
 
 
-def test_corrupted_basis_column_raises_solve_error(recon_setup):
+def test_corrupted_basis_column_raises_solve_error(recon_setup, monkeypatch):
     grid, pipe, aop, f, lam = recon_setup
-    fields = aop.fields.copy()
     k = aop.basis_size // 2
     # a free node one level above the trace, below the spike of column k
     node = pipe.emesh.trace_indices()[grid.w_indices[k]] + 1
-    fields[node, k] += 1e-3 * np.max(np.abs(fields[:, k]))
-    bad = dataclasses.replace(aop, fields=fields)
+    solve_block = pipe.solver.solve_block
+
+    def corrupted(data):
+        fields = solve_block(data)  # after the solve's own residual check
+        fields[node, k] += 1e-3 * np.max(np.abs(fields[:, k]))
+        return fields
+
+    monkeypatch.setattr(pipe.solver, "solve_block", corrupted)
+    bad = build_data_operator(pipe)
     with pytest.raises(SolveError, match="residual"):
         cd.reconstruct_cauchy_from_data(pipe, bad, f[grid.w_indices], lam, 1e-6)
 
@@ -266,6 +284,68 @@ def test_data_operator_of_another_pipeline_raises_mesh_mismatch(recon_setup):
     other = cd.BridgePipeline(grid, pipe.coeff, pipe.s, levels=48)
     with pytest.raises(MeshMismatch):
         cd.reconstruct_cauchy_from_data(other, aop, f[grid.w_indices], lam, 1e-6)
+
+
+def test_reconstruction_allocates_less_than_one_field(recon_setup):
+    """A reconstruction works on the snapshots' tangential images: its peak
+    allocation stays below one extension field."""
+    grid, pipe, aop, f, lam = recon_setup
+    cd.reconstruct_cauchy_from_data(pipe, aop, f[grid.w_indices], lam, 1e-6)
+    tracemalloc.start()
+    try:
+        cd.reconstruct_cauchy_from_data(pipe, aop, f[grid.w_indices], lam, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pipe.emesh.num_nodes * 8
+
+
+@functools.lru_cache(maxsize=None)
+def _reduced_setup(dim, s, bump):
+    grid = make_grid(dim=dim, nodes=40 if dim == 1 else 16)
+    a = (cd.diagonal_coefficient(grid, [1.0 + 0.5 * cd.mollifier_bump(
+        grid.points, [0.5] * dim, 0.4)] * dim, identity_outside=True) if bump
+        else cd.identity_coefficient(grid))
+    pipe = cd.BridgePipeline(grid, a, s, levels=32 if dim == 1 else 20)
+    return pipe, build_data_operator(pipe), _snapshots(pipe)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.9])
+@pytest.mark.parametrize("bump", [False, True])
+@given(st.integers(0, 2**16), st.sampled_from([1e-2, 1e-4, 1e-6]))
+@settings(max_examples=3, deadline=None)
+def test_reduced_reconstruction_matches_field_path(dim, s, bump, seed, alpha):
+    """The pair read from the snapshots' tangential images equals the one of
+    the combined field, through vertical_integral and boundary_flux, on
+    every shifted-solve route (sine, tridiagonal Cholesky, sparse LU)."""
+    pipe, aop, fields = _reduced_setup(dim, s, bump)
+    rng = np.random.default_rng(seed)
+    K = aop.basis_size
+    f_w = 1.0 + 0.2 * rng.standard_normal(K)
+    # the data of f_w, with 10% noise on the fractional-operator values
+    lam = -pipe.cs * (aop.ntrace_matrix @ f_w) * (1.0 + 0.1 * rng.standard_normal(K))
+    pair, sol = cd.reconstruct_cauchy_from_data(pipe, aop, f_w, lam, alpha)
+    v = cd.vertical_integral(pipe.solver._field(fields @ sol.coeffs)).values
+    ref_values = v[pipe.grid.boundary_indices]
+    ref_flux = boundary_flux(pipe.local_op, v)
+    assert _max_rel(pair.boundary_values, ref_values) <= 1e-12
+    assert _max_rel(pair.boundary_flux, ref_flux) <= 1e-12
+
+
+def test_reconstruction_raises_tail_error_where_operator_t_does():
+    """At s = 0.1 and the default height the top flux exceeds the bound:
+    operator T refuses the datum, and so does its reconstruction."""
+    grid = make_grid(nodes=64)
+    s = 0.1
+    pipe = cd.BridgePipeline(grid, cd.identity_coefficient(grid), s, levels=64)
+    f = w_bump(grid)
+    with pytest.raises(TailError):
+        cd.operator_T(pipe, f)
+    lam = cd.nonlocal_dtn(cd.spectral_power(pipe.local_op, s), f)
+    aop = build_data_operator(pipe)
+    with pytest.raises(TailError):
+        cd.reconstruct_cauchy_from_data(pipe, aop, f[grid.w_indices], lam, 1e-6)
 
 
 def triplet_exterior_energy_matrix(pipeline):
