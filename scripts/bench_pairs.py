@@ -12,7 +12,9 @@ claimed workload ten more at ``--held-out-seed``, each run as long as the
 benchmark's ``run_seconds``.  ``--claim`` and ``--held-out-seed`` go
 together; without them the record only shows whether each metric stays
 within its bound, and its ``claim`` is null.  Pairs alternate which side
-runs first (even pairs the parent), one process at a time.
+runs first (even pairs the parent), one process at a time, each pinned to
+the same CPU (the highest in this script's affinity set; the record's
+``host`` names it as ``cpu``).
 ``--traced-pairs`` adds that many pairs of ``--trace 1`` runs of the claimed
 workload at ``--seed`` for the per-layer medians.  ``--annotations`` names a
 JSON object whose keys (``change``, ``notes``, ``checks``) are copied into
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -40,21 +43,30 @@ from pathlib import Path
 
 RUN_TIMEOUT_S = 1200
 PAIRS = 10
-PROTOCOL = ("alternating pairs, one process at a time: even pairs run the parent "
-            "first, odd pairs the change first; each side is a fresh copy of its "
-            "commit's src/ and perfbench/")
+PROTOCOL = ("alternating pairs, one process at a time, every run pinned to the CPU "
+            "host.cpu: even pairs run the parent first, odd pairs the change first; "
+            "each side is a fresh copy of its commit's src/ and perfbench/")
 QUARTILES = "statistics.quantiles(n=4, method='inclusive') over the runs of one side"
 SIDES = ("parent", "change")
 
 
+def bench_cpu() -> int:
+    """The CPU every perfbench run is pinned to: the highest in this
+    script's own affinity set, the same for both sides."""
+    return max(os.sched_getaffinity(0))
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
-    """One perfbench run in ``checkout``: its metric values, attempted and
-    failed counts, and the environment record."""
+    """One perfbench run in ``checkout``, pinned to ``bench_cpu()``: its
+    metric values, attempted and failed counts, and the environment record
+    with the pinned CPU as ``cpu``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    cpu = bench_cpu()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+                          timeout=RUN_TIMEOUT_S,
+                          preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit(f"bench_pairs: {' '.join(cmd)} in {checkout} failed:\n"
@@ -62,7 +74,7 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float,
     result = json.loads(lines[-1])
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "attempted": result["attempted"], "failed": result["failed"],
-            "env": json.loads(lines[-2])["record"]["env"]}
+            "env": {**json.loads(lines[-2])["record"]["env"], "cpu": cpu}}
 
 
 def run_pairs(checkouts: dict, workload: str, seed: int, pairs: int,

@@ -48,12 +48,17 @@ Sch^-1 Q`` (capacitance-matrix style, |B| x |data nodes| doubles), built
 once from the dense Schur complement ``Sch = nu_0 K_BB + g I - g**2 sum_k
 phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``, ``g = m / r_0`` the first-cell
 conductance: a datum's free trace values are ``Z d``, and the tensor block
-then takes one block solve.  There is one solve path: a block of data, one
-datum per column, goes through the tensor solve _CHUNK columns at a time,
-one shifted solve of all levels per chunk, which bounds the dense
-temporaries whatever the block's width; ``solve`` is its one-column case.
-Every column is checked: its relative residual against the assembled free
-block must stay below 1e-8, else SolveError.
+then takes one block solve.  There is one solve path, the chunk iterator
+``solve_chunks``: a block of data, one datum per column, goes through the
+tensor solve _CHUNK columns at a time, one shifted solve of all levels per
+chunk, into work arrays allocated once per call, which bounds the dense
+temporaries whatever the block's width.  It yields each chunk's assembled
+field with the norms of ``(S u - load)[free]`` measured on that very array,
+and every column is checked first: that norm over ``||(load - S
+u_fixed)[free]||`` (u_fixed the constrained values) must stay below 1e-8,
+else SolveError.  ``solve_block`` collects the
+chunks into one array and ``solve`` is its one-column case; a consumer that
+reduces each chunk as it arrives keeps no block.
 
 Sign conventions.  The weak form gives, for the trace row of a solution,
 ``(S u)[i, 0] = -m_i * lim t**(1-2s) d_t u``;  the fractional operator of
@@ -308,6 +313,11 @@ class ExtensionSolver:
         tr = emesh.trace_indices()
         self._data_nodes = np.flatnonzero(self.fixed[tr])
         self._data_cols = self.system.stiffness[:, tr[self._data_nodes]]
+        # their free-row loads, on the rows they touch, measure the residual;
+        # a free trace takes its load on the free trace nodes instead
+        touched = np.flatnonzero(np.diff(self._data_cols.indptr))
+        self._data_load = self._data_cols[touched[self.free[touched]]]
+        self._free_trace = np.flatnonzero(self.free[tr])
         grid = emesh.grid
         vm = emesh.vertical
         J = vm.num_levels
@@ -385,89 +395,101 @@ class ExtensionSolver:
             raise SolveError(f"trace Schur complement is not positive "
                              f"definite: {exc}") from exc
 
-    def _load(self, data: np.ndarray):
-        """Constrained values u and free-row right-hand sides b, both of shape
-        (num_nodes, k), for a block of data of shape (N_tan, k)."""
-        emesh = self.emesh
-        tr = emesh.trace_indices()
-        u = np.zeros((emesh.num_nodes, data.shape[1]))
-        if self._trace == "free":
-            b = np.zeros_like(u)
-            b[tr] = -emesh.grid.node_volume * data
-        else:
+    def _separable_rhs(self, data: np.ndarray, out=None) -> np.ndarray:
+        """The T x L right-hand side of lifted data (N_tan, k) in the
+        vertical eigenbasis, shape (L, T, k): an outer product, since the
+        lift cancels the vertical load."""
+        return np.multiply.outer(self._rhs_levels,
+                                 self._rhs_tan @ data[self._rhs_nodes], out=out)
+
+    def _solve_chunk(self, D: np.ndarray, u: np.ndarray, levels: np.ndarray) -> None:
+        """Write the assembled fields of the data chunk D (N_tan, k) into u
+        (num_nodes, k): the constrained values and the tensor solve's free
+        part, which touch disjoint rows.  ``levels`` is a (levels, T, k) work
+        block."""
+        T, L, B, phi = self._T, self._L, self._B, self._phi
+        nL, nT, k = levels.shape
+        u[:] = 0.0
+        if self._trace != "free":
             nodes = self._data_nodes
-            u[tr[nodes]] = data[nodes]
-            b = self._data_cols @ -data[nodes]
-        b[self._fixed_rows] = 0.0
-        return u, b
+            u[self.emesh.trace_indices()[nodes]] = D[nodes]
+        self._separable_rhs(D, out=levels)
+        if B.size:
+            xB = self._Z @ D[self._data_nodes]
+            levels[:, B] += np.multiply.outer(self._g * phi[0], xB)
+        Y = self._shifted_solver.solve(levels)
+        np.matmul(phi, Y.reshape(nL, nT * k), out=levels.reshape(nL, nT * k))
+        del Y
+        lift = np.zeros((nT, k))
+        lift[self._lift_at] = D[self._lifted]
+        levels += np.multiply.outer(self._psi, lift)
+        cols = u.reshape(self.emesh.grid.num_nodes, -1, k)
+        cols[T, L] = levels.transpose(1, 0, 2)
+        if B.size:
+            cols[T[B], 0] = xB
 
-    def _check_residual(self, x: np.ndarray, b: np.ndarray) -> None:
-        """Raise SolveError unless every column of x solves the free rows.
-
-        The measure is ``||(S x - b)[free]|| / ||b||`` per column.  With the
-        field u = u_fixed + x and b = load - S u_fixed on the free rows, that
-        is ``||(S u - load)[free]|| / ||(S u_fixed - load)[free]||``, the load
-        being zero unless the trace is free.  Columns with b = 0 are exempt.
-        """
-        scale = _column_norms(b)
-        r = self.system.stiffness @ x
-        r -= b
+    def _residual_norms(self, u: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """``||(S u - load)[free]||`` per column of the assembled fields u of
+        the data chunk D; SolveError unless each is within 1e-8 of
+        ``||(load - S u_fixed)[free]||`` (the load is zero unless the trace is
+        free, u_fixed the constrained values).  Columns where that is zero
+        are exempt."""
+        r = self.system.stiffness @ u
+        if self._trace == "free":
+            load = -self.emesh.grid.node_volume * D[self._free_trace]
+            r[self.emesh.trace_indices()[self._free_trace]] -= load
+            scale = _column_norms(load)
+        else:
+            scale = _column_norms(self._data_load @ D[self._data_nodes])
         r[self._fixed_rows] = 0.0
-        r = _column_norms(r)
-        bad = (scale > 0) & ~(r <= 1e-8 * scale)
+        rho = _column_norms(r)
+        bad = (scale > 0) & ~(rho <= 1e-8 * scale)
         if np.any(bad):
             raise SolveError(
-                f"extension solve residual {np.max(r[bad] / scale[bad]):.2e} "
+                f"extension solve residual {np.max(rho[bad] / scale[bad]):.2e} "
                 "exceeds tolerance"
             )
+        return rho
 
     def _field(self, values: np.ndarray) -> ExtensionField:
         return ExtensionField(
             emesh=self.emesh, values=values, s=self.system.s, system=self.system
         )
 
-    def _separable_rhs(self, data: np.ndarray) -> np.ndarray:
-        """The T x L right-hand side of lifted data (N_tan, k) in the
-        vertical eigenbasis, shape (L, T, k): an outer product, since the
-        lift cancels the vertical load."""
-        return np.multiply.outer(self._rhs_levels,
-                                 self._rhs_tan @ data[self._rhs_nodes])
+    def solve_chunks(self, data: np.ndarray):
+        """Solve a block of data of shape (N_tan, k), one datum per column,
+        _CHUNK columns at a time (one shifted solve of all levels per chunk).
+
+        Yields ``(c0, u, rho)`` per chunk: the assembled fields u of columns
+        c0 to c0 + u.shape[1], shape (num_nodes, width), row-major, and their
+        free-row residual norms ``||(S u - load)[free]||``, measured on that
+        very array and checked (SolveError) before it is yielded.  u is a work
+        array the next chunk overwrites; copy what must outlive it.
+        """
+        data = np.asarray(data, dtype=float)
+        n, nL, nT = self.emesh.num_nodes, len(self._phi), len(self._T)
+        # work arrays for the widest chunk, allocated once; a narrower last
+        # chunk takes their leading part, still contiguous
+        width = min(data.shape[1], _CHUNK)
+        fields, levels = np.empty(n * width), np.empty(nL * nT * width)
+        for c0 in range(0, data.shape[1], _CHUNK):
+            D = data[:, c0:c0 + _CHUNK]
+            k = D.shape[1]
+            u = fields[:n * k].reshape(n, k)
+            self._solve_chunk(D, u, levels[:nL * nT * k].reshape(nL, nT, k))
+            yield c0, u, self._residual_norms(u, D)
 
     def solve_block(self, data: np.ndarray) -> np.ndarray:
         """Solve for a block of data of shape (N_tan, k), one datum per column.
 
-        Returns the nodal values, shape (num_nodes, k), column-major.  The
-        columns go through the tensor solve _CHUNK at a time, one shifted
-        solve of all levels per chunk, and each is checked against the assembled free
-        block; a zero column gives a zero field.
+        Returns the nodal values, shape (num_nodes, k), column-major: the
+        fields ``solve_chunks`` yields, each checked against the assembled
+        free block; a zero column gives a zero field.
         """
         data = np.asarray(data, dtype=float)
-        T, L, B, phi = self._T, self._L, self._B, self._phi
-        nL, nT = len(phi), len(T)
         out = np.empty((self.emesh.num_nodes, data.shape[1]), order="F")
-        for c0 in range(0, data.shape[1], _CHUNK):
-            D = data[:, c0:c0 + _CHUNK]
-            k = D.shape[1]
-            # out takes the constrained values now and the free part below
-            out[:, c0:c0 + k], b = self._load(D)
-            Y = self._separable_rhs(D)
-            if B.size:
-                xB = self._Z @ D[self._data_nodes]
-                Y[:, B] += np.multiply.outer(self._g * phi[0], xB)
-            # rebinding Y frees each dense temporary once it is used
-            Y = self._shifted_solver.solve(Y)
-            Y = (phi @ Y.reshape(nL, nT * k)).reshape(nL, nT, k)
-            lift = np.zeros((nT, k))
-            lift[self._lift_at] = D[self._lifted]
-            Y += np.multiply.outer(self._psi, lift)
-            x = np.zeros_like(b)
-            cols = x.reshape(self.emesh.grid.num_nodes, -1, k)
-            cols[T, L] = Y.transpose(1, 0, 2)
-            del Y
-            if B.size:
-                cols[T[B], 0] = xB
-            self._check_residual(x, b)
-            out[:, c0:c0 + k] += x
+        for c0, u, _ in self.solve_chunks(data):
+            out[:, c0:c0 + u.shape[1]] = u
         return out
 
     def solve(self, data: np.ndarray) -> ExtensionField:

@@ -19,7 +19,10 @@ reads ``Coefficient.is_identity``):
   matrices ``sqrt(2/(n-1)) sin(pi i j/(n-1))``, i, j = 1..n-2, one per axis,
   and the eigenvalues ``sum_k (4/h_k^2) sin^2(pi j_k / (2(n_k-1)))``; no
   dense operator and no eigendecomposition is formed.
-* any other coefficient: a dense ``eigh`` of A, held as the single factor V.
+* any other coefficient: the eigendecomposition of A, held as the single
+  factor V: in 1D, where the active nodes are one interval and A is
+  tridiagonal, by ``scipy.linalg.eigh_tridiagonal`` of its diagonal and
+  off-diagonal; in 2D and 3D by a dense ``eigh``.
 
 Consumers read V only through factor rows (an eigenvector row is the product
 of one row of each factor) and mode products (one small matrix product per
@@ -76,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve, lapack
+from scipy.linalg import cho_factor, cho_solve, eigh_tridiagonal, lapack
 
 from .errors import EigError, ParamError, SolveError
 from .local_elliptic import LocalOperator
@@ -98,10 +101,16 @@ DENSE_NODE_CAP = 5000
 _CHUNK = 8
 
 
-def _eigh_clipped(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric PSD matrix, rounding negatives clipped to 0."""
+def _eigh_clipped(A: np.ndarray, off: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric PSD matrix, rounding negatives clipped to 0.
+
+    With ``off`` given, A is the diagonal and ``off`` the off-diagonal of a
+    symmetric tridiagonal matrix, solved by ``scipy.linalg.eigh_tridiagonal``.
+    """
     try:
-        lam, V = np.linalg.eigh(A)
+        lam, V = (np.linalg.eigh(A) if off is None
+                  else eigh_tridiagonal(A, off))
     except np.linalg.LinAlgError as exc:
         raise EigError(f"eigendecomposition failed: {exc}") from exc
     return np.clip(lam, 0.0, None), V
@@ -224,17 +233,24 @@ class SpectralPower:
 
 
 def spectral_power(op: LocalOperator, s: float) -> SpectralPower:
-    """Eigenbasis of the active-node operator, in closed form for a = Id and
-    by a dense eigendecomposition otherwise; action on an eigenvector with
-    eigenvalue lambda is lambda**s times it."""
+    """Eigenbasis of the active-node operator, in closed form for a = Id,
+    from the tridiagonal in 1D and by a dense eigendecomposition otherwise;
+    action on an eigenvector with eigenvalue lambda is lambda**s times it."""
     if not 0.0 < s <= 1.0:
         raise ParamError(f"s must lie in (0, 1], got {s}")
     active = _check_dense_cap(op.grid)
     basis = _sine_basis(op.grid, op.coeff)
     if basis is None:
-        A = op.stiffness[active][:, active].toarray() / op.node_volume
-        A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
-        lam, V = _eigh_clipped(A)
+        K = op.stiffness[active][:, active]
+        vol = op.node_volume
+        if op.grid.dim == 1:
+            # the active nodes are one interval, so A is tridiagonal
+            lam, V = _eigh_clipped(K.diagonal() / vol,
+                                   0.5 * (K.diagonal(1) / vol + K.diagonal(-1) / vol))
+        else:
+            A = K.toarray() / vol
+            A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
+            lam, V = _eigh_clipped(A)
         basis = (V,), lam
     return SpectralPower(op=op, s=s, active=active, eigvals=basis[1], factors=basis[0])
 

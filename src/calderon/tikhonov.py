@@ -32,6 +32,23 @@ each) and its free-row residual norm, and keeps no field: a reconstruction
 is two N_tan x K products, the bridge's truncation check and a bounded
 residual check, with no solve.
 
+The build keeps no snapshot block either.  ``ExtensionSolver.solve_chunks``
+yields the snapshots _CHUNK at a time, with the free-row residual norms rho
+the solve measured and checked on them, and each chunk is reduced as it
+arrives: its traces and ``S[tw] U`` at the measurement trace rows tw, its
+images, its norms, and its values and ``S_ext U`` on the ring I (the
+exterior nodes with a stiffness neighbour off the exterior, on every
+level).  The penalty Gram then follows from the discrete Green identity
+
+    G_E = U_F^T (S U)_F + U_I^T (S_ext U)_I
+
+(symmetrized).  Off I an exterior row of the penalty form S_ext is the row
+of S, and the fields vanish on the frame and top and equal their data on
+the trace, so of the other exterior rows only F (the rows of tw not in I)
+and the free rows carry a term.  On the free rows S U is the solve's
+residual; that dropped term is at most ``||U_i|| rho_j`` in entry (i, j),
+with rho_j within 1e-8 of column j's load by the solve's check.
+
 Convention: the second data component is the raw weighted trace
 ``lim t**(1-2s) d_t u``.  Measurements given as values of the fractional
 operator convert through ``t = -values / c_s``.
@@ -46,7 +63,7 @@ import scipy.sparse as sp
 
 from .bridge import BridgePipeline, _checked_integral
 from .errors import MeshMismatch, ParamError, RankError, SolveError
-from .extension import _CHUNK, _column_norms, _tensor_stiffness
+from .extension import _tensor_stiffness
 from .fractional_core import _eigh_clipped, _reconstruct
 from .local_elliptic import _assemble
 from .coefficients import identity_coefficient
@@ -83,7 +100,9 @@ def _exterior_energy_matrix(pipeline: BridgePipeline) -> sp.csr_matrix:
     """Weighted gradient form restricted to the exterior half-slab.
 
     Tangential faces keep only pairs of exterior nodes; vertical fluxes keep
-    only exterior columns.  This is the penalty quadratic form of J_alpha.
+    only exterior columns.  This is the penalty quadratic form of J_alpha;
+    the data operator reads only its ring rows (``_ring_rows``), where it
+    differs from the full stiffness.
     """
     grid = pipeline.grid
     ext = grid.exterior
@@ -93,6 +112,18 @@ def _exterior_energy_matrix(pipeline: BridgePipeline) -> sp.csr_matrix:
 
     K_ext = _assemble(grid, pipeline.coeff, face_filter)
     return _tensor_stiffness(K_ext, pipeline.emesh.vertical, grid.node_volume, ext)
+
+
+def _ring_rows(pipeline: BridgePipeline) -> np.ndarray:
+    """Rows of the exterior nodes with a stiffness neighbour off the exterior
+    region, on every level: the only exterior rows where the penalty form
+    ``_exterior_energy_matrix`` differs from the full stiffness."""
+    grid = pipeline.grid
+    ext = grid.exterior
+    K_tan = pipeline.solver.system.tangential
+    nodes = np.flatnonzero(ext & (abs(K_tan) @ (~ext).astype(float) > 0))
+    J1 = pipeline.emesh.vertical.num_levels + 1
+    return (nodes[:, None] * J1 + np.arange(J1)).ravel()
 
 
 @dataclass
@@ -105,9 +136,12 @@ class DataOperator:
     and ``G_E`` are the data and penalty Grams in the coefficient basis.
     ``integrals`` and ``top_fluxes`` (N_tan x K) hold each field's
     level-weight vertical integral and its flux through the top cell,
-    ``residual_norms`` (K) its free-row residual norm ``||(S u_k)[free]||``,
-    and ``loads`` the free-row loads of the unit data, restricted to the
-    rows they touch.  No extension field is kept.
+    ``residual_norms`` (K) its free-row residual norm ``||(S u_k)[free]||``
+    as the solve measured it, and ``loads`` the free-row loads of the unit
+    data, restricted to the rows they touch.  G_E is the discrete Green
+    identity's form of ``U^T S_ext U`` (see the module docstring): it drops
+    the free-row term, at most ``||u_i|| rho_j`` in entry (i, j).  No
+    extension field is kept, during the build or after it.
     """
 
     pipeline: BridgePipeline
@@ -182,36 +216,40 @@ def build_data_operator(
     tw = emesh.trace_indices()[widx]
     K = len(widx)
     N = grid.num_nodes
+    J1 = vm.num_levels + 1
     spikes = np.zeros((N, K))
     spikes[widx, np.arange(K)] = 1.0
-    # column-major, so each chunk of columns below is contiguous; the sparse
-    # products go _CHUNK columns at a time, so no full-size copy is made
-    fields = solver.solve_block(spikes)
-    traces = fields[tw]
     S = solver.system.stiffness
-    S_ext = _exterior_energy_matrix(pipeline)
+    S_w = S[tw]
+    ring = _ring_rows(pipeline)
+    S_ring = _exterior_energy_matrix(pipeline)[ring]
     nu = vm.level_weights()
     r_top = vm.cell_resistances()[-1]
-    ntraces = np.empty((K, K))
-    G_E = np.empty((K, K))
+    traces = np.empty((K, K))
+    S_traces = np.empty((K, K))
+    ring_values = np.empty((len(ring), K))
+    ring_images = np.empty((len(ring), K))
     integrals = np.empty((N, K))
     top_fluxes = np.empty((N, K))
     residual_norms = np.empty(K)
-    for c0 in range(0, K, _CHUNK):
-        chunk = slice(c0, c0 + _CHUNK)
-        U = fields[:, chunk]
-        # the sparse products read a row-major block; one copy serves both
-        Uc = np.ascontiguousarray(U)
-        SU = S @ Uc
-        ntraces[:, chunk] = -SU[tw] / grid.node_volume
-        SU[solver._fixed_rows] = 0.0
-        residual_norms[chunk] = _column_norms(SU)
-        G_E[:, chunk] = fields.T @ (S_ext @ Uc)
-        # (k, N_tan, J + 1), a view: one field's level columns per index
-        cols = U.T.reshape(U.shape[1], N, -1)
-        integrals[:, chunk] = (cols @ nu).T
-        top_fluxes[:, chunk] = cols[:, :, -2].T / r_top
-    del fields
+    # each chunk of snapshots is reduced as it is solved; no field is kept
+    for c0, U, rho in solver.solve_chunks(spikes):
+        chunk = slice(c0, c0 + U.shape[1])
+        traces[:, chunk] = U[tw]
+        S_traces[:, chunk] = S_w @ U
+        ring_values[:, chunk] = U[ring]
+        ring_images[:, chunk] = S_ring @ U
+        # (N_tan, J + 1, k), a view: one node's levels per row
+        cols = U.reshape(N, J1, -1)
+        integrals[:, chunk] = nu @ cols
+        top_fluxes[:, chunk] = cols[:, -2] / r_top
+        residual_norms[chunk] = rho
+    ntraces = -S_traces / grid.node_volume
+    # discrete Green identity (module docstring): off the ring the fields'
+    # exterior rows are the W trace rows and the free rows, whose term, the
+    # checked residual, is dropped
+    off_ring = ~np.isin(tw, ring)
+    G_E = traces[off_ring].T @ S_traces[off_ring] + ring_values.T @ ring_images
     G_E = 0.5 * (G_E + G_E.T)
     N_plus, N_minus = _fractional_norm_matrices(pipeline, eps)
     G_A = traces.T @ N_plus @ traces + ntraces.T @ N_minus @ ntraces

@@ -134,3 +134,26 @@ def test_layer_summary_takes_per_side_medians():
     layers = bench_pairs.summarize_layers(pairs)
     assert layers == {"runs_per_side": 3, "a_s": {"parent": 2.0, "change": 1.0},
                       "b": {"parent": 1.0, "change": 1.0}}
+
+
+def test_every_run_is_pinned_to_the_highest_allowed_cpu(monkeypatch):
+    """Each perfbench child pins itself, before exec, to the highest CPU of
+    the script's affinity set, and the run's environment record names it."""
+    pinned, calls = [], []
+    monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {0, 3, 1})
+    monkeypatch.setattr(bench_pairs.os, "sched_setaffinity",
+                        lambda pid, cpus: pinned.append((pid, set(cpus))))
+
+    def fake_run(cmd, **kwargs):
+        calls.append(cmd)
+        kwargs["preexec_fn"]()  # what the child runs before exec
+        record = {"record": {"env": dict(ENV)}}
+        result = {"metrics": {"wall_s": {"value": 1.0}}, "attempted": 3, "failed": 0}
+        return bench_pairs.subprocess.CompletedProcess(
+            cmd, 0, stdout=f"{json.dumps(record)}\n{json.dumps(result)}\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    pairs = bench_pairs.run_pairs({"parent": Path("p"), "change": Path("c")},
+                                  "recovery-1d", 1, 2, 1.0)
+    assert len(calls) == 4 and pinned == [(0, {3})] * 4
+    assert all(p[s]["env"] == {**ENV, "cpu": 3} for p in pairs for s in bench_pairs.SIDES)

@@ -447,7 +447,15 @@ def lifted_rhs_oracle(solver, D):
     subtracts, transformed the same way."""
     N = solver.emesh.grid.num_nodes
     k = D.shape[1]
-    _, b = solver._load(D)
+    tr = solver.emesh.trace_indices()
+    b = np.zeros((solver.emesh.num_nodes, k))
+    if solver._trace == "free":
+        b[tr] = -solver.emesh.grid.node_volume * D
+    else:
+        u = np.zeros_like(b)
+        u[tr[solver._data_nodes]] = D[solver._data_nodes]
+        b = -(solver.system.stiffness @ u)
+    b[solver._fixed_rows] = 0.0
     x = np.zeros_like(b)
     x.reshape(N, -1, k)[solver._lifted, solver._L] = (
         D[solver._lifted][:, None] * solver._psi[:, None])

@@ -157,6 +157,24 @@ def test_identity_power_makes_no_eigh_call(entry, eigh_calls, monkeypatch):
     assert len(P.factors) == (2 if eigh_calls == 0 else 1)
 
 
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_1d_bump_power_makes_no_eigh_call(s, monkeypatch):
+    """In 1D the operator is tridiagonal: the power comes from its diagonals,
+    with no dense eigh, and equals the dense route's power."""
+    grid = make_grid(nodes=384)
+    op = cd.assemble_local(grid, cd.diagonal_coefficient(
+        grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5], 0.4)]))
+    act = grid.active
+    A = op.stiffness[act][:, act].toarray() / op.node_volume
+    dense = _reconstruct(*_eigh_clipped(0.5 * (A + A.T)), s)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A.shape) or eigh(A))
+    P = cd.spectral_power(op, s)
+    assert calls == [] and len(P.factors) == 1
+    assert np.max(np.abs(P.matrix() - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
 def test_periodic_symbol_check():
     """Fourier oracle: the discrete symbol (2 - 2cos(xi h))^s / h^(2s) gives
     the eigenvalues of the fractional power of the periodic ring operator."""

@@ -266,17 +266,73 @@ def test_corrupted_basis_column_raises_solve_error(recon_setup, monkeypatch):
     k = aop.basis_size // 2
     # a free node one level above the trace, below the spike of column k
     node = pipe.emesh.trace_indices()[grid.w_indices[k]] + 1
-    solve_block = pipe.solver.solve_block
+    solve_chunk = pipe.solver._solve_chunk
 
-    def corrupted(data):
-        fields = solve_block(data)  # after the solve's own residual check
-        fields[node, k] += 1e-3 * np.max(np.abs(fields[:, k]))
-        return fields
+    def corrupted(D, u, levels):
+        solve_chunk(D, u, levels)  # before the chunk's residual is measured
+        for j in np.flatnonzero(D[grid.w_indices[k]]):
+            u[node, j] += 1e-3 * np.max(np.abs(u[:, j]))
 
-    monkeypatch.setattr(pipe.solver, "solve_block", corrupted)
-    bad = build_data_operator(pipe)
+    monkeypatch.setattr(pipe.solver, "_solve_chunk", corrupted)
     with pytest.raises(SolveError, match="residual"):
-        cd.reconstruct_cauchy_from_data(pipe, bad, f[grid.w_indices], lam, 1e-6)
+        build_data_operator(pipe)
+
+
+def test_residual_norms_are_the_yielded_ones(recon_setup, monkeypatch):
+    """The operator keeps the norms the solve measured on each chunk, and
+    each is within the solve's tolerance of its column's load."""
+    grid, pipe, aop, f, lam = recon_setup
+    solve_chunks = pipe.solver.solve_chunks
+    yielded = []
+
+    def recording(data):
+        for c0, u, rho in solve_chunks(data):
+            yielded.append(rho.copy())
+            yield c0, u, rho
+
+    monkeypatch.setattr(pipe.solver, "solve_chunks", recording)
+    op = build_data_operator(pipe)
+    assert np.array_equal(op.residual_norms, np.concatenate(yielded))
+    loads = np.linalg.norm(op.loads.toarray(), axis=0)
+    assert np.all(op.residual_norms <= 1e-8 * loads)
+
+
+def test_data_operator_keeps_no_field():
+    """The build reduces each snapshot chunk as it is solved: its peak
+    allocation stays below the num_nodes x |W| snapshot block."""
+    grid = make_grid(nodes=384)
+    pipe = cd.BridgePipeline(grid, cd.identity_coefficient(grid), 0.5, levels=32)
+    build_data_operator(pipe)
+    tracemalloc.start()
+    try:
+        op = build_data_operator(pipe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pipe.emesh.num_nodes * op.basis_size * 8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("bump", [False, True])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None)
+def test_penalty_gram_is_the_exterior_form_of_the_snapshots(dim, s, bump, data):
+    """G_E from the discrete Green identity equals the exterior penalty form
+    of the re-solved snapshot fields, on every shifted-solve route."""
+    nodes = data.draw({1: st.integers(24, 64), 2: st.integers(10, 14),
+                       3: st.tuples(st.integers(10, 11), st.integers(6, 7),
+                                    st.integers(6, 7))}[dim], label="nodes")
+    grid = make_grid(dim=dim, nodes=nodes, padding=0.3)
+    a = (cd.diagonal_coefficient(grid, [1.0 + 0.5 * cd.mollifier_bump(
+        grid.points, [0.5] * dim, 0.4)] * dim, identity_outside=True) if bump
+        else cd.identity_coefficient(grid))
+    pipe = cd.BridgePipeline(grid, a, s, levels=data.draw(st.integers(8, 24),
+                                                          label="levels"))
+    aop = build_data_operator(pipe)
+    fields = _snapshots(pipe)
+    ref = fields.T @ (_exterior_energy_matrix(pipe) @ fields)
+    assert np.max(np.abs(aop.G_E - ref)) <= 1e-10 * np.max(np.abs(aop.G_E))
 
 
 def test_data_operator_of_another_pipeline_raises_mesh_mismatch(recon_setup):
