@@ -28,37 +28,49 @@ conditions off the trace.  On the trace, the production (mixed) solve has
 Dirichlet data on the exterior nodes and homogeneous weighted Neumann on the
 closed interior region; the trace may also be all Dirichlet or all Neumann.
 
-Solver.  With D = I, on the free levels L the vertical pencil ``K_vert phi
-= mu diag(nu) phi`` (nu the level weights, m the node volume) turns a solve
-into J decoupled shifted tangential solves ``(K_T + m mu_k) y_k = r_k``
-(fast diagonalization), all made by one ``fractional_core.ShiftedSolver``,
-whose routes are described there.  The pencil is solved by LAPACK ``dpteqr``
-on the ``nu**-1/2``-scaled tridiagonal: with the default grading nu spans up
-to 19 orders of magnitude, and a dense symmetric eigensolver loses the small
-eigenvalues (even their sign) where ``dpteqr`` keeps them to relative
-accuracy.  A constrained trace column is first lifted by the exact profile
-psi of the vertical operator alone, so the tensor solve only returns a
-correction: level 1, whose error the trace extraction multiplies by the
-first-cell conductance, then stays accurate to rounding.  The lift cancels
-the vertical load exactly, so the right-hand side left on the tensor block
-is separable, ``-(K_T d) (x) (nu psi)`` (``-m h (x) e_0`` for a free trace),
-and in the eigenbasis an outer product: no forward level transform is made.
-The mixed trace closes on its free trace nodes B through the trace map ``Z =
-Sch^-1 Q`` (capacitance-matrix style, |B| x |data nodes| doubles), built
-once from the dense Schur complement ``Sch = nu_0 K_BB + g I - g**2 sum_k
-phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``, ``g = m / r_0`` the first-cell
-conductance: a datum's free trace values are ``Z d``, and the tensor block
-then takes one block solve.  There is one solve path, the chunk iterator
-``solve_chunks``: a block of data, one datum per column, goes through the
-tensor solve _CHUNK columns at a time, one shifted solve of all levels per
-chunk, into work arrays allocated once per call, which bounds the dense
-temporaries whatever the block's width.  It yields each chunk's assembled
-field with the norms of ``(S u - load)[free]`` measured on that very array,
-and every column is checked first: that norm over ``||(load - S
-u_fixed)[free]||`` (u_fixed the constrained values) must stay below 1e-8,
-else SolveError.  ``solve_block`` collects the
-chunks into one array and ``solve`` is its one-column case; a consumer that
-reduces each chunk as it arrives keeps no block.
+Solver.  With D = I the free nodes off the trace are a tensor product T x L
+(tangential active set by free levels), and their block ``K_T (x) diag(nu) +
+m I (x) K_vert`` (nu the level weights, m the node volume) is solved by one
+``fractional_core.tensor_block``, whose route is chosen there.  For a = Id
+the tangential operator is diagonal in closed form (the sine basis), so the
+block diagonalizes tangentially: one vertical SPD tridiagonal ``m (K_vert +
+lam_i diag(nu))`` per tangential mode, whose solves against the two level
+vectors any right-hand side has are kept as per-mode vertical profiles; a
+solve is then one forward mode product of the tangential data, a multiply by
+the profiles and one backward mode product.  Otherwise the vertical pencil
+``K_vert phi = mu diag(nu) phi`` turns a solve into J decoupled shifted
+tangential solves ``(K_T + m mu_k) y_k = r_k`` (fast diagonalization), all
+made by one ``fractional_core.ShiftedSolver``.  The pencil is solved by
+LAPACK ``dpteqr`` on the ``nu**-1/2``-scaled tridiagonal: with the default
+grading nu spans up to 19 orders of magnitude, and a dense symmetric
+eigensolver loses the small eigenvalues (even their sign) where ``dpteqr``
+keeps them to relative accuracy.
+
+A constrained trace column is first lifted by the exact profile psi of the
+vertical operator alone, so the tensor solve only returns a correction:
+level 1, whose error the trace extraction multiplies by the first-cell
+conductance, then stays accurate to rounding.  The lift cancels the vertical
+load exactly, so the right-hand side left on the tensor block is separable,
+``-(K_T d) (x) (nu psi)`` (``-m h (x) e_0`` for a free trace): a fixed level
+vector times a tangential map of the datum, so no forward level transform is
+made.  The mixed trace closes on its free trace nodes B through the trace
+map ``Z = Sch^-1 Q`` (capacitance-matrix style, |B| x |data nodes| doubles),
+built once from the dense Schur complement ``Sch = nu_0 K_BB + g I - g**2
+G``, G the first-level B x B block of the tensor block's inverse (a closed
+form in the profiles on the sine route, a sum over the pencil otherwise) and
+``g = m / r_0`` the first-cell conductance: a datum's free trace values are
+``Z d``, and the tensor block then takes one block solve.
+
+There is one solve path, the chunk iterator ``solve_chunks``: a block of
+data, one datum per column, goes through the tensor solve _CHUNK columns at
+a time, one tensor-block solve per chunk, into work arrays allocated once
+per call, which bounds the dense temporaries whatever the block's width.  It
+yields each chunk's assembled field with the norms of ``(S u - load)[free]``
+measured on that very array, and every column is checked first: that norm
+over ``||(load - S u_fixed)[free]||`` (u_fixed the constrained values) must
+stay below 1e-8, else SolveError.  ``solve_block`` collects the chunks into
+one array and ``solve`` is its one-column case; a consumer that reduces each
+chunk as it arrives keeps no block.
 
 Sign conventions.  The weak form gives, for the trace row of a solution,
 ``(S u)[i, 0] = -m_i * lim t**(1-2s) d_t u``;  the fractional operator of
@@ -73,7 +85,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, lapack
+from scipy.linalg import cho_factor, cho_solve
 
 from .coefficients import Coefficient, identity_coefficient
 from .errors import (
@@ -83,7 +95,7 @@ from .errors import (
     ParamError,
     SolveError,
 )
-from .fractional_core import _CHUNK, ShiftedSolver
+from .fractional_core import _CHUNK, tensor_block
 from .mesh import (
     DEFAULT_PADDING,
     ExtensionMesh,
@@ -255,27 +267,6 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
-def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray):
-    """Eigenpairs of the tridiagonal pencil ``K phi = mu diag(nu) phi``.
-
-    ``diag`` and ``off`` are the diagonal and off-diagonal of K.  The pencil
-    is reduced to the symmetric tridiagonal ``nu**-1/2 K nu**-1/2`` and solved
-    by LAPACK ``dpteqr``, which keeps the small eigenvalues to relative
-    accuracy although the graded weights span many orders of magnitude (a
-    dense symmetric eigensolver loses them).  ``dpteqr`` needs a positive
-    definite matrix, which K is: the Dirichlet top leaves the conductance of
-    the last cell on its diagonal, even when the trace is free.  Returns
-    ``mu`` and the nu-orthonormal eigenvectors as columns.
-    """
-    r = 1.0 / np.sqrt(nu)
-    d = diag * r * r
-    e = off * r[:-1] * r[1:]
-    lam, _, z, info = lapack.dpteqr(d, e, np.eye(len(d)), compute_z=2)
-    if info != 0:
-        raise SolveError(f"vertical eigensolver failed (dpteqr info={info})")
-    return lam, z * r[:, None]
-
-
 class ExtensionSolver:
     """Tensor-structured solver for repeated trace data on one layout.
 
@@ -288,9 +279,10 @@ class ExtensionSolver:
     The free nodes are the tensor product of the tangential set T, which is
     the active set, and the levels L (from level 0 when the trace is free,
     else from level 1, up to the level below the top), plus, in the mixed
-    layout, the free trace nodes B.  The vertical pencil, the shifted
-    tangential solves (``fractional_core.ShiftedSolver``) and the free-trace
-    map are built once; every solve substitutes new data.
+    layout, the free trace nodes B.  The solver of the T x L block
+    (``fractional_core.tensor_block``: per-mode vertical profiles for a =
+    Id, else the vertical pencil and its shifted tangential solves) and the
+    free-trace map are built once; every solve substitutes new data.
     """
 
     def __init__(self, emesh: ExtensionMesh, coeff: Coefficient,
@@ -332,13 +324,7 @@ class ExtensionSolver:
         free0 = self.free[tr[self._T]]
         lo = 0 if free0.all() else 1
         self._L = slice(lo, J)
-        # vertical two-point operator on the free levels; fixed neighbours
-        # leave their conductance on the diagonal
-        diag = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
-        self._mu, self._phi = _vertical_pencil(diag[lo:J], -cond[lo:J - 1], nu[lo:J])
-
         K_T = self.system.tangential[self._T][:, self._T].tocsc()
-        self._shifted_solver = ShiftedSolver(grid, coeff, K_T, m, self._mu)
 
         # a constrained trace column is lifted by the exact profile of the
         # vertical operator alone, 1 at the trace and 0 at the top, so the
@@ -348,20 +334,26 @@ class ExtensionSolver:
         self._lifted = self._T[self._lift_at]
         tail = np.cumsum(res[::-1])[::-1]
         self._psi = tail[self._L] / tail[0]
-        # what is left of the T x L right-hand side is separable: in the
-        # eigenbasis it is the outer product of a level vector with a
-        # tangential map of the datum at the nodes _rhs_nodes
+        # what is left of the T x L right-hand side is separable: a level
+        # vector v times a tangential map of the datum at the nodes
+        # _rhs_nodes
         if trace == "free":
-            self._rhs_levels = self._phi[0]
+            v = np.zeros(J - lo)
+            v[0] = 1.0
             self._rhs_nodes = self._T
             self._rhs_tan = -m * sp.identity(len(self._T), format="csr")
         else:
-            self._rhs_levels = -self._phi.T @ (nu[self._L] * self._psi)
+            v = -nu[self._L] * self._psi
             self._rhs_nodes = self._lifted
             self._rhs_tan = K_T[:, self._lift_at].tocsr()
         # the mixed layout's free trace nodes B close through a trace map
         self._B = np.flatnonzero(free0) if lo == 1 else np.zeros(0, dtype=int)
         self._g = m * cond[0]
+        # vertical two-point operator on the free levels; fixed neighbours
+        # leave their conductance on the diagonal
+        diag = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
+        self._block = tensor_block(grid, coeff, K_T, m, diag[lo:J], -cond[lo:J - 1],
+                                   nu[lo:J], v, self._B, self._g)
         if self._B.size:
             self._Z = self._trace_schur(K_T, nu[0])
 
@@ -371,18 +363,18 @@ class ExtensionSolver:
 
         Eliminating T x L leaves the trace Schur complement
 
-        ``Sch = nu0 K_BB + g I - g**2 sum_k phi_k(1)**2 [(K_T + m mu_k)^-1]_BB``
+        ``Sch = nu0 K_BB + g I - g**2 G``,  ``G = [block^-1]_{0B, 0B}``
 
-        and the right-hand side ``Q d``, where Q holds the stiffness rows of
-        the B trace nodes over the data columns, plus ``g H^T`` times the
-        tangential map of the separable right-hand side, with
-        ``H = sum_k c_k phi_k(1) [(K_T + m mu_k)^-1]_{:,B}`` (c the level
-        vector of that right-hand side).  G below is the sum in Sch; both
-        sums come from one ``ShiftedSolver.trace_sums`` pass.  Z = Sch^-1 Q;
-        the dense Cholesky factor of Sch is used once here and not kept.
+        (block the free tensor block, 0 its first level) and the right-hand
+        side ``Q d``, where Q holds the stiffness rows of the B trace nodes
+        over the data columns, plus ``g H^T`` times the tangential map of the
+        separable right-hand side, with ``H = [block^-1 (v (x) E_B)]_0`` (v
+        the level vector of that right-hand side).  Both come from the tensor
+        block's ``trace_sums``.  Z = Sch^-1 Q; the dense Cholesky factor of
+        Sch is used once here and not kept.
         """
         B = self._B
-        G, H = self._shifted_solver.trace_sums(B, self._phi[0], self._rhs_levels)
+        G, H = self._block.trace_sums()
         g = self._g
         S = nu0 * K_T[B][:, B].toarray() + g * np.eye(len(B)) - g * g * G
         tr = self.emesh.trace_indices()
@@ -395,31 +387,21 @@ class ExtensionSolver:
             raise SolveError(f"trace Schur complement is not positive "
                              f"definite: {exc}") from exc
 
-    def _separable_rhs(self, data: np.ndarray, out=None) -> np.ndarray:
-        """The T x L right-hand side of lifted data (N_tan, k) in the
-        vertical eigenbasis, shape (L, T, k): an outer product, since the
-        lift cancels the vertical load."""
-        return np.multiply.outer(self._rhs_levels,
-                                 self._rhs_tan @ data[self._rhs_nodes], out=out)
-
     def _solve_chunk(self, D: np.ndarray, u: np.ndarray, levels: np.ndarray) -> None:
         """Write the assembled fields of the data chunk D (N_tan, k) into u
         (num_nodes, k): the constrained values and the tensor solve's free
         part, which touch disjoint rows.  ``levels`` is a (levels, T, k) work
         block."""
-        T, L, B, phi = self._T, self._L, self._B, self._phi
+        T, L, B = self._T, self._L, self._B
         nL, nT, k = levels.shape
         u[:] = 0.0
         if self._trace != "free":
             nodes = self._data_nodes
             u[self.emesh.trace_indices()[nodes]] = D[nodes]
-        self._separable_rhs(D, out=levels)
-        if B.size:
-            xB = self._Z @ D[self._data_nodes]
-            levels[:, B] += np.multiply.outer(self._g * phi[0], xB)
-        Y = self._shifted_solver.solve(levels)
-        np.matmul(phi, Y.reshape(nL, nT * k), out=levels.reshape(nL, nT * k))
-        del Y
+        xB = self._Z @ D[self._data_nodes] if B.size else None
+        # the lift cancels the vertical load, so the right-hand side is the
+        # separable v (x) (tangential map of the datum), plus the free trace
+        self._block.solve(self._rhs_tan @ D[self._rhs_nodes], xB, levels)
         lift = np.zeros((nT, k))
         lift[self._lift_at] = D[self._lifted]
         levels += np.multiply.outer(self._psi, lift)
@@ -458,7 +440,7 @@ class ExtensionSolver:
 
     def solve_chunks(self, data: np.ndarray):
         """Solve a block of data of shape (N_tan, k), one datum per column,
-        _CHUNK columns at a time (one shifted solve of all levels per chunk).
+        _CHUNK columns at a time (one tensor-block solve per chunk).
 
         Yields ``(c0, u, rho)`` per chunk: the assembled fields u of columns
         c0 to c0 + u.shape[1], shape (num_nodes, width), row-major, and their
@@ -467,7 +449,7 @@ class ExtensionSolver:
         array the next chunk overwrites; copy what must outlive it.
         """
         data = np.asarray(data, dtype=float)
-        n, nL, nT = self.emesh.num_nodes, len(self._phi), len(self._T)
+        n, nL, nT = self.emesh.num_nodes, len(self._psi), len(self._T)
         # work arrays for the widest chunk, allocated once; a narrower last
         # chunk takes their leading part, still contiguous
         width = min(data.shape[1], _CHUNK)

@@ -1,5 +1,5 @@
 """Spectral fractional powers of the conductivity operator (reference route)
-and the extension's shifted tangential solves.
+and the solves of the extension's tensor block.
 
 The operator is defined on the computational box with zero Dirichlet
 truncation at the frame: with K the stiffness matrix over the interior
@@ -32,31 +32,44 @@ the exterior-value solve still build dense blocks of the power over the
 interior and measurement nodes, and callers check the cap before building
 anything else on the grid.
 
-Shifted solves.  ``ShiftedSolver`` makes the extension's ``(K_T + m mu_k)
-y_k = r_k`` on all levels k at once, on one of three routes chosen once:
+Tensor block solves.  ``tensor_block`` solves the extension's free block
+``K_T (x) N + m I (x) K_L`` (K_T the tangential stiffness, K_L the vertical
+two-point operator on the free levels, N the diagonal of their level
+weights) for the right-hand sides the extension makes, a fixed level vector
+v times a tangential array plus a first-level coupling to the free trace
+nodes B.  The route is chosen once, by ``_sine_basis``:
 
 * a = Id, any dimension: ``K_T = m V diag(lam) V^T`` with the sine factors,
-  so a solve is two mode products around a division by ``m (mu_k + lam)``,
-  and the trace sums are closed forms in the sine rows at the trace nodes.
-* any other coefficient in 1D: each shifted block is an SPD tridiagonal,
-  whose Cholesky factor has no fill in the natural order, so no
-  fill-reducing ordering or symbolic analysis is needed.  The J blocks are
-  stacked into one tridiagonal with zero coupling between levels and
-  factored once by LAPACK ``dpttrf``; a solve is one ``dpttrs``, O(J |T|)
-  per column, the exact direct tangential solve behind the vertical fast
-  diagonalization (Buzbee, Golub and Nielson, 1970).  The trace sums need
-  no solve: an SPD tridiagonal's inverse is fixed entry by entry by its
-  forward and backward pivots (Meurant, 1992).  Its diagonal is ``1 /
-  (delta + gamma - d)`` and an off-diagonal entry is a diagonal entry
-  times a product of the pivot ratios ``-e / delta`` (above) or ``-e /
-  gamma`` (below).  The shifted blocks are diagonally dominant, so the
-  ratios lie in (0, 1) and the products can underflow but never overflow;
-  the product form ``u_i v_j`` of two recurrence sequences overflows at
-  the pencil's largest shifts (mu = 2.3e10 at 1D n = 384 and J = 128,
-  where u is no longer finite from row 49 of 382).
-* any other coefficient in 2D and 3D: one block-diagonal sparse LU of the
-  shifted matrices, whose trace sums come from unit block solves, _CHUNK
-  columns at a time.
+  so the block diagonalizes tangentially into one vertical SPD tridiagonal
+  ``m (K_L + lam_i N)`` per mode i (the other orientation of the fast
+  diagonalization of Buzbee, Golub and Nielson, 1970).  Every right-hand
+  side has the level vector v or e_0, so the build solves those two against
+  all modes once, by one stacked ``_TridiagonalCholesky``, and keeps only
+  the two profile arrays (levels x modes).  A solve is a forward mode
+  product of the tangential data, a multiply by the profiles and a backward
+  mode product over the levels; the trace sums are closed forms in the
+  profiles' first rows and the sine rows at B.  No vertical eigenproblem
+  is solved.
+* any other coefficient: the vertical pencil ``K_L phi = mu N phi``
+  (``_vertical_pencil``, LAPACK ``dpteqr``) turns the block into one
+  shifted tangential solve ``(K_T + m mu_k) y_k = r_k`` per level, all made
+  by one ``ShiftedSolver``, between level transforms by phi.  In 1D each
+  shifted block is an SPD tridiagonal, whose Cholesky factor has no fill in
+  the natural order, so no fill-reducing ordering or symbolic analysis is
+  needed.  The J blocks are stacked into one tridiagonal with zero coupling
+  between levels and factored once by LAPACK ``dpttrf``; a solve is one
+  ``dpttrs``, O(J |T|) per column.  The trace sums need no solve: an SPD
+  tridiagonal's inverse is fixed entry by entry by its forward and backward
+  pivots (Meurant, 1992).  Its diagonal is ``1 / (delta + gamma - d)`` and
+  an off-diagonal entry is a diagonal entry times a product of the pivot
+  ratios ``-e / delta`` (above) or ``-e / gamma`` (below).  The shifted
+  blocks are diagonally dominant, so the ratios lie in (0, 1) and the
+  products can underflow but never overflow; the product form ``u_i v_j``
+  of two recurrence sequences overflows at the pencil's largest shifts (mu
+  = 2.3e10 at 1D n = 384 and J = 128, where u is no longer finite from row
+  49 of 382).  In 2D and 3D: one block-diagonal sparse LU of the shifted
+  matrices, whose trace sums come from unit block solves, _CHUNK columns
+  at a time.
 
 With O the closed interior region and W the measurement nodes, the nonlocal
 measurement map is the Schur complement ``A_WW - A_WO A_OO^{-1} A_OW`` of
@@ -87,6 +100,7 @@ from .local_elliptic import LocalOperator
 __all__ = [
     "SpectralPower",
     "ShiftedSolver",
+    "tensor_block",
     "NonlocalDtN",
     "spectral_power",
     "solve_fractional_dirichlet",
@@ -260,7 +274,7 @@ def _dpttrf(d: np.ndarray, e: np.ndarray):
     diagonal d and off-diagonal e; a lost minor raises SolveError."""
     piv, mult, info = lapack.dpttrf(d, e)
     if info != 0:
-        raise SolveError(f"shifted tangential factorization failed: dpttrf "
+        raise SolveError(f"shifted tridiagonal factorization failed: dpttrf "
                          f"info {info} (leading minor not positive definite)")
     return piv, mult
 
@@ -331,20 +345,13 @@ class _TridiagonalCholesky:
 class ShiftedSolver:
     """``(K_T + m mu_k)^-1`` on every level k, K_T the tangential stiffness
     over the active nodes of ``grid`` (C order), m the node volume and mu
-    the level shifts.  The route is chosen once, here, and read back from
-    ``route``: "sine", the sine division for a = Id; else a factor of the
-    block-diagonal shifted matrix, "tridiagonal", a stacked tridiagonal
-    Cholesky in 1D (no fill, so no ordering), or "lu", a sparse LU in 2D
-    and 3D."""
+    the level shifts, through a factor of the block-diagonal shifted matrix
+    chosen once by dimension and read back from ``route``: "tridiagonal", a
+    stacked tridiagonal Cholesky in 1D (no fill, so no ordering), or "lu", a
+    sparse LU in 2D and 3D."""
 
-    def __init__(self, grid, coeff, K_T: sp.csc_matrix, m: float, mu: np.ndarray):
-        self._n, self._factor = K_T.shape[0], None
-        basis = _sine_basis(grid, coeff)
-        if basis is not None:
-            self._route = "sine"
-            self._factors, lam = basis
-            self._shifted = m * np.add.outer(mu, lam)
-            return
+    def __init__(self, grid, K_T: sp.csc_matrix, m: float, mu: np.ndarray):
+        self._n = K_T.shape[0]
         if grid.dim == 1:
             # T is a run of neighbouring nodes, so K_T is tridiagonal
             self._route = "tridiagonal"
@@ -364,32 +371,20 @@ class ShiftedSolver:
 
     @property
     def route(self) -> str:
-        """The route chosen at construction: "sine", "tridiagonal" or "lu"."""
+        """The route chosen at construction: "tridiagonal" or "lu"."""
         return self._route
 
     def solve(self, Y: np.ndarray) -> np.ndarray:
         """``(K_T + m mu_k)^-1 Y[k]`` for Y of shape (levels, T, columns)."""
-        if self._factor is not None:
-            return self._factor.solve(Y.reshape(-1, Y.shape[2])).reshape(Y.shape)
-        X = _mode_product(self._factors, Y.transpose(0, 2, 1), to_modes=True)
-        X /= self._shifted[:, None, :]
-        return _mode_product(self._factors, X, to_modes=False).transpose(0, 2, 1)
+        return self._factor.solve(Y.reshape(-1, Y.shape[2])).reshape(Y.shape)
 
     def trace_sums(self, B: np.ndarray, w: np.ndarray, c: np.ndarray):
         """``G = sum_k w_k**2 [(K_T + m mu_k)^-1]_BB`` and ``H = sum_k c_k w_k
         [(K_T + m mu_k)^-1]_{:,B}`` in one pass, B a nonempty set of
-        positions among the active nodes: ``V_B diag(g) V_B^T`` and ``V
-        diag(h) V_B^T`` in the sine basis (g, h the level sums of w**2 and
-        c w over ``m (mu_k + lam)``), the closed form in the tridiagonal
+        positions among the active nodes: the closed form in the tridiagonal
         pivots (``_TridiagonalCholesky.trace_sums``) in 1D, and on the LU
         route from solves of the unit columns ``w (x) e_b``, _CHUNK at a
         time."""
-        if self._route == "sine":
-            inv = 1.0 / self._shifted
-            V_B = _factor_rows(self._factors, B)
-            G = (V_B * (w**2 @ inv)) @ V_B.T
-            return G, _mode_product(self._factors, V_B * ((c * w) @ inv),
-                                    to_modes=False).T
         if self._route == "tridiagonal":
             return self._factor.trace_sums(B, w, c)
         G, H = np.empty((len(B), len(B))), np.empty((self._n, len(B)))
@@ -401,6 +396,128 @@ class ShiftedSolver:
             G[:, c0:c0 + len(cols)] = np.tensordot(w, Y[:, B], axes=(0, 0))
             H[:, c0:c0 + len(cols)] = np.tensordot(c, Y, axes=(0, 0))
         return G, H
+
+
+def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray):
+    """Eigenpairs of the tridiagonal pencil ``K phi = mu diag(nu) phi``: the
+    vertical fast diagonalization, made only on the tridiagonal and LU
+    routes (``_PencilBlock``; the sine route needs none).
+
+    ``diag`` and ``off`` are the diagonal and off-diagonal of K.  The pencil
+    is reduced to the symmetric tridiagonal ``nu**-1/2 K nu**-1/2`` and solved
+    by LAPACK ``dpteqr``, which keeps the small eigenvalues to relative
+    accuracy although the graded weights span many orders of magnitude (a
+    dense symmetric eigensolver loses them).  ``dpteqr`` needs a positive
+    definite matrix, which K is: the Dirichlet top leaves the conductance of
+    the last cell on its diagonal, even when the trace is free.  Returns
+    ``mu`` and the nu-orthonormal eigenvectors as columns.
+    """
+    r = 1.0 / np.sqrt(nu)
+    d = diag * r * r
+    e = off * r[:-1] * r[1:]
+    lam, _, z, info = lapack.dpteqr(d, e, np.eye(len(d)), compute_z=2)
+    if info != 0:
+        raise SolveError(f"vertical eigensolver failed (dpteqr info={info})")
+    return lam, z * r[:, None]
+
+
+class _SineBlock:
+    """The tensor block on the sine route: ``K_T = m V diag(lam) V^T``, so
+    the block splits into one vertical SPD tridiagonal ``m (K_L + lam_i
+    N_L)`` per tangential mode i.  The two level vectors of every
+    right-hand side, v and e_0, are solved against all of them once, by one
+    stacked ``_TridiagonalCholesky``; only their profiles are kept, ``P[0]``
+    for v and ``P[1]`` for e_0 (levels x modes each)."""
+
+    route = "sine"
+
+    def __init__(self, basis, m, diag, off, nu, v, B, g):
+        self._factors, lam = basis
+        nL, nT = len(diag), len(lam)
+        chol = _TridiagonalCholesky(m * (diag + np.multiply.outer(lam, nu)), m * off)
+        # the two right-hand sides as the columns of one Fortran-ordered
+        # block, which LAPACK takes as it is
+        rhs = np.zeros((2, nT, nL))
+        rhs[0] = v
+        rhs[1, :, 0] = 1.0
+        P = chol.solve(rhs.reshape(2, -1).T).T.reshape(2, nT, nL)
+        # levels x modes, contiguous along the modes as the solves read them
+        self._P = np.ascontiguousarray(P.transpose(0, 2, 1))
+        self._B, self._g = B, g
+
+    def solve(self, a: np.ndarray, xB, out: np.ndarray) -> None:
+        nL, nT, k = out.shape
+        R = np.zeros((2 if self._B.size else 1, k, nT))
+        R[0] = a.T
+        if self._B.size:
+            R[1][:, self._B] = self._g * xB.T
+        modes = _mode_product(self._factors, R, to_modes=True)
+        # (levels, columns, modes): each mode's profiles times its data
+        Y = out.reshape(nL, k, nT)
+        np.einsum("rlt,rct->lct", self._P[:len(R)], modes, out=Y)
+        out[:] = _mode_product(self._factors, Y, to_modes=False).transpose(0, 2, 1)
+
+    def trace_sums(self):
+        V_B = _factor_rows(self._factors, self._B)
+        G = (V_B * self._P[1, 0]) @ V_B.T
+        return G, _mode_product(self._factors, V_B * self._P[0, 0], to_modes=False).T
+
+
+class _PencilBlock:
+    """The tensor block on the tridiagonal and LU routes: the vertical
+    pencil turns it into one shifted tangential solve per level
+    (``ShiftedSolver``), between the level transforms of the eigenvectors
+    phi."""
+
+    def __init__(self, grid, K_T, m, diag, off, nu, v, B, g):
+        self._mu, self._phi = _vertical_pencil(diag, off, nu)
+        self._shifted = ShiftedSolver(grid, K_T, m, self._mu)
+        # the level vectors in the eigenbasis: c = phi^T v and phi(1)
+        self._c = self._phi.T @ v
+        self._B, self._gw = B, g * self._phi[0]
+
+    @property
+    def route(self) -> str:
+        return self._shifted.route
+
+    def separable_rhs(self, a: np.ndarray, out=None) -> np.ndarray:
+        """``v (x) a`` in the vertical eigenbasis, shape (levels, T, k)."""
+        return np.multiply.outer(self._c, a, out=out)
+
+    def solve(self, a: np.ndarray, xB, out: np.ndarray) -> None:
+        nL = out.shape[0]
+        self.separable_rhs(a, out=out)
+        if self._B.size:
+            out[:, self._B] += np.multiply.outer(self._gw, xB)
+        Y = self._shifted.solve(out)
+        np.matmul(self._phi, Y.reshape(nL, -1), out=out.reshape(nL, -1))
+
+    def trace_sums(self):
+        return self._shifted.trace_sums(self._B, self._phi[0], self._c)
+
+
+def tensor_block(grid, coeff, K_T: sp.csc_matrix, m: float, diag: np.ndarray,
+                 off: np.ndarray, nu: np.ndarray, v: np.ndarray,
+                 B: np.ndarray, g: float):
+    """Solver of the extension's free tensor block ``K_T (x) N + m I (x)
+    K_L`` on T x L, K_L the vertical operator of diagonal ``diag`` and
+    off-diagonal ``off`` on the free levels and ``N = diag(nu)``, for the
+    right-hand sides ``v (x) a + g e_0 (x) E_B xB``: the level vector v
+    times a tangential array a, plus the coupling of the first level to the
+    free trace nodes B (positions among T) of conductance g.  The route is
+    chosen once, here, and read back from ``route``: "sine" for a = Id,
+    else the vertical pencil's "tridiagonal" (1D) or "lu".
+
+    ``solve(a, xB, out)`` writes the solution for a of shape (T, k) and xB
+    of shape (|B|, k) (None when B is empty) into out, (levels, T, k).
+    ``trace_sums()`` returns the first-level entries of the block's inverse
+    the trace closure needs: ``G = [block^-1]_{0B, 0B}`` and, on every
+    tangential node, ``H = [block^-1 (v (x) E_B)]_0`` of shape (T, |B|).
+    """
+    basis = _sine_basis(grid, coeff)
+    if basis is None:
+        return _PencilBlock(grid, K_T, m, diag, off, nu, v, B, g)
+    return _SineBlock(basis, m, diag, off, nu, v, B, g)
 
 
 def _cholesky(block: np.ndarray):

@@ -96,34 +96,54 @@ def _fractional_norm_matrices(pipeline: BridgePipeline, eps: float):
     return N_plus, N_minus
 
 
-def _exterior_energy_matrix(pipeline: BridgePipeline) -> sp.csr_matrix:
-    """Weighted gradient form restricted to the exterior half-slab.
-
-    Tangential faces keep only pairs of exterior nodes; vertical fluxes keep
-    only exterior columns.  This is the penalty quadratic form of J_alpha;
-    the data operator reads only its ring rows (``_ring_rows``), where it
-    differs from the full stiffness.
-    """
+def _exterior_tangential_form(pipeline: BridgePipeline) -> sp.csr_matrix:
+    """The tangential stiffness with only the faces between two exterior
+    nodes kept: the tangential part of the penalty form."""
     grid = pipeline.grid
     ext = grid.exterior
 
     def face_filter(k, i, j):
         return (ext[i] & ext[j]).astype(float)
 
-    K_ext = _assemble(grid, pipeline.coeff, face_filter)
-    return _tensor_stiffness(K_ext, pipeline.emesh.vertical, grid.node_volume, ext)
+    return _assemble(grid, pipeline.coeff, face_filter)
 
 
-def _ring_rows(pipeline: BridgePipeline) -> np.ndarray:
-    """Rows of the exterior nodes with a stiffness neighbour off the exterior
-    region, on every level: the only exterior rows where the penalty form
-    ``_exterior_energy_matrix`` differs from the full stiffness."""
+def _exterior_energy_matrix(pipeline: BridgePipeline) -> sp.csr_matrix:
+    """Weighted gradient form restricted to the exterior half-slab.
+
+    Tangential faces keep only pairs of exterior nodes; vertical fluxes keep
+    only exterior columns.  This is the penalty quadratic form of J_alpha;
+    the data operator assembles only its ring rows (``_ring_energy_rows``),
+    where it differs from the full stiffness.
+    """
     grid = pipeline.grid
-    ext = grid.exterior
+    return _tensor_stiffness(_exterior_tangential_form(pipeline),
+                             pipeline.emesh.vertical, grid.node_volume, grid.exterior)
+
+
+def _ring_nodes(pipeline: BridgePipeline) -> np.ndarray:
+    """The exterior nodes with a stiffness neighbour off the exterior region:
+    on every level, the only exterior rows where the penalty form
+    ``_exterior_energy_matrix`` differs from the full stiffness."""
+    ext = pipeline.grid.exterior
     K_tan = pipeline.solver.system.tangential
-    nodes = np.flatnonzero(ext & (abs(K_tan) @ (~ext).astype(float) > 0))
-    J1 = pipeline.emesh.vertical.num_levels + 1
-    return (nodes[:, None] * J1 + np.arange(J1)).ravel()
+    return np.flatnonzero(ext & (abs(K_tan) @ (~ext).astype(float) > 0))
+
+
+def _ring_energy_rows(pipeline: BridgePipeline, nodes: np.ndarray) -> sp.csr_matrix:
+    """The rows of ``_exterior_energy_matrix`` at the exterior nodes
+    ``nodes`` on every level (node-major), assembled alone: the filtered
+    tangential form's rows times the level weights, plus the vertical
+    two-point operator in each of those (exterior) columns."""
+    vm = pipeline.emesh.vertical
+    m = pipeline.grid.node_volume
+    cond = 1.0 / vm.cell_resistances()
+    K_vert = sp.diags([-cond, np.append(cond, 0.0) + np.insert(cond, 0, 0.0), -cond],
+                      [-1, 0, 1])
+    K_ext = _exterior_tangential_form(pipeline)[nodes]
+    columns = sp.identity(pipeline.grid.num_nodes, format="csr")[nodes]
+    return (sp.kron(K_ext, sp.diags(vm.level_weights()))
+            + sp.kron(columns, m * K_vert)).tocsr()
 
 
 @dataclass
@@ -221,8 +241,9 @@ def build_data_operator(
     spikes[widx, np.arange(K)] = 1.0
     S = solver.system.stiffness
     S_w = S[tw]
-    ring = _ring_rows(pipeline)
-    S_ring = _exterior_energy_matrix(pipeline)[ring]
+    nodes = _ring_nodes(pipeline)
+    ring = (nodes[:, None] * J1 + np.arange(J1)).ravel()
+    S_ring = _ring_energy_rows(pipeline, nodes)
     nu = vm.level_weights()
     r_top = vm.cell_resistances()[-1]
     traces = np.empty((K, K))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 import calderon as cd
+from calderon import fractional_core
 from calderon.errors import (
     CalibrationError,
     FitError,
@@ -432,13 +433,14 @@ def small_solver(layout, dim, s, nodes=None, levels=40):
 def test_one_lu_solve_per_chunk(layout):
     """Every chunk of a block, and a single datum, costs one block LU solve."""
     solver = small_solver(layout, 2, 0.5)
-    solver._shifted_solver._factor = CountingLU(solver._shifted_solver._factor)
+    shifted = solver._block._shifted
+    shifted._factor = CountingLU(shifted._factor)
     k = 2 * _CHUNK + 3
     F = np.random.default_rng(3).standard_normal((solver.emesh.grid.num_nodes, k))
     solver.solve_block(F)
-    assert solver._shifted_solver._factor.solves == 3
+    assert shifted._factor.solves == 3
     solver.solve(F[:, 0])
-    assert solver._shifted_solver._factor.solves == 4
+    assert shifted._factor.solves == 4
 
 
 def lifted_rhs_oracle(solver, D):
@@ -460,7 +462,7 @@ def lifted_rhs_oracle(solver, D):
     x.reshape(N, -1, k)[solver._lifted, solver._L] = (
         D[solver._lifted][:, None] * solver._psi[:, None])
     Sx = solver.system.stiffness @ x
-    T, L, phi = solver._T, solver._L, solver._phi
+    T, L, phi = solver._T, solver._L, solver._block._phi
     r = (b - Sx).reshape(N, -1, k)[T][:, L]
     mag = (np.abs(b) + np.abs(Sx)).reshape(N, -1, k)[T][:, L]
     return (np.tensordot(phi, r, axes=(0, 1)),
@@ -479,7 +481,8 @@ def test_separable_rhs_matches_gathered_transform(layout, dim, s):
     solver = small_solver(layout, dim, s)
     D = np.random.default_rng(11).standard_normal((solver.emesh.grid.num_nodes, 3))
     old, mag = lifted_rhs_oracle(solver, D)
-    assert np.max(np.abs(solver._separable_rhs(D) - old)) <= 1e-12 * mag.max()
+    rhs = solver._block.separable_rhs(solver._rhs_tan @ D[solver._rhs_nodes])
+    assert np.max(np.abs(rhs - old)) <= 1e-12 * mag.max()
 
 
 def vertical_profile(vm, c=0.0):
@@ -769,3 +772,38 @@ def test_identity_solver_makes_no_sparse_lu(monkeypatch):
     assert factored == []
     small_solver("mixed", 2, 0.5).solve_block(F)
     assert len(factored) == 1 and factored[0].solves > 0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_identity_solver_makes_no_pencil(dim, monkeypatch):
+    """An identity build and its solves in every layout make no vertical
+    pencil (``_vertical_pencil``, LAPACK ``dpteqr``): the sine route keeps
+    per-mode vertical profiles instead.  A bump coefficient makes one
+    pencil per build, and none per solve."""
+    pencils = []
+    pencil = fractional_core._vertical_pencil
+
+    def counting_pencil(*args):
+        pencils.append(args)
+        return pencil(*args)
+
+    monkeypatch.setattr(fractional_core, "_vertical_pencil", counting_pencil)
+    # small_solver's grid in 1D and 2D
+    grid = make_grid(dim=dim, nodes={1: 32, 2: 11, 3: (10, 6, 6)}[dim], padding=0.3)
+    F = np.random.default_rng(4).standard_normal((grid.num_nodes, _CHUNK + 2))
+    F[grid.omega_closure] = 0.0
+    for dirichlet_trace, scale in LAYOUTS.values():
+        vm = cd.build_vertical_mesh(0.5, cd.default_height(grid) * scale, 40)
+        solver = ExtensionSolver(cd.build_extension_mesh(grid, vm),
+                                 cd.identity_coefficient(grid), dirichlet_trace)
+        assert solver._block.route == "sine"
+        solver.solve_block(F)
+        solver.solve(F[:, 0])
+    assert pencils == []
+    if dim < 3:
+        for layout in LAYOUTS:
+            solver = small_solver(layout, dim, 0.5)
+            assert len(pencils) == 1
+            solver.solve_block(F)
+            assert len(pencils) == 1
+            pencils.clear()

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import calderon as cd
 from calderon import linsolve
 from calderon.errors import EigError, ParamError, SolveError
+from calderon import extension
 from calderon.extension import ExtensionSolver
 from calderon.fractional_core import (
     _CHUNK,
@@ -18,6 +19,9 @@ from calderon.fractional_core import (
     SpectralPower,
     _eigh_clipped,
     _reconstruct,
+    _sine_basis,
+    _vertical_pencil,
+    tensor_block,
 )
 
 from conftest import make_grid, w_bump
@@ -436,19 +440,38 @@ def test_block_solve_matches_column_solves(op64):
     assert np.max(np.abs(X - cols)) <= 1e-12 * np.max(np.abs(cols))
 
 
-def _shifted_inputs(dim, s, bump):
-    """The inputs an extension solver hands its shifted solver on one of the
-    sine grids: the coefficient, K_T, the pencil's shifts mu and the level
-    vectors w = phi(1) and c of the trace sums."""
+@functools.lru_cache(maxsize=None)
+def _block_inputs(dim, s, bump, dirichlet_trace=False):
+    """The arguments an extension solver on one of the sine grids hands
+    ``tensor_block`` (grid, coefficient, K_T, m, the vertical operator's
+    diagonal and off-diagonal on the free levels, their level weights, the
+    level vector v, B and g), captured from its build."""
     grid = _SINE_GRIDS[dim]()
     coeff = (cd.diagonal_coefficient(grid, [1.0 + 0.5 * cd.mollifier_bump(
         grid.points, [0.5] * dim, 0.4)] * dim, identity_outside=True) if bump
         else cd.identity_coefficient(grid))
-    ext = ExtensionSolver(cd.build_extension_mesh(grid, cd.build_vertical_mesh(
-        s, cd.default_height(grid), 24)), coeff)
-    T = np.flatnonzero(grid.active)
-    K_T = ext.system.tangential[T][:, T].tocsc()
-    return grid, coeff, K_T, ext._mu, ext._phi[0], ext._rhs_levels
+    captured = []
+
+    def capturing(*args):
+        captured.append(args)
+        return tensor_block(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extension, "tensor_block", capturing)
+        ExtensionSolver(cd.build_extension_mesh(grid, cd.build_vertical_mesh(
+            s, cd.default_height(grid), 24)), coeff, dirichlet_trace)
+    (args,) = captured
+    return args
+
+
+def _shifted_inputs(dim, s, bump):
+    """The inputs of the shifted solver of a mixed extension solver on one
+    of the sine grids: the grid, K_T, m, the shifts mu of the vertical
+    pencil and the level vectors w = phi(1) and c = phi^T v of the trace
+    sums."""
+    grid, _, K_T, m, diag, off, nu, v, _, _ = _block_inputs(dim, s, bump)
+    mu, phi = _vertical_pencil(diag, off, nu)
+    return grid, K_T, m, mu, phi[0], phi.T @ v
 
 
 def _route(dim, bump):
@@ -456,38 +479,84 @@ def _route(dim, bump):
 
 
 @functools.lru_cache(maxsize=None)
-def _shifted_and_dense(dim, s, bump):
-    grid, coeff, K_T, mu, w, c = _shifted_inputs(dim, s, bump)
-    m = grid.node_volume
+def _shifted_and_dense(dim, s):
+    grid, K_T, m, mu, w, c = _shifted_inputs(dim, s, True)
     A = K_T.toarray() + m * mu[:, None, None] * np.eye(K_T.shape[0])
-    return ShiftedSolver(grid, coeff, K_T, m, mu), A, w, c
+    return ShiftedSolver(grid, K_T, m, mu), A, w, c
+
+
+def _close(a, b, tol=1e-10):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
 
 
 @given(st.sampled_from(sorted(_SINE_GRIDS)), st.sampled_from([0.1, 0.9]),
-       st.booleans(), st.integers(0, 2**16))
-@example(dim=1, s=0.1, bump=True, seed=0)
-@example(dim=1, s=0.9, bump=True, seed=1)
+       st.integers(0, 2**16))
+@example(dim=1, s=0.1, seed=0)
+@example(dim=1, s=0.9, seed=1)
 @settings(max_examples=20, deadline=None)
-def test_shifted_solver_matches_dense_shifted_matrices(dim, s, bump, seed):
-    """On every route a block solve equals per-level dense solves of
-    ``K_T + m mu_k I`` and the trace sums equal the same sums of the dense
-    inverses' blocks, for trace positions spanning one to three chunks."""
-    shifted, A, w, c = _shifted_and_dense(dim, s, bump)
-    assert shifted.route == _route(dim, bump)
+def test_shifted_solver_matches_dense_shifted_matrices(dim, s, seed):
+    """On both pencil routes (a bump coefficient) a block solve equals
+    per-level dense solves of ``K_T + m mu_k I`` and the trace sums equal
+    the same sums of the dense inverses' blocks, for trace positions
+    spanning one to three chunks."""
+    shifted, A, w, c = _shifted_and_dense(dim, s)
+    assert shifted.route == _route(dim, True)
     rng = np.random.default_rng(seed)
     nT = A.shape[1]
-
-    def close(a, b):
-        assert a.shape == b.shape
-        assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
-
     Y = rng.standard_normal((len(w), nT, 3))
-    close(shifted.solve(Y), np.linalg.solve(A, Y))
+    _close(shifted.solve(Y), np.linalg.solve(A, Y))
     B = np.sort(rng.choice(nT, size=rng.integers(1, 3 * _CHUNK + 1), replace=False))
     inv = np.linalg.inv(A)
     G, H = shifted.trace_sums(B, w, c)
-    close(G, np.einsum("k,kij->ij", w**2, inv[:, B][:, :, B]))
-    close(H, np.einsum("k,kij->ij", c * w, inv[:, :, B]))
+    _close(G, np.einsum("k,kij->ij", w**2, inv[:, B][:, :, B]))
+    _close(H, np.einsum("k,kij->ij", c * w, inv[:, :, B]))
+
+
+@functools.lru_cache(maxsize=None)
+def _sine_block_and_dense(dim, s, dirichlet_trace):
+    """An identity solver's block inputs, with the dense vertical blocks
+    ``m (K_L + lam_i N_L)`` of every tangential mode and the pencil's dense
+    shifted inverses ``(K_T + m mu_k)^-1``, eigenvectors phi and c = phi^T v."""
+    args = _block_inputs(dim, s, False, dirichlet_trace)
+    grid, _, K_T, m, diag, off, nu, v, _, _ = args
+    lam = _sine_basis(grid, cd.identity_coefficient(grid))[1]
+    K_L = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    vertical = m * (K_L + lam[:, None, None] * np.diag(nu))
+    mu, phi = _vertical_pencil(diag, off, nu)
+    inv = np.linalg.inv(K_T.toarray() + m * mu[:, None, None] * np.eye(len(lam)))
+    return args, vertical, inv, phi, phi.T @ v
+
+
+@given(st.sampled_from(sorted(_SINE_GRIDS)), st.sampled_from([0.1, 0.5, 0.9]),
+       st.sampled_from([False, True, None]), st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_sine_profiles_match_dense_vertical_solves(dim, s, dirichlet_trace, seed):
+    """On the sine route the kept profiles are dense solves of ``m (K_L +
+    lam_i N_L)`` against v and e_0, the trace sums equal the pencil's sums
+    of dense shifted inverses, and a solve equals the pencil's dense solve
+    ``phi [(K_T + m mu_k)^-1 (c_k a + g phi_k(1) E_B xB)]``, in every trace
+    layout and for trace positions spanning one to three chunks."""
+    args, vertical, inv, phi, c = _sine_block_and_dense(dim, s, dirichlet_trace)
+    grid, coeff, K_T, m, diag, off, nu, v, _, g = args
+    rng = np.random.default_rng(seed)
+    nT, nL = inv.shape[1], len(diag)
+    B = np.sort(rng.choice(nT, size=rng.integers(1, 3 * _CHUNK + 1), replace=False))
+    block = tensor_block(grid, coeff, K_T, m, diag, off, nu, v, B, g)
+    assert block.route == "sine"
+    _close(block._P[0], np.linalg.solve(vertical, v).T)
+    _close(block._P[1], np.linalg.solve(vertical, np.eye(nL)[0]).T)
+    G, H = block.trace_sums()
+    w = phi[0]
+    _close(G, np.einsum("k,kij->ij", w**2, inv[:, B][:, :, B]))
+    _close(H, np.einsum("k,kij->ij", c * w, inv[:, :, B]))
+    a = rng.standard_normal((nT, 3))
+    xB = rng.standard_normal((len(B), 3))
+    rhs = np.multiply.outer(c, a)
+    rhs[:, B] += np.multiply.outer(g * w, xB)
+    out = np.empty((nL, nT, 3))
+    block.solve(a, xB, out)
+    _close(out, np.tensordot(phi, inv @ rhs, axes=(1, 0)))
 
 
 class CountingFactor:
@@ -522,18 +591,18 @@ def test_trace_sums_make_one_lu_solve_per_chunk(size, monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counting_dpttrs)
     B = np.arange(size)
     for dim, bump in ((2, False), (2, True), (1, True)):
-        grid, coeff, K_T, mu, w, c = _shifted_inputs(dim, 0.5, bump)
+        grid, coeff, K_T, m, diag, off, nu, v, _, g = _block_inputs(dim, 0.5, bump)
         factored.clear()
-        shifted = ShiftedSolver(grid, coeff, K_T, grid.node_volume, mu)
-        assert shifted.route == _route(dim, bump)
-        if shifted.route == "lu":
-            shifted._factor = CountingFactor(shifted._factor)
+        block = tensor_block(grid, coeff, K_T, m, diag, off, nu, v, B, g)
+        assert block.route == _route(dim, bump)
+        if block.route == "lu":
+            block._shifted._factor = CountingFactor(block._shifted._factor)
         tridiagonal_solves.clear()
-        shifted.trace_sums(B, w, c)
+        block.trace_sums()
         assert len(factored) == (bump and dim == 2)
         assert not tridiagonal_solves
-        if shifted.route == "lu":
-            assert shifted._factor.solves == -(-size // _CHUNK)
+        if block.route == "lu":
+            assert block._shifted._factor.solves == -(-size // _CHUNK)
 
 
 @functools.lru_cache(maxsize=None)
@@ -546,7 +615,8 @@ def _recovery_1d_trace_sums():
     coeff = cd.diagonal_coefficient(grid, [1.0 + 0.2 * cd.mollifier_bump(
         grid.points, [0.45], 0.3)], identity_outside=True)
     solver = cd.BridgePipeline(grid, coeff, 0.5, levels=128).solver
-    shifted, w, c = solver._shifted_solver, solver._phi[0], solver._rhs_levels
+    block = solver._block
+    shifted, w, c = block._shifted, block._phi[0], block._c
     assert shifted.route == "tridiagonal"
     n = shifted._n
     sums = np.empty((2, n, n))
@@ -572,7 +642,7 @@ def test_tridiagonal_trace_sums_match_unit_solves(case):
          "all": np.arange(n),
          "first": np.array([0]),
          "last": np.array([n - 1])}[case]
-    G, H = solver._shifted_solver.trace_sums(B, w, c)
+    G, H = solver._block._shifted.trace_sums(B, w, c)
     for got, ref in ((G, inv_w2[np.ix_(B, B)]), (H, inv_cw[:, B])):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -590,15 +660,15 @@ def test_tridiagonal_trace_sums_check_reversed_factorization(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", failing_dpttrf)
     with pytest.raises(SolveError, match="dpttrf info 7 "):
-        solver._shifted_solver.trace_sums(solver._B, w, c)
+        solver._block._shifted.trace_sums(solver._B, w, c)
 
 
 def test_1d_indefinite_shift_raises_solve_error():
     """A shift that makes one level's block indefinite stops the tridiagonal
     factorization at that block's first row, and raises SolveError."""
-    grid, coeff, K_T, mu, w, c = _shifted_inputs(1, 0.5, True)
-    m, n, k = grid.node_volume, K_T.shape[0], 3
+    grid, K_T, m, mu, w, c = _shifted_inputs(1, 0.5, True)
+    n, k = K_T.shape[0], 3
     bad = mu.copy()
     bad[k] = -2.0 * K_T.diagonal().max() / m
     with pytest.raises(SolveError, match=f"dpttrf info {k * n + 1} "):
-        ShiftedSolver(grid, coeff, K_T, m, bad)
+        ShiftedSolver(grid, K_T, m, bad)

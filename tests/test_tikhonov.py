@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 import calderon as cd
 from calderon.errors import MeshMismatch, ParamError, RankError, SolveError, TailError
 from calderon.local_elliptic import boundary_flux
-from calderon.tikhonov import _exterior_energy_matrix, build_data_operator
+from calderon.tikhonov import (
+    _exterior_energy_matrix,
+    _ring_energy_rows,
+    _ring_nodes,
+    build_data_operator,
+)
 
 from conftest import assert_same_sparse, make_grid, w_bump
 
@@ -439,3 +444,30 @@ def test_exterior_energy_matrix_matches_triplet_assembly(dim, s):
     pipe = cd.BridgePipeline(grid, coeff, s, levels=24)
     assert_same_sparse(_exterior_energy_matrix(pipe),
                        triplet_exterior_energy_matrix(pipe), 1e-14)
+
+
+@pytest.mark.parametrize("dim, s, bump", [(1, 0.1, True), (1, 0.9, False),
+                                          (2, 0.5, True), (2, 0.25, False),
+                                          (3, 0.5, False)])
+def test_ring_rows_are_the_exterior_form(dim, s, bump):
+    """The ring block the data operator assembles alone equals the ring rows
+    of the full penalty form ``_exterior_energy_matrix`` to 1e-15 of its
+    largest entry; every other exterior row of that form is the stiffness
+    row."""
+    grid = make_grid(dim=dim, nodes={1: 40, 2: 14, 3: (10, 6, 6)}[dim], padding=0.3)
+    coeff = (cd.diagonal_coefficient(grid, [1.0 + 0.5 * cd.mollifier_bump(
+        grid.points, [0.5] * dim, 0.3)] * dim, identity_outside=True) if bump
+        else cd.identity_coefficient(grid))
+    pipe = cd.BridgePipeline(grid, coeff, s, levels=24)
+    J1 = pipe.emesh.vertical.num_levels + 1
+    nodes = _ring_nodes(pipe)
+    assert 0 < len(nodes) < np.count_nonzero(grid.exterior)
+    full = _exterior_energy_matrix(pipe)
+    ref = full[(nodes[:, None] * J1 + np.arange(J1)).ravel()].toarray()
+    block = _ring_energy_rows(pipe, nodes).toarray()
+    assert block.shape == ref.shape
+    assert np.max(np.abs(block - ref)) <= 1e-15 * np.max(np.abs(ref))
+    rest = np.setdiff1d(np.flatnonzero(grid.exterior), nodes)
+    rows = (rest[:, None] * J1 + np.arange(J1)).ravel()
+    S = pipe.solver.system.stiffness
+    assert np.array_equal(full[rows].toarray(), S[rows].toarray())
