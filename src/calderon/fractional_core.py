@@ -436,7 +436,7 @@ class _SineBlock:
         nL, nT = len(diag), len(lam)
         chol = _TridiagonalCholesky(m * (diag + np.multiply.outer(lam, nu)), m * off)
         # the two right-hand sides as the columns of one Fortran-ordered
-        # block, which LAPACK takes as it is
+        # (N, 2) block, LAPACK's layout
         rhs = np.zeros((2, nT, nL))
         rhs[0] = v
         rhs[1, :, 0] = 1.0
