@@ -31,20 +31,21 @@ closed interior region; the trace may also be all Dirichlet or all Neumann.
 Solver.  With D = I the free nodes off the trace are a tensor product T x L
 (tangential active set by free levels), and their block ``K_T (x) diag(nu) +
 m I (x) K_vert`` (nu the level weights, m the node volume) is solved by one
-``fractional_core.tensor_block``, whose route is chosen there.  For a = Id
-the tangential operator is diagonal in closed form (the sine basis), so the
-block diagonalizes tangentially: one vertical SPD tridiagonal ``m (K_vert +
-lam_i diag(nu))`` per tangential mode, whose solves against the two level
-vectors any right-hand side has are kept as per-mode vertical profiles; a
-solve is then one forward mode product of the tangential data, a multiply by
-the profiles and one backward mode product.  Otherwise the vertical pencil
-``K_vert phi = mu diag(nu) phi`` turns a solve into J decoupled shifted
-tangential solves ``(K_T + m mu_k) y_k = r_k`` (fast diagonalization), all
-made by one ``fractional_core.ShiftedSolver``.  The pencil is solved by
-LAPACK ``dpteqr`` on the ``nu**-1/2``-scaled tridiagonal: with the default
-grading nu spans up to 19 orders of magnitude, and a dense symmetric
-eigensolver loses the small eigenvalues (even their sign) where ``dpteqr``
-keeps them to relative accuracy.
+``fractional_core.tensor_block``, whose route is chosen there.  Where the
+tangential eigenbasis is held (the closed-form sine basis for a = Id, the
+``eigh_tridiagonal`` basis for any coefficient in 1D) the block
+diagonalizes tangentially: one vertical SPD tridiagonal ``m (K_vert + lam_i
+diag(nu))`` per tangential mode, whose solves against the two level vectors
+any right-hand side has are kept as per-mode vertical profiles; a solve is
+then one forward mode product of the tangential data, a multiply by the
+profiles and one backward mode product.  Otherwise (a variable coefficient
+in 2D or 3D) the vertical pencil ``K_vert phi = mu diag(nu) phi`` turns a
+solve into J decoupled shifted tangential solves ``(K_T + m mu_k) y_k =
+r_k`` (fast diagonalization), made by one block-diagonal sparse LU.  The
+pencil is solved by LAPACK ``dpteqr`` on the ``nu**-1/2``-scaled
+tridiagonal: with the default grading nu spans up to 19 orders of
+magnitude, and a dense symmetric eigensolver loses the small eigenvalues
+(even their sign) where ``dpteqr`` keeps them to relative accuracy.
 
 A constrained trace column is first lifted by the exact profile psi of the
 vertical operator alone, so the tensor solve only returns a correction:
@@ -57,7 +58,7 @@ made.  The mixed trace closes on its free trace nodes B through the trace
 map ``Z = Sch^-1 Q`` (capacitance-matrix style, |B| x |data nodes| doubles),
 built once from the dense Schur complement ``Sch = nu_0 K_BB + g I - g**2
 G``, G the first-level B x B block of the tensor block's inverse (a closed
-form in the profiles on the sine route, a sum over the pencil otherwise) and
+form in the profiles on a held basis, a sum over the pencil otherwise) and
 ``g = m / r_0`` the first-cell conductance: a datum's free trace values are
 ``Z d``, and the tensor block then takes one block solve.
 
@@ -280,9 +281,10 @@ class ExtensionSolver:
     the active set, and the levels L (from level 0 when the trace is free,
     else from level 1, up to the level below the top), plus, in the mixed
     layout, the free trace nodes B.  The solver of the T x L block
-    (``fractional_core.tensor_block``: per-mode vertical profiles for a =
-    Id, else the vertical pencil and its shifted tangential solves) and the
-    free-trace map are built once; every solve substitutes new data.
+    (``fractional_core.tensor_block``: per-mode vertical profiles on a held
+    tangential basis, else the vertical pencil and its shifted tangential
+    solves) and the free-trace map are built once; every solve substitutes
+    new data.
     """
 
     def __init__(self, emesh: ExtensionMesh, coeff: Coefficient,

@@ -9,67 +9,55 @@ V^T``.  Repeated eigenvalues need no tie-breaking: matrix functions are
 basis independent.
 
 The orthonormal eigenbasis V is held as a tuple of factors whose Kronecker
-product is V over the active nodes in C order, and is found on one of two
-routes chosen by the coefficient (``_sine_basis`` is the one place that
-reads ``Coefficient.is_identity``):
+product is V over the active nodes in C order.  ``_eigenbasis`` finds it,
+for the oracle and for the extension's tensor block alike, and is the one
+place that reads ``Coefficient.is_identity``:
 
-* a = Id: A is the Kronecker sum of the one-dimensional second differences
-  ``tridiag(-1, 2, -1) / h_k^2``, which the sine transform diagonalizes
-  exactly (fast diagonalization).  The factors are the closed-form DST-I
-  matrices ``sqrt(2/(n-1)) sin(pi i j/(n-1))``, i, j = 1..n-2, one per axis,
-  and the eigenvalues ``sum_k (4/h_k^2) sin^2(pi j_k / (2(n_k-1)))``; no
-  dense operator and no eigendecomposition is formed.
-* any other coefficient: the eigendecomposition of A, held as the single
-  factor V: in 1D, where the active nodes are one interval and A is
-  tridiagonal, by ``scipy.linalg.eigh_tridiagonal`` of its diagonal and
-  off-diagonal; in 2D and 3D by a dense ``eigh``.
+* a = Id ("sine"): A is the Kronecker sum of the one-dimensional second
+  differences ``tridiag(-1, 2, -1) / h_k^2``, which the sine transform
+  diagonalizes exactly (fast diagonalization).  The factors are the
+  closed-form DST-I matrices ``sqrt(2/(n-1)) sin(pi i j/(n-1))``, i, j =
+  1..n-2, one per axis, and the eigenvalues ``sum_k (4/h_k^2) sin^2(pi j_k
+  / (2(n_k-1)))``; no dense operator and no eigendecomposition is formed.
+* 1D, any other coefficient ("eigh"): the active nodes are one interval and
+  A is tridiagonal, so the single factor V comes from
+  ``scipy.linalg.eigh_tridiagonal`` of its diagonal and off-diagonal.
+* 2D and 3D, any other coefficient: no basis is held.  The oracle takes a
+  dense ``eigh`` of A as its single factor; the tensor block takes the
+  vertical pencil instead (below).
 
 Consumers read V only through factor rows (an eigenvector row is the product
 of one row of each factor) and mode products (one small matrix product per
 axis), so a single factor is the plain dense arithmetic and the sine route
-forms no N x N array.  ``DENSE_NODE_CAP`` bounds both routes: the map and
-the exterior-value solve still build dense blocks of the power over the
-interior and measurement nodes, and callers check the cap before building
-anything else on the grid.
+forms no N x N array.  ``DENSE_NODE_CAP`` bounds the dense bases (the 1D
+"eigh" basis and the oracle's), and the map and the exterior-value solve,
+which build dense blocks of the power over the interior and measurement
+nodes; callers check the cap before building anything else on the grid.
 
 Tensor block solves.  ``tensor_block`` solves the extension's free block
 ``K_T (x) N + m I (x) K_L`` (K_T the tangential stiffness, K_L the vertical
 two-point operator on the free levels, N the diagonal of their level
 weights) for the right-hand sides the extension makes, a fixed level vector
 v times a tangential array plus a first-level coupling to the free trace
-nodes B.  The route is chosen once, by ``_sine_basis``:
+nodes B.  The route is the basis's:
 
-* a = Id, any dimension: ``K_T = m V diag(lam) V^T`` with the sine factors,
-  so the block diagonalizes tangentially into one vertical SPD tridiagonal
-  ``m (K_L + lam_i N)`` per mode i (the other orientation of the fast
+* a held basis ("sine" or "eigh"): ``K_T = m V diag(lam) V^T``, so the
+  block diagonalizes tangentially into one vertical SPD tridiagonal ``m
+  (K_L + lam_i N)`` per mode i (the other orientation of the fast
   diagonalization of Buzbee, Golub and Nielson, 1970).  Every right-hand
   side has the level vector v or e_0, so the build solves those two against
   all modes once, by one stacked ``_TridiagonalCholesky``, and keeps only
   the two profile arrays (levels x modes).  A solve is a forward mode
   product of the tangential data, a multiply by the profiles and a backward
   mode product over the levels; the trace sums are closed forms in the
-  profiles' first rows and the sine rows at B.  No vertical eigenproblem
+  profiles' first rows and the basis rows at B.  No vertical eigenproblem
   is solved.
-* any other coefficient: the vertical pencil ``K_L phi = mu N phi``
+* no held basis ("lu"): the vertical pencil ``K_L phi = mu N phi``
   (``_vertical_pencil``, LAPACK ``dpteqr``) turns the block into one
-  shifted tangential solve ``(K_T + m mu_k) y_k = r_k`` per level, all made
-  by one ``ShiftedSolver``, between level transforms by phi.  In 1D each
-  shifted block is an SPD tridiagonal, whose Cholesky factor has no fill in
-  the natural order, so no fill-reducing ordering or symbolic analysis is
-  needed.  The J blocks are stacked into one tridiagonal with zero coupling
-  between levels and factored once by LAPACK ``dpttrf``; a solve is one
-  ``dpttrs``, O(J |T|) per column.  The trace sums need no solve: an SPD
-  tridiagonal's inverse is fixed entry by entry by its forward and backward
-  pivots (Meurant, 1992).  Its diagonal is ``1 / (delta + gamma - d)`` and
-  an off-diagonal entry is a diagonal entry times a product of the pivot
-  ratios ``-e / delta`` (above) or ``-e / gamma`` (below).  The shifted
-  blocks are diagonally dominant, so the ratios lie in (0, 1) and the
-  products can underflow but never overflow; the product form ``u_i v_j``
-  of two recurrence sequences overflows at the pencil's largest shifts (mu
-  = 2.3e10 at 1D n = 384 and J = 128, where u is no longer finite from row
-  49 of 382).  In 2D and 3D: one block-diagonal sparse LU of the shifted
-  matrices, whose trace sums come from unit block solves, _CHUNK columns
-  at a time.
+  shifted tangential solve ``(K_T + m mu_k) y_k = r_k`` per level, between
+  level transforms by phi.  The J shifted blocks are factored as one
+  block-diagonal sparse LU, whose trace sums come from unit block solves,
+  _CHUNK columns at a time.
 
 With O the closed interior region and W the measurement nodes, the nonlocal
 measurement map is the Schur complement ``A_WW - A_WO A_OO^{-1} A_OW`` of
@@ -99,7 +87,6 @@ from .local_elliptic import LocalOperator
 
 __all__ = [
     "SpectralPower",
-    "ShiftedSolver",
     "tensor_block",
     "NonlocalDtN",
     "spectral_power",
@@ -143,28 +130,37 @@ def _check_dense_cap(grid) -> np.ndarray:
     if n_active > DENSE_NODE_CAP:
         raise EigError(
             f"{n_active} active nodes exceeds the dense-eigendecomposition cap "
-            f"({DENSE_NODE_CAP}); this route is the desk-scale oracle"
+            f"({DENSE_NODE_CAP}); the dense eigenbasis is desk-scale only"
         )
     return active
 
 
-def _sine_basis(grid, coeff):
-    """Closed-form eigenbasis of the operator on the active nodes when the
-    coefficient is the identity, else None: one DST-I factor per axis and
-    the eigenvalues in the C order of the mode indices (ascending along each
-    axis)."""
-    if not coeff.is_identity():
+def _eigenbasis(grid, coeff, K):
+    """The held eigenbasis of ``K / m`` (K the stiffness over the active
+    nodes, m the node volume) as ``(route, factors, eigenvalues)``, or None
+    in 2D and 3D for a coefficient other than the identity.  For a = Id
+    ("sine") one closed-form DST-I factor per axis and the eigenvalues in the
+    C order of the mode indices (ascending along each axis); in 1D ("eigh")
+    the one factor of ``eigh_tridiagonal``, K being tridiagonal there."""
+    if coeff.is_identity():
+        factors = []
+        lam = np.zeros(())
+        for n, h in zip(grid.shape, grid.h):
+            j = np.arange(1, n - 1)
+            # the integer product is reduced mod 2(n-1) first, so every
+            # argument of sin lies in [0, 2 pi) and keeps its rounding at
+            # that size
+            phase = np.outer(j, j) % (2 * (n - 1))
+            factors.append(np.sqrt(2.0 / (n - 1)) * np.sin(np.pi * phase / (n - 1)))
+            lam = np.add.outer(lam, 4.0 / h**2 * np.sin(np.pi * j / (2 * (n - 1))) ** 2)
+        return "sine", tuple(factors), lam.ravel()
+    if grid.dim > 1:
         return None
-    factors = []
-    lam = np.zeros(())
-    for n, h in zip(grid.shape, grid.h):
-        j = np.arange(1, n - 1)
-        # the integer product is reduced mod 2(n-1) first, so every argument
-        # of sin lies in [0, 2 pi) and keeps its rounding at that size
-        phase = np.outer(j, j) % (2 * (n - 1))
-        factors.append(np.sqrt(2.0 / (n - 1)) * np.sin(np.pi * phase / (n - 1)))
-        lam = np.add.outer(lam, 4.0 / h**2 * np.sin(np.pi * j / (2 * (n - 1))) ** 2)
-    return tuple(factors), lam.ravel()
+    _check_dense_cap(grid)
+    m = grid.node_volume
+    lam, V = _eigh_clipped(K.diagonal() / m,
+                           0.5 * (K.diagonal(1) / m + K.diagonal(-1) / m))
+    return "eigh", (V,), lam
 
 
 def _factor_rows(factors, pos) -> np.ndarray:
@@ -247,26 +243,21 @@ class SpectralPower:
 
 
 def spectral_power(op: LocalOperator, s: float) -> SpectralPower:
-    """Eigenbasis of the active-node operator, in closed form for a = Id,
-    from the tridiagonal in 1D and by a dense eigendecomposition otherwise;
+    """Eigenbasis of the active-node operator: the held basis
+    (``_eigenbasis``) where there is one, else a dense eigendecomposition;
     action on an eigenvector with eigenvalue lambda is lambda**s times it."""
     if not 0.0 < s <= 1.0:
         raise ParamError(f"s must lie in (0, 1], got {s}")
     active = _check_dense_cap(op.grid)
-    basis = _sine_basis(op.grid, op.coeff)
+    K = op.stiffness[active][:, active]
+    basis = _eigenbasis(op.grid, op.coeff, K)
     if basis is None:
-        K = op.stiffness[active][:, active]
-        vol = op.node_volume
-        if op.grid.dim == 1:
-            # the active nodes are one interval, so A is tridiagonal
-            lam, V = _eigh_clipped(K.diagonal() / vol,
-                                   0.5 * (K.diagonal(1) / vol + K.diagonal(-1) / vol))
-        else:
-            A = K.toarray() / vol
-            A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
-            lam, V = _eigh_clipped(A)
-        basis = (V,), lam
-    return SpectralPower(op=op, s=s, active=active, eigvals=basis[1], factors=basis[0])
+        A = K.toarray() / op.node_volume
+        A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
+        lam, V = _eigh_clipped(A)
+        basis = "eigh", (V,), lam
+    _, factors, lam = basis
+    return SpectralPower(op=op, s=s, active=active, eigvals=lam, factors=factors)
 
 
 def _dpttrf(d: np.ndarray, e: np.ndarray):
@@ -274,7 +265,7 @@ def _dpttrf(d: np.ndarray, e: np.ndarray):
     diagonal d and off-diagonal e; a lost minor raises SolveError."""
     piv, mult, info = lapack.dpttrf(d, e)
     if info != 0:
-        raise SolveError(f"shifted tridiagonal factorization failed: dpttrf "
+        raise SolveError(f"vertical tridiagonal factorization failed: dpttrf "
                          f"info {info} (leading minor not positive definite)")
     return piv, mult
 
@@ -289,119 +280,16 @@ class _TridiagonalCholesky:
         J, n = d.shape
         off = np.zeros((J, n))
         off[:, :-1] = e
-        self._diag, self._off = d.ravel(), off.ravel()[:-1]
-        self._d, self._e = _dpttrf(self._diag, self._off)
+        self._d, self._e = _dpttrf(d.ravel(), off.ravel()[:-1])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return lapack.dpttrs(self._d, self._e, rhs)[0]
 
-    def trace_sums(self, B: np.ndarray, w: np.ndarray, c: np.ndarray):
-        """``ShiftedSolver.trace_sums`` from the entries of the block
-        inverses, with no solve, for J = len(w) blocks.
-
-        With forward pivots delta (this factor) and backward pivots gamma
-        (``dpttrf`` of the reversed matrix), block k's inverse has diagonal
-        ``D = 1 / (delta + gamma - d)``, and its entry (i, j) is D_j times
-        ``prod_{l=i}^{j-1} alpha_l`` above the diagonal (``alpha_l = -e_l /
-        delta_l``, minus this factor's multipliers) or ``prod_{l=j+1}^{i}
-        beta_l`` below it (``beta_l = -e_{l-1} / gamma_l``).  On the hull
-        [min B, max B] a loop over the distance from the diagonal forms both
-        level-weighted sums, one product over the levels per distance; the
-        rows of H above (below) the hull continue each block's first (last)
-        hull row by products of alphas (betas), one matrix product over the
-        levels per side.  The cost is O(J h^2) for a hull of h nodes."""
-        J = len(w)
-        n = len(self._diag) // J
-        piv_r, mult_r = _dpttrf(self._diag[::-1], self._off[::-1])
-        D = 1.0 / (self._d + piv_r[::-1] - self._diag).reshape(J, n)
-        alpha = -np.append(self._e, 0.0).reshape(J, n)
-        beta = -np.concatenate([[0.0], mult_r[::-1]]).reshape(J, n)
-        lo, hi = int(B.min()), int(B.max())
-        h = hi - lo + 1
-        weights = np.stack([w**2, c * w])
-        # level-weighted hull blocks of the inverses; a flat view walks the
-        # t-th super- and sub-diagonal with stride h + 1
-        S = np.empty((2, h, h))
-        flat = S.reshape(2, h * h)
-        first, last = np.empty((J, h)), np.empty((J, h))
-        E = D[:, lo:hi + 1]
-        for t in range(h):
-            # E[k, i] is entry (lo + i, lo + i + t) of block k's inverse
-            v = weights @ E
-            flat[:, t::h + 1][:, :h - t] = v
-            flat[:, t * h::h + 1][:, :h - t] = v
-            first[:, t], last[:, h - 1 - t] = E[:, 0], E[:, -1]
-            E = E[:, 1:] * alpha[:, lo:hi - t]
-        b = B - lo
-        cw = (c * w)[:, None]
-        H = np.empty((n, len(B)))
-        H[lo:hi + 1] = S[1][:, b]
-        above = np.cumprod(alpha[:, :lo][:, ::-1], axis=1)[:, ::-1]
-        H[:lo] = above.T @ (cw * first[:, b])
-        H[hi + 1:] = np.cumprod(beta[:, hi + 1:], axis=1).T @ (cw * last[:, b])
-        return S[0][np.ix_(b, b)], H
-
-
-class ShiftedSolver:
-    """``(K_T + m mu_k)^-1`` on every level k, K_T the tangential stiffness
-    over the active nodes of ``grid`` (C order), m the node volume and mu
-    the level shifts, through a factor of the block-diagonal shifted matrix
-    chosen once by dimension and read back from ``route``: "tridiagonal", a
-    stacked tridiagonal Cholesky in 1D (no fill, so no ordering), or "lu", a
-    sparse LU in 2D and 3D."""
-
-    def __init__(self, grid, K_T: sp.csc_matrix, m: float, mu: np.ndarray):
-        self._n = K_T.shape[0]
-        if grid.dim == 1:
-            # T is a run of neighbouring nodes, so K_T is tridiagonal
-            self._route = "tridiagonal"
-            self._factor = _TridiagonalCholesky(
-                K_T.diagonal()[None, :] + (m * mu)[:, None], K_T.diagonal(1))
-            return
-        self._route = "lu"
-        blocks = sp.kron(sp.identity(len(mu), format="csc"), K_T, format="csc")
-        blocks = blocks + sp.diags(np.repeat(m * mu, self._n), format="csc")
-        try:
-            # SPD blocks: symmetric ordering, no pivoting
-            self._factor = spla.splu(blocks, permc_spec="MMD_AT_PLUS_A",
-                                     diag_pivot_thresh=0.0,
-                                     options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SolveError(f"shifted tangential factorization failed: {exc}") from exc
-
-    @property
-    def route(self) -> str:
-        """The route chosen at construction: "tridiagonal" or "lu"."""
-        return self._route
-
-    def solve(self, Y: np.ndarray) -> np.ndarray:
-        """``(K_T + m mu_k)^-1 Y[k]`` for Y of shape (levels, T, columns)."""
-        return self._factor.solve(Y.reshape(-1, Y.shape[2])).reshape(Y.shape)
-
-    def trace_sums(self, B: np.ndarray, w: np.ndarray, c: np.ndarray):
-        """``G = sum_k w_k**2 [(K_T + m mu_k)^-1]_BB`` and ``H = sum_k c_k w_k
-        [(K_T + m mu_k)^-1]_{:,B}`` in one pass, B a nonempty set of
-        positions among the active nodes: the closed form in the tridiagonal
-        pivots (``_TridiagonalCholesky.trace_sums``) in 1D, and on the LU
-        route from solves of the unit columns ``w (x) e_b``, _CHUNK at a
-        time."""
-        if self._route == "tridiagonal":
-            return self._factor.trace_sums(B, w, c)
-        G, H = np.empty((len(B), len(B))), np.empty((self._n, len(B)))
-        for c0 in range(0, len(B), _CHUNK):
-            cols = B[c0:c0 + _CHUNK]
-            R = np.zeros((len(w), self._n, len(cols)))
-            R[:, cols, np.arange(len(cols))] = w[:, None]
-            Y = self.solve(R)
-            G[:, c0:c0 + len(cols)] = np.tensordot(w, Y[:, B], axes=(0, 0))
-            H[:, c0:c0 + len(cols)] = np.tensordot(c, Y, axes=(0, 0))
-        return G, H
-
 
 def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray):
     """Eigenpairs of the tridiagonal pencil ``K phi = mu diag(nu) phi``: the
-    vertical fast diagonalization, made only on the tridiagonal and LU
-    routes (``_PencilBlock``; the sine route needs none).
+    vertical fast diagonalization, made only on the LU route
+    (``_PencilBlock``; a held tangential basis needs none).
 
     ``diag`` and ``off`` are the diagonal and off-diagonal of K.  The pencil
     is reduced to the symmetric tridiagonal ``nu**-1/2 K nu**-1/2`` and solved
@@ -421,20 +309,20 @@ def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray):
     return lam, z * r[:, None]
 
 
-class _SineBlock:
-    """The tensor block on the sine route: ``K_T = m V diag(lam) V^T``, so
-    the block splits into one vertical SPD tridiagonal ``m (K_L + lam_i
-    N_L)`` per tangential mode i.  The two level vectors of every
-    right-hand side, v and e_0, are solved against all of them once, by one
-    stacked ``_TridiagonalCholesky``; only their profiles are kept, ``P[0]``
-    for v and ``P[1]`` for e_0 (levels x modes each)."""
-
-    route = "sine"
+class _ModalBlock:
+    """The tensor block on a held tangential basis (route "sine" or
+    "eigh"): ``K_T = m V diag(lam) V^T``, so the block splits into one
+    vertical SPD tridiagonal ``m (K_L + lam_i N_L)`` per tangential mode i.
+    The two level vectors of every right-hand side, v and e_0, are solved
+    against all of them once, by one stacked ``_TridiagonalCholesky``; only
+    their profiles are kept, ``P[0]`` for v and ``P[1]`` for e_0 (levels x
+    modes each)."""
 
     def __init__(self, basis, m, diag, off, nu, v, B, g):
-        self._factors, lam = basis
-        nL, nT = len(diag), len(lam)
-        chol = _TridiagonalCholesky(m * (diag + np.multiply.outer(lam, nu)), m * off)
+        self.route, self._factors, self._lam = basis
+        nL, nT = len(diag), len(self._lam)
+        chol = _TridiagonalCholesky(m * (diag + np.multiply.outer(self._lam, nu)),
+                                    m * off)
         # the two right-hand sides as the columns of one Fortran-ordered
         # (N, 2) block, LAPACK's layout
         rhs = np.zeros((2, nT, nL))
@@ -464,21 +352,33 @@ class _SineBlock:
 
 
 class _PencilBlock:
-    """The tensor block on the tridiagonal and LU routes: the vertical
-    pencil turns it into one shifted tangential solve per level
-    (``ShiftedSolver``), between the level transforms of the eigenvectors
-    phi."""
+    """The tensor block with no held tangential basis (2D and 3D, a = Id
+    excepted; route "lu"): the vertical pencil turns it into one shifted
+    tangential solve ``(K_T + m mu_k) y_k = r_k`` per level, between the
+    level transforms of the eigenvectors phi.  The J shifted blocks are
+    factored as one block-diagonal sparse LU."""
 
-    def __init__(self, grid, K_T, m, diag, off, nu, v, B, g):
-        self._mu, self._phi = _vertical_pencil(diag, off, nu)
-        self._shifted = ShiftedSolver(grid, K_T, m, self._mu)
+    route = "lu"
+
+    def __init__(self, K_T, m, diag, off, nu, v, B, g):
+        mu, self._phi = _vertical_pencil(diag, off, nu)
+        self._n = K_T.shape[0]
+        blocks = sp.kron(sp.identity(len(mu), format="csc"), K_T, format="csc")
+        blocks = blocks + sp.diags(np.repeat(m * mu, self._n), format="csc")
+        try:
+            # SPD blocks: symmetric ordering, no pivoting
+            self._lu = spla.splu(blocks, permc_spec="MMD_AT_PLUS_A",
+                                 diag_pivot_thresh=0.0,
+                                 options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SolveError(f"shifted tangential factorization failed: {exc}") from exc
         # the level vectors in the eigenbasis: c = phi^T v and phi(1)
         self._c = self._phi.T @ v
         self._B, self._gw = B, g * self._phi[0]
 
-    @property
-    def route(self) -> str:
-        return self._shifted.route
+    def shifted_solve(self, Y: np.ndarray) -> np.ndarray:
+        """``(K_T + m mu_k)^-1 Y[k]`` for Y of shape (levels, T, columns)."""
+        return self._lu.solve(Y.reshape(-1, Y.shape[2])).reshape(Y.shape)
 
     def separable_rhs(self, a: np.ndarray, out=None) -> np.ndarray:
         """``v (x) a`` in the vertical eigenbasis, shape (levels, T, k)."""
@@ -489,11 +389,24 @@ class _PencilBlock:
         self.separable_rhs(a, out=out)
         if self._B.size:
             out[:, self._B] += np.multiply.outer(self._gw, xB)
-        Y = self._shifted.solve(out)
+        Y = self.shifted_solve(out)
         np.matmul(self._phi, Y.reshape(nL, -1), out=out.reshape(nL, -1))
 
     def trace_sums(self):
-        return self._shifted.trace_sums(self._B, self._phi[0], self._c)
+        """The level-weighted sums of the shifted inverses, w = phi(1):
+        ``G = sum_k w_k**2 [(K_T + m mu_k)^-1]_BB`` and ``H = sum_k c_k w_k
+        [(K_T + m mu_k)^-1]_{:,B}``, from solves of the unit columns ``w (x)
+        e_b``, _CHUNK at a time."""
+        B, w, c = self._B, self._phi[0], self._c
+        G, H = np.empty((len(B), len(B))), np.empty((self._n, len(B)))
+        for c0 in range(0, len(B), _CHUNK):
+            cols = B[c0:c0 + _CHUNK]
+            R = np.zeros((len(w), self._n, len(cols)))
+            R[:, cols, np.arange(len(cols))] = w[:, None]
+            Y = self.shifted_solve(R)
+            G[:, c0:c0 + len(cols)] = np.tensordot(w, Y[:, B], axes=(0, 0))
+            H[:, c0:c0 + len(cols)] = np.tensordot(c, Y, axes=(0, 0))
+        return G, H
 
 
 def tensor_block(grid, coeff, K_T: sp.csc_matrix, m: float, diag: np.ndarray,
@@ -505,8 +418,9 @@ def tensor_block(grid, coeff, K_T: sp.csc_matrix, m: float, diag: np.ndarray,
     right-hand sides ``v (x) a + g e_0 (x) E_B xB``: the level vector v
     times a tangential array a, plus the coupling of the first level to the
     free trace nodes B (positions among T) of conductance g.  The route is
-    chosen once, here, and read back from ``route``: "sine" for a = Id,
-    else the vertical pencil's "tridiagonal" (1D) or "lu".
+    chosen once, here, by ``_eigenbasis`` and read back from ``route``:
+    "sine" (a = Id) or "eigh" (1D) per-mode profiles on the held basis,
+    else the vertical pencil's "lu".
 
     ``solve(a, xB, out)`` writes the solution for a of shape (T, k) and xB
     of shape (|B|, k) (None when B is empty) into out, (levels, T, k).
@@ -514,10 +428,10 @@ def tensor_block(grid, coeff, K_T: sp.csc_matrix, m: float, diag: np.ndarray,
     the trace closure needs: ``G = [block^-1]_{0B, 0B}`` and, on every
     tangential node, ``H = [block^-1 (v (x) E_B)]_0`` of shape (T, |B|).
     """
-    basis = _sine_basis(grid, coeff)
+    basis = _eigenbasis(grid, coeff, K_T)
     if basis is None:
-        return _PencilBlock(grid, K_T, m, diag, off, nu, v, B, g)
-    return _SineBlock(basis, m, diag, off, nu, v, B, g)
+        return _PencilBlock(K_T, m, diag, off, nu, v, B, g)
+    return _ModalBlock(basis, m, diag, off, nu, v, B, g)
 
 
 def _cholesky(block: np.ndarray):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 
 import calderon as cd
-from calderon import fractional_core
+from calderon import extension, fractional_core
 from calderon.errors import (
     CalibrationError,
     FitError,
@@ -433,20 +434,19 @@ def small_solver(layout, dim, s, nodes=None, levels=40):
 def test_one_lu_solve_per_chunk(layout):
     """Every chunk of a block, and a single datum, costs one block LU solve."""
     solver = small_solver(layout, 2, 0.5)
-    shifted = solver._block._shifted
-    shifted._factor = CountingLU(shifted._factor)
+    block = solver._block
+    block._lu = CountingLU(block._lu)
     k = 2 * _CHUNK + 3
     F = np.random.default_rng(3).standard_normal((solver.emesh.grid.num_nodes, k))
     solver.solve_block(F)
-    assert shifted._factor.solves == 3
+    assert block._lu.solves == 3
     solver.solve(F[:, 0])
-    assert shifted._factor.solves == 4
+    assert block._lu.solves == 4
 
 
 def lifted_rhs_oracle(solver, D):
-    """Reference right-hand side: ``b - S lift`` gathered on T x L and
-    taken to the vertical eigenbasis; also returns the magnitudes it
-    subtracts, transformed the same way."""
+    """Reference right-hand side: ``b - S lift`` gathered on T x L, levels
+    first, and the magnitudes it subtracts."""
     N = solver.emesh.grid.num_nodes
     k = D.shape[1]
     tr = solver.emesh.trace_indices()
@@ -462,27 +462,43 @@ def lifted_rhs_oracle(solver, D):
     x.reshape(N, -1, k)[solver._lifted, solver._L] = (
         D[solver._lifted][:, None] * solver._psi[:, None])
     Sx = solver.system.stiffness @ x
-    T, L, phi = solver._T, solver._L, solver._block._phi
+    T, L = solver._T, solver._L
     r = (b - Sx).reshape(N, -1, k)[T][:, L]
     mag = (np.abs(b) + np.abs(Sx)).reshape(N, -1, k)[T][:, L]
-    return (np.tensordot(phi, r, axes=(0, 1)),
-            np.tensordot(np.abs(phi), mag, axes=(0, 1)))
+    return r.transpose(1, 0, 2), mag.transpose(1, 0, 2)
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.9])
-def test_separable_rhs_matches_gathered_transform(layout, dim, s):
-    """The outer-product right-hand side equals the gathered and transformed
-    ``b - S lift``.  That form subtracts the level-1 load from the lift's
-    vertical flux, two terms of size g |d|, so its rounding is measured
-    against the transformed magnitudes of the terms (relative to its own
-    size it reads up to 2.6e-7 at s = 0.25)."""
+def test_separable_rhs_matches_gathered_transform(layout, dim, s, monkeypatch):
+    """The outer-product right-hand side ``v (x) a`` the solver hands its
+    tensor block equals the gathered ``b - S lift``, on the held-basis route
+    (1D) and the LU route (2D), whose ``separable_rhs`` is that product
+    taken to the vertical eigenbasis.  The gathered form subtracts the
+    level-1 load from the lift's vertical flux, two terms of size g |d|, so
+    its rounding is measured against the magnitudes of the terms (relative
+    to its own size it reads up to 2.6e-7 at s = 0.25)."""
+    vectors = []
+    tensor_block = fractional_core.tensor_block
+
+    def capturing(*args):
+        vectors.append(args[7])
+        return tensor_block(*args)
+
+    monkeypatch.setattr(extension, "tensor_block", capturing)
     solver = small_solver(layout, dim, s)
+    block = solver._block
+    assert block.route == ("eigh" if dim == 1 else "lu")
     D = np.random.default_rng(11).standard_normal((solver.emesh.grid.num_nodes, 3))
     old, mag = lifted_rhs_oracle(solver, D)
-    rhs = solver._block.separable_rhs(solver._rhs_tan @ D[solver._rhs_nodes])
+    a = solver._rhs_tan @ D[solver._rhs_nodes]
+    rhs = np.multiply.outer(vectors[0], a)
     assert np.max(np.abs(rhs - old)) <= 1e-12 * mag.max()
+    if block.route == "lu":
+        ref = np.tensordot(block._phi, rhs, axes=(0, 0))
+        scale = np.tensordot(np.abs(block._phi), np.abs(rhs), axes=(0, 0)).max()
+        assert np.max(np.abs(block.separable_rhs(a) - ref)) <= 1e-12 * scale
 
 
 def vertical_profile(vm, c=0.0):
@@ -778,18 +794,24 @@ def test_identity_solver_makes_no_sparse_lu(monkeypatch):
 def test_identity_solver_makes_no_pencil(dim, monkeypatch):
     """An identity build and its solves in every layout make no vertical
     pencil (``_vertical_pencil``, LAPACK ``dpteqr``): the sine route keeps
-    per-mode vertical profiles instead.  A bump coefficient makes one
-    pencil per build, and none per solve."""
-    pencils = []
-    pencil = fractional_core._vertical_pencil
+    per-mode vertical profiles instead.  So does a 1D bump on its "eigh"
+    basis, whose build and solves also make no ``splu`` and whose one
+    ``dpttrs`` solve is the profiles' (the trace sums need none).  A bump
+    coefficient in 2D and 3D makes one pencil per build, and none per
+    solve."""
+    pencils, factored, tridiagonal_solves = [], [], []
+    pencil, splu, dpttrs = (fractional_core._vertical_pencil, spla.splu,
+                            scipy.linalg.lapack.dpttrs)
 
-    def counting_pencil(*args):
-        pencils.append(args)
-        return pencil(*args)
+    def counting(calls, fn):
+        return lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs)
 
-    monkeypatch.setattr(fractional_core, "_vertical_pencil", counting_pencil)
-    # small_solver's grid in 1D and 2D
-    grid = make_grid(dim=dim, nodes={1: 32, 2: 11, 3: (10, 6, 6)}[dim], padding=0.3)
+    monkeypatch.setattr(fractional_core, "_vertical_pencil", counting(pencils, pencil))
+    monkeypatch.setattr(spla, "splu", counting(factored, splu))
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrs", counting(tridiagonal_solves, dpttrs))
+    # small_solver's grid in 1D and 2D, and a small 3D box
+    nodes = {1: 32, 2: 11, 3: (10, 6, 6)}[dim]
+    grid = make_grid(dim=dim, nodes=nodes, padding=0.3)
     F = np.random.default_rng(4).standard_normal((grid.num_nodes, _CHUNK + 2))
     F[grid.omega_closure] = 0.0
     for dirichlet_trace, scale in LAYOUTS.values():
@@ -800,10 +822,15 @@ def test_identity_solver_makes_no_pencil(dim, monkeypatch):
         solver.solve_block(F)
         solver.solve(F[:, 0])
     assert pencils == []
-    if dim < 3:
-        for layout in LAYOUTS:
-            solver = small_solver(layout, dim, 0.5)
-            assert len(pencils) == 1
-            solver.solve_block(F)
-            assert len(pencils) == 1
-            pencils.clear()
+    for layout in LAYOUTS:
+        tridiagonal_solves.clear()
+        solver = small_solver(layout, dim, 0.5, nodes=nodes)
+        assert len(pencils) == (dim > 1)
+        if dim == 1:
+            assert solver._block.route == "eigh" and len(tridiagonal_solves) == 1
+        solver.solve_block(F)
+        solver.solve(F[:, 0])
+        assert len(pencils) == (dim > 1)
+        assert len(tridiagonal_solves) == (dim == 1)
+        pencils.clear()
+    assert (factored == []) == (dim == 1)

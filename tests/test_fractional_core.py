@@ -11,15 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 import calderon as cd
 from calderon import linsolve
 from calderon.errors import EigError, ParamError, SolveError
-from calderon import extension
+from calderon import extension, fractional_core
 from calderon.extension import ExtensionSolver
 from calderon.fractional_core import (
     _CHUNK,
-    ShiftedSolver,
     SpectralPower,
+    _eigenbasis,
     _eigh_clipped,
     _reconstruct,
-    _sine_basis,
     _vertical_pencil,
     tensor_block,
 )
@@ -440,16 +439,24 @@ def test_block_solve_matches_column_solves(op64):
     assert np.max(np.abs(X - cols)) <= 1e-12 * np.max(np.abs(cols))
 
 
+def _bump_or_identity(grid, bump):
+    return (cd.diagonal_coefficient(grid, [1.0 + 0.5 * cd.mollifier_bump(
+        grid.points, [0.5] * grid.dim, 0.4)] * grid.dim, identity_outside=True)
+        if bump else cd.identity_coefficient(grid))
+
+
+def _sine_grid_solver(dim, s, bump, dirichlet_trace=False):
+    grid = _SINE_GRIDS[dim]()
+    return ExtensionSolver(cd.build_extension_mesh(grid, cd.build_vertical_mesh(
+        s, cd.default_height(grid), 24)), _bump_or_identity(grid, bump), dirichlet_trace)
+
+
 @functools.lru_cache(maxsize=None)
 def _block_inputs(dim, s, bump, dirichlet_trace=False):
     """The arguments an extension solver on one of the sine grids hands
     ``tensor_block`` (grid, coefficient, K_T, m, the vertical operator's
     diagonal and off-diagonal on the free levels, their level weights, the
     level vector v, B and g), captured from its build."""
-    grid = _SINE_GRIDS[dim]()
-    coeff = (cd.diagonal_coefficient(grid, [1.0 + 0.5 * cd.mollifier_bump(
-        grid.points, [0.5] * dim, 0.4)] * dim, identity_outside=True) if bump
-        else cd.identity_coefficient(grid))
     captured = []
 
     def capturing(*args):
@@ -458,31 +465,51 @@ def _block_inputs(dim, s, bump, dirichlet_trace=False):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(extension, "tensor_block", capturing)
-        ExtensionSolver(cd.build_extension_mesh(grid, cd.build_vertical_mesh(
-            s, cd.default_height(grid), 24)), coeff, dirichlet_trace)
+        _sine_grid_solver(dim, s, bump, dirichlet_trace)
     (args,) = captured
     return args
 
 
-def _shifted_inputs(dim, s, bump):
-    """The inputs of the shifted solver of a mixed extension solver on one
-    of the sine grids: the grid, K_T, m, the shifts mu of the vertical
-    pencil and the level vectors w = phi(1) and c = phi^T v of the trace
-    sums."""
-    grid, _, K_T, m, diag, off, nu, v, _, _ = _block_inputs(dim, s, bump)
-    mu, phi = _vertical_pencil(diag, off, nu)
-    return grid, K_T, m, mu, phi[0], phi.T @ v
-
-
 def _route(dim, bump):
-    return ("tridiagonal" if dim == 1 else "lu") if bump else "sine"
+    return ("eigh" if dim == 1 else "lu") if bump else "sine"
+
+
+@pytest.mark.parametrize("dim, bump", [(1, True), (1, False), (2, False)])
+def test_power_and_tensor_block_hold_one_basis(dim, bump):
+    """The oracle and the extension's tensor block take the tangential
+    eigenbasis from the one ``_eigenbasis``: on the same grid and
+    coefficient their factors and eigenvalues are bitwise equal."""
+    solver = _sine_grid_solver(dim, 0.5, bump)
+    P = cd.spectral_power(cd.assemble_local(solver.emesh.grid, solver.system.coeff), 0.5)
+    block = solver._block
+    assert block.route == _route(dim, bump)
+    assert len(block._factors) == len(P.factors) == (1 if bump else dim)
+    for F, G in zip(block._factors, P.factors):
+        assert np.array_equal(F, G)
+    assert np.array_equal(block._lam, P.eigvals)
+
+
+def test_1d_eigh_basis_checks_the_dense_cap():
+    """The 1D "eigh" basis is a dense N x N factor: a 1D variable-coefficient
+    extension over ``DENSE_NODE_CAP`` active nodes raises EigError naming
+    the cap instead of building it."""
+    grid = make_grid(dim=1, nodes=fractional_core.DENSE_NODE_CAP + 3)
+    em = cd.build_extension_mesh(grid, cd.build_vertical_mesh(
+        0.5, cd.default_height(grid), 8))
+    with pytest.raises(EigError, match="dense-eigendecomposition cap"):
+        ExtensionSolver(em, _bump_or_identity(grid, True))
 
 
 @functools.lru_cache(maxsize=None)
-def _shifted_and_dense(dim, s):
-    grid, K_T, m, mu, w, c = _shifted_inputs(dim, s, True)
+def _pencil_and_dense(dim, s):
+    """A bump solver's block inputs, with its pencil's dense shifted matrices
+    ``K_T + m mu_k I`` and the level vectors w = phi(1) and c = phi^T v of
+    the trace sums."""
+    args = _block_inputs(dim, s, True)
+    _, _, K_T, m, diag, off, nu, v, _, _ = args
+    mu, phi = _vertical_pencil(diag, off, nu)
     A = K_T.toarray() + m * mu[:, None, None] * np.eye(K_T.shape[0])
-    return ShiftedSolver(grid, K_T, m, mu), A, w, c
+    return args, A, phi[0], phi.T @ v
 
 
 def _close(a, b, tol=1e-10):
@@ -490,37 +517,42 @@ def _close(a, b, tol=1e-10):
     assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
 
 
-@given(st.sampled_from(sorted(_SINE_GRIDS)), st.sampled_from([0.1, 0.9]),
+@given(st.sampled_from([2, 3]), st.sampled_from([0.1, 0.9]),
        st.integers(0, 2**16))
-@example(dim=1, s=0.1, seed=0)
-@example(dim=1, s=0.9, seed=1)
+@example(dim=2, s=0.1, seed=0)
+@example(dim=3, s=0.9, seed=1)
 @settings(max_examples=20, deadline=None)
 def test_shifted_solver_matches_dense_shifted_matrices(dim, s, seed):
-    """On both pencil routes (a bump coefficient) a block solve equals
-    per-level dense solves of ``K_T + m mu_k I`` and the trace sums equal
-    the same sums of the dense inverses' blocks, for trace positions
-    spanning one to three chunks."""
-    shifted, A, w, c = _shifted_and_dense(dim, s)
-    assert shifted.route == _route(dim, True)
+    """On the LU route (a bump coefficient in 2D and 3D) a shifted block
+    solve equals per-level dense solves of ``K_T + m mu_k I`` and the trace
+    sums equal the same sums of the dense inverses' blocks, for trace
+    positions spanning one to three chunks."""
+    (grid, coeff, K_T, m, diag, off, nu, v, _, g), A, w, c = _pencil_and_dense(dim, s)
     rng = np.random.default_rng(seed)
     nT = A.shape[1]
-    Y = rng.standard_normal((len(w), nT, 3))
-    _close(shifted.solve(Y), np.linalg.solve(A, Y))
     B = np.sort(rng.choice(nT, size=rng.integers(1, 3 * _CHUNK + 1), replace=False))
+    block = tensor_block(grid, coeff, K_T, m, diag, off, nu, v, B, g)
+    assert block.route == "lu"
+    Y = rng.standard_normal((len(w), nT, 3))
+    _close(block.shifted_solve(Y), np.linalg.solve(A, Y))
     inv = np.linalg.inv(A)
-    G, H = shifted.trace_sums(B, w, c)
+    G, H = block.trace_sums()
     _close(G, np.einsum("k,kij->ij", w**2, inv[:, B][:, :, B]))
     _close(H, np.einsum("k,kij->ij", c * w, inv[:, :, B]))
 
 
+# the held-basis cases: a = Id in every dimension and a 1D bump
+_MODAL_CASES = [(1, False), (2, False), (3, False), (1, True)]
+
+
 @functools.lru_cache(maxsize=None)
-def _sine_block_and_dense(dim, s, dirichlet_trace):
-    """An identity solver's block inputs, with the dense vertical blocks
+def _modal_block_and_dense(dim, bump, s, dirichlet_trace):
+    """A held-basis solver's block inputs, with the dense vertical blocks
     ``m (K_L + lam_i N_L)`` of every tangential mode and the pencil's dense
     shifted inverses ``(K_T + m mu_k)^-1``, eigenvectors phi and c = phi^T v."""
-    args = _block_inputs(dim, s, False, dirichlet_trace)
-    grid, _, K_T, m, diag, off, nu, v, _, _ = args
-    lam = _sine_basis(grid, cd.identity_coefficient(grid))[1]
+    args = _block_inputs(dim, s, bump, dirichlet_trace)
+    grid, coeff, K_T, m, diag, off, nu, v, _, _ = args
+    lam = _eigenbasis(grid, coeff, K_T)[2]
     K_L = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     vertical = m * (K_L + lam[:, None, None] * np.diag(nu))
     mu, phi = _vertical_pencil(diag, off, nu)
@@ -528,22 +560,27 @@ def _sine_block_and_dense(dim, s, dirichlet_trace):
     return args, vertical, inv, phi, phi.T @ v
 
 
-@given(st.sampled_from(sorted(_SINE_GRIDS)), st.sampled_from([0.1, 0.5, 0.9]),
+@given(st.sampled_from(_MODAL_CASES), st.sampled_from([0.1, 0.5, 0.9]),
        st.sampled_from([False, True, None]), st.integers(0, 2**16))
+@example(case=(1, True), s=0.1, dirichlet_trace=False, seed=0)
+@example(case=(1, True), s=0.5, dirichlet_trace=True, seed=1)
+@example(case=(1, True), s=0.9, dirichlet_trace=None, seed=2)
 @settings(max_examples=30, deadline=None)
-def test_sine_profiles_match_dense_vertical_solves(dim, s, dirichlet_trace, seed):
-    """On the sine route the kept profiles are dense solves of ``m (K_L +
-    lam_i N_L)`` against v and e_0, the trace sums equal the pencil's sums
-    of dense shifted inverses, and a solve equals the pencil's dense solve
-    ``phi [(K_T + m mu_k)^-1 (c_k a + g phi_k(1) E_B xB)]``, in every trace
-    layout and for trace positions spanning one to three chunks."""
-    args, vertical, inv, phi, c = _sine_block_and_dense(dim, s, dirichlet_trace)
+def test_sine_profiles_match_dense_vertical_solves(case, s, dirichlet_trace, seed):
+    """On a held basis (the sine route, and the "eigh" route of a 1D bump)
+    the kept profiles are dense solves of ``m (K_L + lam_i N_L)`` against v
+    and e_0, the trace sums equal the pencil's sums of dense shifted
+    inverses, and a solve equals the pencil's dense solve ``phi [(K_T + m
+    mu_k)^-1 (c_k a + g phi_k(1) E_B xB)]``, in every trace layout and for
+    trace positions spanning one to three chunks."""
+    dim, bump = case
+    args, vertical, inv, phi, c = _modal_block_and_dense(dim, bump, s, dirichlet_trace)
     grid, coeff, K_T, m, diag, off, nu, v, _, g = args
     rng = np.random.default_rng(seed)
     nT, nL = inv.shape[1], len(diag)
     B = np.sort(rng.choice(nT, size=rng.integers(1, 3 * _CHUNK + 1), replace=False))
     block = tensor_block(grid, coeff, K_T, m, diag, off, nu, v, B, g)
-    assert block.route == "sine"
+    assert block.route == _route(dim, bump)
     _close(block._P[0], np.linalg.solve(vertical, v).T)
     _close(block._P[1], np.linalg.solve(vertical, np.eye(nL)[0]).T)
     G, H = block.trace_sums()
@@ -572,10 +609,10 @@ class CountingFactor:
 
 @pytest.mark.parametrize("size", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 2])
 def test_trace_sums_make_one_lu_solve_per_chunk(size, monkeypatch):
-    """The LU route's trace sums cost ceil(|B| / _CHUNK) block solves and the
-    1D tridiagonal route's none (a closed form in its pivots); ``splu`` runs
-    once for a 2D bump and never for the sine route or a 1D bump (the
-    tridiagonal Cholesky), in the build or the trace sums."""
+    """The LU route's trace sums cost ceil(|B| / _CHUNK) block solves and a
+    held basis's none (a closed form in its profiles, for a = Id and for a
+    1D bump alike); ``splu`` runs once for a 2D bump and never for a held
+    basis, in the build or the trace sums."""
     factored, tridiagonal_solves = [], []
     splu, dpttrs = spla.splu, scipy.linalg.lapack.dpttrs
 
@@ -596,79 +633,26 @@ def test_trace_sums_make_one_lu_solve_per_chunk(size, monkeypatch):
         block = tensor_block(grid, coeff, K_T, m, diag, off, nu, v, B, g)
         assert block.route == _route(dim, bump)
         if block.route == "lu":
-            block._shifted._factor = CountingFactor(block._shifted._factor)
+            block._lu = CountingFactor(block._lu)
         tridiagonal_solves.clear()
         block.trace_sums()
         assert len(factored) == (bump and dim == 2)
         assert not tridiagonal_solves
         if block.route == "lu":
-            assert block._shifted._factor.solves == -(-size // _CHUNK)
+            assert block._lu.solves == -(-size // _CHUNK)
 
 
-@functools.lru_cache(maxsize=None)
-def _recovery_1d_trace_sums():
-    """The extension solver of the recovery-1d benchmark's grid (1D, n = 384,
-    J = 128, a bump coefficient), its trace-sum level vectors, and the
-    level-weighted sums of its block inverses over all of T made from unit
-    solves through the tridiagonal factor."""
-    grid = make_grid(dim=1, nodes=384)
-    coeff = cd.diagonal_coefficient(grid, [1.0 + 0.2 * cd.mollifier_bump(
-        grid.points, [0.45], 0.3)], identity_outside=True)
-    solver = cd.BridgePipeline(grid, coeff, 0.5, levels=128).solver
-    block = solver._block
-    shifted, w, c = block._shifted, block._phi[0], block._c
-    assert shifted.route == "tridiagonal"
-    n = shifted._n
-    sums = np.empty((2, n, n))
-    for c0 in range(0, n, 32):
-        cols = np.arange(c0, min(c0 + 32, n))
-        R = np.zeros((len(w), n, len(cols)))
-        R[:, cols, np.arange(len(cols))] = 1.0
-        Y = shifted._factor.solve(R.reshape(-1, len(cols))).reshape(R.shape)
-        sums[:, :, cols] = np.tensordot(np.stack([w**2, c * w]), Y, axes=(1, 0))
-    return solver, w, c, sums
-
-
-@pytest.mark.parametrize("case", ["omega", "scattered", "all", "first", "last"])
-def test_tridiagonal_trace_sums_match_unit_solves(case):
-    """The 1D closed-form trace sums equal sums of unit solves on the
-    solver's real pencil (shifts up to about 2e10), for B the free trace
-    nodes (the interior interval), a scattered set, all of T (no rows
-    outside the hull), and one end node (one side of the hull empty)."""
-    solver, w, c, (inv_w2, inv_cw) = _recovery_1d_trace_sums()
-    n = inv_w2.shape[0]
-    B = {"omega": solver._B,
-         "scattered": np.array([3, 40, 41, 90, 200, 201, 202, 350]),
-         "all": np.arange(n),
-         "first": np.array([0]),
-         "last": np.array([n - 1])}[case]
-    G, H = solver._block._shifted.trace_sums(B, w, c)
-    for got, ref in ((G, inv_w2[np.ix_(B, B)]), (H, inv_cw[:, B])):
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-def test_tridiagonal_trace_sums_check_reversed_factorization(monkeypatch):
-    """The backward pivots come from a second ``dpttrf``, on the reversed
-    matrix; a lost minor there raises SolveError like the forward one."""
-    solver, w, c, _ = _recovery_1d_trace_sums()
-    dpttrf = scipy.linalg.lapack.dpttrf
-
-    def failing_dpttrf(d, e):
-        piv, mult, _ = dpttrf(d, e)
-        return piv, mult, 7
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", failing_dpttrf)
-    with pytest.raises(SolveError, match="dpttrf info 7 "):
-        solver._block._shifted.trace_sums(solver._B, w, c)
-
-
-def test_1d_indefinite_shift_raises_solve_error():
-    """A shift that makes one level's block indefinite stops the tridiagonal
-    factorization at that block's first row, and raises SolveError."""
-    grid, K_T, m, mu, w, c = _shifted_inputs(1, 0.5, True)
-    n, k = K_T.shape[0], 3
-    bad = mu.copy()
-    bad[k] = -2.0 * K_T.diagonal().max() / m
-    with pytest.raises(SolveError, match=f"dpttrf info {k * n + 1} "):
-        ShiftedSolver(grid, K_T, m, bad)
+def test_1d_indefinite_shift_raises_solve_error(monkeypatch):
+    """A mode whose vertical block ``m (K_L + lam_i N_L)`` is indefinite
+    stops the stacked per-mode factorization at that block's first row, and
+    raises SolveError naming the ``dpttrf`` info."""
+    grid, coeff, K_T, m, diag, off, nu, v, B, g = _block_inputs(1, 0.5, True)
+    route, factors, lam = _eigenbasis(grid, coeff, K_T)
+    assert route == "eigh"
+    k = 3
+    bad = lam.copy()
+    bad[k] = -2.0 * np.max(diag / nu)
+    monkeypatch.setattr(fractional_core, "_eigenbasis",
+                        lambda *args: (route, factors, bad))
+    with pytest.raises(SolveError, match=f"dpttrf info {k * len(diag) + 1} "):
+        tensor_block(grid, coeff, K_T, m, diag, off, nu, v, B, g)

@@ -73,7 +73,7 @@ def test_basis_trace_is_nodal(aop):
 @pytest.mark.parametrize("dim, bump", [(1, False), (1, True), (2, True)])
 def test_trace_matrix_is_exactly_the_identity(dim, bump):
     """Unit data on W read back at the trace give the identity to the bit on
-    every shifted-solve route (sine, tridiagonal Cholesky, sparse LU), so
+    every tensor-block route (sine, eigh, sparse LU), so
     the data columns' sigma_min is at least 1."""
     grid = make_grid(dim=dim, nodes=32 if dim == 1 else 16, padding=0.3)
     a = (cd.diagonal_coefficient(grid, [1.0 + 0.5 * cd.mollifier_bump(
@@ -379,7 +379,7 @@ def _reduced_setup(dim, s, bump):
 def test_reduced_reconstruction_matches_field_path(dim, s, bump, seed, alpha):
     """The pair read from the snapshots' tangential images equals the one of
     the combined field, through vertical_integral and boundary_flux, on
-    every shifted-solve route (sine, tridiagonal Cholesky, sparse LU)."""
+    every tensor-block route (sine, eigh, sparse LU)."""
     pipe, aop, fields = _reduced_setup(dim, s, bump)
     rng = np.random.default_rng(seed)
     K = aop.basis_size
