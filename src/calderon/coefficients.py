@@ -8,7 +8,7 @@ entries would require a different stencil family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,15 +31,21 @@ class Coefficient:
 
     ``diag`` has shape (num_nodes, dim).  ``identity_outside`` asserts
     a = Id at every exterior node, the standing hypothesis for relating
-    the local and nonlocal measurement maps.
+    the local and nonlocal measurement maps.  ``diag`` is a read-only copy
+    of the table given, so a coefficient never changes after validation,
+    and the eigenbasis ``fractional_core`` builds for it once is kept on it.
     """
 
     grid: TangentialGrid
     diag: np.ndarray
     identity_outside: bool = False
+    # (grid, basis) of fractional_core._eigenbasis, or None
+    _held_basis: tuple | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
-        self.diag = np.asarray(self.diag, dtype=float)
+        self.diag = np.array(self.diag, dtype=float)
+        self.diag.flags.writeable = False
         if self.diag.shape != (self.grid.num_nodes, self.grid.dim):
             raise ParamError(
                 f"coefficient table has shape {self.diag.shape}, expected "

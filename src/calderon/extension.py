@@ -33,15 +33,23 @@ Solver.  With D = I the free nodes off the trace are a tensor product T x L
 m I (x) K_vert`` (nu the level weights, m the node volume) is solved by one
 ``fractional_core.tensor_block``, whose route is chosen there.  Where the
 tangential eigenbasis is held (the closed-form sine basis for a = Id, the
-``eigh_tridiagonal`` basis for any coefficient in 1D) the block
+``eigh_tridiagonal`` basis for any coefficient in 1D, a dense ``eigh``
+basis for a variable coefficient in 2D and 3D on at most
+``fractional_core._MODAL_NODE_CAP`` = 1000 active nodes) the block
 diagonalizes tangentially: one vertical SPD tridiagonal ``m (K_vert + lam_i
 diag(nu))`` per tangential mode, whose solves against the two level vectors
 any right-hand side has are kept as per-mode vertical profiles; a solve is
 then one forward mode product of the tangential data, a multiply by the
-profiles and one backward mode product.  Otherwise (a variable coefficient
-in 2D or 3D) the vertical pencil ``K_vert phi = mu diag(nu) phi`` turns a
-solve into J decoupled shifted tangential solves ``(K_T + m mu_k) y_k =
-r_k`` (fast diagonalization), made by one block-diagonal sparse LU.  The
+profiles and one backward mode product.  The basis is built once per
+coefficient and shared with the oracle (``spectral_power``) and every other
+solver on it.  Otherwise (a variable coefficient in 2D or 3D past the cap)
+the vertical pencil ``K_vert phi = mu diag(nu) phi`` turns a solve into J
+decoupled shifted tangential solves ``(K_T + m mu_k) y_k = r_k`` (fast
+diagonalization), made by one block-diagonal sparse LU.  The dense basis
+wins below the cap (2D bump, n = 24, J = 40, 484 active nodes: build 0.14
+-> 0.05 s, 0.74 -> 0.59 ms per datum) and its solves lose past about 1400
+active nodes (2D n = 48, 2116: 6.1 -> 8.2 ms per datum, peak RSS 309 ->
+338 MB); the crossover table is in ``fractional_core``.  The
 pencil is solved by LAPACK ``dpteqr`` on the ``nu**-1/2``-scaled
 tridiagonal: with the default grading nu spans up to 19 orders of
 magnitude, and a dense symmetric eigensolver loses the small eigenvalues

@@ -11,7 +11,7 @@ basis independent.
 The orthonormal eigenbasis V is held as a tuple of factors whose Kronecker
 product is V over the active nodes in C order.  ``_eigenbasis`` finds it,
 for the oracle and for the extension's tensor block alike, and is the one
-place that reads ``Coefficient.is_identity``:
+place that reads ``Coefficient.is_identity`` and the one route choice:
 
 * a = Id ("sine"): A is the Kronecker sum of the one-dimensional second
   differences ``tridiag(-1, 2, -1) / h_k^2``, which the sine transform
@@ -19,12 +19,20 @@ place that reads ``Coefficient.is_identity``:
   closed-form DST-I matrices ``sqrt(2/(n-1)) sin(pi i j/(n-1))``, i, j =
   1..n-2, one per axis, and the eigenvalues ``sum_k (4/h_k^2) sin^2(pi j_k
   / (2(n_k-1)))``; no dense operator and no eigendecomposition is formed.
-* 1D, any other coefficient ("eigh"): the active nodes are one interval and
-  A is tridiagonal, so the single factor V comes from
-  ``scipy.linalg.eigh_tridiagonal`` of its diagonal and off-diagonal.
-* 2D and 3D, any other coefficient: no basis is held.  The oracle takes a
-  dense ``eigh`` of A as its single factor; the tensor block takes the
-  vertical pencil instead (below).
+* any other coefficient in 1D, or in 2D and 3D on at most
+  ``_MODAL_NODE_CAP`` active nodes ("eigh"): the single dense factor V of
+  ``_dense_basis``, from ``scipy.linalg.eigh_tridiagonal`` in 1D (A is
+  tridiagonal on the one interval of active nodes) and a dense ``eigh`` of
+  A otherwise.
+* 2D and 3D past ``_MODAL_NODE_CAP``: no basis is held.  The oracle takes
+  the same dense ``eigh`` for itself; the tensor block takes the vertical
+  pencil instead (below).
+
+A held basis is built once per coefficient: ``_eigenbasis`` keeps it on the
+``Coefficient`` (whose table is read-only) with the grid it was built on,
+read-only, so the power at every s and every extension solver on that
+coefficient share its arrays.  The oracle's bases past the cap are not kept,
+which bounds what a coefficient holds in 2D and 3D at about 8 MB.
 
 Consumers read V only through factor rows (an eigenvector row is the product
 of one row of each factor) and mode products (one small matrix product per
@@ -52,12 +60,37 @@ nodes B.  The route is the basis's:
   mode product over the levels; the trace sums are closed forms in the
   profiles' first rows and the basis rows at B.  No vertical eigenproblem
   is solved.
-* no held basis ("lu"): the vertical pencil ``K_L phi = mu N phi``
+* no held basis ("lu", past ``_MODAL_NODE_CAP``): the vertical pencil ``K_L phi = mu N phi``
   (``_vertical_pencil``, LAPACK ``dpteqr``) turns the block into one
   shifted tangential solve ``(K_T + m mu_k) y_k = r_k`` per level, between
   level transforms by phi.  The J shifted blocks are factored as one
   block-diagonal sparse LU, whose trace sums come from unit block solves,
   _CHUNK columns at a time.
+
+The cap is the measured crossover of the two routes, LU -> dense modal,
+for a bump coefficient (amplitude 0.5, width 0.35) on the default geometry
+at s = 1/2 in the mixed layout: the solver build (median of three), the
+time per unit datum over 64 unit data through ``solve_chunks``, and the
+process's peak RSS over the three builds (one BLAS thread, pinned to one
+CPU of a 2-core VM):
+
+  ======================  ======  ============  ============  ==========
+  grid                    active  build (s)     ms per datum  RSS (MB)
+  ======================  ======  ============  ============  ==========
+  2D n = 24, J = 40          484  0.14 -> 0.05  0.74 -> 0.59   96 -> 91
+  2D n = 30, J = 48          784  0.50 -> 0.14  1.70 -> 1.52  120 -> 122
+  2D n = 34, J = 48         1024  1.23 -> 0.32  4.09 -> 2.56  141 -> 144
+  2D n = 40, J = 48         1444  2.0 -> 0.69   3.7 -> 4.3    173 -> 208
+  2D n = 48, J = 48         2116  5.0 -> 1.9    6.1 -> 8.2    309 -> 338
+  3D nodes = 14, J = 32     1728  4.7 -> 1.1    6.4 -> 6.2    309 -> 280
+  ======================  ======  ============  ============  ==========
+
+The dense basis builds faster at every size here (the LU's unit trace
+solves grow with the free trace), but in 2D its solves lose from about 1400
+active nodes on, where its memory also grows past the LU's; the dense
+factor's O(N^2) products and O(N^3) ``eigh`` are what it trades against the
+LU's fill.  So the cap is 1000, which also keeps the 3D LU rung (1728
+active nodes) on the LU route.
 
 With O the closed interior region and W the measurement nodes, the nonlocal
 measurement map is the Schur complement ``A_WW - A_WO A_OO^{-1} A_OW`` of
@@ -101,6 +134,11 @@ DENSE_NODE_CAP = 5000
 # sums); bounds each dense temporary at _CHUNK * |T| * |L| doubles
 _CHUNK = 8
 
+# a 2D or 3D variable coefficient on at most this many active nodes holds a
+# dense eigenbasis (route "eigh", at most 8 MB); past it the tensor block
+# takes the sparse LU.  The crossover is in the module docstring.
+_MODAL_NODE_CAP = 1000
+
 
 def _eigh_clipped(A: np.ndarray, off: np.ndarray | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -135,32 +173,65 @@ def _check_dense_cap(grid) -> np.ndarray:
     return active
 
 
-def _eigenbasis(grid, coeff, K):
-    """The held eigenbasis of ``K / m`` (K the stiffness over the active
-    nodes, m the node volume) as ``(route, factors, eigenvalues)``, or None
-    in 2D and 3D for a coefficient other than the identity.  For a = Id
-    ("sine") one closed-form DST-I factor per axis and the eigenvalues in the
-    C order of the mode indices (ascending along each axis); in 1D ("eigh")
-    the one factor of ``eigh_tridiagonal``, K being tridiagonal there."""
-    if coeff.is_identity():
-        factors = []
-        lam = np.zeros(())
-        for n, h in zip(grid.shape, grid.h):
-            j = np.arange(1, n - 1)
-            # the integer product is reduced mod 2(n-1) first, so every
-            # argument of sin lies in [0, 2 pi) and keeps its rounding at
-            # that size
-            phase = np.outer(j, j) % (2 * (n - 1))
-            factors.append(np.sqrt(2.0 / (n - 1)) * np.sin(np.pi * phase / (n - 1)))
-            lam = np.add.outer(lam, 4.0 / h**2 * np.sin(np.pi * j / (2 * (n - 1))) ** 2)
-        return "sine", tuple(factors), lam.ravel()
-    if grid.dim > 1:
-        return None
+def _sine_basis(grid):
+    """The closed-form a = Id basis: one DST-I factor per axis and the
+    eigenvalues in the C order of the mode indices (ascending along each
+    axis)."""
+    factors = []
+    lam = np.zeros(())
+    for n, h in zip(grid.shape, grid.h):
+        j = np.arange(1, n - 1)
+        # the integer product is reduced mod 2(n-1) first, so every argument
+        # of sin lies in [0, 2 pi) and keeps its rounding at that size
+        phase = np.outer(j, j) % (2 * (n - 1))
+        factors.append(np.sqrt(2.0 / (n - 1)) * np.sin(np.pi * phase / (n - 1)))
+        lam = np.add.outer(lam, 4.0 / h**2 * np.sin(np.pi * j / (2 * (n - 1))) ** 2)
+    return "sine", tuple(factors), lam.ravel()
+
+
+def _dense_basis(grid, K):
+    """The one dense factor of ``K / m``: ``eigh_tridiagonal`` of its
+    diagonal and off-diagonal in 1D, where K is tridiagonal, else a dense
+    ``eigh`` of the symmetrized matrix; EigError past ``DENSE_NODE_CAP``."""
     _check_dense_cap(grid)
     m = grid.node_volume
-    lam, V = _eigh_clipped(K.diagonal() / m,
-                           0.5 * (K.diagonal(1) / m + K.diagonal(-1) / m))
+    if grid.dim == 1:
+        lam, V = _eigh_clipped(K.diagonal() / m,
+                               0.5 * (K.diagonal(1) / m + K.diagonal(-1) / m))
+    else:
+        A = K.toarray() / m
+        A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
+        lam, V = _eigh_clipped(A)
     return "eigh", (V,), lam
+
+
+def _eigenbasis(grid, coeff, K, dense: bool = False):
+    """The eigenbasis of ``K / m`` (K the stiffness over the active nodes,
+    m the node volume) as ``(route, factors, eigenvalues)``: the library's
+    one route choice.
+
+    * a = Id: the closed-form sine factors ("sine");
+    * 1D, or 2D and 3D with at most ``_MODAL_NODE_CAP`` active nodes: the
+      one dense factor of ``_dense_basis`` ("eigh");
+    * otherwise None, so the tensor block takes the sparse LU; with
+      ``dense`` (the oracle) the dense factor instead, built for this call.
+
+    The first two are held: built once per coefficient, kept on it with the
+    grid they were built on, and returned read-only to every later call on
+    that grid, whatever s or trace layout the caller has."""
+    if coeff.is_identity():
+        route = "sine"
+    elif grid.dim == 1 or int(grid.active.sum()) <= _MODAL_NODE_CAP:
+        route = "eigh"
+    else:
+        return _dense_basis(grid, K) if dense else None
+    held = coeff._held_basis
+    if held is None or held[0] is not grid:
+        basis = _sine_basis(grid) if route == "sine" else _dense_basis(grid, K)
+        for a in (*basis[1], basis[2]):
+            a.flags.writeable = False
+        held = coeff._held_basis = grid, basis
+    return held[1]
 
 
 def _factor_rows(factors, pos) -> np.ndarray:
@@ -243,20 +314,14 @@ class SpectralPower:
 
 
 def spectral_power(op: LocalOperator, s: float) -> SpectralPower:
-    """Eigenbasis of the active-node operator: the held basis
-    (``_eigenbasis``) where there is one, else a dense eigendecomposition;
-    action on an eigenvector with eigenvalue lambda is lambda**s times it."""
+    """Eigenbasis of the active-node operator (``_eigenbasis``, dense past
+    the held sizes); action on an eigenvector with eigenvalue lambda is
+    lambda**s times it."""
     if not 0.0 < s <= 1.0:
         raise ParamError(f"s must lie in (0, 1], got {s}")
     active = _check_dense_cap(op.grid)
     K = op.stiffness[active][:, active]
-    basis = _eigenbasis(op.grid, op.coeff, K)
-    if basis is None:
-        A = K.toarray() / op.node_volume
-        A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
-        lam, V = _eigh_clipped(A)
-        basis = "eigh", (V,), lam
-    _, factors, lam = basis
+    _, factors, lam = _eigenbasis(op.grid, op.coeff, K, dense=True)
     return SpectralPower(op=op, s=s, active=active, eigvals=lam, factors=factors)
 
 
@@ -352,8 +417,9 @@ class _ModalBlock:
 
 
 class _PencilBlock:
-    """The tensor block with no held tangential basis (2D and 3D, a = Id
-    excepted; route "lu"): the vertical pencil turns it into one shifted
+    """The tensor block with no held tangential basis (a 2D or 3D variable
+    coefficient past ``_MODAL_NODE_CAP`` active nodes; route "lu"): the
+    vertical pencil turns it into one shifted
     tangential solve ``(K_T + m mu_k) y_k = r_k`` per level, between the
     level transforms of the eigenvectors phi.  The J shifted blocks are
     factored as one block-diagonal sparse LU."""
@@ -419,8 +485,9 @@ def tensor_block(grid, coeff, K_T: sp.csc_matrix, m: float, diag: np.ndarray,
     times a tangential array a, plus the coupling of the first level to the
     free trace nodes B (positions among T) of conductance g.  The route is
     chosen once, here, by ``_eigenbasis`` and read back from ``route``:
-    "sine" (a = Id) or "eigh" (1D) per-mode profiles on the held basis,
-    else the vertical pencil's "lu".
+    "sine" (a = Id) or "eigh" (1D, or 2D and 3D up to ``_MODAL_NODE_CAP``
+    active nodes) per-mode profiles on the held basis, else the vertical
+    pencil's "lu".
 
     ``solve(a, xB, out)`` writes the solution for a of shape (T, k) and xB
     of shape (|B|, k) (None when B is empty) into out, (levels, T, k).

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import calderon as cd
+from calderon import fractional_core
 from calderon.coefficients import w_bump  # noqa: F401  (re-exported to the tests)
 from calderon.mesh import DEFAULT_PADDING, default_boxes
 
@@ -49,3 +50,12 @@ def power_half(op64):
 @pytest.fixture(scope="session")
 def pipeline_half(grid64, ident64):
     return cd.BridgePipeline(grid64, ident64, 0.5, levels=64)
+
+
+@pytest.fixture
+def lu_route(monkeypatch):
+    """Every 2D and 3D variable coefficient takes the tensor block's sparse
+    LU route, whatever its size; returns the cap it lowered to 0."""
+    cap = fractional_core._MODAL_NODE_CAP
+    monkeypatch.setattr(fractional_core, "_MODAL_NODE_CAP", 0)
+    return cap

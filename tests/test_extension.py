@@ -430,6 +430,7 @@ def small_solver(layout, dim, s, nodes=None, levels=40):
     return ExtensionSolver(cd.build_extension_mesh(grid, vm), coeff, dirichlet_trace)
 
 
+@pytest.mark.usefixtures("lu_route")
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_one_lu_solve_per_chunk(layout):
     """Every chunk of a block, and a single datum, costs one block LU solve."""
@@ -468,13 +469,14 @@ def lifted_rhs_oracle(solver, D):
     return r.transpose(1, 0, 2), mag.transpose(1, 0, 2)
 
 
+@pytest.mark.usefixtures("lu_route")
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.9])
 def test_separable_rhs_matches_gathered_transform(layout, dim, s, monkeypatch):
     """The outer-product right-hand side ``v (x) a`` the solver hands its
     tensor block equals the gathered ``b - S lift``, on the held-basis route
-    (1D) and the LU route (2D), whose ``separable_rhs`` is that product
+    (1D) and the LU route (2D, forced), whose ``separable_rhs`` is that product
     taken to the vertical eigenbasis.  The gathered form subtracts the
     level-1 load from the lift's vertical flux, two terms of size g |d|, so
     its rounding is measured against the magnitudes of the terms (relative
@@ -742,12 +744,14 @@ def test_identity_route_matches_sparse_oracle(layout, s, data):
     assert np.max(np.abs(tr - tr_ref)) <= 1e-9 * np.max(np.abs(tr_ref))
 
 
+@pytest.mark.usefixtures("lu_route")
 @pytest.mark.parametrize("dim, nodes", [(1, 48), (2, 14), (3, (10, 6, 6))])
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.9])
 def test_near_identity_lu_route_agrees_with_the_sine_route(dim, nodes, s):
     """A coefficient 1 + 1e-13 on the interior region is not the identity
-    (``is_identity`` is absolute to 1e-14), so it takes the sparse LU; its
-    trace map and block solve match the identity's sine route."""
+    (``is_identity`` is absolute to 1e-14), so it takes the sparse LU in 2D
+    and 3D (forced at these sizes) and the "eigh" basis in 1D; its trace map
+    and block solve match the identity's sine route."""
     grid = make_grid(dim=dim, nodes=nodes, padding=0.3)
     diag = np.ones((grid.num_nodes, dim))
     diag[grid.omega_closure] += 1e-13
@@ -765,9 +769,10 @@ def test_near_identity_lu_route_agrees_with_the_sine_route(dim, nodes, s):
     assert np.max(np.abs(U - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@pytest.mark.usefixtures("lu_route")
 def test_identity_solver_makes_no_sparse_lu(monkeypatch):
     """An identity build and its solves call no ``splu`` and no LU solve;
-    a bump coefficient still factors once."""
+    a bump coefficient on the LU route still factors once."""
     factored = []
     splu = spla.splu
 
@@ -791,14 +796,15 @@ def test_identity_solver_makes_no_sparse_lu(monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_identity_solver_makes_no_pencil(dim, monkeypatch):
+def test_identity_solver_makes_no_pencil(dim, monkeypatch, lu_route):
     """An identity build and its solves in every layout make no vertical
     pencil (``_vertical_pencil``, LAPACK ``dpteqr``): the sine route keeps
     per-mode vertical profiles instead.  So does a 1D bump on its "eigh"
     basis, whose build and solves also make no ``splu`` and whose one
     ``dpttrs`` solve is the profiles' (the trace sums need none).  A bump
-    coefficient in 2D and 3D makes one pencil per build, and none per
-    solve."""
+    coefficient in 2D and 3D on the LU route makes one pencil per build, and
+    none per solve; below ``_MODAL_NODE_CAP`` it holds a dense "eigh" basis
+    and makes neither a pencil nor an ``splu``."""
     pencils, factored, tridiagonal_solves = [], [], []
     pencil, splu, dpttrs = (fractional_core._vertical_pencil, spla.splu,
                             scipy.linalg.lapack.dpttrs)
@@ -834,3 +840,50 @@ def test_identity_solver_makes_no_pencil(dim, monkeypatch):
         assert len(tridiagonal_solves) == (dim == 1)
         pencils.clear()
     assert (factored == []) == (dim == 1)
+    monkeypatch.setattr(fractional_core, "_MODAL_NODE_CAP", lu_route)
+    factored.clear()
+    for layout in LAYOUTS:
+        solver = small_solver(layout, dim, 0.5, nodes=nodes)
+        assert solver._block.route == "eigh"
+        solver.solve_block(F)
+        solver.solve(F[:, 0])
+    assert pencils == [] and factored == []
+
+
+def _assert_close(x, y, tol=1e-10):
+    assert x.shape == y.shape
+    if y.size:
+        assert np.max(np.abs(x - y)) <= tol * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_dense_modal_route_agrees_with_the_lu_route(layout, dim, s, monkeypatch):
+    """A 2D and a 3D bump below ``_MODAL_NODE_CAP`` hold a dense "eigh"
+    basis; with the LU route forced on the same coefficient the tensor
+    block's solve, its trace sums G and H, the trace map Z and the
+    assembled fields agree with it to 1e-10 relative, in every layout."""
+    nodes = {2: 11, 3: (10, 6, 6)}[dim]
+    modal = small_solver(layout, dim, s, nodes=nodes)
+    monkeypatch.setattr(fractional_core, "_MODAL_NODE_CAP", 0)
+    lu = ExtensionSolver(modal.emesh, modal.system.coeff, LAYOUTS[layout][0])
+    assert (modal._block.route, lu._block.route) == ("eigh", "lu")
+    rng = np.random.default_rng(6)
+    k = 3
+    nL = modal.emesh.vertical.num_levels - modal._L.start
+    a = rng.standard_normal((len(modal._T), k))
+    xB = rng.standard_normal((len(modal._B), k)) if modal._B.size else None
+    out = np.empty((2, nL, len(modal._T), k))
+    modal._block.solve(a, xB, out[0])
+    lu._block.solve(a, xB, out[1])
+    _assert_close(out[0], out[1])
+    assert bool(modal._B.size) == (layout == "mixed")
+    if modal._B.size:
+        for x, y in zip(modal._block.trace_sums(), lu._block.trace_sums()):
+            _assert_close(x, y)
+        _assert_close(modal._Z, lu._Z)
+    grid = modal.emesh.grid
+    F = rng.standard_normal((grid.num_nodes, _CHUNK + 2))
+    F[grid.omega_closure] = 0.0
+    _assert_close(modal.solve_block(F), lu.solve_block(F))

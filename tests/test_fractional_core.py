@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import calderon as cd
 from calderon import linsolve
+from calderon.config import _grid_from_config, load_config
 from calderon.errors import EigError, ParamError, SolveError
 from calderon import extension, fractional_core
 from calderon.extension import ExtensionSolver
@@ -24,6 +26,8 @@ from calderon.fractional_core import (
 )
 
 from conftest import make_grid, w_bump
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_eigenpair_maps_to_power(power_half, op64):
@@ -470,8 +474,10 @@ def _block_inputs(dim, s, bump, dirichlet_trace=False):
     return args
 
 
-def _route(dim, bump):
-    return ("eigh" if dim == 1 else "lu") if bump else "sine"
+def _route(dim, bump, lu=False):
+    """The tensor block's route on the sine grids, with the LU route forced
+    (``lu_route``) or not: every bump there is below ``_MODAL_NODE_CAP``."""
+    return ("lu" if lu and dim > 1 else "eigh") if bump else "sine"
 
 
 @pytest.mark.parametrize("dim, bump", [(1, True), (1, False), (2, False)])
@@ -487,6 +493,70 @@ def test_power_and_tensor_block_hold_one_basis(dim, bump):
     for F, G in zip(block._factors, P.factors):
         assert np.array_equal(F, G)
     assert np.array_equal(block._lam, P.eigvals)
+
+
+@pytest.mark.parametrize("dim, bump", [(2, False), (1, True), (2, True)])
+def test_one_basis_per_coefficient(dim, bump, monkeypatch):
+    """The sine, 1D "eigh" and 2D dense bases are built once per
+    coefficient: the power and extension solvers at two values of s, in two
+    trace layouts, hold the very same read-only factor and eigenvalue
+    arrays."""
+    builds = []
+    for name in ("_sine_basis", "_dense_basis"):
+        build = getattr(fractional_core, name)
+        monkeypatch.setattr(fractional_core, name,
+                            lambda *args, build=build: builds.append(args) or build(*args))
+    grid = _SINE_GRIDS[dim]()
+    coeff = _bump_or_identity(grid, bump)
+    op = cd.assemble_local(grid, coeff)
+    held = []
+    for s in (0.25, 0.75):
+        P = cd.spectral_power(op, s)
+        held.append((P.factors, P.eigvals))
+        em = cd.build_extension_mesh(grid, cd.build_vertical_mesh(
+            s, cd.default_height(grid), 16))
+        for dirichlet_trace in (False, None):
+            block = ExtensionSolver(em, coeff, dirichlet_trace)._block
+            assert block.route == _route(dim, bump)
+            held.append((block._factors, block._lam))
+    assert len(builds) == 1
+    factors, lam = held[0]
+    assert not any(a.flags.writeable for a in (lam, *factors))
+    for F, mu in held[1:]:
+        assert mu is lam
+        assert len(F) == len(factors) and all(a is b for a, b in zip(F, factors))
+
+
+def test_dense_power_past_the_cap_is_not_held(monkeypatch, lu_route):
+    """Past ``_MODAL_NODE_CAP`` (here forced to 0) the power of a 2D bump
+    builds its dense basis for itself and leaves nothing on the coefficient;
+    below the cap the held basis is the same arithmetic, bitwise."""
+    grid = _SINE_GRIDS[2]()
+    coeff = _bump_or_identity(grid, True)
+    op = cd.assemble_local(grid, coeff)
+    P = cd.spectral_power(op, 0.5)
+    assert coeff._held_basis is None
+    monkeypatch.setattr(fractional_core, "_MODAL_NODE_CAP", lu_route)
+    Q = cd.spectral_power(op, 0.5)
+    assert coeff._held_basis[1][1] is Q.factors
+    assert np.array_equal(P.factors[0], Q.factors[0])
+    assert np.array_equal(P.eigvals, Q.eigvals)
+
+
+@pytest.mark.parametrize("config, route, active", [
+    ("tikhonov_2d_bump.json", "eigh", 484),
+    ("bridge_residual_3d_bump.json", "lu", 1728),
+])
+def test_route_by_size_on_the_bump_rungs(config, route, active):
+    """The 2D bump Tikhonov rung's grid is below ``_MODAL_NODE_CAP`` and
+    holds a dense basis; the 3D LU rung's is past it and takes the LU."""
+    cfg = load_config(ROOT / "scripts" / config)
+    grid = _grid_from_config(cfg)
+    coeff = cd.coefficient_from_spec(grid, cfg.coefficient)
+    assert int(grid.active.sum()) == active
+    K = cd.assemble_local(grid, coeff).stiffness[grid.active][:, grid.active]
+    basis = _eigenbasis(grid, coeff, K)
+    assert (basis[0] if basis else "lu") == route
 
 
 def test_1d_eigh_basis_checks_the_dense_cap():
@@ -517,13 +587,14 @@ def _close(a, b, tol=1e-10):
     assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
 
 
+@pytest.mark.usefixtures("lu_route")
 @given(st.sampled_from([2, 3]), st.sampled_from([0.1, 0.9]),
        st.integers(0, 2**16))
 @example(dim=2, s=0.1, seed=0)
 @example(dim=3, s=0.9, seed=1)
 @settings(max_examples=20, deadline=None)
 def test_shifted_solver_matches_dense_shifted_matrices(dim, s, seed):
-    """On the LU route (a bump coefficient in 2D and 3D) a shifted block
+    """On the LU route (a bump coefficient in 2D and 3D, forced) a shifted block
     solve equals per-level dense solves of ``K_T + m mu_k I`` and the trace
     sums equal the same sums of the dense inverses' blocks, for trace
     positions spanning one to three chunks."""
@@ -607,12 +678,13 @@ class CountingFactor:
         return self.factor.solve(rhs)
 
 
+@pytest.mark.usefixtures("lu_route")
 @pytest.mark.parametrize("size", [1, _CHUNK, _CHUNK + 1, 3 * _CHUNK - 2])
 def test_trace_sums_make_one_lu_solve_per_chunk(size, monkeypatch):
     """The LU route's trace sums cost ceil(|B| / _CHUNK) block solves and a
     held basis's none (a closed form in its profiles, for a = Id and for a
-    1D bump alike); ``splu`` runs once for a 2D bump and never for a held
-    basis, in the build or the trace sums."""
+    1D bump alike); ``splu`` runs once for a 2D bump on the LU route
+    (forced) and never for a held basis, in the build or the trace sums."""
     factored, tridiagonal_solves = [], []
     splu, dpttrs = spla.splu, scipy.linalg.lapack.dpttrs
 
@@ -631,7 +703,7 @@ def test_trace_sums_make_one_lu_solve_per_chunk(size, monkeypatch):
         grid, coeff, K_T, m, diag, off, nu, v, _, g = _block_inputs(dim, 0.5, bump)
         factored.clear()
         block = tensor_block(grid, coeff, K_T, m, diag, off, nu, v, B, g)
-        assert block.route == _route(dim, bump)
+        assert block.route == _route(dim, bump, lu=True)
         if block.route == "lu":
             block._lu = CountingFactor(block._lu)
         tridiagonal_solves.clear()

@@ -62,6 +62,19 @@ def test_identity_checks_are_absolute():
         cd.Coefficient(grid=grid, diag=diag, identity_outside=True)
 
 
+def test_coefficient_table_is_read_only():
+    """A coefficient validates a copy of its table and freezes it: a write
+    in place raises, and a later write to the caller's array leaves the
+    coefficient as it was."""
+    grid = make_grid(nodes=32)
+    diag = np.ones((grid.num_nodes, 1))
+    a = cd.Coefficient(grid=grid, diag=diag)
+    with pytest.raises(ValueError, match="read-only"):
+        a.diag[0, 0] = 2.0
+    diag[0] = 2.0
+    assert a.is_identity()
+
+
 def test_bump_amplitude_validated_against_ellipticity():
     grid = make_grid(nodes=32)
     spec = {"type": "diagonal",

@@ -73,8 +73,8 @@ def test_basis_trace_is_nodal(aop):
 @pytest.mark.parametrize("dim, bump", [(1, False), (1, True), (2, True)])
 def test_trace_matrix_is_exactly_the_identity(dim, bump):
     """Unit data on W read back at the trace give the identity to the bit on
-    every tensor-block route (sine, eigh, sparse LU), so
-    the data columns' sigma_min is at least 1."""
+    every tensor-block route (sine, and eigh in 1D and 2D here; the sparse
+    LU below), so the data columns' sigma_min is at least 1."""
     grid = make_grid(dim=dim, nodes=32 if dim == 1 else 16, padding=0.3)
     a = (cd.diagonal_coefficient(grid, [1.0 + 0.5 * cd.mollifier_bump(
         grid.points, [0.5] * dim, 0.4)] * dim, identity_outside=True) if bump
@@ -83,6 +83,12 @@ def test_trace_matrix_is_exactly_the_identity(dim, bump):
     assert np.array_equal(op.trace_matrix, np.eye(len(grid.w_indices)))
     sv = np.linalg.svd(np.vstack([op.trace_matrix, op.ntrace_matrix]), compute_uv=False)
     assert sv.min() >= 1.0 - 1e-12
+
+
+@pytest.mark.usefixtures("lu_route")
+def test_trace_matrix_is_exactly_the_identity_on_the_lu_route():
+    """The same on the sparse LU route, forced for a 2D bump."""
+    test_trace_matrix_is_exactly_the_identity(2, True)
 
 
 def test_eps_validation(small_pipe):
@@ -379,7 +385,8 @@ def _reduced_setup(dim, s, bump):
 def test_reduced_reconstruction_matches_field_path(dim, s, bump, seed, alpha):
     """The pair read from the snapshots' tangential images equals the one of
     the combined field, through vertical_integral and boundary_flux, on
-    every tensor-block route (sine, eigh, sparse LU)."""
+    the sine route and the "eigh" route (in 1D and, on a dense basis, in
+    2D)."""
     pipe, aop, fields = _reduced_setup(dim, s, bump)
     rng = np.random.default_rng(seed)
     K = aop.basis_size
