@@ -111,31 +111,34 @@ def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
     a_min = 1.0 if field.system is None else field.system.coeff.lam_min
     return _checked_integral(cols @ vm.level_weights(),
                              cols[:, -2] / vm.cell_resistances()[-1],
-                             field.emesh, a_min, field.s)
+                             field.emesh, _lambda_lo(field.emesh.grid, a_min), field.s)
 
 
-def _checked_integral(values: np.ndarray, q: np.ndarray, emesh, a_min: float,
+def _lambda_lo(grid: TangentialGrid, a_min: float) -> float:
+    """``a_min * sum_k (4 / h_k**2) sin**2(pi / (2 (n_k - 1)))``: the
+    smallest eigenvalue of the operator on the active nodes for
+    ``a = a_min * Id``, so ``||A**-1||_2 <= 1 / lambda_lo`` for the operator
+    A of v's equation when ``a_min`` is the coefficient's smallest entry."""
+    n = np.asarray(grid.shape)
+    return a_min * float(np.sum(4.0 / grid.h**2 * np.sin(np.pi / (2 * (n - 1))) ** 2))
+
+
+def _checked_integral(values: np.ndarray, q: np.ndarray, emesh, lam_lo: float,
                       s: float) -> VerticalIntegralField:
     """The vertical integral ``values`` with its truncation check.
 
     ``q`` is the flux through the top cell per tangential node.
-    ``tail_bound = max|q| / lambda_lo`` sizes its effect on v, with
-    ``lambda_lo = a_min * sum_k (4 / h_k**2) sin**2(pi / (2 (n_k - 1)))``
-    the smallest eigenvalue of the operator on the active nodes for
-    ``a = a_min * Id`` (``a_min`` the coefficient's smallest entry), so
-    ``||A**-1||_2 <= 1 / lambda_lo`` for the operator A of v's equation.
+    ``tail_bound = max|q| / lam_lo`` sizes its effect on v, ``lam_lo`` the
+    bound ``_lambda_lo`` of the coefficient's smallest entry.
 
     Raises TailError when ``tail_bound`` exceeds TAIL_FRACTION of the
-    integral's sup norm.  A field that is not zero at the top (a constant
-    one, whose weighted integral diverges) is charged the same flux and
-    trips this.
+    integral's sup norm, or either is not a number.  A field that is not
+    zero at the top (a constant one, whose weighted integral diverges) is
+    charged the same flux and trips this.
     """
-    grid = emesh.grid
-    n = np.asarray(grid.shape)
-    lam_lo = a_min * float(np.sum(4.0 / grid.h**2 * np.sin(np.pi / (2 * (n - 1))) ** 2))
     tail = float(np.max(np.abs(q))) / lam_lo
     ref = float(np.max(np.abs(values)))
-    if tail > TAIL_FRACTION * ref:
+    if not tail <= TAIL_FRACTION * ref:
         raise TailError(
             f"truncation defect {tail:.3g} (top flux over the smallest "
             f"eigenvalue) at truncation height {emesh.vertical.height:.4g} exceeds "
@@ -297,13 +300,10 @@ class BridgePipeline:
         return self._field_pair(self.extension(f))
 
     def _field_pair(self, fld: ExtensionField) -> CauchyPair:
-        """Cauchy pair of an extension field: its vertical integral (with the
-        truncation check), restricted to the boundary, and its flux."""
-        return self._integral_pair(vertical_integral(fld).values)
-
-    def _integral_pair(self, v: np.ndarray) -> CauchyPair:
-        """Cauchy pair of a bridged solution v: its boundary values and its
-        conormal flux."""
+        """Cauchy pair of an extension field: its vertical integral v (with
+        the truncation check), restricted to the boundary, and v's conormal
+        flux."""
+        v = vertical_integral(fld).values
         return CauchyPair(boundary_values=v[self.grid.boundary_indices],
                           boundary_flux=boundary_flux(self.local_op, v))
 

@@ -310,15 +310,8 @@ class ExtensionSolver:
         self._fixed_rows = np.flatnonzero(self.fixed)
         self.system = assemble_extension(emesh, coeff)
         self._trace = trace
-        # a constrained datum enters the right-hand side only through the
-        # stiffness columns of its trace nodes, a thin slice of S
         tr = emesh.trace_indices()
         self._data_nodes = np.flatnonzero(self.fixed[tr])
-        self._data_cols = self.system.stiffness[:, tr[self._data_nodes]]
-        # their free-row loads, on the rows they touch, measure the residual;
-        # a free trace takes its load on the free trace nodes instead
-        touched = np.flatnonzero(np.diff(self._data_cols.indptr))
-        self._data_load = self._data_cols[touched[self.free[touched]]]
         self._free_trace = np.flatnonzero(self.free[tr])
         grid = emesh.grid
         vm = emesh.vertical
@@ -359,6 +352,14 @@ class ExtensionSolver:
         # the mixed layout's free trace nodes B close through a trace map
         self._B = np.flatnonzero(free0) if lo == 1 else np.zeros(0, dtype=int)
         self._g = m * cond[0]
+        # a constrained datum enters the free rows only through the stiffness
+        # columns of its trace nodes: ``nu_0 K_tan[i, d]`` on the free trace
+        # rows i and ``-m / r_0`` on the datum's own level-1 row, read off the
+        # tangential stiffness; their free-row loads measure the residual (a
+        # free trace takes its load on the free trace nodes instead)
+        K_tan = self.system.tangential
+        self._trace_cols = nu[0] * K_tan[self._free_trace][:, self._data_nodes]
+        self._data_load = self._load_columns(np.arange(len(self._data_nodes)))
         # vertical two-point operator on the free levels; fixed neighbours
         # leave their conductance on the diagonal
         diag = np.append(cond, 0.0) + np.insert(cond, 0, 0.0)
@@ -366,6 +367,22 @@ class ExtensionSolver:
                                    nu[lo:J], v, self._B, self._g)
         if self._B.size:
             self._Z = self._trace_schur(K_T, nu[0])
+
+    def _load_columns(self, cols: np.ndarray) -> sp.csr_matrix:
+        """The free rows of the stiffness columns of the data nodes
+        ``_data_nodes[cols]``, on the rows they touch: the free trace rows,
+        then the data nodes' level-1 rows.  Equal to the entries of the
+        assembled stiffness to the bit, in another row order."""
+        top = self._trace_cols[:, cols]
+        counts = np.diff(top.indptr)
+        # one entry per level-1 row, appended to the touched trace rows
+        level1 = self.emesh.trace_indices()[self._data_nodes[cols]] + 1
+        up = np.flatnonzero(self.free[level1])
+        counts = np.concatenate([counts[counts > 0], np.ones(len(up), dtype=counts.dtype)])
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        return sp.csr_matrix((np.concatenate([top.data, np.full(len(up), -self._g)]),
+                              np.concatenate([top.indices, up]), indptr),
+                             shape=(len(counts), len(cols)))
 
     def _trace_schur(self, K_T: sp.csc_matrix, nu0: float) -> np.ndarray:
         """The trace map Z, (|B|, |data nodes|): ``Z @ data[_data_nodes]``
@@ -377,18 +394,18 @@ class ExtensionSolver:
 
         (block the free tensor block, 0 its first level) and the right-hand
         side ``Q d``, where Q holds the stiffness rows of the B trace nodes
-        over the data columns, plus ``g H^T`` times the tangential map of the
-        separable right-hand side, with ``H = [block^-1 (v (x) E_B)]_0`` (v
-        the level vector of that right-hand side).  Both come from the tensor
-        block's ``trace_sums``.  Z = Sch^-1 Q; the dense Cholesky factor of
+        over the data columns (``-_trace_cols``, B being the free trace),
+        plus ``g H^T`` times the tangential map of the separable right-hand
+        side, with ``H = [block^-1 (v (x) E_B)]_0`` (v the level vector of
+        that right-hand side).  G and H come from the tensor block's
+        ``trace_sums``.  Z = Sch^-1 Q; the dense Cholesky factor of
         Sch is used once here and not kept.
         """
         B = self._B
         G, H = self._block.trace_sums()
         g = self._g
         S = nu0 * K_T[B][:, B].toarray() + g * np.eye(len(B)) - g * g * G
-        tr = self.emesh.trace_indices()
-        Q = -self._data_cols[tr[self._T[B]]].toarray()
+        Q = -self._trace_cols.toarray()
         lifted = np.searchsorted(self._data_nodes, self._rhs_nodes)
         Q[:, lifted] += g * (self._rhs_tan.T @ H).T
         try:
@@ -456,9 +473,12 @@ class ExtensionSolver:
         c0 to c0 + u.shape[1], shape (num_nodes, width), row-major, and their
         free-row residual norms ``||(S u - load)[free]||``, measured on that
         very array and checked (SolveError) before it is yielded.  u is a work
-        array the next chunk overwrites; copy what must outlive it.
+        array the next chunk overwrites; copy what must outlive it.  Data
+        that are not finite raise ParamError.
         """
         data = np.asarray(data, dtype=float)
+        if not np.isfinite(data).all():
+            raise ParamError("trace data must be finite")
         n, nL, nT = self.emesh.num_nodes, len(self._psi), len(self._T)
         # work arrays for the widest chunk, allocated once; a narrower last
         # chunk takes their leading part, still contiguous
@@ -601,7 +621,9 @@ def calibrate_cs(
     for a few random data on the measurement region (seed 7), then fits c in
     ``c * (-trace) ~ spectral values`` by least squares over the region.
     The analytic candidate is returned; a fitted drift beyond 20% raises
-    CalibrationError (that always means a sign or convention bug, not noise).
+    CalibrationError.  Such a drift means a sign or convention bug, or a
+    mesh too coarse for the order: ``calibrate_cs(1, 0.95, nodes=64,
+    levels=48)`` drifts 26.4% on the default geometry alone.
     """
     from .fractional_core import solve_fractional_dirichlet, spectral_power
     from .local_elliptic import assemble_local

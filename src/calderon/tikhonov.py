@@ -21,16 +21,22 @@ zero Dirichlet truncation on the region.  The functional
 
 is minimized exactly through its normal equations
 ``(alpha G_E + G_A) c = A* data``; for alpha > 0 the matrix is symmetric
-positive definite, so the minimizer is unique.
+positive definite, so the minimizer is unique.  The data operator holds the
+Cholesky factor of that matrix for the last alpha it was asked for, so
+repeated reconstructions at one alpha factor once and a sweep once per
+alpha; the Grams and the held factor are read-only, so it cannot go stale.
 
 The snapshots serve the reconstruction too: the mixed solve of a
 minimizer's trace is, by linearity, the same combination of snapshot fields,
 and a reconstruction reads only that combination's vertical integral, its
-flux through the top cell and its residual.  So the build reduces each
-snapshot to its tangential images (integral and top flux, N_tan values
-each) and its free-row residual norm, and keeps no field: a reconstruction
-is two N_tan x K products, the bridge's truncation check and a bounded
-residual check, with no solve.
+flux through the top cell, its residual and its Cauchy pair.  So the build
+reduces each snapshot to its tangential images (integral and top flux,
+N_tan values each), its boundary images (the integral's boundary values and
+conormal flux, one value per boundary node each) and its free-row residual
+norm, and keeps no field: a reconstruction is a Cholesky solve of size K
+and four products with K columns (the two tangential images for the
+bridge's truncation check, the two boundary images for the pair) beside a
+bounded residual check, with no extension solve.
 
 The build keeps no snapshot block either.  ``ExtensionSolver.solve_chunks``
 yields the snapshots _CHUNK at a time, with the free-row residual norms rho
@@ -56,12 +62,14 @@ operator convert through ``t = -values / c_s``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 
-from .bridge import BridgePipeline, _checked_integral
+from .bridge import BridgePipeline, CauchyPair, _checked_integral, _lambda_lo
 from .errors import MeshMismatch, ParamError, RankError, SolveError
 from .extension import _tensor_stiffness
 from .fractional_core import _eigh_clipped, _reconstruct
@@ -156,12 +164,22 @@ class DataOperator:
     and ``G_E`` are the data and penalty Grams in the coefficient basis.
     ``integrals`` and ``top_fluxes`` (N_tan x K) hold each field's
     level-weight vertical integral and its flux through the top cell,
-    ``residual_norms`` (K) its free-row residual norm ``||(S u_k)[free]||``
-    as the solve measured it, and ``loads`` the free-row loads of the unit
-    data, restricted to the rows they touch.  G_E is the discrete Green
-    identity's form of ``U^T S_ext U`` (see the module docstring): it drops
-    the free-row term, at most ``||u_i|| rho_j`` in entry (i, j).  No
-    extension field is kept, during the build or after it.
+    ``boundary_values`` and ``boundary_fluxes`` (|boundary| x K) that
+    integral's values and conormal flux at the interior region's boundary
+    nodes (``integrals[boundary]`` and ``boundary_flux`` of each column),
+    ``lam_lo`` the truncation check's eigenvalue bound ``_lambda_lo`` of the
+    coefficient, ``residual_norms`` (K) each field's free-row residual norm
+    ``||(S u_k)[free]||`` as the solve measured it, and ``loads`` the
+    free-row loads of the unit data, restricted to the rows they touch.
+    G_E is the discrete Green identity's form of ``U^T S_ext U`` (see the
+    module docstring): it drops the free-row term, at most
+    ``||u_i|| rho_j`` in entry (i, j).  No extension field is kept, during
+    the build or after it.
+
+    G_A and G_E are read-only.  ``_normal_equations`` holds one
+    ``(alpha, M, cho_factor(M))`` triple, ``M = alpha G_E + G_A``, built on
+    the first use of an alpha and replaced when alpha changes; its arrays
+    are read-only too.
     """
 
     pipeline: BridgePipeline
@@ -176,10 +194,34 @@ class DataOperator:
     top_fluxes: np.ndarray
     residual_norms: np.ndarray
     loads: sp.csr_matrix
+    boundary_values: np.ndarray
+    boundary_fluxes: np.ndarray
+    lam_lo: float
+    _normal: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def basis_size(self) -> int:
         return self.trace_matrix.shape[1]
+
+    def _normal_equations(self, alpha: float):
+        """``(M, cho_factor(M))`` for ``M = alpha G_E + G_A``: the held pair
+        when alpha is the last one asked for, else a new one that replaces
+        it.  M is SPD for alpha > 0 (module docstring), so a failed Cholesky
+        factorization raises SolveError."""
+        # concurrent callers at different alphas may each factor; each
+        # solves with the triple it read or built
+        held = self._normal
+        if held is None or held[0] != alpha:
+            M = alpha * self.G_E + self.G_A
+            try:
+                factor = cho_factor(M)
+            except np.linalg.LinAlgError as exc:
+                raise SolveError(f"normal matrix at alpha = {alpha:g} is not "
+                                 f"positive definite: {exc}") from exc
+            M.flags.writeable = False
+            factor[0].flags.writeable = False
+            held = self._normal = (alpha, M, factor)
+        return held[1], held[2]
 
     def apply(self, coeffs: np.ndarray):
         """A applied to a coefficient vector: (trace, weighted trace) on W."""
@@ -239,8 +281,7 @@ def build_data_operator(
     J1 = vm.num_levels + 1
     spikes = np.zeros((N, K))
     spikes[widx, np.arange(K)] = 1.0
-    S = solver.system.stiffness
-    S_w = S[tw]
+    S_w = solver.system.stiffness[tw]
     nodes = _ring_nodes(pipeline)
     ring = (nodes[:, None] * J1 + np.arange(J1)).ravel()
     S_ring = _ring_energy_rows(pipeline, nodes)
@@ -281,7 +322,9 @@ def build_data_operator(
             f"data columns are rank deficient (sigma_min/sigma_max = "
             f"{sv.min() / sv.max():.2e}); refine the mesh"
         )
-    loads = S[:, tw][solver.free]
+    G_A.flags.writeable = False
+    G_E.flags.writeable = False
+    op = pipeline.local_op
     return DataOperator(
         pipeline=pipeline,
         eps=eps,
@@ -294,7 +337,10 @@ def build_data_operator(
         integrals=integrals,
         top_fluxes=top_fluxes,
         residual_norms=residual_norms,
-        loads=loads[np.diff(loads.indptr) > 0],
+        loads=solver._load_columns(np.searchsorted(solver._data_nodes, widx)),
+        boundary_values=integrals[grid.boundary_indices],
+        boundary_fluxes=(op.boundary_rows @ integrals) / op.boundary_weights[:, None],
+        lam_lo=_lambda_lo(grid, pipeline.coeff.lam_min),
     )
 
 
@@ -308,29 +354,47 @@ class TikhonovSolution:
     penalty: float
 
 
+def _measurement(values, K: int, name: str) -> np.ndarray:
+    """``values`` as a float array of one finite value per measurement node,
+    else ParamError."""
+    x = np.asarray(values, dtype=float)
+    if x.shape != (K,):
+        raise ParamError(f"{name} must hold one value per measurement node, "
+                         f"shape ({K},), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ParamError(f"{name} must be finite")
+    return x
+
+
 def minimize(Aop: DataOperator, data, alpha: float) -> TikhonovSolution:
     """Unique minimizer of J_alpha through the normal equations.
 
     ``data = (f, t)`` are the trace and raw weighted-trace values on the
-    measurement nodes.  The normal-equation residual is checked to 1e-10
-    relative.
+    measurement nodes; data of another length or not finite, and an alpha
+    that is not positive and finite, raise ParamError.  The system is solved
+    with the operator's held Cholesky factor for alpha, and its residual is
+    checked to 1e-10 relative (then a least-squares solve to 1e-8, else
+    SolveError).
     """
-    if alpha <= 0:
-        raise ParamError(f"alpha must be positive, got {alpha}")
-    M = alpha * Aop.G_E + Aop.G_A
+    alpha = float(alpha)
+    if not 0.0 < alpha < math.inf:
+        raise ParamError(f"alpha must be positive and finite, got {alpha}")
+    K = Aop.basis_size
+    f, t = data
+    data = (_measurement(f, K, "trace data"), _measurement(t, K, "weighted-trace data"))
+    M, factor = Aop._normal_equations(alpha)
     rhs = Aop.adjoint_data(data)
-    try:
-        c = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolveError(f"normal equations failed: {exc}") from exc
+    # the data are finite and the factor was checked when it was made; a
+    # coefficient vector that is not finite fails the residual check below
+    c = cho_solve(factor, rhs, check_finite=False)
     scale = np.linalg.norm(rhs)
-    if scale > 0 and np.linalg.norm(M @ c - rhs) > 1e-10 * scale:
+    if scale > 0 and not np.linalg.norm(M @ c - rhs) <= 1e-10 * scale:
         c, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        if np.linalg.norm(M @ c - rhs) > 1e-8 * scale:
+        if not np.linalg.norm(M @ c - rhs) <= 1e-8 * scale:
             raise SolveError("normal-equation residual exceeds tolerance")
     return TikhonovSolution(
         coeffs=c,
-        alpha=float(alpha),
+        alpha=alpha,
         misfit=Aop.misfit(c, data),
         penalty=Aop.penalty(c),
     )
@@ -360,8 +424,8 @@ def alpha_sweep(Aop: DataOperator, data, alphas) -> SweepReport:
     nondecreasing as alpha decreases.
     """
     alphas = np.asarray(list(alphas), dtype=float)
-    if np.any(alphas <= 0):
-        raise ParamError("alpha schedule must be positive")
+    if not np.all(np.isfinite(alphas) & (alphas > 0)):
+        raise ParamError("alpha schedule must be positive and finite")
     if np.any(np.diff(alphas) >= 0):
         if len(alphas) > 1:
             raise ParamError("alpha schedule must be strictly decreasing")
@@ -402,9 +466,10 @@ def reconstruct_cauchy_from_data(
 ):
     """Recover the bridged Cauchy pair from measurement data alone.
 
-    ``f_w`` and ``lambda_s_f`` are nodal arrays on the measurement region;
-    the second is in the fractional-operator convention and is converted to
-    a raw weighted trace with the pinned constant.  The minimizer's trace
+    ``f_w`` and ``lambda_s_f`` are nodal arrays on the measurement region,
+    one finite value per node, else ParamError; the second is in the
+    fractional-operator convention and is converted to a raw weighted trace
+    with the pinned constant.  The minimizer's trace
     ``f_hat`` is re-extended through the full mixed problem (gluing the
     exterior field to the interior): the snapshot fields are mixed solves of
     the unit data, so by linearity that solve is the combination
@@ -416,9 +481,10 @@ def reconstruct_cauchy_from_data(
     SolveError; zero data is exempt.  This refuses every combination whose
     own relative residual exceeds 1e-8.  Its vertical integral and top flux
     (``Aop.integrals @ c`` and ``Aop.top_fluxes @ c``) then pass the
-    bridge's truncation check, and the integral is restricted to the
-    boundary, as ``operator_T`` does.  Raises MeshMismatch when ``Aop`` was
-    built for another pipeline, whose solver its snapshots belong to.
+    bridge's truncation check, and its Cauchy pair is the combination of
+    the snapshots' boundary images, the pair ``operator_T`` reads off the
+    integral.  Raises MeshMismatch when ``Aop`` was built for another
+    pipeline, whose solver its snapshots belong to.
 
     Data generated by the same forward pipeline makes this an inverse crime;
     use the fine-data generation path when that matters.
@@ -428,14 +494,17 @@ def reconstruct_cauchy_from_data(
             "the data operator was built for a different pipeline; its "
             "snapshot fields belong to that pipeline's solver"
         )
-    t = -np.asarray(lambda_s_f, dtype=float) / pipeline.cs
-    sol = minimize(Aop, (np.asarray(f_w, dtype=float), t), alpha)
+    K = Aop.basis_size
+    f_w = _measurement(f_w, K, "f_w")
+    t = -_measurement(lambda_s_f, K, "lambda_s_f") / pipeline.cs
+    sol = minimize(Aop, (f_w, t), alpha)
     c = sol.coeffs
     scale = float(np.linalg.norm(Aop.loads @ c))
     bound = float(np.abs(c) @ Aop.residual_norms)
     if scale > 0 and not bound <= 1e-8 * scale:
         raise SolveError(f"reconstruction residual bound {bound / scale:.2e} "
                          "exceeds tolerance")
-    vi = _checked_integral(Aop.integrals @ c, Aop.top_fluxes @ c, pipeline.emesh,
-                           pipeline.coeff.lam_min, pipeline.s)
-    return pipeline._integral_pair(vi.values), sol
+    _checked_integral(Aop.integrals @ c, Aop.top_fluxes @ c, pipeline.emesh,
+                      Aop.lam_lo, pipeline.s)
+    return CauchyPair(boundary_values=Aop.boundary_values @ c,
+                      boundary_flux=Aop.boundary_fluxes @ c), sol

@@ -887,3 +887,25 @@ def test_dense_modal_route_agrees_with_the_lu_route(layout, dim, s, monkeypatch)
     F = rng.standard_normal((grid.num_nodes, _CHUNK + 2))
     F[grid.omega_closure] = 0.0
     _assert_close(modal.solve_block(F), lu.solve_block(F))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_data_loads_are_the_stiffness_columns(layout, dim):
+    """The data columns read off the tangential stiffness hold, to the bit,
+    the free rows of the assembled stiffness's columns at the constrained
+    trace nodes (in another row order), and their free-trace rows are the
+    trace map's Q."""
+    solver = small_solver(layout, dim, 0.5, nodes=(10, 6, 6) if dim == 3 else None,
+                          levels=12)
+    tr = solver.emesh.trace_indices()
+    cols = solver.system.stiffness[:, tr[solver._data_nodes]]
+    touched = np.flatnonzero(np.diff(cols.indptr))
+    ref = cols[touched[solver.free[touched]]].toarray()
+    got = solver._data_load.toarray()
+    assert got.shape == ref.shape
+    assert sorted(map(tuple, got)) == sorted(map(tuple, ref))
+    assert np.array_equal(solver._trace_cols.toarray(),
+                          cols[tr[solver._free_trace]].toarray())
+    if solver._B.size:
+        assert np.array_equal(solver._T[solver._B], solver._free_trace)

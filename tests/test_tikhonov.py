@@ -1,12 +1,15 @@
+import dataclasses
 import functools
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_factor
 from hypothesis import given, settings, strategies as st
 
 import calderon as cd
+import calderon.tikhonov as tk
 from calderon.errors import MeshMismatch, ParamError, RankError, SolveError, TailError
 from calderon.local_elliptic import boundary_flux
 from calderon.tikhonov import (
@@ -478,3 +481,133 @@ def test_ring_rows_are_the_exterior_form(dim, s, bump):
     rows = (rest[:, None] * J1 + np.arange(J1)).ravel()
     S = pipe.solver.system.stiffness
     assert np.array_equal(full[rows].toarray(), S[rows].toarray())
+
+
+def test_one_cholesky_per_operator_and_alpha(recon_setup, monkeypatch):
+    """Repeated reconstructions at one alpha factor the normal matrix once;
+    a new alpha replaces the held factor.  The held arrays and the Grams are
+    read-only, so the factor cannot go stale."""
+    grid, pipe, aop, f, lam = recon_setup
+    op = dataclasses.replace(aop)  # the same arrays, no factor held yet
+    factored = []
+
+    def counting(M, *args, **kwargs):
+        factored.append(M.shape)
+        return cho_factor(M, *args, **kwargs)
+
+    monkeypatch.setattr(tk, "cho_factor", counting)
+    for _ in range(5):
+        cd.reconstruct_cauchy_from_data(pipe, op, f[grid.w_indices], lam, 1e-6)
+    assert len(factored) == 1
+    cd.reconstruct_cauchy_from_data(pipe, op, f[grid.w_indices], lam, 1e-4)
+    cd.reconstruct_cauchy_from_data(pipe, op, f[grid.w_indices], lam, 1e-4)
+    assert len(factored) == 2
+    cd.minimize(op, op.apply(np.ones(op.basis_size)), 1e-6)
+    assert len(factored) == 3
+    alpha, M, (chol, _) = op._normal
+    assert alpha == 1e-6
+    for arr in (M, chol, op.G_A, op.G_E):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        op.G_E[0, 0] += 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(s=st.sampled_from([0.25, 0.5, 0.9]), bump=st.booleans(),
+       alpha=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8]), seed=st.integers(0, 2**16))
+@settings(max_examples=8, deadline=None)
+def test_held_factor_minimizer_is_the_normal_equation_solution(dim, s, bump, alpha, seed):
+    """The minimizer from the held Cholesky factor equals a dense solve of
+    the normal equations to 1e-12."""
+    _, aop, _ = _reduced_setup(dim, s, bump)
+    rng = np.random.default_rng(seed)
+    K = aop.basis_size
+    data = (rng.standard_normal(K), 10.0 * rng.standard_normal(K))
+    c = cd.minimize(aop, data, alpha).coeffs
+    ref = np.linalg.solve(alpha * aop.G_E + aop.G_A, aop.adjoint_data(data))
+    assert np.max(np.abs(c - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("corrupt", [lambda c: c * (1.0 + 1e-3), lambda c: c * np.nan],
+                         ids=["scaled", "nan"])
+def test_corrupted_held_factor_trips_the_normal_equation_check(aop, monkeypatch, corrupt):
+    """A held factor that no longer solves M fails the 1e-10 check, and the
+    least-squares fallback still returns the minimizer."""
+    K = aop.basis_size
+    data = aop.apply(np.linspace(1.0, 2.0, K))
+    clean = cd.minimize(aop, data, 1e-3).coeffs
+    op = dataclasses.replace(aop)
+    M, (chol, lower) = op._normal_equations(1e-3)
+    op._normal = (1e-3, M, (corrupt(chol), lower))
+    lstsq = np.linalg.lstsq
+    fallbacks = []
+
+    def spy(*args, **kwargs):
+        fallbacks.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    c = cd.minimize(op, data, 1e-3).coeffs
+    assert fallbacks == [(K, K)]
+    assert np.max(np.abs(c - clean)) <= 1e-8 * np.max(np.abs(clean))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_data_raise_param_error(recon_setup, bad):
+    grid, pipe, aop, f, lam = recon_setup
+    K = aop.basis_size
+    f_w = f[grid.w_indices].copy()
+    f_w[K // 2] = bad
+    bad_lam = lam.copy()
+    bad_lam[0] = bad
+    with pytest.raises(ParamError, match="finite"):
+        cd.minimize(aop, (f_w, np.zeros(K)), 1e-6)
+    with pytest.raises(ParamError, match="finite"):
+        cd.minimize(aop, (np.zeros(K), f_w), 1e-6)
+    with pytest.raises(ParamError, match="f_w must be finite"):
+        cd.reconstruct_cauchy_from_data(pipe, aop, f_w, lam, 1e-6)
+    with pytest.raises(ParamError, match="lambda_s_f must be finite"):
+        cd.reconstruct_cauchy_from_data(pipe, aop, f[grid.w_indices], bad_lam, 1e-6)
+    # the extension refuses it too: operator T and the one solve path
+    g = f.copy()
+    g[grid.w_indices[0]] = bad
+    with pytest.raises(ParamError, match="finite"):
+        cd.operator_T(pipe, g)
+    with pytest.raises(ParamError, match="finite"):
+        next(pipe.solver.solve_chunks(g[:, None]))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+def test_bad_alpha_raises_param_error(recon_setup, alpha):
+    grid, pipe, aop, f, lam = recon_setup
+    K = aop.basis_size
+    with pytest.raises(ParamError, match="alpha"):
+        cd.minimize(aop, (np.zeros(K), np.zeros(K)), alpha)
+    with pytest.raises(ParamError, match="alpha"):
+        cd.reconstruct_cauchy_from_data(pipe, aop, f[grid.w_indices], lam, alpha)
+    with pytest.raises(ParamError, match="alpha"):
+        cd.alpha_sweep(aop, (np.zeros(K), np.zeros(K)), [1.0, alpha])
+
+
+def test_wrong_length_data_raise_param_error(recon_setup):
+    grid, pipe, aop, f, lam = recon_setup
+    K = aop.basis_size
+    with pytest.raises(ParamError, match=f"shape \\({K},\\)"):
+        cd.minimize(aop, (np.zeros(K - 1), np.zeros(K)), 1e-6)
+    with pytest.raises(ParamError, match="f_w"):
+        cd.reconstruct_cauchy_from_data(pipe, aop, f, lam, 1e-6)
+    with pytest.raises(ParamError, match="lambda_s_f"):
+        cd.reconstruct_cauchy_from_data(pipe, aop, f[grid.w_indices], lam[:, None], 1e-6)
+
+
+def test_truncation_check_refuses_nan():
+    """``not tail <= bound``: a NaN integral or top flux trips the check."""
+    from calderon.bridge import _checked_integral
+
+    grid = make_grid(nodes=32)
+    pipe = cd.BridgePipeline(grid, cd.identity_coefficient(grid), 0.5, levels=16)
+    ones = np.ones(grid.num_nodes)
+    _checked_integral(ones, 0.0 * ones, pipe.emesh, 1.0, 0.5)
+    for values, q in ((ones * np.nan, 0.0 * ones), (ones, ones * np.nan)):
+        with pytest.raises(TailError):
+            _checked_integral(values, q, pipe.emesh, 1.0, 0.5)
