@@ -10,11 +10,11 @@ mesh (box x graded levels).  Assembly is conservative:
   ``t**(2s) / (2s)`` are exact discrete solutions and the weight is never
   evaluated at t = 0.
 
-The stiffness is the Kronecker sum ``K_tan (x) diag(nu) + m D (x) K_vert``
-(D = I, or the exterior columns for the Tikhonov penalty form), and its CSR
-arrays are filled directly: every level of a tangential row has the same
-column layout, so indptr, indices and data are the tangential stiffness's
-row pattern broadcast over the levels, with no sparse product, sum or sort.
+The stiffness is the Kronecker sum ``K_tan (x) diag(nu) + m I (x) K_vert``,
+and its CSR arrays are filled directly: every level of a tangential row has
+the same column layout, so indptr, indices and data are the tangential
+stiffness's row pattern broadcast over the levels, with no sparse product,
+sum or sort.
 The entries equal those of ``sp.kron`` and a sparse add to the bit (each
 diagonal entry is the one addition of the same two products).
 
@@ -151,53 +151,48 @@ class ExtensionSystem:
         return self.emesh.vertical.s
 
 
-def _tensor_stiffness(K_tan: sp.spmatrix, vm, m: float, columns=None) -> sp.csr_matrix:
-    """``K_tan (x) diag(nu) + m D (x) K_vert`` on the tangential-major node
+def _tensor_stiffness(K_tan: sp.spmatrix, vm, m: float) -> sp.csr_matrix:
+    """``K_tan (x) diag(nu) + m I (x) K_vert`` on the tangential-major node
     numbering: K_tan weighted per level by the level weights nu, plus the
     two-point vertical operator of conductances ``1 / cell resistance``.
-    D is the identity, or the 0/1 diagonal of the boolean mask ``columns``
-    (vertical fluxes kept only in those columns).  K_tan is a canonical CSR
-    matrix (sorted, no duplicates, no stored zeros), as ``_assemble`` builds.
+    K_tan is a canonical CSR matrix (sorted, no duplicates, no stored
+    zeros), as ``_assemble`` builds.
 
     The CSR arrays are filled directly.  Row (i, j) holds, in column order:
     K_tan row i left of the diagonal times nu_j, the vertical lower entry,
     the diagonal ``K_ii nu_j + m kd_j`` (kd the diagonal of K_vert), the
-    vertical upper entry, and K_tan row i right of the diagonal times nu_j;
-    the vertical entries only where D keeps column i.  So every level of a
-    tangential row has the same slots: the slots of row i are laid out once
-    and broadcast over the levels, dropping the lower slot at level 0 and
-    the upper slot at the top.
+    vertical upper entry, and K_tan row i right of the diagonal times nu_j.
+    So every level of a tangential row has the same slots: the slots of row
+    i are laid out once and broadcast over the levels, dropping the lower
+    slot at level 0 and the upper slot at the top.
     """
     K = sp.csr_matrix(K_tan)
     nu = vm.level_weights()
     cond = 1.0 / vm.cell_resistances()
     n, J1 = K.shape[0], len(nu)
-    keep = (np.ones(n, dtype=bool) if columns is None
-            else np.asarray(columns, dtype=bool))
     rows = np.repeat(np.arange(n), np.diff(K.indptr))
     right = K.indices > rows
     has_diag = np.zeros(n, dtype=bool)
     has_diag[rows[K.indices == rows]] = True
     left = np.bincount(rows[K.indices < rows], minlength=n)
-    # slots per tangential row: K's entries, and where the vertical operator
-    # is kept the lower, the diagonal (unless K has one) and the upper slot
-    width = np.diff(K.indptr) + 2 * keep + (keep & ~has_diag)
+    # slots per tangential row: K's entries, the lower, the diagonal (unless
+    # K has one) and the upper slot of the vertical operator
+    width = np.diff(K.indptr) + 2 + ~has_diag
     W = int(width.max(initial=0))
     idx_dtype = np.int32 if n * J1 * max(W, 1) < 2**31 else np.int64
     # slot column (tangential column * J1 + level offset) and K value, on a
     # (n, W) layout padded past each row's width
     slot_col = np.zeros((n, W), dtype=idx_dtype)
     slot_val = np.zeros((n, W))
-    # a kept row's lower and diagonal slots precede K_ii, and the upper slot
+    # a row's lower and diagonal slots precede K_ii, and the upper slot
     # (with the diagonal slot where K has none) precedes K's right entries
     shift = (K.indices >= rows).astype(int) + right + (right & ~has_diag[rows])
-    pos = np.arange(K.nnz) - K.indptr[rows] + keep[rows] * shift
+    pos = np.arange(K.nnz) - K.indptr[rows] + shift
     slot_col[rows, pos] = K.indices * J1
     slot_val[rows, pos] = K.data
-    kept = np.flatnonzero(keep)
-    lo = left[kept]
+    tan = np.arange(n)
     for offset in (-1, 0, 1):
-        slot_col[kept, lo + 1 + offset] = kept * J1 + offset
+        slot_col[tan, left + 1 + offset] = tan * J1 + offset
 
     # every tangential row's slots repeated over the levels, flattened in
     # the (row, level, slot) order of the CSR arrays; the tiled operands keep
@@ -206,10 +201,10 @@ def _tensor_stiffness(K_tan: sp.spmatrix, vm, m: float, columns=None) -> sp.csr_
     indices = (np.tile(slot_col, J1) + levels).ravel()
     data = (np.tile(slot_val, J1) * np.repeat(nu, W)).ravel()
     live = np.tile(np.arange(W) < width[:, None], J1).ravel()
-    # flat position of a kept row's lower vertical slot on every level, the
+    # flat position of a row's lower vertical slot on every level, the
     # diagonal and upper slots right after it; the lower slot of level 0 and
     # the upper slot of the top are dropped
-    at = (kept * (J1 * W) + lo)[:, None] + np.arange(J1) * W
+    at = (tan * (J1 * W) + left)[:, None] + np.arange(J1) * W
     mvert = m * -cond
     data[at] = np.insert(mvert, 0, 0.0)
     data[at + 1] += m * (np.append(cond, 0.0) + np.insert(cond, 0, 0.0))
@@ -218,7 +213,7 @@ def _tensor_stiffness(K_tan: sp.spmatrix, vm, m: float, columns=None) -> sp.csr_
     live[at[:, -1] + 2] = False
     counts = np.empty((n, J1), dtype=idx_dtype)
     counts[:] = width[:, None]
-    counts[:, [0, J1 - 1]] -= keep[:, None]
+    counts[:, [0, J1 - 1]] -= 1
     indptr = np.zeros(n * J1 + 1, dtype=idx_dtype)
     np.cumsum(counts, out=indptr[1:])
     return sp.csr_matrix((data[live], indices[live], indptr),

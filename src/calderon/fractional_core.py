@@ -24,9 +24,9 @@ place that reads ``Coefficient.is_identity`` and the one route choice:
   ``_dense_basis``, from ``scipy.linalg.eigh_tridiagonal`` in 1D (A is
   tridiagonal on the one interval of active nodes) and a dense ``eigh`` of
   A otherwise.
-* 2D and 3D past ``_MODAL_NODE_CAP``: no basis is held.  The oracle takes
-  the same dense ``eigh`` for itself; the tensor block takes the vertical
-  pencil instead (below).
+* 2D and 3D past ``_MODAL_NODE_CAP``: no basis is held.  The oracle builds
+  the same dense factor for itself (``_dense_basis``); the tensor block
+  takes the vertical pencil instead (below).
 
 A held basis is built once per coefficient: ``_eigenbasis`` keeps it on the
 ``Coefficient`` (whose table is read-only) with the grid it was built on,
@@ -54,7 +54,7 @@ nodes B.  The route is the basis's:
   (K_L + lam_i N)`` per mode i (the other orientation of the fast
   diagonalization of Buzbee, Golub and Nielson, 1970).  Every right-hand
   side has the level vector v or e_0, so the build solves those two against
-  all modes once, by one stacked ``_TridiagonalCholesky``, and keeps only
+  all modes once, by one ``dpttrf`` of the stacked blocks, and keeps only
   the two profile arrays (levels x modes).  A solve is a forward mode
   product of the tangential data, a multiply by the profiles and a backward
   mode product over the levels; the trace sums are closed forms in the
@@ -205,7 +205,7 @@ def _dense_basis(grid, K):
     return "eigh", (V,), lam
 
 
-def _eigenbasis(grid, coeff, K, dense: bool = False):
+def _eigenbasis(grid, coeff, K):
     """The eigenbasis of ``K / m`` (K the stiffness over the active nodes,
     m the node volume) as ``(route, factors, eigenvalues)``: the library's
     one route choice.
@@ -213,8 +213,8 @@ def _eigenbasis(grid, coeff, K, dense: bool = False):
     * a = Id: the closed-form sine factors ("sine");
     * 1D, or 2D and 3D with at most ``_MODAL_NODE_CAP`` active nodes: the
       one dense factor of ``_dense_basis`` ("eigh");
-    * otherwise None, so the tensor block takes the sparse LU; with
-      ``dense`` (the oracle) the dense factor instead, built for this call.
+    * otherwise None: the tensor block takes the sparse LU, and the oracle
+      builds the dense factor for itself.
 
     The first two are held: built once per coefficient, kept on it with the
     grid they were built on, and returned read-only to every later call on
@@ -224,7 +224,7 @@ def _eigenbasis(grid, coeff, K, dense: bool = False):
     elif grid.dim == 1 or int(grid.active.sum()) <= _MODAL_NODE_CAP:
         route = "eigh"
     else:
-        return _dense_basis(grid, K) if dense else None
+        return None
     held = coeff._held_basis
     if held is None or held[0] is not grid:
         basis = _sine_basis(grid) if route == "sine" else _dense_basis(grid, K)
@@ -321,34 +321,8 @@ def spectral_power(op: LocalOperator, s: float) -> SpectralPower:
         raise ParamError(f"s must lie in (0, 1], got {s}")
     active = _check_dense_cap(op.grid)
     K = op.stiffness[active][:, active]
-    _, factors, lam = _eigenbasis(op.grid, op.coeff, K, dense=True)
+    _, factors, lam = _eigenbasis(op.grid, op.coeff, K) or _dense_basis(op.grid, K)
     return SpectralPower(op=op, s=s, active=active, eigvals=lam, factors=factors)
-
-
-def _dpttrf(d: np.ndarray, e: np.ndarray):
-    """LAPACK ``dpttrf`` pivots and multipliers of the SPD tridiagonal with
-    diagonal d and off-diagonal e; a lost minor raises SolveError."""
-    piv, mult, info = lapack.dpttrf(d, e)
-    if info != 0:
-        raise SolveError(f"vertical tridiagonal factorization failed: dpttrf "
-                         f"info {info} (leading minor not positive definite)")
-    return piv, mult
-
-
-class _TridiagonalCholesky:
-    """LAPACK ``dpttrf`` factor of J SPD tridiagonal blocks, block k with
-    diagonal ``d[k]`` and the common off-diagonal e, stacked into one
-    tridiagonal with zero coupling between blocks; ``solve`` takes a block
-    of stacked right-hand sides, one per column, like a SuperLU object."""
-
-    def __init__(self, d: np.ndarray, e: np.ndarray):
-        J, n = d.shape
-        off = np.zeros((J, n))
-        off[:, :-1] = e
-        self._d, self._e = _dpttrf(d.ravel(), off.ravel()[:-1])
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return lapack.dpttrs(self._d, self._e, rhs)[0]
 
 
 def _vertical_pencil(diag: np.ndarray, off: np.ndarray, nu: np.ndarray):
@@ -379,21 +353,28 @@ class _ModalBlock:
     "eigh"): ``K_T = m V diag(lam) V^T``, so the block splits into one
     vertical SPD tridiagonal ``m (K_L + lam_i N_L)`` per tangential mode i.
     The two level vectors of every right-hand side, v and e_0, are solved
-    against all of them once, by one stacked ``_TridiagonalCholesky``; only
-    their profiles are kept, ``P[0]`` for v and ``P[1]`` for e_0 (levels x
-    modes each)."""
+    against all of them once, by one LAPACK ``dpttrf``/``dpttrs`` on the
+    blocks stacked into one tridiagonal; only their profiles are kept,
+    ``P[0]`` for v and ``P[1]`` for e_0 (levels x modes each)."""
 
     def __init__(self, basis, m, diag, off, nu, v, B, g):
         self.route, self._factors, self._lam = basis
         nL, nT = len(diag), len(self._lam)
-        chol = _TridiagonalCholesky(m * (diag + np.multiply.outer(self._lam, nu)),
-                                    m * off)
+        # the nT blocks stacked into one tridiagonal, with zero coupling
+        # between consecutive blocks
+        e = np.zeros((nT, nL))
+        e[:, :-1] = m * off
+        piv, mult, info = lapack.dpttrf(
+            (m * (diag + np.multiply.outer(self._lam, nu))).ravel(), e.ravel()[:-1])
+        if info != 0:
+            raise SolveError(f"vertical tridiagonal factorization failed: dpttrf "
+                             f"info {info} (leading minor not positive definite)")
         # the two right-hand sides as the columns of one Fortran-ordered
         # (N, 2) block, LAPACK's layout
         rhs = np.zeros((2, nT, nL))
         rhs[0] = v
         rhs[1, :, 0] = 1.0
-        P = chol.solve(rhs.reshape(2, -1).T).T.reshape(2, nT, nL)
+        P = lapack.dpttrs(piv, mult, rhs.reshape(2, -1).T)[0].T.reshape(2, nT, nL)
         # levels x modes, contiguous along the modes as the solves read them
         self._P = np.ascontiguousarray(P.transpose(0, 2, 1))
         self._B, self._g = B, g
@@ -522,15 +503,17 @@ def _w_positions(P: SpectralPower):
 def solve_fractional_dirichlet(P: SpectralPower, f: np.ndarray) -> np.ndarray:
     """Solve the exterior-value problem for the fractional operator.
 
-    ``f`` is a full-grid array supported on the measurement region, or a
-    block of them of shape (N, k); the returned full-grid field equals f on
-    the exterior nodes and the power applied to it vanishes on the closed
-    interior region (solved with the interior rows of the power).  A block
-    costs one build of those rows and one Cholesky factorization, like one
-    datum.
+    ``f`` is a finite full-grid array supported on the measurement region,
+    or a block of them of shape (N, k); the returned full-grid field equals
+    f on the exterior nodes and the power applied to it vanishes on the
+    closed interior region (solved with the interior rows of the power).  A
+    block costs one build of those rows and one Cholesky factorization, like
+    one datum.  Non-finite data raise ParamError.
     """
     grid = P.grid
     f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ParamError("exterior data contains non-finite values")
     if np.any(f[~grid.w_mask]):
         raise ParamError("exterior data must be supported on the measurement region")
     act = P.active

@@ -17,6 +17,7 @@ the map exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,10 +107,12 @@ class LocalOperator:
     the same bilinear form restricted to the interior region and is the one
     used for variational flux extraction, through its rows at the boundary
     nodes (``boundary_rows``) and the boundary quadrature weights
-    (``boundary_weights``), both stored at assembly.  Immutable after
-    construction; concurrent solves against it are safe.  Interior solves
-    factor ``omega_stiffness`` on the interior nodes per call, which is once
-    per operator for ``local_dtn_matrix``.
+    (``boundary_weights``), both stored at assembly.  Every interior solve
+    on the operator (``solve_local_dirichlet``, ``local_dtn``,
+    ``local_dtn_matrix``) shares one sparse LU of ``omega_stiffness`` on the
+    interior nodes, ``interior_lu``, built on first use and kept.  Immutable
+    after construction apart from that factor; concurrent solves against it
+    are safe (concurrent first uses may each build an equal factor).
     """
 
     grid: TangentialGrid
@@ -123,8 +126,10 @@ class LocalOperator:
     def node_volume(self) -> float:
         return self.grid.node_volume
 
-    def interior_factorization(self) -> Factorized:
-        """A new factorization of the stiffness on the interior nodes."""
+    @cached_property
+    def interior_lu(self) -> Factorized:
+        """The factorization of the stiffness on the interior nodes, built on
+        first use and kept on the operator."""
         ii = self.grid.omega_interior
         return Factorized(self.omega_stiffness[ii][:, ii])
 
@@ -159,7 +164,7 @@ def solve_local_dirichlet(op: LocalOperator, g: np.ndarray) -> np.ndarray:
     ii = grid.omega_interior
     K = op.omega_stiffness
     rhs = -(K[ii][:, bnodes] @ g[bnodes])
-    u_int = op.interior_factorization().solve(rhs)
+    u_int = op.interior_lu.solve(rhs)
     out = np.zeros(grid.num_nodes)
     out[ii] = u_int
     out[bnodes] = g[bnodes]
@@ -214,7 +219,7 @@ def local_dtn_matrix(op: LocalOperator) -> LocalDtN:
     K_bb = op.boundary_rows[:, bnodes].toarray()
     K_bi = op.boundary_rows[:, ii].toarray()
     K_ib = op.omega_stiffness[ii][:, bnodes].toarray()
-    X = op.interior_factorization().solve(K_ib)
+    X = op.interior_lu.solve(K_ib)
     S = K_bb - K_bi @ X
     S = 0.5 * (S + S.T)
     w = op.boundary_weights

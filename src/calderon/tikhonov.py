@@ -48,12 +48,15 @@ level).  The penalty Gram then follows from the discrete Green identity
 
     G_E = U_F^T (S U)_F + U_I^T (S_ext U)_I
 
-(symmetrized).  Off I an exterior row of the penalty form S_ext is the row
-of S, and the fields vanish on the frame and top and equal their data on
-the trace, so of the other exterior rows only F (the rows of tw not in I)
-and the free rows carry a term.  On the free rows S U is the solve's
-residual; that dropped term is at most ``||U_i|| rho_j`` in entry (i, j),
-with rho_j within 1e-8 of column j's load by the solve's check.
+(symmetrized).  The penalty form S_ext is the weighted gradient form
+restricted to the exterior half-slab: tangential faces between two exterior
+nodes and vertical fluxes in exterior columns only.  Off I an exterior row
+of S_ext is the row of S, and the fields vanish on the frame and top and
+equal their data on the trace, so of the other exterior rows only F (the
+rows of tw not in I) and the free rows carry a term.  On the free rows S U
+is the solve's residual; that dropped term is at most ``||U_i|| rho_j`` in
+entry (i, j), with rho_j within 1e-8 of column j's load by the solve's
+check.
 
 Convention: the second data component is the raw weighted trace
 ``lim t**(1-2s) d_t u``.  Measurements given as values of the fractional
@@ -71,7 +74,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .bridge import BridgePipeline, CauchyPair, _checked_integral, _lambda_lo
 from .errors import MeshMismatch, ParamError, RankError, SolveError
-from .extension import _tensor_stiffness
 from .fractional_core import _eigh_clipped, _reconstruct
 from .local_elliptic import _assemble
 from .coefficients import identity_coefficient
@@ -116,33 +118,20 @@ def _exterior_tangential_form(pipeline: BridgePipeline) -> sp.csr_matrix:
     return _assemble(grid, pipeline.coeff, face_filter)
 
 
-def _exterior_energy_matrix(pipeline: BridgePipeline) -> sp.csr_matrix:
-    """Weighted gradient form restricted to the exterior half-slab.
-
-    Tangential faces keep only pairs of exterior nodes; vertical fluxes keep
-    only exterior columns.  This is the penalty quadratic form of J_alpha;
-    the data operator assembles only its ring rows (``_ring_energy_rows``),
-    where it differs from the full stiffness.
-    """
-    grid = pipeline.grid
-    return _tensor_stiffness(_exterior_tangential_form(pipeline),
-                             pipeline.emesh.vertical, grid.node_volume, grid.exterior)
-
-
 def _ring_nodes(pipeline: BridgePipeline) -> np.ndarray:
     """The exterior nodes with a stiffness neighbour off the exterior region:
-    on every level, the only exterior rows where the penalty form
-    ``_exterior_energy_matrix`` differs from the full stiffness."""
+    on every level, the only exterior rows where the penalty form differs
+    from the full stiffness."""
     ext = pipeline.grid.exterior
     K_tan = pipeline.solver.system.tangential
     return np.flatnonzero(ext & (abs(K_tan) @ (~ext).astype(float) > 0))
 
 
 def _ring_energy_rows(pipeline: BridgePipeline, nodes: np.ndarray) -> sp.csr_matrix:
-    """The rows of ``_exterior_energy_matrix`` at the exterior nodes
-    ``nodes`` on every level (node-major), assembled alone: the filtered
-    tangential form's rows times the level weights, plus the vertical
-    two-point operator in each of those (exterior) columns."""
+    """The rows of the penalty form at the exterior nodes ``nodes`` on every
+    level (node-major), assembled alone: the filtered tangential form's rows
+    times the level weights, plus the vertical two-point operator in each of
+    those (exterior) columns."""
     vm = pipeline.emesh.vertical
     m = pipeline.grid.node_volume
     cond = 1.0 / vm.cell_resistances()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import calderon as cd
 from calderon import fractional_core
@@ -25,6 +26,25 @@ def assert_same_sparse(A, B, rtol):
     assert np.array_equal(A.indptr, B.indptr)
     assert np.array_equal(A.indices, B.indices)
     assert np.max(np.abs(A.data - B.data)) <= rtol * np.max(np.abs(B.data))
+
+
+def kron_stiffness(K_tan, vm, m, columns=None):
+    """Reference Kronecker-sum assembly ``K_tan (x) diag(nu) + m D (x) K_vert``
+    through sp.kron and a sparse add: D is the identity, or the 0/1 diagonal
+    of the boolean mask ``columns`` (the Tikhonov penalty form keeps vertical
+    fluxes in the exterior columns only)."""
+    nu = vm.level_weights()
+    cond = 1.0 / vm.cell_resistances()
+    K_vert = sp.diags(
+        [np.append(cond, 0.0) + np.insert(cond, 0, 0.0), -cond, -cond], [0, 1, -1]
+    )
+    n = K_tan.shape[0]
+    if columns is None:
+        D = sp.identity(n, format="csr")
+    else:
+        keep = np.flatnonzero(columns)
+        D = sp.csr_matrix((np.ones(len(keep)), (keep, keep)), shape=(n, n))
+    return (sp.kron(K_tan, sp.diags(nu)) + sp.kron(D, m * K_vert)).tocsr()
 
 
 @pytest.fixture(scope="session")

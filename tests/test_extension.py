@@ -25,7 +25,7 @@ from calderon.extension import (
     solve_weighted_neumann,
 )
 
-from conftest import assert_same_sparse, make_grid, w_bump
+from conftest import assert_same_sparse, kron_stiffness, make_grid, w_bump
 
 
 @pytest.fixture(scope="module")
@@ -608,28 +608,14 @@ def test_kron_assembly_matches_triplet_assembly(dim, s):
                        coo_assemble_extension(em, coeff), 1e-14)
 
 
-def kron_stiffness(K_tan, vm, m, columns=None):
-    """Reference Kronecker-sum assembly ``K_tan (x) diag(nu) + m D (x) K_vert``
-    through sp.kron and a sparse add."""
-    nu = vm.level_weights()
-    cond = 1.0 / vm.cell_resistances()
-    K_vert = sp.diags(
-        [np.append(cond, 0.0) + np.insert(cond, 0, 0.0), -cond, -cond], [0, 1, -1]
-    )
-    n = K_tan.shape[0]
-    if columns is None:
-        D = sp.identity(n, format="csr")
-    else:
-        keep = np.flatnonzero(columns)
-        D = sp.csr_matrix((np.ones(len(keep)), (keep, keep)), shape=(n, n))
-    return (sp.kron(K_tan, sp.diags(nu)) + sp.kron(D, m * K_vert)).tocsr()
-
-
 @pytest.mark.parametrize("s", [0.1, 0.9])
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("coefficient", ["identity", "bump"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_tensor_stiffness_matches_kron_formula_bitwise(dim, coefficient, masked, s):
+    """The directly filled CSR arrays equal the kron formula's to the bit,
+    also for a masked K_tan (faces between exterior nodes only), whose empty
+    interior rows get a diagonal slot K has no entry for."""
     from calderon.extension import _tensor_stiffness
     from calderon.local_elliptic import _assemble
 
@@ -642,16 +628,12 @@ def test_tensor_stiffness_matches_kron_formula_bitwise(dim, coefficient, masked,
             identity_outside=True)
     vm = cd.build_vertical_mesh(s, 4.0, 24 if dim < 3 else 12)
     ext = grid.exterior
-    # the exterior form of the Tikhonov penalty: faces between exterior
-    # nodes only (interior rows of K empty), vertical fluxes in exterior
-    # columns only
     face_filter = (lambda k, i, j: (ext[i] & ext[j]).astype(float)) if masked else None
-    columns = ext if masked else None
     K = _assemble(grid, coeff, face_filter)
     if masked:
         assert np.any(np.diff(K.indptr) == 0)
-    S = _tensor_stiffness(K, vm, grid.node_volume, columns)
-    R = kron_stiffness(K, vm, grid.node_volume, columns)
+    S = _tensor_stiffness(K, vm, grid.node_volume)
+    R = kron_stiffness(K, vm, grid.node_volume)
     assert S.shape == R.shape
     assert np.array_equal(S.indptr, R.indptr)
     assert np.array_equal(S.indices, R.indices)

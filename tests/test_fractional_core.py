@@ -430,6 +430,25 @@ def test_block_fractional_dirichlet_matches_columns(power_half, monkeypatch):
         cd.solve_fractional_dirichlet(power_half, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("block", [False, True])
+def test_spectral_route_refuses_non_finite_data(bad, block):
+    """A NaN or inf measurement-node value raises ParamError at the entry of
+    the exterior-value solve and of the measurement map, for one datum and
+    for a block."""
+    grid = make_grid(nodes=48)
+    P = cd.spectral_power(cd.assemble_local(grid, cd.identity_coefficient(grid)), 0.5)
+    f = w_bump(grid)
+    if block:
+        f = np.column_stack([f, f])
+        f[grid.w_indices[1], 1] = bad
+    else:
+        f[grid.w_indices[1]] = bad
+    for solve in (cd.solve_fractional_dirichlet, cd.nonlocal_dtn):
+        with pytest.raises(ParamError, match="non-finite"):
+            solve(P, f)
+
+
 def test_block_solve_matches_column_solves(op64):
     """A block solve equals column solves; a zero column stays zero."""
     ii = op64.grid.omega_interior

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import calderon as cd
+from calderon import linsolve
 from calderon.errors import EllipticityError
 from calderon.local_elliptic import boundary_flux
 
@@ -215,3 +216,36 @@ def test_boundary_flux_matches_row_slice_formula(dim):
     v = np.random.default_rng(4).standard_normal(grid.num_nodes)
     old = (op.omega_stiffness[grid.boundary_indices] @ v) / grid.boundary_weights()
     assert np.array_equal(boundary_flux(op, v), old)
+
+
+def test_one_factorization_per_local_operator(monkeypatch):
+    """The boundary map matrix and the Dirichlet solves and boundary maps
+    after it share one factorization of the interior block; each result
+    equals, to the bit, the one from a fresh operator and its own factor."""
+    grid = make_grid(dim=2, nodes=16)
+    coeff = cd.diagonal_coefficient(
+        grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5, 0.5], 0.4)] * 2)
+    op = cd.assemble_local(grid, coeff)
+    g = np.random.default_rng(8).standard_normal(grid.num_nodes)
+    made = []
+    init = linsolve.Factorized.__init__
+
+    def counting(self, A):
+        made.append(A.shape)
+        init(self, A)
+
+    monkeypatch.setattr(linsolve.Factorized, "__init__", counting)
+    dtn = cd.local_dtn_matrix(op).matrix
+    u = cd.solve_local_dirichlet(op, g)
+    flux = cd.local_dtn(op, g)
+    u2 = cd.solve_local_dirichlet(op, 2.0 * g)
+    assert len(made) == 1
+
+    def fresh():
+        return cd.assemble_local(grid, coeff)
+
+    assert np.array_equal(dtn, cd.local_dtn_matrix(fresh()).matrix)
+    assert np.array_equal(u, cd.solve_local_dirichlet(fresh(), g))
+    assert np.array_equal(flux, cd.local_dtn(fresh(), g))
+    assert np.array_equal(u2, cd.solve_local_dirichlet(fresh(), 2.0 * g))
+    assert len(made) == 5

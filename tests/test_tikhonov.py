@@ -13,13 +13,13 @@ import calderon.tikhonov as tk
 from calderon.errors import MeshMismatch, ParamError, RankError, SolveError, TailError
 from calderon.local_elliptic import boundary_flux
 from calderon.tikhonov import (
-    _exterior_energy_matrix,
+    _exterior_tangential_form,
     _ring_energy_rows,
     _ring_nodes,
     build_data_operator,
 )
 
-from conftest import assert_same_sparse, make_grid, w_bump
+from conftest import assert_same_sparse, kron_stiffness, make_grid, w_bump
 
 
 @pytest.fixture(scope="module")
@@ -345,7 +345,7 @@ def test_penalty_gram_is_the_exterior_form_of_the_snapshots(dim, s, bump, data):
                                                           label="levels"))
     aop = build_data_operator(pipe)
     fields = _snapshots(pipe)
-    ref = fields.T @ (_exterior_energy_matrix(pipe) @ fields)
+    ref = fields.T @ (exterior_energy_matrix(pipe) @ fields)
     assert np.max(np.abs(aop.G_E - ref)) <= 1e-10 * np.max(np.abs(aop.G_E))
 
 
@@ -419,6 +419,15 @@ def test_reconstruction_raises_tail_error_where_operator_t_does():
         cd.reconstruct_cauchy_from_data(pipe, aop, f[grid.w_indices], lam, 1e-6)
 
 
+def exterior_energy_matrix(pipeline):
+    """Reference full penalty form: the weighted gradient form restricted to
+    the exterior half-slab, as the Kronecker sum of the exterior tangential
+    form and the vertical operator in the exterior columns."""
+    grid = pipeline.grid
+    return kron_stiffness(_exterior_tangential_form(pipeline), pipeline.emesh.vertical,
+                          grid.node_volume, grid.exterior)
+
+
 def triplet_exterior_energy_matrix(pipeline):
     """Reference triplet assembly of the exterior penalty form."""
     from calderon.local_elliptic import _assemble
@@ -452,7 +461,7 @@ def test_exterior_energy_matrix_matches_triplet_assembly(dim, s):
         grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5] * dim, 0.3)] * dim,
         identity_outside=True)
     pipe = cd.BridgePipeline(grid, coeff, s, levels=24)
-    assert_same_sparse(_exterior_energy_matrix(pipe),
+    assert_same_sparse(exterior_energy_matrix(pipe),
                        triplet_exterior_energy_matrix(pipe), 1e-14)
 
 
@@ -461,9 +470,8 @@ def test_exterior_energy_matrix_matches_triplet_assembly(dim, s):
                                           (3, 0.5, False)])
 def test_ring_rows_are_the_exterior_form(dim, s, bump):
     """The ring block the data operator assembles alone equals the ring rows
-    of the full penalty form ``_exterior_energy_matrix`` to 1e-15 of its
-    largest entry; every other exterior row of that form is the stiffness
-    row."""
+    of the full penalty form to the bit; every other exterior row of that
+    form is the stiffness row."""
     grid = make_grid(dim=dim, nodes={1: 40, 2: 14, 3: (10, 6, 6)}[dim], padding=0.3)
     coeff = (cd.diagonal_coefficient(grid, [1.0 + 0.5 * cd.mollifier_bump(
         grid.points, [0.5] * dim, 0.3)] * dim, identity_outside=True) if bump
@@ -472,11 +480,10 @@ def test_ring_rows_are_the_exterior_form(dim, s, bump):
     J1 = pipe.emesh.vertical.num_levels + 1
     nodes = _ring_nodes(pipe)
     assert 0 < len(nodes) < np.count_nonzero(grid.exterior)
-    full = _exterior_energy_matrix(pipe)
+    full = exterior_energy_matrix(pipe)
     ref = full[(nodes[:, None] * J1 + np.arange(J1)).ravel()].toarray()
     block = _ring_energy_rows(pipe, nodes).toarray()
-    assert block.shape == ref.shape
-    assert np.max(np.abs(block - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.array_equal(block, ref)
     rest = np.setdiff1d(np.flatnonzero(grid.exterior), nodes)
     rows = (rest[:, None] * J1 + np.arange(J1)).ravel()
     S = pipe.solver.system.stiffness
