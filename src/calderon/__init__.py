@@ -45,7 +45,6 @@ from .extension import (
     decay_diagnostic,
     extend_via_kernel,
     neumann_trace,
-    solve_extension,
 )
 from .bridge import (
     BridgePipeline,

@@ -87,7 +87,6 @@ class VerticalIntegralField:
     """
 
     values: np.ndarray
-    s: float
     tail_bound: float
 
 
@@ -112,7 +111,7 @@ def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
     a_min = 1.0 if field.system is None else field.system.coeff.lam_min
     return _checked_integral(cols @ vm.level_weights(),
                              cols[:, -2] / vm.cell_resistances()[-1],
-                             field.emesh, _lambda_lo(field.emesh.grid, a_min), field.s)
+                             field.emesh, _lambda_lo(field.emesh.grid, a_min))
 
 
 def _lambda_lo(grid: TangentialGrid, a_min: float) -> float:
@@ -124,8 +123,8 @@ def _lambda_lo(grid: TangentialGrid, a_min: float) -> float:
     return a_min * float(np.sum(4.0 / grid.h**2 * np.sin(np.pi / (2 * (n - 1))) ** 2))
 
 
-def _checked_integral(values: np.ndarray, q: np.ndarray, emesh, lam_lo: float,
-                      s: float) -> VerticalIntegralField:
+def _checked_integral(values: np.ndarray, q: np.ndarray, emesh,
+                      lam_lo: float) -> VerticalIntegralField:
     """The vertical integral ``values`` with its truncation check.
 
     ``q`` is the flux through the top cell per tangential node.
@@ -146,7 +145,7 @@ def _checked_integral(values: np.ndarray, q: np.ndarray, emesh, lam_lo: float,
             f"{TAIL_FRACTION:.1%} of the integral's sup norm {ref:.3g}; a larger "
             f"'height' in the config raises the cut and lowers it"
         )
-    return VerticalIntegralField(values=values, s=s, tail_bound=tail)
+    return VerticalIntegralField(values=values, tail_bound=tail)
 
 
 @dataclass
@@ -170,8 +169,8 @@ def duality_transform(u1: ExtensionField, coeff: Coefficient):
     residual in the primal-weight operator (over the rows an all-Dirichlet
     extension solve leaves free) and its trace row.
     """
-    s = 1.0 - u1.s
     vm1 = u1.emesh.vertical
+    s = 1.0 - vm1.s
     vm = VerticalMesh(s=s, height=vm1.height, grading=vm1.grading, levels=vm1.levels)
     target_mesh = build_extension_mesh(u1.emesh.grid, vm)
     cols = u1.as_columns()
@@ -181,10 +180,8 @@ def duality_transform(u1: ExtensionField, coeff: Coefficient):
     u2[:, 0] = flux[:, 0]
     u2[:, J] = flux[:, -1]
     u2[:, 1:J] = 0.5 * (flux[:, :-1] + flux[:, 1:])
-    out = ExtensionField(
-        emesh=target_mesh, values=u2.ravel(), s=s,
-        system=assemble_extension(target_mesh, coeff),
-    )
+    out = ExtensionField(emesh=target_mesh, values=u2.ravel(),
+                         system=assemble_extension(target_mesh, coeff))
     # bulk residual over the free interior rows, Jacobi-normalized so that
     # constants (zero-energy fields) still get a meaningful relative scale
     S = out.system.stiffness
@@ -201,9 +198,6 @@ class ResidualReport:
     """Weak residual of a tangential field against the nodal test basis."""
 
     normalized: float
-    per_node: np.ndarray
-    test_indices: np.ndarray
-    field_norm: float
 
 
 def verify_local_equation(
@@ -231,13 +225,10 @@ def verify_local_equation(
     vol = grid.node_volume
     r = (op.stiffness[test] @ v) - vol * np.asarray(rhs, dtype=float)[test]
     phi_h1 = np.sqrt(vol * (2.0 * np.sum(1.0 / grid.h**2) + 1.0))
-    per_node = np.abs(r) / phi_h1
     K_I = _assemble(grid, identity_coefficient(grid))
     v_norm = float(np.sqrt(v @ (K_I @ v) + vol * np.sum(v**2)))
-    normalized = float(np.max(per_node)) / max(v_norm, 1e-300)
     return ResidualReport(
-        normalized=normalized, per_node=per_node, test_indices=test, field_norm=v_norm
-    )
+        normalized=float(np.max(np.abs(r) / phi_h1)) / max(v_norm, 1e-300))
 
 
 @dataclass
@@ -409,11 +400,8 @@ class GapReport:
     """Operator-norm gaps between the measurement maps of two coefficients."""
 
     local_gap: float
-    local_scale: float
     nonlocal_gap: float
-    nonlocal_scale: float
     t_gap: float
-    t_scale: float
 
 
 def _weighted_specnorm(D: np.ndarray, w: np.ndarray) -> float:
@@ -438,43 +426,25 @@ def distinguishability_experiment(
     """
     from .fractional_core import nonlocal_dtn_matrix, spectral_power
 
-    op1 = assemble_local(grid, a1)
-    op2 = assemble_local(grid, a2)
-    d1 = local_dtn_matrix(op1)
-    d2 = local_dtn_matrix(op2)
+    p1 = BridgePipeline(grid, a1, s, levels=levels, height=height)
+    p2 = BridgePipeline(grid, a2, s, levels=levels, height=height)
+    d1, d2 = local_dtn_matrix(p1.local_op), local_dtn_matrix(p2.local_op)
     local_gap = _weighted_specnorm(d1.matrix - d2.matrix, d1.weights)
-    local_scale = _weighted_specnorm(d1.matrix, d1.weights)
 
-    n1 = nonlocal_dtn_matrix(spectral_power(op1, s))
-    n2 = nonlocal_dtn_matrix(spectral_power(op2, s))
+    n1 = nonlocal_dtn_matrix(spectral_power(p1.local_op, s))
+    n2 = nonlocal_dtn_matrix(spectral_power(p2.local_op, s))
     sym1 = 0.5 * (n1.matrix + n1.matrix.T)
     sym2 = 0.5 * (n2.matrix + n2.matrix.T)
     nonlocal_gap = float(np.max(np.abs(np.linalg.eigvalsh(sym1 - sym2))))
-    nonlocal_scale = float(np.max(np.abs(np.linalg.eigvalsh(sym1))))
 
     test_f = w_bump(grid)
-    p1 = BridgePipeline(grid, a1, s, levels=levels, height=height)
-    p2 = BridgePipeline(grid, a2, s, levels=levels, height=height)
     c1 = p1.cauchy_pair(test_f)
     c2 = p2.cauchy_pair(test_f)
-    wb = op1.boundary_weights
-
-    def pair_norm(c):
-        return float(
-            np.sqrt(
-                np.sum(wb * c.boundary_values**2) + np.sum(wb * c.boundary_flux**2)
-            )
-        )
-
-    diff = CauchyPair(
-        boundary_values=c1.boundary_values - c2.boundary_values,
-        boundary_flux=c1.boundary_flux - c2.boundary_flux,
-    )
+    wb = p1.local_op.boundary_weights
+    dv = c1.boundary_values - c2.boundary_values
+    dq = c1.boundary_flux - c2.boundary_flux
     return GapReport(
         local_gap=local_gap,
-        local_scale=local_scale,
         nonlocal_gap=nonlocal_gap,
-        nonlocal_scale=nonlocal_scale,
-        t_gap=pair_norm(diff),
-        t_scale=pair_norm(c1),
+        t_gap=float(np.sqrt(np.sum(wb * dv**2) + np.sum(wb * dq**2))),
     )

@@ -68,10 +68,6 @@ class Coefficient:
     def lam_min(self) -> float:
         return float(self.diag.min())
 
-    @property
-    def lam_max(self) -> float:
-        return float(self.diag.max())
-
     def is_identity(self) -> bool:
         return bool(np.allclose(self.diag, 1.0, rtol=0.0, atol=1e-14))
 
@@ -108,31 +104,45 @@ def w_bump(grid: TangentialGrid, center=None, width=None) -> np.ndarray:
 def diagonal_coefficient(
     grid: TangentialGrid, entries, identity_outside: bool = False
 ) -> Coefficient:
-    """Build a diagonal coefficient from per-axis callables or nodal arrays.
+    """Build a diagonal coefficient from per-axis callables or nodal arrays,
+    one per axis and one value per node each, else ParamError.
 
     When ``identity_outside`` is set the exterior nodes are overwritten with
     identity before validation, mirroring the a = Id hypothesis there.
     """
+    if len(entries) != grid.dim:
+        raise ParamError(f"diagonal coefficient needs {grid.dim} entries, "
+                         f"got {len(entries)}")
     pts = grid.points
     diag = np.empty((grid.num_nodes, grid.dim))
     for k, entry in enumerate(entries):
-        if callable(entry):
-            diag[:, k] = entry(pts)
-        else:
-            diag[:, k] = np.asarray(entry, dtype=float).ravel()
+        values = np.asarray(entry(pts) if callable(entry) else entry, dtype=float).ravel()
+        if values.shape != (grid.num_nodes,):
+            raise ParamError(f"coefficient entry {k} has {values.size} values, "
+                             f"expected one per node ({grid.num_nodes})")
+        diag[:, k] = values
     if identity_outside:
         diag[grid.exterior] = 1.0
     return Coefficient(grid=grid, diag=diag, identity_outside=identity_outside)
 
 
+def _per_axis(values, dim: int, name: str) -> np.ndarray:
+    """``values`` as a float array of one entry per axis, else ParamError."""
+    x = np.asarray(values, dtype=float)
+    if x.shape != (dim,):
+        raise ParamError(f"{name} needs {dim} entries, one per axis, got {values!r}")
+    return x
+
+
 def _eval_expression(expr: dict, pts: np.ndarray) -> np.ndarray:
+    dim = pts.shape[1]
     vals = np.full(len(pts), float(expr.get("const", 0.0)))
     for term in expr.get("poly", []):
-        powers = np.asarray(term["powers"], dtype=float)
+        powers = _per_axis(term["powers"], dim, "poly powers")
         vals += float(term["coef"]) * np.prod(pts**powers, axis=1)
     for bump in expr.get("bumps", []):
         vals += float(bump["amplitude"]) * mollifier_bump(
-            pts, bump["center"], float(bump["width"])
+            pts, _per_axis(bump["center"], dim, "bump center"), float(bump["width"])
         )
     return vals
 
@@ -149,7 +159,9 @@ def coefficient_from_spec(grid: TangentialGrid, spec) -> Coefficient:
         one nodal array per axis.
 
     Bump amplitudes are validated through the ellipticity check: any entry
-    driven to zero or below raises EllipticityError.
+    driven to zero or below raises EllipticityError; a bump center, poly
+    powers or table not of one entry per axis (a table entry: per node) raise
+    ParamError.
     """
     if spec == "identity" or spec is None:
         return identity_coefficient(grid)
@@ -159,13 +171,8 @@ def coefficient_from_spec(grid: TangentialGrid, spec) -> Coefficient:
     if spec["type"] == "identity":
         return identity_coefficient(grid)
     if spec["type"] == "diagonal":
-        entries = spec["entries"]
-        if len(entries) != grid.dim:
-            raise ParamError(
-                f"diagonal coefficient needs {grid.dim} entries, got {len(entries)}"
-            )
         return diagonal_coefficient(
-            grid, [_eval_expression(e, grid.points) for e in entries],
+            grid, [_eval_expression(e, grid.points) for e in spec["entries"]],
             identity_outside=identity_outside,
         )
     if spec["type"] == "table":

@@ -83,6 +83,39 @@ _box = {
     "maxItems": 3,
 }
 
+_number = {"type": "number"}
+_vector = {"type": "array", "items": _number}
+
+
+def _record(**keys) -> dict:
+    """An object with exactly these keys, all required."""
+    return {"type": "object", "properties": keys, "required": list(keys),
+            "additionalProperties": False}
+
+
+# The grammar coefficients.coefficient_from_spec reads: "identity", null, or
+# an object naming its type and that type's key.  Lengths that depend on the
+# grid (one entry per axis or per node) are checked there.
+_COEFFICIENT = {
+    "type": ["string", "object", "null"], "pattern": "^identity$",
+    "properties": {
+        "type": {"enum": ["identity", "diagonal", "table"]},
+        "identity_outside": {"type": "boolean"},
+        "entries": {"type": "array", "items": {  # one expression per axis
+            "type": "object", "additionalProperties": False, "properties": {
+                "const": _number,
+                "poly": {"type": "array", "items": _record(coef=_number, powers=_vector)},
+                "bumps": {"type": "array", "items": _record(
+                    amplitude=_number, center=_vector,
+                    width={"type": "number", "exclusiveMinimum": 0})}}}},
+        "values": {"type": "array", "items": _vector},  # one nodal array per axis
+    },
+    "required": ["type"], "additionalProperties": False,
+    "allOf": [{"if": {"properties": {"type": {"const": name}}, "required": ["type"]},
+               "then": {"required": [key]}}
+              for name, key in (("diagonal", "entries"), ("table", "values"))],
+}
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "calderon experiment configuration",
@@ -105,7 +138,7 @@ CONFIG_SCHEMA = {
         "height": {"type": ["number", "null"], "exclusiveMinimum": 0},
         "grading": {"type": ["number", "null"], "minimum": 1},
         "padding": {"type": "number", "minimum": 0},
-        "coefficient": {"type": ["string", "object", "null"]},
+        "coefficient": _COEFFICIENT,
         "seed": {"type": "integer", "minimum": 0},
         "output": {"type": ["string", "null"]},
         "params": {"type": "object"},
@@ -185,6 +218,8 @@ def _grid_from_config(cfg: ExperimentConfig, nodes=None, dim=None):
 
 def _finite(value) -> bool:
     """No NaN or infinity anywhere in a JSON value; the schema lets them by."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
     if isinstance(value, list):
         return all(map(_finite, value))
     return not isinstance(value, float) or math.isfinite(value)
@@ -255,6 +290,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"field 's': must lie in (0, 1), got {cfg.s}")
     if len(cfg.omega_box) != cfg.dim or len(cfg.w_box) != cfg.dim:
         raise ConfigError("field 'omega_box'/'w_box': need one (lo, hi) per axis")
+    if not _finite(cfg.coefficient):
+        raise ConfigError("field 'coefficient': numbers must be finite")
     _validate_params(cfg)
     return cfg
 

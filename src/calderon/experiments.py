@@ -133,7 +133,7 @@ def _run_duality(cfg: ExperimentConfig, rng) -> ExperimentResult:
     em_dual = build_extension_mesh(grid, vm_dual)
     y = vm_dual.levels
     cols = np.tile(y ** (2 - 2 * s) / (2 - 2 * s), (grid.num_nodes, 1))
-    u1 = ext.ExtensionField(emesh=em_dual, values=cols.ravel(), s=1 - s)
+    u1 = ext.ExtensionField(emesh=em_dual, values=cols.ravel())
     u2, rep = br.duality_transform(u1, coeff)
     power_dev = float(np.max(np.abs(u2.values - 1.0)))
     power_res = rep.bulk_residual
@@ -387,7 +387,7 @@ def _run_tikhonov(cfg: ExperimentConfig, rng) -> ExperimentResult:
     data = Aop.apply(b)
     sweep = tk.alpha_sweep(Aop, data, alphas)
     sol = tk.minimize(Aop, data, alphas[len(alphas) // 2])
-    probe = tk.optimality_probe(Aop, sol, data, num=100, rng=rng)
+    probe = tk.optimality_probe(Aop, sol, data, rng)
     M = sol.alpha * Aop.G_E + Aop.G_A
     eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
     lam_e = np.linalg.eigvalsh(Aop.G_E)

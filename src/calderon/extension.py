@@ -123,7 +123,6 @@ __all__ = [
     "WeightedTrace",
     "CalibrationConstant",
     "assemble_extension",
-    "solve_extension",
     "solve_weighted_neumann",
     "ExtensionSolver",
     "neumann_trace",
@@ -146,17 +145,14 @@ class ExtensionSystem:
     stiffness: sp.csr_matrix
     tangential: sp.csr_matrix
 
-    @property
-    def s(self) -> float:
-        return self.emesh.vertical.s
-
 
 def _tensor_stiffness(K_tan: sp.spmatrix, vm, m: float) -> sp.csr_matrix:
     """``K_tan (x) diag(nu) + m I (x) K_vert`` on the tangential-major node
     numbering: K_tan weighted per level by the level weights nu, plus the
     two-point vertical operator of conductances ``1 / cell resistance``.
     K_tan is a canonical CSR matrix (sorted, no duplicates, no stored
-    zeros), as ``_assemble`` builds.
+    zeros) whose every row holds its diagonal entry, as ``_assemble`` builds
+    it from positive face weights; a row without one is not supported.
 
     The CSR arrays are filled directly.  Row (i, j) holds, in column order:
     K_tan row i left of the diagonal times nu_j, the vertical lower entry,
@@ -172,21 +168,19 @@ def _tensor_stiffness(K_tan: sp.spmatrix, vm, m: float) -> sp.csr_matrix:
     n, J1 = K.shape[0], len(nu)
     rows = np.repeat(np.arange(n), np.diff(K.indptr))
     right = K.indices > rows
-    has_diag = np.zeros(n, dtype=bool)
-    has_diag[rows[K.indices == rows]] = True
     left = np.bincount(rows[K.indices < rows], minlength=n)
-    # slots per tangential row: K's entries, the lower, the diagonal (unless
-    # K has one) and the upper slot of the vertical operator
-    width = np.diff(K.indptr) + 2 + ~has_diag
+    # slots per tangential row: K's entries (the diagonal among them) and
+    # the lower and upper slots of the vertical operator
+    width = np.diff(K.indptr) + 2
     W = int(width.max(initial=0))
     idx_dtype = np.int32 if n * J1 * max(W, 1) < 2**31 else np.int64
     # slot column (tangential column * J1 + level offset) and K value, on a
     # (n, W) layout padded past each row's width
     slot_col = np.zeros((n, W), dtype=idx_dtype)
     slot_val = np.zeros((n, W))
-    # a row's lower and diagonal slots precede K_ii, and the upper slot
-    # (with the diagonal slot where K has none) precedes K's right entries
-    shift = (K.indices >= rows).astype(int) + right + (right & ~has_diag[rows])
+    # a row's lower slot precedes K_ii, and the upper slot precedes K's
+    # right entries
+    shift = (K.indices >= rows).astype(int) + right
     pos = np.arange(K.nnz) - K.indptr[rows] + shift
     slot_col[rows, pos] = K.indices * J1
     slot_val[rows, pos] = K.data
@@ -236,7 +230,6 @@ class ExtensionField:
 
     emesh: ExtensionMesh
     values: np.ndarray
-    s: float
     system: ExtensionSystem | None = None
 
     def as_columns(self) -> np.ndarray:
@@ -456,9 +449,7 @@ class ExtensionSolver:
         return rho
 
     def _field(self, values: np.ndarray) -> ExtensionField:
-        return ExtensionField(
-            emesh=self.emesh, values=values, s=self.system.s, system=self.system
-        )
+        return ExtensionField(emesh=self.emesh, values=values, system=self.system)
 
     def solve_chunks(self, data: np.ndarray):
         """Solve a block of data of shape (N_tan, k), one datum per column,
@@ -511,31 +502,6 @@ class ExtensionSolver:
         """
         data = np.asarray(data, dtype=float)
         return self._field(self.solve_block(data[:, None])[:, 0])
-
-
-def solve_extension(
-    emesh: ExtensionMesh,
-    coeff: Coefficient,
-    s: float,
-    f: np.ndarray,
-    dirichlet_trace: bool = False,
-) -> ExtensionField:
-    """One-shot mixed solve; see ExtensionSolver for the reusable form.
-
-    ``f`` is a full tangential array giving the Dirichlet trace data (it must
-    vanish off the exterior region in the mixed layout).  Raises MeshMismatch
-    when s differs from the order the mesh was graded for.
-    """
-    if s != emesh.vertical.s:
-        raise MeshMismatch(
-            f"mesh was built for order {emesh.vertical.s}, got s={s}"
-        )
-    f = np.asarray(f, dtype=float)
-    if not dirichlet_trace:
-        bad = np.flatnonzero(f)
-        if bad.size and not np.all(emesh.grid.exterior[bad]):
-            raise ParamError("trace data must be supported on the exterior region")
-    return ExtensionSolver(emesh, coeff, dirichlet_trace=dirichlet_trace).solve(f)
 
 
 def solve_weighted_neumann(
@@ -592,13 +558,8 @@ class CalibrationConstant:
     """Pinned trace-normalization constant with its fit diagnostics."""
 
     value: float
-    s: float
     fitted: float
     rel_gap: float
-
-    def __post_init__(self):
-        if self.value <= 0:
-            raise CalibrationError("normalization constant must be positive")
 
 
 def calibrate_cs(
@@ -608,12 +569,11 @@ def calibrate_cs(
     levels: int = 64,
     height: float | None = None,
     grading: float | None = None,
-    num_samples: int = 3,
 ) -> CalibrationConstant:
     """Fit the trace normalization against the spectral route (a = Id).
 
     Solves the exterior-value problem spectrally and through the extension
-    for a few random data on the measurement region (seed 7), then fits c in
+    for three random data on the measurement region (seed 7), then fits c in
     ``c * (-trace) ~ spectral values`` by least squares over the region.
     The analytic candidate is returned; a fitted drift beyond 20% raises
     CalibrationError.  Such a drift means a sign or convention bug, or a
@@ -636,8 +596,8 @@ def calibrate_cs(
     solver = ExtensionSolver(emesh, coeff)
     rng = np.random.default_rng(7)
     widx = grid.w_indices
-    F = np.zeros((grid.num_nodes, num_samples))
-    F[widx] = rng.standard_normal((num_samples, len(widx))).T
+    F = np.zeros((grid.num_nodes, 3))
+    F[widx] = rng.standard_normal((3, len(widx))).T
     oracle = P.apply(solve_fractional_dirichlet(P, F))[widx]
     tr = _weighted_trace(solver.system, solver.solve_block(F), widx)
     fitted = float(np.sum(-tr * oracle)) / float(np.sum(tr * tr))
@@ -648,7 +608,7 @@ def calibrate_cs(
             f"fitted constant {fitted:.4g} drifts {rel_gap:.1%} from the "
             f"analytic candidate {cs:.4g}; check sign conventions or the mesh"
         )
-    return CalibrationConstant(value=cs, s=s, fitted=fitted, rel_gap=rel_gap)
+    return CalibrationConstant(value=cs, fitted=fitted, rel_gap=rel_gap)
 
 
 def poisson_kernel_constant(dim: int, s: float) -> float:

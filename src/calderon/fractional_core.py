@@ -549,11 +549,9 @@ class NonlocalDtN:
     the discrete stand-in for the (H^s, H^{-s}) duality it acts between.
     """
 
-    grid_shape: tuple
     w_indices: np.ndarray
     matrix: np.ndarray
     weight: float
-    s: float
 
     def pairing(self, f: np.ndarray, g: np.ndarray) -> float:
         return float(self.weight * np.sum(f * g))
@@ -575,9 +573,7 @@ def nonlocal_dtn_matrix(P: SpectralPower) -> NonlocalDtN:
     M = np.zeros((len(widx), len(widx)))
     M[np.ix_(w_active, w_active)] = A[k:, k:] - A[k:, :k] @ X
     return NonlocalDtN(
-        grid_shape=grid.shape,
         w_indices=widx,
         matrix=M,
         weight=grid.node_volume,
-        s=P.s,
     )

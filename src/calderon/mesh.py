@@ -78,7 +78,6 @@ class TangentialGrid:
     omega_boundary: np.ndarray
     w_mask: np.ndarray
     omega_idx: tuple[tuple[int, int], ...]  # snapped index range of the interior box
-    w_idx: tuple[tuple[int, int], ...]
 
     @property
     def num_nodes(self) -> int:
@@ -187,8 +186,8 @@ def build_tangential_grid(spec: GeometrySpec) -> TangentialGrid:
         )
 
     omega_idx = snap_box(ob)
-    w_idx = snap_box(wb)
-    for name, idx in (("omega", omega_idx), ("w", w_idx)):
+    w_range = snap_box(wb)
+    for name, idx in (("omega", omega_idx), ("w", w_range)):
         for k, (a, b) in enumerate(idx):
             if b - a < 2:
                 raise ResolutionError(
@@ -211,7 +210,7 @@ def build_tangential_grid(spec: GeometrySpec) -> TangentialGrid:
 
     omega_cl = box_mask(omega_idx)
     omega_in = box_mask(omega_idx, interior=True)
-    w_cl = box_mask(w_idx)
+    w_cl = box_mask(w_range)
 
     dilated = ndimage.binary_dilation(omega_cl, structure=np.ones((3,) * n, bool))
     if np.any(dilated & w_cl):
@@ -241,7 +240,6 @@ def build_tangential_grid(spec: GeometrySpec) -> TangentialGrid:
         omega_boundary=(omega_cl & ~omega_in).ravel(),
         w_mask=w_cl.ravel(),
         omega_idx=omega_idx,
-        w_idx=w_idx,
     )
     # every boundary node must see an interior node in its 3^n neighbourhood
     reach = ndimage.binary_dilation(omega_in, structure=np.ones((3,) * n, bool))
@@ -305,11 +303,6 @@ class VerticalMesh:
     def num_levels(self) -> int:
         return len(self.levels) - 1
 
-    @property
-    def total_measure(self) -> float:
-        e = 2.0 - 2.0 * self.s
-        return float(self.height**e / e)
-
     def cell_resistances(self) -> np.ndarray:
         """``int_{y_j}^{y_{j+1}} t**(2s-1) dt`` per cell.
 
@@ -322,7 +315,7 @@ class VerticalMesh:
 
     def level_weights(self) -> np.ndarray:
         """Level weights ``nu_j``: half the weighted measure of each cell at
-        level j, summing to ``total_measure``.
+        level j, summing to the whole weighted measure ``height**(2-2s) / (2-2s)``.
 
         The one vertical quadrature: the extension's stiffness is
         ``K_T (x) diag(nu) + m (x) K_vert``, and the bridged integral is
@@ -371,17 +364,8 @@ class ExtensionMesh:
     def index(self, i, j):
         return np.asarray(i) * (self.vertical.num_levels + 1) + np.asarray(j)
 
-    def unindex(self, k):
-        J1 = self.vertical.num_levels + 1
-        return np.asarray(k) // J1, np.asarray(k) % J1
-
     def trace_indices(self) -> np.ndarray:
         return self.index(np.arange(self.grid.num_nodes), 0)
-
-    def node_weights(self) -> np.ndarray:
-        """Quadrature weight of each node for the measure t**(1-2s) dx dt."""
-        nu = self.vertical.level_weights()
-        return (np.full(self.grid.num_nodes, self.grid.node_volume)[:, None] * nu).ravel()
 
 
 def build_extension_mesh(grid: TangentialGrid, vertical: VerticalMesh) -> ExtensionMesh:

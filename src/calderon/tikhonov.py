@@ -6,10 +6,12 @@ Dirichlet spike there (and zero elsewhere on the exterior trace), all of them
 in one block solve.  Restricted
 to the exterior half-slab these snapshots satisfy the weighted bulk equation
 with trace supported in the closed measurement region, so their span is a
-finite-dimensional surrogate for the constraint set; by construction the
+finite-dimensional surrogate for the constraint set.  By construction the
 trace of a combination on the measurement nodes equals its coefficient
-vector.  This snapshot surrogate is the module's central design commitment:
-the continuum constraint set is infinite dimensional and admits no canonical
+vector: the snapshots' trace rows are the identity to the bit, and the data
+map, the Grams and the adjoint read them as the identity.  This snapshot
+surrogate is the module's central design commitment: the continuum
+constraint set is infinite dimensional and admits no canonical
 discretization.
 
 The data operator A sends a field to (trace, weighted Neumann trace) on the
@@ -41,10 +43,10 @@ bounded residual check, with no extension solve.
 The build keeps no snapshot block either.  ``ExtensionSolver.solve_chunks``
 yields the snapshots _CHUNK at a time, with the free-row residual norms rho
 the solve measured and checked on them, and each chunk is reduced as it
-arrives: its traces and ``S[tw] U`` at the measurement trace rows tw, its
-images, its norms, and its values and ``S_ext U`` on the ring I (the
-exterior nodes with a stiffness neighbour off the exterior, on every
-level).  The penalty Gram then follows from the discrete Green identity
+arrives: ``S[tw] U`` at the measurement trace rows tw, its images, its
+norms, and its values and ``S_ext U`` on the ring I (the exterior nodes
+with a stiffness neighbour off the exterior, on every level).  The penalty
+Gram then follows from the discrete Green identity
 
     G_E = U_F^T (S U)_F + U_I^T (S_ext U)_I
 
@@ -53,10 +55,11 @@ restricted to the exterior half-slab: tangential faces between two exterior
 nodes and vertical fluxes in exterior columns only.  Off I an exterior row
 of S_ext is the row of S, and the fields vanish on the frame and top and
 equal their data on the trace, so of the other exterior rows only F (the
-rows of tw not in I) and the free rows carry a term.  On the free rows S U
-is the solve's residual; that dropped term is at most ``||U_i|| rho_j`` in
-entry (i, j), with rho_j within 1e-8 of column j's load by the solve's
-check.
+rows of tw not in I) and the free rows carry a term.  The rows ``U_F`` are
+snapshot traces, rows of the identity, so the first term is ``(S U)_F``
+placed on the rows F of the Gram.  On the free rows S U is the solve's
+residual; that dropped term is at most ``||U_i|| rho_j`` in entry (i, j),
+with rho_j within 1e-8 of column j's load by the solve's check.
 
 Convention: the second data component is the raw weighted trace
 ``lim t**(1-2s) d_t u``.  Measurements given as values of the fractional
@@ -148,9 +151,11 @@ class DataOperator:
     """Snapshot basis reduced to its data map, its tangential images and its
     penalty Gram matrices.
 
-    ``trace_matrix[i, k]`` and ``ntrace_matrix[i, k]`` hold the trace and
-    weighted Neumann trace of basis field k at measurement node i; ``G_A``
-    and ``G_E`` are the data and penalty Grams in the coefficient basis.
+    The trace of basis field k at measurement node i is the identity
+    ``delta_ik`` (unit data on the measurement region, read back at the
+    trace), so a coefficient vector is its own trace; ``ntrace_matrix[i, k]``
+    holds the weighted Neumann trace.  ``G_A`` and ``G_E`` are the data and
+    penalty Grams in the coefficient basis.
     ``integrals`` and ``top_fluxes`` (N_tan x K) hold each field's
     level-weight vertical integral and its flux through the top cell,
     ``boundary_values`` and ``boundary_fluxes`` (|boundary| x K) that
@@ -172,8 +177,6 @@ class DataOperator:
     """
 
     pipeline: BridgePipeline
-    eps: float
-    trace_matrix: np.ndarray
     ntrace_matrix: np.ndarray
     N_plus: np.ndarray
     N_minus: np.ndarray
@@ -190,7 +193,7 @@ class DataOperator:
 
     @property
     def basis_size(self) -> int:
-        return self.trace_matrix.shape[1]
+        return self.ntrace_matrix.shape[1]
 
     def _normal_equations(self, alpha: float):
         """``(M, cho_factor(M))`` for ``M = alpha G_E + G_A``: the held pair
@@ -213,9 +216,10 @@ class DataOperator:
         return held[1], held[2]
 
     def apply(self, coeffs: np.ndarray):
-        """A applied to a coefficient vector: (trace, weighted trace) on W."""
-        c = np.asarray(coeffs, dtype=float)
-        return self.trace_matrix @ c, self.ntrace_matrix @ c
+        """A applied to a coefficient vector: (trace, weighted trace) on W;
+        the trace is a copy of the vector."""
+        c = np.array(coeffs, dtype=float)
+        return c, self.ntrace_matrix @ c
 
     def misfit(self, coeffs: np.ndarray, data) -> float:
         tr, nt = self.apply(coeffs)
@@ -231,21 +235,23 @@ class DataOperator:
         return self.misfit(coeffs, data) + alpha * self.penalty(coeffs)
 
     def adjoint_data(self, data) -> np.ndarray:
-        return self.trace_matrix.T @ (self.N_plus @ data[0]) + (
-            self.ntrace_matrix.T @ (self.N_minus @ data[1])
-        )
+        return self.N_plus @ data[0] + self.ntrace_matrix.T @ (self.N_minus @ data[1])
 
 
-def build_data_operator(
-    pipeline: BridgePipeline, eps: float | None = None, rank_tol: float = 1e-10
-) -> DataOperator:
+# singular values of the stacked data columns below this fraction of the
+# largest make build_data_operator raise RankError
+_RANK_TOL = 1e-10
+
+
+def build_data_operator(pipeline: BridgePipeline,
+                        eps: float | None = None) -> DataOperator:
     """Snapshot basis, data map and Grams for the pipeline's geometry.
 
     ``eps`` defaults to s/4.  Raises RankError when the data columns are
-    numerically rank deficient beyond ``rank_tol``.  The trace rows are the
+    numerically rank deficient beyond ``_RANK_TOL``.  The trace rows are the
     identity by construction (unit Dirichlet data on W read back at the
     trace), so the stacked columns have sigma_min >= 1 and the check fires
-    only when the weighted Neumann traces exceed 1/rank_tol in norm: it
+    only when the weighted Neumann traces exceed 1/_RANK_TOL in norm: it
     guards a broken solve, not a coarse mesh.
     """
     s = pipeline.s
@@ -276,7 +282,6 @@ def build_data_operator(
     S_ring = _ring_energy_rows(pipeline, nodes)
     nu = vm.level_weights()
     r_top = vm.cell_resistances()[-1]
-    traces = np.empty((K, K))
     S_traces = np.empty((K, K))
     ring_values = np.empty((len(ring), K))
     ring_images = np.empty((len(ring), K))
@@ -286,7 +291,6 @@ def build_data_operator(
     # each chunk of snapshots is reduced as it is solved; no field is kept
     for c0, U, rho in solver.solve_chunks(spikes):
         chunk = slice(c0, c0 + U.shape[1])
-        traces[:, chunk] = U[tw]
         S_traces[:, chunk] = S_w @ U
         ring_values[:, chunk] = U[ring]
         ring_images[:, chunk] = S_ring @ U
@@ -297,16 +301,17 @@ def build_data_operator(
         residual_norms[chunk] = rho
     ntraces = -S_traces / grid.node_volume
     # discrete Green identity (module docstring): off the ring the fields'
-    # exterior rows are the W trace rows and the free rows, whose term, the
-    # checked residual, is dropped
+    # exterior rows are the W trace rows, whose traces are the identity, and
+    # the free rows, whose term, the checked residual, is dropped
     off_ring = ~np.isin(tw, ring)
-    G_E = traces[off_ring].T @ S_traces[off_ring] + ring_values.T @ ring_images
+    G_E = ring_values.T @ ring_images
+    G_E[off_ring] += S_traces[off_ring]
     G_E = 0.5 * (G_E + G_E.T)
     N_plus, N_minus = _fractional_norm_matrices(pipeline, eps)
-    G_A = traces.T @ N_plus @ traces + ntraces.T @ N_minus @ ntraces
+    G_A = N_plus + ntraces.T @ N_minus @ ntraces
     G_A = 0.5 * (G_A + G_A.T)
-    sv = np.linalg.svd(np.vstack([traces, ntraces]), compute_uv=False)
-    if sv.min() < rank_tol * sv.max():
+    sv = np.linalg.svd(np.vstack([np.eye(K), ntraces]), compute_uv=False)
+    if sv.min() < _RANK_TOL * sv.max():
         raise RankError(
             f"data columns are rank deficient (sigma_min/sigma_max = "
             f"{sv.min() / sv.max():.2e}); refine the mesh"
@@ -316,8 +321,6 @@ def build_data_operator(
     op = pipeline.local_op
     return DataOperator(
         pipeline=pipeline,
-        eps=eps,
-        trace_matrix=traces,
         ntrace_matrix=ntraces,
         N_plus=N_plus,
         N_minus=N_minus,
@@ -426,22 +429,16 @@ def alpha_sweep(Aop: DataOperator, data, alphas) -> SweepReport:
     )
 
 
-def optimality_probe(
-    Aop: DataOperator,
-    sol: TikhonovSolution,
-    data,
-    num: int = 100,
-    scale: float = 1.0,
-    rng=None,
-) -> float:
-    """Smallest value of J(minimizer + delta) - J(minimizer) over random
-    perturbations; strict convexity makes it nonnegative up to rounding."""
-    rng = np.random.default_rng(0) if rng is None else rng
+def optimality_probe(Aop: DataOperator, sol: TikhonovSolution, data, rng) -> float:
+    """Smallest value of J(minimizer + delta) - J(minimizer) over 100 random
+    perturbations ``delta = |minimizer| z`` (1 in place of a zero norm), z
+    standard normal from ``rng``; strict convexity makes it nonnegative up
+    to rounding."""
     J0 = Aop.functional(sol.coeffs, data, sol.alpha)
     worst = np.inf
     base = np.linalg.norm(sol.coeffs) or 1.0
-    for _ in range(num):
-        delta = rng.standard_normal(len(sol.coeffs)) * scale * base
+    for _ in range(100):
+        delta = rng.standard_normal(len(sol.coeffs)) * base
         worst = min(worst, Aop.functional(sol.coeffs + delta, data, sol.alpha) - J0)
     return float(worst)
 
@@ -493,7 +490,6 @@ def reconstruct_cauchy_from_data(
     if scale > 0 and not bound <= 1e-8 * scale:
         raise SolveError(f"reconstruction residual bound {bound / scale:.2e} "
                          "exceeds tolerance")
-    _checked_integral(Aop.integrals @ c, Aop.top_fluxes @ c, pipeline.emesh,
-                      Aop.lam_lo, pipeline.s)
+    _checked_integral(Aop.integrals @ c, Aop.top_fluxes @ c, pipeline.emesh, Aop.lam_lo)
     return CauchyPair(boundary_values=Aop.boundary_values @ c,
                       boundary_flux=Aop.boundary_fluxes @ c), sol

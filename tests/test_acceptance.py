@@ -83,7 +83,7 @@ def test_criterion_3_duality():
     em = cd.build_extension_mesh(grid, vm)
     y = vm.levels
     cols = np.tile(y ** (2 - 2 * s) / (2 - 2 * s), (grid.num_nodes, 1))
-    u1 = ExtensionField(emesh=em, values=cols.ravel(), s=1 - s,
+    u1 = ExtensionField(emesh=em, values=cols.ravel(),
                         system=assemble_extension(em, a))
     u2, rep = cd.duality_transform(u1, a)
     power_ok = (np.max(np.abs(u2.values - 1.0)) <= 1e-10
@@ -146,7 +146,7 @@ def test_criterion_5_vertical_quadrature():
         vm = cd.build_vertical_mesh(s, 12.0, 64, grading=2.0)
         em = cd.build_extension_mesh(grid, vm)
         cols = phi[:, None] * np.exp(-vm.levels)[None, :]
-        fld = ExtensionField(emesh=em, values=cols.ravel(), s=s, system=None)
+        fld = ExtensionField(emesh=em, values=cols.ravel(), system=None)
         vi = cd.vertical_integral(fld)
         exact = math.gamma(2 - 2 * s) * phi
         nz = phi > 1e-6
@@ -155,8 +155,7 @@ def test_criterion_5_vertical_quadrature():
         ok = ok and rel <= 0.005
     vm = cd.build_vertical_mesh(0.75, 8.0, 32)
     em = cd.build_extension_mesh(grid, vm)
-    const = ExtensionField(emesh=em, values=np.ones(em.num_nodes), s=0.75,
-                           system=None)
+    const = ExtensionField(emesh=em, values=np.ones(em.num_nodes), system=None)
     try:
         cd.vertical_integral(const)
         tail_ok = False
@@ -203,7 +202,7 @@ def test_criterion_7_tikhonov(tikhonov_setup):
     for alpha in alphas[::3]:
         sol = cd.minimize(aop, data, alpha)
         probes_ok = probes_ok and cd.optimality_probe(
-            aop, sol, data, num=100, rng=rng) >= -1e-10
+            aop, sol, data, rng) >= -1e-10
     M = 1e-4 * aop.G_E + aop.G_A
     spd_ok = np.linalg.eigvalsh(0.5 * (M + M.T)).min() >= \
         1e-4 * np.linalg.eigvalsh(aop.G_E).min() * (1 - 1e-8)

@@ -22,7 +22,7 @@ def test_vertical_integral_gamma_oracle(grid64, ident64, s):
     em = cd.build_extension_mesh(grid64, vm)
     phi = cd.mollifier_bump(grid64.points, [0.5], 0.3)
     cols = phi[:, None] * np.exp(-vm.levels)[None, :]
-    fld = ExtensionField(emesh=em, values=cols.ravel(), s=s, system=None)
+    fld = ExtensionField(emesh=em, values=cols.ravel(), system=None)
     vi = cd.vertical_integral(fld)
     exact = math.gamma(2 - 2 * s) * phi
     nz = phi > 1e-6
@@ -33,8 +33,7 @@ def test_vertical_integral_gamma_oracle(grid64, ident64, s):
 def test_vertical_integral_constant_field_tail_error(grid64):
     vm = cd.build_vertical_mesh(0.75, 8.0, 32)
     em = cd.build_extension_mesh(grid64, vm)
-    fld = ExtensionField(emesh=em, values=np.ones(em.num_nodes), s=0.75,
-                         system=None)
+    fld = ExtensionField(emesh=em, values=np.ones(em.num_nodes), system=None)
     with pytest.raises(TailError):
         cd.vertical_integral(fld)
 
@@ -42,8 +41,7 @@ def test_vertical_integral_constant_field_tail_error(grid64):
 def test_vertical_integral_zero_field(grid64):
     vm = cd.build_vertical_mesh(0.5, 4.0, 16)
     em = cd.build_extension_mesh(grid64, vm)
-    fld = ExtensionField(emesh=em, values=np.zeros(em.num_nodes), s=0.5,
-                         system=None)
+    fld = ExtensionField(emesh=em, values=np.zeros(em.num_nodes), system=None)
     vi = cd.vertical_integral(fld)
     assert np.all(vi.values == 0.0) and vi.tail_bound == 0.0
 
@@ -94,7 +92,7 @@ def test_duality_power_solution_exact(grid64, ident64):
     em = cd.build_extension_mesh(grid64, vm)
     y = vm.levels
     cols = np.tile(y ** (2 - 2 * s) / (2 - 2 * s), (grid64.num_nodes, 1))
-    u1 = ExtensionField(emesh=em, values=cols.ravel(), s=1 - s,
+    u1 = ExtensionField(emesh=em, values=cols.ravel(),
                         system=assemble_extension(em, ident64))
     u2, rep = cd.duality_transform(u1, ident64)
     assert np.max(np.abs(u2.values - 1.0)) <= 1e-10
@@ -231,12 +229,26 @@ def test_distinguishability_gaps(grid64):
     assert diff.local_gap > 0 and diff.nonlocal_gap > 0 and diff.t_gap > 0
 
 
+def test_distinguishability_assembles_each_local_operator_once(grid64, monkeypatch):
+    """The maps are read off the two pipelines' local operators: one
+    assemble_local per coefficient."""
+    from calderon import bridge
+
+    calls = []
+    assemble = bridge.assemble_local
+    monkeypatch.setattr(bridge, "assemble_local",
+                        lambda *args: calls.append(args) or assemble(*args))
+    a = cd.identity_coefficient(grid64)
+    cd.distinguishability_experiment(grid64, a, a, 0.5, levels=32)
+    assert len(calls) == 2
+
+
 def clipped_midpoint_integral(field, start):
     """Reference integral from ``start``: clipped weighted cell measures times
     the linear interpolant at the clipped midpoint, one product per cell end."""
     vm = field.emesh.vertical
     y = vm.levels
-    e = 2.0 - 2.0 * field.s
+    e = 2.0 - 2.0 * field.emesh.vertical.s
     lo = np.maximum(y[:-1], start)
     hi = y[1:]
     live = hi > lo
@@ -259,7 +271,7 @@ def test_vertical_integral_matches_reference_formulas(dim, s):
     old = clipped_midpoint_integral(fld, 0.0)
     new = cd.vertical_integral(fld).values
     assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old))
-    flat = ExtensionField(emesh=fld.emesh, values=np.ones_like(fld.values), s=s)
+    flat = ExtensionField(emesh=fld.emesh, values=np.ones_like(fld.values))
     with pytest.raises(TailError):
         cd.vertical_integral(flat)
 

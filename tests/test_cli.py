@@ -242,3 +242,41 @@ def test_validated_defaults_are_the_dataclass_defaults():
     ref = ExperimentConfig(experiment="duality")
     for f in dataclasses.fields(ExperimentConfig):
         assert getattr(cfg, f.name) == getattr(ref, f.name), f.name
+
+
+def _bump(**keys):
+    return {"amplitude": 0.2, "center": [0.5], "width": 0.3, **keys}
+
+
+def _diagonal(*entries):
+    return {"type": "diagonal", "entries": list(entries)}
+
+
+@pytest.mark.parametrize("dim, coefficient, field, schema", [
+    (1, {"type": "diagonal"}, "coefficient", True),
+    (1, _diagonal({"const": 1.0, "bumps": [
+        {"amplitude": 0.2, "width": 0.3}]}), "coefficient.entries.0.bumps.0", True),
+    (1, _diagonal({"const": "x"}), "coefficient.entries.0.const", True),
+    (1, _diagonal({"const": 1.0, "bumps": [_bump(width=0.0)]}),
+     "coefficient.entries.0.bumps.0.width", True),
+    (1, _diagonal({"const": 1.0, "bumps": [_bump(center=[float("nan")])]}),
+     "coefficient", True),
+    (1, {"type": "table", "values": [[1.0, 1.0, 1.0]]}, "one per node", False),
+    (2, _diagonal(*[{"const": 1.0, "bumps": [_bump()]}] * 2), "bump center", False),
+], ids=["diagonal-without-entries", "bump-without-center", "const-not-a-number",
+        "zero-width", "nan-center", "short-table", "one-coordinate-center-in-2d"])
+def test_malformed_coefficient_specs_exit_two(tmp_path, capsys, dim, coefficient,
+                                             field, schema):
+    """A malformed coefficient spec ends with exit code 2 and a message
+    naming what is wrong, never a traceback or a run.  Grammar errors are
+    the schema's, refused by field before the output directory exists;
+    lengths that depend on the grid are refused by coefficient_from_spec."""
+    p = write_config(tmp_path, experiment="bridge-residual", dim=dim,
+                     nodes=32 if dim == 1 else 16, levels=24, coefficient=coefficient)
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    if schema:
+        assert f"config error: field '{field}'" in err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert err.startswith("error: ") and field in err

@@ -11,7 +11,6 @@ from calderon import extension, fractional_core
 from calderon.errors import (
     CalibrationError,
     FitError,
-    MeshMismatch,
     ParamError,
 )
 from calderon.extension import (
@@ -38,7 +37,7 @@ def synthetic_field(emesh, coeff, profile):
     """Field constant in the tangential directions with a given y-profile."""
     cols = np.tile(profile(emesh.vertical.levels), (emesh.grid.num_nodes, 1))
     return ExtensionField(
-        emesh=emesh, values=cols.ravel(), s=emesh.vertical.s,
+        emesh=emesh, values=cols.ravel(),
         system=assemble_extension(emesh, coeff),
     )
 
@@ -53,22 +52,6 @@ def test_power_profile_is_stencil_exact(grid64, ident64):
         r = (S @ fld.values).reshape(grid64.num_nodes, vm.num_levels + 1)[:, 1:-1]
         scale = np.abs(S.diagonal()).max() * np.abs(fld.values).max()
         assert np.max(np.abs(r)) < 1e-12 * scale
-
-
-def test_mesh_mismatch():
-    grid = make_grid(nodes=24)
-    a = cd.identity_coefficient(grid)
-    vm = cd.build_vertical_mesh(0.5, 4.0, 16)
-    em = cd.build_extension_mesh(grid, vm)
-    with pytest.raises(MeshMismatch):
-        cd.solve_extension(em, a, 0.25, np.zeros(grid.num_nodes))
-
-
-def test_trace_data_support_check(grid64, ident64, emesh64):
-    f = np.zeros(grid64.num_nodes)
-    f[np.flatnonzero(grid64.omega_interior)[0]] = 1.0
-    with pytest.raises(ParamError):
-        cd.solve_extension(emesh64, ident64, 0.5, f)
 
 
 @pytest.mark.parametrize("value", ["mixed", 2, 1, 0])
@@ -90,7 +73,7 @@ def test_neumann_trace_power_profile(grid64, ident64):
 
 def test_mixed_solve_neumann_rows_satisfied(grid64, ident64, emesh64):
     """The weighted trace of the mixed solve vanishes on the interior region."""
-    fld = cd.solve_extension(emesh64, ident64, 0.5, w_bump(grid64))
+    fld = ExtensionSolver(emesh64, ident64).solve(w_bump(grid64))
     tr = cd.neumann_trace(fld)
     closure = grid64.omega_closure
     assert np.max(np.abs(tr.values[closure])) < 1e-9 * np.abs(tr.values).max()
@@ -98,7 +81,7 @@ def test_mixed_solve_neumann_rows_satisfied(grid64, ident64, emesh64):
 
 def test_maximum_principle_surrogate(grid64, ident64, emesh64):
     f = w_bump(grid64)
-    fld = cd.solve_extension(emesh64, ident64, 0.5, f, dirichlet_trace=True)
+    fld = ExtensionSolver(emesh64, ident64, dirichlet_trace=True).solve(f)
     assert fld.values.min() > -1e-10
 
 
@@ -107,7 +90,7 @@ def test_trace_matches_spectral_oracle(grid64, ident64, op64, power_half, emesh6
     f = w_bump(grid64)
     u = cd.solve_fractional_dirichlet(power_half, f)
     oracle = power_half.apply(u)
-    fld = cd.solve_extension(emesh64, ident64, 0.5, f)
+    fld = ExtensionSolver(emesh64, ident64).solve(f)
     tr = cd.neumann_trace(fld)
     cs = cd.analytic_cs(0.5)
     widx = grid64.w_indices
@@ -125,7 +108,7 @@ def test_weighted_energy_stable_under_refinement(ident64):
         a = cd.identity_coefficient(grid)
         vm = cd.build_vertical_mesh(0.5, 6.0, levels)
         em = cd.build_extension_mesh(grid, vm)
-        fld = cd.solve_extension(em, a, 0.5, w_bump(grid))
+        fld = ExtensionSolver(em, a).solve(w_bump(grid))
         energies.append(float(fld.values @ (fld.system.stiffness @ fld.values)))
     rel = abs(energies[2] - energies[1]) / energies[2]
     rel_prev = abs(energies[1] - energies[0]) / energies[2]
@@ -278,7 +261,7 @@ def test_kernel_agrees_with_extension_solve():
     u0 = cd.mollifier_bump(grid.points, [1.05], 0.35)
     vm = cd.build_vertical_mesh(0.5, 12.0, 96)
     em = cd.build_extension_mesh(grid, vm)
-    fld = cd.solve_extension(em, a, 0.5, u0, dirichlet_trace=True)
+    fld = ExtensionSolver(em, a, dirichlet_trace=True).solve(u0)
     inner = np.abs(grid.points[:, 0] - 1.05) < 0.8
     cols = fld.as_columns()
     for j in np.flatnonzero((vm.levels > 0.2) & (vm.levels < 0.8))[::3]:
@@ -609,13 +592,10 @@ def test_kron_assembly_matches_triplet_assembly(dim, s):
 
 
 @pytest.mark.parametrize("s", [0.1, 0.9])
-@pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("coefficient", ["identity", "bump"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_tensor_stiffness_matches_kron_formula_bitwise(dim, coefficient, masked, s):
-    """The directly filled CSR arrays equal the kron formula's to the bit,
-    also for a masked K_tan (faces between exterior nodes only), whose empty
-    interior rows get a diagonal slot K has no entry for."""
+def test_tensor_stiffness_matches_kron_formula_bitwise(dim, coefficient, s):
+    """The directly filled CSR arrays equal the kron formula's to the bit."""
     from calderon.extension import _tensor_stiffness
     from calderon.local_elliptic import _assemble
 
@@ -627,11 +607,7 @@ def test_tensor_stiffness_matches_kron_formula_bitwise(dim, coefficient, masked,
             grid, [1.0 + 0.5 * cd.mollifier_bump(grid.points, [0.5] * dim, 0.4)] * dim,
             identity_outside=True)
     vm = cd.build_vertical_mesh(s, 4.0, 24 if dim < 3 else 12)
-    ext = grid.exterior
-    face_filter = (lambda k, i, j: (ext[i] & ext[j]).astype(float)) if masked else None
-    K = _assemble(grid, coeff, face_filter)
-    if masked:
-        assert np.any(np.diff(K.indptr) == 0)
+    K = _assemble(grid, coeff)
     S = _tensor_stiffness(K, vm, grid.node_volume)
     R = kron_stiffness(K, vm, grid.node_volume)
     assert S.shape == R.shape
@@ -655,7 +631,7 @@ def test_calibration_makes_one_fractional_and_one_block_solve(monkeypatch):
         "fractional", fractional_core.solve_fractional_dirichlet))
     monkeypatch.setattr(ExtensionSolver, "solve_block", counting(
         "extension", ExtensionSolver.solve_block))
-    cal = cd.calibrate_cs(1, 0.5, nodes=48, levels=32, num_samples=5)
+    cal = cd.calibrate_cs(1, 0.5, nodes=48, levels=32)
     assert sorted(calls) == ["extension", "fractional"]
     assert cal.rel_gap <= 0.05
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import calderon as cd
 from calderon import linsolve
-from calderon.errors import EllipticityError
+from calderon.errors import EllipticityError, ParamError
 from calderon.local_elliptic import boundary_flux
 
 from conftest import make_grid
@@ -249,3 +249,19 @@ def test_one_factorization_per_local_operator(monkeypatch):
     assert np.array_equal(flux, cd.local_dtn(fresh(), g))
     assert np.array_equal(u2, cd.solve_local_dirichlet(fresh(), 2.0 * g))
     assert len(made) == 5
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"type": "table", "values": [np.ones(10)]}, "one per node"),
+    ({"type": "table", "values": []}, "needs 1 entries"),
+    ({"type": "diagonal", "entries": [{"poly": [{"coef": 1.0, "powers": [1, 2]}]}]},
+     "poly powers"),
+    ({"type": "diagonal", "entries": [{"bumps": [
+        {"amplitude": 0.2, "center": [0.5, 0.5], "width": 0.3}]}]}, "bump center"),
+], ids=["short-table", "no-table", "poly-powers", "bump-center"])
+def test_spec_lengths_must_match_the_grid(spec, message):
+    """A table needs one value per node and one array per axis, a bump
+    center and poly powers one entry per axis; nothing is broadcast."""
+    grid = make_grid(nodes=32)
+    with pytest.raises(ParamError, match=message):
+        cd.coefficient_from_spec(grid, spec)

@@ -118,17 +118,18 @@ def test_vertical_measures_sum_to_closed_form(s, height, levels, grading):
     vm = cd.build_vertical_mesh(s, height, levels, grading)
     assert np.all(np.diff(vm.levels) > 0)
     assert np.all(vm.cell_measures > 0)
-    total = vm.cell_measures.sum()
-    assert abs(total - vm.total_measure) <= 1e-12 * vm.total_measure
+    exact = height ** (2 - 2 * s) / (2 - 2 * s)
+    assert abs(vm.cell_measures.sum() - exact) <= 1e-12 * exact
 
 
 def test_extension_mesh_indexing_bijection():
     grid = make_grid(nodes=20)
     vm = cd.build_vertical_mesh(0.5, 4.0, 8)
     em = cd.build_extension_mesh(grid, vm)
-    k = np.arange(em.num_nodes)
-    i, j = em.unindex(k)
-    assert np.array_equal(em.index(i, j), k)
+    # node i at level j is i * (J + 1) + j: tangential-major onto range(num_nodes)
+    i, j = np.meshgrid(np.arange(grid.num_nodes), np.arange(vm.num_levels + 1),
+                       indexing="ij")
+    assert np.array_equal(em.index(i, j).ravel(), np.arange(em.num_nodes))
     assert em.num_nodes == grid.num_nodes * (vm.num_levels + 1)
 
 
@@ -136,14 +137,3 @@ def test_default_grading_clamped():
     assert cd.default_grading(0.05) == 6.0
     assert cd.default_grading(0.5) == 3.0
     assert 1.0 <= cd.default_grading(0.95) <= 6.0
-
-
-def test_node_weights_positive_and_consistent():
-    grid = make_grid(nodes=20)
-    vm = cd.build_vertical_mesh(0.3, 2.0, 8)
-    em = cd.build_extension_mesh(grid, vm)
-    w = em.node_weights()
-    assert np.all(w > 0)
-    assert w.sum() == pytest.approx(
-        grid.num_nodes * grid.node_volume * vm.total_measure, rel=1e-12
-    )

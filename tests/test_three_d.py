@@ -58,7 +58,7 @@ def test_extension_stencil_power_profile_exact():
     vm = cd.build_vertical_mesh(s, 4.0, 8)
     em = cd.build_extension_mesh(grid, vm)
     cols = np.tile(vm.levels ** (2 * s) / (2 * s), (grid.num_nodes, 1))
-    fld = ExtensionField(emesh=em, values=cols.ravel(), s=s,
+    fld = ExtensionField(emesh=em, values=cols.ravel(),
                          system=assemble_extension(em, a))
     r = (fld.system.stiffness @ fld.values).reshape(grid.num_nodes, -1)[:, 1:-1]
     scale = np.abs(fld.system.stiffness.diagonal()).max() * np.abs(fld.values).max()
@@ -171,7 +171,7 @@ def test_duality_power_solution_exact(s):
     a = cd.identity_coefficient(grid)
     cols = np.tile(em.vertical.levels ** (2 - 2 * s) / (2 - 2 * s),
                    (grid.num_nodes, 1))
-    u1 = ExtensionField(emesh=em, values=cols.ravel(), s=1 - s,
+    u1 = ExtensionField(emesh=em, values=cols.ravel(),
                         system=assemble_extension(em, a))
     u2, rep = cd.duality_transform(u1, a)
     assert np.max(np.abs(u2.values - 1.0)) <= 1e-12
