@@ -245,8 +245,12 @@ class BridgePipeline:
     Holds the assembled local operator, the factorized mixed extension
     solver and the vertical mesh; every per-datum operation (extension,
     vertical integral, Cauchy pair) reuses them, and ``extensions`` solves a
-    block of data at once.  All methods are pure in the data argument, so
-    concurrent use on a built pipeline is safe.
+    block of data at once.  The bridge solution and the Cauchy pair (so
+    operator T and the density diagnostic) form no field: their solves are
+    contracted to the two level functionals the vertical integral and its
+    truncation check read, the weighted level sum and the top free level.
+    All methods are pure in the data argument, so concurrent use on a built
+    pipeline is safe.
     """
 
     def __init__(
@@ -268,6 +272,13 @@ class BridgePipeline:
         self.local_op = assemble_local(grid, coeff)
         self.solver = ExtensionSolver(self.emesh, coeff)
         self.cs = analytic_cs(s)
+        # the two level functionals the bridge reads: the weighted sum and
+        # the top free level (the truncation check's flux)
+        J = vm.num_levels
+        self._pair_levels = np.zeros((J + 1, 2))
+        self._pair_levels[:, 0] = vm.level_weights()
+        self._pair_levels[J - 1, 1] = 1.0
+        self._lam_lo = _lambda_lo(grid, coeff.lam_min)
 
     def _exterior(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
@@ -284,17 +295,25 @@ class BridgePipeline:
         U = self.solver.solve_block(self._exterior(F))
         return [self.solver._field(u) for u in np.ascontiguousarray(U.T)]
 
+    def _integrals(self, F: np.ndarray) -> np.ndarray:
+        """The vertical integrals of the extensions of the columns of F,
+        shape (N_tan, k), each through the truncation check, from field-free
+        solves contracted to the weighted level sum and the top free level:
+        the values ``vertical_integral`` reads off the fields, to rounding."""
+        F = self._exterior(F)
+        out = np.empty(F.shape)
+        r_top = self.emesh.vertical.cell_resistances()[-1]
+        for c0, (C, _), _ in self.solver.solve_chunks(F, self._pair_levels):
+            for j in range(C.shape[2]):
+                out[:, c0 + j] = _checked_integral(C[:, 0, j], C[:, 1, j] / r_top,
+                                                   self.emesh, self._lam_lo).values
+        return out
+
     def bridge_solution(self, f: np.ndarray) -> np.ndarray:
-        return vertical_integral(self.extension(f)).values
+        return self._integrals(np.asarray(f, dtype=float)[:, None])[:, 0]
 
     def cauchy_pair(self, f: np.ndarray) -> CauchyPair:
-        return self._field_pair(self.extension(f))
-
-    def _field_pair(self, fld: ExtensionField) -> CauchyPair:
-        """Cauchy pair of an extension field: its vertical integral v (with
-        the truncation check), restricted to the boundary, and v's conormal
-        flux."""
-        v = vertical_integral(fld).values
+        v = self.bridge_solution(f)
         return CauchyPair(boundary_values=v[self.grid.boundary_indices],
                           boundary_flux=boundary_flux(self.local_op, v))
 
@@ -360,10 +379,7 @@ def density_diagnostic(
     """
     basis = list(basis)
     targets = list(targets)
-    B = np.column_stack([
-        pipeline._field_pair(fld).boundary_values
-        for fld in pipeline.extensions(np.column_stack(basis))
-    ])
+    B = pipeline._integrals(np.column_stack(basis))[pipeline.grid.boundary_indices]
     G = h_half_gram(pipeline.grid)
     L = np.linalg.cholesky(G)
     Bw = L.T @ B

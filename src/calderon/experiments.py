@@ -662,18 +662,21 @@ class RunSummary:
 def run_config(cfg: ExperimentConfig, outdir, seed: int | None = None) -> RunSummary:
     """Run the configured experiment and emit CSV/plot/summary files.
 
-    The summary is written last; table and curve files are written through
+    ``outdir`` is created after the experiment returns.  The summary is
+    written last; table and curve files are written through
     a rename so partial files never appear.
     """
     import json
 
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if seed is not None:
         cfg = ExperimentConfig(**{**cfg.__dict__, "seed": int(seed)})
     t0 = time.perf_counter()
     result = run_experiment(cfg)
     wall = time.perf_counter() - t0
+    # made only once the experiment has returned, so a run refused at run
+    # time (a CalderonError, exit 2) leaves no directory behind
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     for tname, (header, rows) in result.tables.items():
         write_csv(outdir / f"{result.name}_{tname}.csv", header, rows)
     for cname, (x, y) in result.curves.items():

@@ -73,13 +73,37 @@ form in the profiles on a held basis, a sum over the pencil otherwise) and
 There is one solve path, the chunk iterator ``solve_chunks``: a block of
 data, one datum per column, goes through the tensor solve _CHUNK columns at
 a time, one tensor-block solve per chunk, into work arrays allocated once
-per call, which bounds the dense temporaries whatever the block's width.  It
-yields each chunk's assembled field with the norms of ``(S u - load)[free]``
-measured on that very array, and every column is checked first: that norm
-over ``||(load - S u_fixed)[free]||`` (u_fixed the constrained values) must
-stay below 1e-8, else SolveError.  ``solve_block`` collects the chunks into
-one array and ``solve`` is its one-column case; a consumer that reduces each
-chunk as it arrives keeps no block.
+per call, which bounds the dense temporaries whatever the block's width.
+A call may name a level map R (levels x r) and a set of tangential rows: it
+then yields, per chunk, the level functionals ``R^T u`` at every tangential
+node and every level of u at those rows, the field being the case R = I
+over all rows.  Without R it yields each chunk's assembled field with the
+norms of ``(S u - load)[free]`` measured on that very array.  Every column
+is checked first: that norm over ``||(load - S u_fixed)[free]||`` (u_fixed
+the constrained values) must stay below 1e-8, else SolveError.
+``solve_block`` collects the field chunks into one array and ``solve`` is
+its one-column case; a consumer that reduces each chunk as it arrives keeps
+no block.
+
+Field-free solves.  On a held basis a contracted call forms no field: the
+profiles are contracted with R per mode before the backward mode product,
+which then runs over r rows instead of every level, and the rows are formed
+from basis rows.  The assembled product ``S u`` is not available there, so
+the check reads an upper bound on the same norm, per column, from parts
+measured once per solver, on its first contracted solve (``_bound``): the
+per-mode profile residuals
+(with the vertical operator and level weights checked bitwise against the
+assembled stiffness), the basis defect ``||K_T V - m V Lam||_F`` and the
+lift defect ``||m K_L psi - g e_0||``, plus a stated floating-point term
+for forming and applying the field and the exact assembled residual of the
+free trace rows (``_residual_bound``).  The bound is pessimistic, mostly
+through the floating-point term's worst-case constants: over 32 data on
+the benchmark's 2D bump geometry (n = 24, J = 40, eigh route) it read 4.9e3
+to 2.4e4 times the assembled residual and at most 3.9e-12 of the load; on
+2D a = Id at n = 64, J = 48 (sine route, 16 unit data) up to 2.2e5 times
+and 7.1e-12 of the load, three decades under the tolerance.  On the "lu"
+route a contracted call forms the field, checks it as above and then
+contracts it.
 
 Sign conventions.  The weak form gives, for the trace row of a solution,
 ``(S u)[i, 0] = -m_i * lim t**(1-2s) d_t u``;  the fractional operator of
@@ -89,6 +113,7 @@ the trace data is ``-c_s`` times that limit with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -259,6 +284,13 @@ def _fixed_layout(emesh: ExtensionMesh, trace: str):
     return fixed
 
 
+def _max_abs_line_sum(K: sp.spmatrix) -> float:
+    """The largest absolute row sum of a CSR matrix (column sum of a CSC
+    one) with an entry on every line; ``||K||_2`` for a symmetric K is at
+    most this."""
+    return float(np.max(np.add.reduceat(np.abs(K.data), K.indptr[:-1])))
+
+
 def _column_norms(a: np.ndarray) -> np.ndarray:
     # einsum skips the squared temporary np.linalg.norm(a, axis=0) makes
     return np.sqrt(np.einsum("ij,ij->j", a, a))
@@ -355,6 +387,11 @@ class ExtensionSolver:
                                    nu[lo:J], v, self._B, self._g)
         if self._B.size:
             self._Z = self._trace_schur(K_T, nu[0])
+        # position of each tangential node among T, -1 off the active set
+        self._tpos = np.full(grid.num_nodes, -1)
+        self._tpos[self._T] = np.arange(len(self._T))
+        # what the residual bound of a field-free solve reads (``_bound``)
+        self._bound_inputs = (K_T, diag[lo:J], -cond[lo:J - 1], nu[lo:J], v)
 
     def _load_columns(self, cols: np.ndarray) -> sp.csr_matrix:
         """The free rows of the stiffness columns of the data nodes
@@ -371,6 +408,166 @@ class ExtensionSolver:
         return sp.csr_matrix((np.concatenate([top.data, np.full(len(up), -self._g)]),
                               np.concatenate([top.indices, up]), indptr),
                              shape=(len(counts), len(cols)))
+
+    def _check_vertical(self, diag, off, nu) -> None:
+        """SolveError unless the assembled stiffness of the first active
+        tangential column equals, to the bit, the entries formed from the
+        free levels' vertical operator (diagonal ``diag``, off-diagonal
+        ``off``) and level weights ``nu``: ``K_tt nu_l + m diag_l`` on the
+        diagonal, ``m off_l`` above it and ``K_ts nu_l`` towards a
+        tangential neighbour s.  The residual bound reads these arrays."""
+        K = self.system.tangential
+        J1 = self.emesh.vertical.num_levels + 1
+        m = self.emesh.grid.node_volume
+        t = self._T[0]
+        lv = np.arange(self._L.start, self._L.stop)
+        nbr = K.indices[K.indptr[t]:K.indptr[t + 1]]
+        s_ = nbr[nbr != t][0]
+        S = self.system.stiffness
+        rows = t * J1 + lv
+
+        def entries(cols):
+            return np.asarray(S[rows[:len(cols)], cols]).ravel()
+
+        ok = (np.array_equal(entries(rows), K[t, t] * nu + m * diag)
+              and np.array_equal(entries(rows[1:]), m * off)
+              and np.array_equal(entries(s_ * J1 + lv), K[t, s_] * nu))
+        if not ok:
+            raise SolveError("the vertical operator of the residual bound disagrees "
+                             "with the assembled stiffness")
+
+    @functools.cached_property
+    def _bound(self) -> dict:
+        """What the per-column residual bound of a field-free solve reads
+        (``_residual_bound``), measured once, on the first contracted solve
+        on a held basis, so that a solver used only for fields never pays
+        for it (about 2 ms at 484 active nodes, mostly the basis defect).
+        The free levels' vertical operator and level weights are checked
+        against the assembled stiffness first."""
+        K_T, diag, off, nu, v = self._bound_inputs
+        self._check_vertical(diag, off, nu)
+        m, g, psi = self.emesh.grid.node_volume, self._g, self._psi
+        S = self.system.stiffness
+        v_norm, defect, inner = self._block.basis_defect(self.emesh.grid, K_T, m)
+        # |S| on the free rows, per level: M = ||K_T||_inf N + m |K_L|, whose
+        # row sums weigh each level's column of M (Cauchy-Schwarz)
+        k_norm = _max_abs_line_sum(K_T)
+        M = np.diag(k_norm * nu + m * diag) + m * np.abs(np.diag(off, 1) + np.diag(off, -1))
+        w2 = M.T @ M.sum(axis=1)
+        w2[0] += g * g  # the free trace rows read the first free level
+        lift = m * (diag * psi)
+        lift[:-1] += m * off * psi[1:]
+        lift[1:] += m * off * psi[:-1]
+        lift[0] -= g
+        J1 = self.emesh.vertical.num_levels + 1
+        trB = self.emesh.trace_indices()[self._T[self._B]]
+        Sb = S[trB]
+        up = Sb.indices % J1 != 0  # each free trace row's one level-1 entry
+        return {
+            "forms": self._block.residual_forms(m, diag, off, nu, v, np.sqrt(w2)),
+            "v_norm": v_norm,
+            "defect": defect,
+            # no lift on a free trace
+            "lift": float(np.linalg.norm(lift)) if self._trace != "free" else 0.0,
+            # rounding: mode products (inner sums, and the basis's
+            # orthogonality stated at the same count), the stiffness's row
+            # sums and the profile combination, in units of eps
+            "gamma": (inner + int(np.diff(S.indptr).max()) + 4) * np.finfo(float).eps,
+            "m_psi": float(np.linalg.norm(M @ psi)),
+            "k_norm": k_norm,
+            "v": float(np.linalg.norm(v)),
+            "s0": nu[0] * _max_abs_line_sum(self.system.tangential) + 2 * g
+                  if self._trace != "free" else 0.0,
+            # the free trace rows of the stiffness: level 0, then level 1
+            "SB0": sp.csr_matrix((Sb.data[~up], Sb.indices[~up] // J1,
+                                  Sb.indptr - np.arange(len(trB) + 1)),
+                                 shape=(len(trB), self.emesh.grid.num_nodes)),
+            "SB1": Sb.data[up],
+        }
+
+    def _residual_bound(self, modes, a, xB, lift, u0, u1B) -> np.ndarray:
+        """Per column, an upper bound on ``||(S u - load)[free]||`` of the
+        field a held basis would form, from the mode coefficients (a_i,
+        b_i) and the parts measured once (``_bound``):
+
+        ``||V||_F sqrt(sum_i q_rho) + ||E_V||_F sqrt(sum_i q_N) + ||dpsi||
+        ||lift||`` on the T x L rows (the profile residuals, the basis defect
+        ``E_V = K_T V - m V Lam`` and the lift defect ``dpsi = m K_L psi - g
+        e_0``, the q the forms of ``residual_forms``), plus the stated
+        floating-point term ``gamma (||V||_F sqrt(sum_i q_w) + ||M psi||
+        ||lift|| + s0 ||u_0|| + 2 ||V||_F**2 (||a|| ||v|| + g ||xB||) +
+        ||K_T||_inf ||lift|| ||v||)``, ``gamma = (inner + w + 4) eps``: the
+        field formed by mode products (``inner`` summed inner dimensions)
+        and the profile combination, then applied by rows of w entries (M =
+        ``||K_T||_inf N + m |K_L|`` the level operator of |S|, s0 that of
+        the trace rows), the forward mode products, where the basis's
+        orthogonality is taken as stated to ``inner eps``, not measured, and
+        the tangential map ``a = K_T lift``.  The free trace rows' residual
+        is assembled exactly, from level 0 and the first free level at B."""
+        bp = self._bound
+        ah = modes[0]
+        nT = ah.shape[1]
+        X = np.zeros((ah.shape[0], 4 * nT))
+        X[:, :nT] = ah * ah
+        if len(modes) > 1:
+            bh = modes[1]
+            X[:, nT:2 * nT] = 2.0 * ah * bh
+            X[:, 2 * nT:3 * nT] = np.abs(X[:, nT:2 * nT])
+            X[:, 3 * nT:] = bh * bh
+        rho, E, W = np.sqrt(np.maximum(X @ bp["forms"], 0.0)).T
+        lift_n = _column_norms(lift)
+        b_n = self._g * _column_norms(xB) if xB is not None else 0.0
+        main = bp["v_norm"] * rho + bp["defect"] * E + bp["lift"] * lift_n
+        fp = bp["gamma"] * (bp["v_norm"] * W + bp["m_psi"] * lift_n
+                            + bp["s0"] * _column_norms(u0)
+                            + 2.0 * bp["v_norm"] ** 2 * (_column_norms(a) * bp["v"] + b_n)
+                            + bp["k_norm"] * lift_n * bp["v"])
+        if u1B is None:
+            return main + fp
+        rB = _column_norms(bp["SB0"] @ u0 + bp["SB1"][:, None] * u1B)
+        return np.sqrt((main + fp) ** 2 + rB**2)
+
+    def _contract_chunk(self, D, R, plan, rows, C, P, work) -> np.ndarray:
+        """Write ``R^T u`` per tangential node into C (N_tan, r, k) and every
+        level of u at the tangential nodes ``rows`` into P (len(rows),
+        levels, k), u the fields of the data chunk D, without forming u:
+        the profiles are contracted with the free levels of R before the
+        backward mode product.  ``plan`` holds the columns ``keep`` of R
+        that are not zero on the free levels, R's free levels restricted to
+        them, and their contraction of the lift profile psi.  Returns the
+        per-column residual bound."""
+        T, L, B = self._T, self._L, self._B
+        keep, RL, RLpsi = plan
+        nT, k = len(T), D.shape[1]
+        xB = self._Z @ D[self._data_nodes] if B.size else None
+        a = self._rhs_tan @ D[self._rhs_nodes]
+        modes = self._block.modes(a, xB)
+        lift = np.zeros((nT, k))
+        lift[self._lift_at] = D[self._lifted]
+        # the trace level: the data on the constrained trace nodes and the
+        # free trace values at B; on a free trace, level 0 is a free level
+        u0 = np.zeros(D.shape)
+        if self._trace != "free":
+            u0[self._data_nodes] = D[self._data_nodes]
+            if B.size:
+                u0[T[B]] = xB
+        out = work[:RL.shape[1] * nT * k].reshape(RL.shape[1], nT, k)
+        self._block.levels(modes, out, RL)
+        out += np.multiply.outer(RLpsi, lift)
+        C[:] = 0.0
+        C[np.ix_(T, keep)] = out.transpose(1, 0, 2)
+        if L.start:
+            C += R[0][:, None] * u0[:, None, :]
+        if len(rows):
+            P[:] = 0.0
+            P[:, 0] = u0[rows]
+            pos = self._tpos[rows]
+            on = pos >= 0
+            X = self._block.rows(modes, pos[on])
+            X += self._psi[:, None, None] * lift[pos[on]]
+            P[on, L] = X.transpose(1, 0, 2)
+        return self._residual_bound(modes, a, xB, lift, u0,
+                                    self._block.trace_level(modes) if B.size else None)
 
     def _trace_schur(self, K_T: sp.csc_matrix, nu0: float) -> np.ndarray:
         """The trace map Z, (|B|, |data nodes|): ``Z @ data[_data_nodes]``
@@ -427,19 +624,24 @@ class ExtensionSolver:
 
     def _residual_norms(self, u: np.ndarray, D: np.ndarray) -> np.ndarray:
         """``||(S u - load)[free]||`` per column of the assembled fields u of
-        the data chunk D; SolveError unless each is within 1e-8 of
-        ``||(load - S u_fixed)[free]||`` (the load is zero unless the trace is
-        free, u_fixed the constrained values).  Columns where that is zero
-        are exempt."""
+        the data chunk D, checked (``_checked``)."""
         r = self.system.stiffness @ u
         if self._trace == "free":
-            load = -self.emesh.grid.node_volume * D[self._free_trace]
-            r[self.emesh.trace_indices()[self._free_trace]] -= load
-            scale = _column_norms(load)
+            r[self.emesh.trace_indices()[self._free_trace]] += (
+                self.emesh.grid.node_volume * D[self._free_trace])
+        r[self._fixed_rows] = 0.0
+        return self._checked(_column_norms(r), D)
+
+    def _checked(self, rho: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """rho, the free-row residual norms (or their bounds) of the data
+        chunk D; SolveError unless each is within 1e-8 of ``||(load - S
+        u_fixed)[free]||`` (the load is zero unless the trace is free,
+        u_fixed the constrained values).  Columns where that is zero are
+        exempt."""
+        if self._trace == "free":
+            scale = _column_norms(self.emesh.grid.node_volume * D[self._free_trace])
         else:
             scale = _column_norms(self._data_load @ D[self._data_nodes])
-        r[self._fixed_rows] = 0.0
-        rho = _column_norms(r)
         bad = (scale > 0) & ~(rho <= 1e-8 * scale)
         if np.any(bad):
             raise SolveError(
@@ -451,31 +653,67 @@ class ExtensionSolver:
     def _field(self, values: np.ndarray) -> ExtensionField:
         return ExtensionField(emesh=self.emesh, values=values, system=self.system)
 
-    def solve_chunks(self, data: np.ndarray):
+    def solve_chunks(self, data: np.ndarray, level_map=None, rows=None):
         """Solve a block of data of shape (N_tan, k), one datum per column,
         _CHUNK columns at a time (one tensor-block solve per chunk).
 
-        Yields ``(c0, u, rho)`` per chunk: the assembled fields u of columns
-        c0 to c0 + u.shape[1], shape (num_nodes, width), row-major, and their
-        free-row residual norms ``||(S u - load)[free]||``, measured on that
-        very array and checked (SolveError) before it is yielded.  u is a work
-        array the next chunk overwrites; copy what must outlive it.  Data
-        that are not finite raise ParamError.
+        Yields ``(c0, out, rho)`` per chunk, for columns c0 to c0 + width.
+        With no ``level_map``, out is the assembled fields u, shape
+        (num_nodes, width), row-major, and rho their free-row residual
+        norms ``||(S u - load)[free]||`` measured on that very array.  With
+        a level map R, shape (levels, r) over all J + 1 levels, out is the
+        pair ``(C, P)``: ``C[n, q] = sum_l R[l, q] u(n, l)``, shape (N_tan,
+        r, width), and every level of u at the tangential nodes ``rows``
+        (default none), shape (len(rows), levels, width).  On a held basis
+        no field is formed and rho bounds the free-row residual norms from
+        above (``_residual_bound``); on the "lu" route the field is formed,
+        measured and then contracted.  rho is checked (SolveError) before a
+        chunk is yielded.  out is work storage the next chunk overwrites;
+        copy what must outlive it.  Data that are not finite raise
+        ParamError.
         """
         data = np.asarray(data, dtype=float)
         if not np.isfinite(data).all():
             raise ParamError("trace data must be finite")
+        N, J1 = self.emesh.grid.num_nodes, self.emesh.vertical.num_levels + 1
         n, nL, nT = self.emesh.num_nodes, len(self._psi), len(self._T)
         # work arrays for the widest chunk, allocated once; a narrower last
         # chunk takes their leading part, still contiguous
         width = min(data.shape[1], _CHUNK)
-        fields, levels = np.empty(n * width), np.empty(nL * nT * width)
+        held = level_map is not None and self._block.route != "lu"
+        if level_map is not None:
+            R = np.asarray(level_map, dtype=float)
+            if R.ndim != 2 or R.shape[0] != J1:
+                raise ParamError(f"level map must have shape ({J1}, r), got {R.shape}")
+            rows = np.asarray([] if rows is None else rows, dtype=int)
+            C, P = np.empty(N * R.shape[1] * width), np.empty(len(rows) * J1 * width)
+        if held:
+            keep = np.flatnonzero(np.any(R[self._L] != 0, axis=0))
+            RL = np.ascontiguousarray(R[self._L][:, keep])
+            plan = keep, RL, RL.T @ self._psi
+            work = np.empty(len(keep) * nT * width)
+        else:
+            fields, levels = np.empty(n * width), np.empty(nL * nT * width)
         for c0 in range(0, data.shape[1], _CHUNK):
             D = data[:, c0:c0 + _CHUNK]
             k = D.shape[1]
+            if level_map is not None:
+                Ck = C[:N * R.shape[1] * k].reshape(N, -1, k)
+                Pk = P[:len(rows) * J1 * k].reshape(len(rows), J1, k)
+            if held:
+                rho = self._contract_chunk(D, R, plan, rows, Ck, Pk, work)
+                yield c0, (Ck, Pk), self._checked(rho, D)
+                continue
             u = fields[:n * k].reshape(n, k)
             self._solve_chunk(D, u, levels[:nL * nT * k].reshape(nL, nT, k))
-            yield c0, u, self._residual_norms(u, D)
+            rho = self._residual_norms(u, D)
+            if level_map is None:
+                yield c0, u, rho
+                continue
+            u3 = u.reshape(N, J1, k)
+            np.matmul(R.T, u3, out=Ck)
+            Pk[:] = u3[rows]
+            yield c0, (Ck, Pk), rho
 
     def solve_block(self, data: np.ndarray) -> np.ndarray:
         """Solve for a block of data of shape (N_tan, k), one datum per column.

@@ -57,9 +57,11 @@ nodes B.  The route is the basis's:
   all modes once, by one ``dpttrf`` of the stacked blocks, and keeps only
   the two profile arrays (levels x modes).  A solve is a forward mode
   product of the tangential data, a multiply by the profiles and a backward
-  mode product over the levels; the trace sums are closed forms in the
-  profiles' first rows and the basis rows at B.  No vertical eigenproblem
-  is solved.
+  mode product over the levels; a caller that reads only r level
+  functionals ``R^T X`` contracts the profiles with R first, so the
+  backward product runs over r rows (``_ModalBlock.levels``).  The trace
+  sums are closed forms in the profiles' first rows and the basis rows at
+  B.  No vertical eigenproblem is solved.
 * no held basis ("lu", past ``_MODAL_NODE_CAP``): the vertical pencil ``K_L phi = mu N phi``
   (``_vertical_pencil``, LAPACK ``dpteqr``) turns the block into one
   shifted tangential solve ``(K_T + m mu_k) y_k = r_k`` per level, between
@@ -173,6 +175,14 @@ def _check_dense_cap(grid) -> np.ndarray:
     return active
 
 
+def _sine_eigenvalues(n: int, h: float) -> np.ndarray:
+    """The eigenvalues ``(4/h**2) sin**2(pi j / (2(n-1)))``, j = 1..n-2, of
+    the one-dimensional second difference ``tridiag(-1, 2, -1) / h**2`` on
+    the n - 2 interior nodes of an axis of n nodes."""
+    j = np.arange(1, n - 1)
+    return 4.0 / h**2 * np.sin(np.pi * j / (2 * (n - 1))) ** 2
+
+
 def _sine_basis(grid):
     """The closed-form a = Id basis: one DST-I factor per axis and the
     eigenvalues in the C order of the mode indices (ascending along each
@@ -185,8 +195,53 @@ def _sine_basis(grid):
         # of sin lies in [0, 2 pi) and keeps its rounding at that size
         phase = np.outer(j, j) % (2 * (n - 1))
         factors.append(np.sqrt(2.0 / (n - 1)) * np.sin(np.pi * phase / (n - 1)))
-        lam = np.add.outer(lam, 4.0 / h**2 * np.sin(np.pi * j / (2 * (n - 1))) ** 2)
+        lam = np.add.outer(lam, _sine_eigenvalues(n, h))
     return "sine", tuple(factors), lam.ravel()
+
+
+def _basis_defect(grid, basis, K, m: float) -> tuple[float, float]:
+    """``(||V||_F, ||K V - m V diag(lam)||_F)`` for a held basis ``(route,
+    factors, lam)`` of the active-node stiffness K, without an N x N array.
+
+    The eigh route forms ``K V`` (one sparse-dense product).  The sine route
+    bounds the defect by its parts: the assembled K against m times the
+    Kronecker sum ``Ks`` of the per-axis second differences D_k (O(nnz)),
+    each factor's own defect ``D_k F_k - F_k diag(lam_k)``, and the held
+    eigenvalues against the Kronecker sum of the ``lam_k``:
+
+    ``||K V - m V L||_F <= ||K - m Ks||_F ||V||_F + m sum_k ||E_k||_F
+    prod_(j != k) ||F_j||_F + m max|lam - sum_k lam_k| ||V||_F``.
+    """
+    route, factors, lam = basis
+    if route != "sine":
+        V = factors[0]
+        K = sp.csr_matrix(K)
+        # row blocks bound the temporaries at 256 rows of V
+        sq = 0.0
+        for r0 in range(0, V.shape[0], 256):
+            E = K[r0:r0 + 256] @ V
+            E -= V[r0:r0 + 256] * (m * lam)
+            sq += float(np.einsum("ij,ij->", E, E))
+        return float(np.linalg.norm(V)), float(np.sqrt(sq))
+    norms = [float(np.linalg.norm(F)) for F in factors]
+    v_norm = float(np.prod(norms))
+    Ks = sp.csr_matrix(K.shape)
+    axis_lam = np.zeros(())
+    defect = 0.0
+    for k, (n, h, F) in enumerate(zip(grid.shape, grid.h, factors)):
+        lam_k = _sine_eigenvalues(n, h)
+        D = sp.diags([-np.ones(n - 3), 2.0 * np.ones(n - 2), -np.ones(n - 3)],
+                     [-1, 0, 1]) / h**2
+        before = int(np.prod([F.shape[0] for F in factors[:k]]))
+        after = int(np.prod([F.shape[0] for F in factors[k + 1:]]))
+        Ks = Ks + sp.kron(sp.kron(sp.identity(before), D), sp.identity(after))
+        E = D @ F - F * lam_k
+        defect += m * float(np.linalg.norm(E)) * v_norm / norms[k]
+        axis_lam = np.add.outer(axis_lam, lam_k)
+    diff = (sp.csr_matrix(K) - m * Ks).data
+    defect += float(np.linalg.norm(diff)) * v_norm
+    defect += m * float(np.max(np.abs(lam - axis_lam.ravel()))) * v_norm
+    return v_norm, defect
 
 
 def _dense_basis(grid, K):
@@ -254,8 +309,9 @@ def _mode_product(factors, X: np.ndarray, to_modes: bool) -> np.ndarray:
     X = X.reshape((int(np.prod(shape[:-1])),) + modes)
     for F in factors:
         # contracting axis 1 moves the result axis to the end, so after
-        # every factor the axes are back in order
-        X = np.tensordot(X, F, axes=([1], [0 if to_modes else 1]))
+        # every factor the axes are back in order; F.T is passed as the
+        # transposed view, which BLAS reads in place (no copy of F)
+        X = np.tensordot(X, F if to_modes else F.T, axes=([1], [0]))
     return X.reshape(shape)
 
 
@@ -355,7 +411,16 @@ class _ModalBlock:
     The two level vectors of every right-hand side, v and e_0, are solved
     against all of them once, by one LAPACK ``dpttrf``/``dpttrs`` on the
     blocks stacked into one tridiagonal; only their profiles are kept,
-    ``P[0]`` for v and ``P[1]`` for e_0 (levels x modes each)."""
+    ``P[0]`` for v and ``P[1]`` for e_0 (levels x modes each).
+
+    A solve is split in two so that a caller reading only a few level
+    functionals of the solution never forms it: ``modes`` is the forward
+    mode product of the data (the mode coefficients a_i and b_i of the two
+    right-hand-side parts), and ``levels`` contracts the profiles with a
+    level map R (levels x r) per mode, ``R^T P[0]`` and ``R^T P[1]``, before
+    the backward mode product, which then runs over r rows instead of every
+    level; R = None takes every level.  ``rows`` forms every level at a few
+    tangential positions only, from basis rows."""
 
     def __init__(self, basis, m, diag, off, nu, v, B, g):
         self.route, self._factors, self._lam = basis
@@ -378,23 +443,100 @@ class _ModalBlock:
         # levels x modes, contiguous along the modes as the solves read them
         self._P = np.ascontiguousarray(P.transpose(0, 2, 1))
         self._B, self._g = B, g
+        self._contracted = None
+        # a single dense factor keeps its rows at B for the first free level
+        # there; a Kronecker basis makes one backward product instead
+        self._VB = self._factors[0][B] if len(self._factors) == 1 else None
+
+    def modes(self, a: np.ndarray, xB) -> np.ndarray:
+        """The mode coefficients ``V^T a`` and, with free trace nodes,
+        ``V^T (g E_B xB)``, shape (1 or 2, k, modes)."""
+        if not self._B.size:
+            return _mode_product(self._factors, a.T[None], to_modes=True)
+        if self._VB is not None:
+            return np.stack([a.T @ self._factors[0], (self._g * xB.T) @ self._VB])
+        R = np.zeros((2, a.shape[1], len(self._lam)))
+        R[0] = a.T
+        R[1][:, self._B] = self._g * xB.T
+        return _mode_product(self._factors, R, to_modes=True)
+
+    def levels(self, modes: np.ndarray, out: np.ndarray, R=None) -> None:
+        """Write ``sum_l R[l, q] X_l`` (X the block's solution, X_l its
+        level l over T) into ``out[q]``, shape (r, T, k); R = None writes
+        every level."""
+        r, nT, k = out.shape
+        P = self._P[:len(modes)]
+        if R is not None:
+            # a caller repeats its level map: the last contraction is held
+            # (one tuple, replaced whole, so concurrent solves stay safe)
+            held = self._contracted
+            if held is None or not np.array_equal(held[0], R):
+                held = self._contracted = (R.copy(), np.einsum("lq,slt->sqt", R, self._P))
+            P = held[1][:len(modes)]
+        # (rows, columns, modes): each mode's profiles times its data
+        Y = out.reshape(r, k, nT)
+        np.einsum("sqt,sct->qct", P, modes, out=Y)
+        out[:] = _mode_product(self._factors, Y, to_modes=False).transpose(0, 2, 1)
+
+    def trace_level(self, modes: np.ndarray) -> np.ndarray:
+        """The solution's first level at the free trace nodes B, shape
+        (|B|, k)."""
+        y = np.einsum("st,sct->ct", self._P[:len(modes), 0], modes)
+        if self._VB is not None:
+            return self._VB @ y.T
+        return _mode_product(self._factors, y, to_modes=False)[:, self._B].T
+
+    def rows(self, modes: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Every level of the solution at the positions ``pos`` among T,
+        shape (levels, len(pos), k): the profiles times the data, then the
+        basis rows at pos."""
+        Y = np.einsum("slt,sct->lct", self._P[:len(modes)], modes)
+        return np.matmul(Y, _factor_rows(self._factors, pos).T).transpose(0, 2, 1)
 
     def solve(self, a: np.ndarray, xB, out: np.ndarray) -> None:
-        nL, nT, k = out.shape
-        R = np.zeros((2 if self._B.size else 1, k, nT))
-        R[0] = a.T
-        if self._B.size:
-            R[1][:, self._B] = self._g * xB.T
-        modes = _mode_product(self._factors, R, to_modes=True)
-        # (levels, columns, modes): each mode's profiles times its data
-        Y = out.reshape(nL, k, nT)
-        np.einsum("rlt,rct->lct", self._P[:len(R)], modes, out=Y)
-        out[:] = _mode_product(self._factors, Y, to_modes=False).transpose(0, 2, 1)
+        self.levels(self.modes(a, xB), out)
+
+    def basis_defect(self, grid, K_T, m: float) -> tuple[float, float, int]:
+        """``(||V||_F, ||K_T V - m V diag(lam)||_F, inner)`` of the held
+        basis (``_basis_defect``), with ``inner`` the summed inner
+        dimensions of one mode product (the rounding count of its sums)."""
+        basis = (self.route, self._factors, self._lam)
+        return (*_basis_defect(grid, basis, K_T, m),
+                sum(F.shape[0] for F in self._factors))
 
     def trace_sums(self):
         V_B = _factor_rows(self._factors, self._B)
         G = (V_B * self._P[1, 0]) @ V_B.T
         return G, _mode_product(self._factors, V_B * self._P[0, 0], to_modes=False).T
+
+    def residual_forms(self, m, diag, off, nu, v, w) -> np.ndarray:
+        """The per-mode quadratic forms of the residual bound as one matrix
+        Q, shape (4 modes, 3), from the held profiles and the vertical
+        operator given here (the caller's, checked against the assembled
+        stiffness, not the one the profiles were solved with).  For mode
+        coefficients a and b, ``[a**2, 2 a b, 2 |a b|, b**2] @ Q`` (the
+        blocks concatenated over the modes) sums over the modes i:
+
+        * column 0: ``||a_i rho0_i + b_i rho1_i||**2``, rho the profile
+          residuals ``m (K_L + lam_i N) P[0]_i - v`` and ``... P[1]_i -
+          e_0``;
+        * column 1: ``||N (a_i P[0]_i + b_i P[1]_i)||**2``;
+        * column 2: ``||w (|a_i| |P[0]_i| + |b_i| |P[1]_i|)||**2``, the
+          level weights w of the floating-point term.
+        """
+        P = self._P
+        rho = m * (diag[:, None] + np.multiply.outer(nu, self._lam)) * P
+        rho[:, :-1] += m * off[:, None] * P[:, 1:]
+        rho[:, 1:] += m * off[:, None] * P[:, :-1]
+        rho[0] -= v[:, None]
+        rho[1, 0] -= 1.0
+        nT = len(self._lam)
+        Q = np.zeros((4, nT, 3))
+        for f, pair in enumerate((rho, nu[:, None] * P, w[:, None] * np.abs(P))):
+            gram = np.einsum("alt,blt->abt", pair, pair)
+            Q[0, :, f], Q[3, :, f] = gram[0, 0], gram[1, 1]
+            Q[1 if f < 2 else 2, :, f] = gram[0, 1]
+        return Q.reshape(4 * nT, 3)
 
 
 class _PencilBlock:
@@ -475,6 +617,11 @@ def tensor_block(grid, coeff, K_T: sp.csc_matrix, m: float, diag: np.ndarray,
     ``trace_sums()`` returns the first-level entries of the block's inverse
     the trace closure needs: ``G = [block^-1]_{0B, 0B}`` and, on every
     tangential node, ``H = [block^-1 (v (x) E_B)]_0`` of shape (T, |B|).
+    A held-basis block also solves without forming the solution: ``modes``,
+    then ``levels`` with a level map R (the functionals ``R^T X``),
+    ``rows`` (every level at a few positions of T) and ``trace_level`` (the
+    first level at B); ``basis_defect`` and ``residual_forms`` give the
+    parts of the contracted solve's residual bound.
     """
     basis = _eigenbasis(grid, coeff, K_T)
     if basis is None:

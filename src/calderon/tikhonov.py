@@ -34,19 +34,24 @@ and a reconstruction reads only that combination's vertical integral, its
 flux through the top cell, its residual and its Cauchy pair.  So the build
 reduces each snapshot to its tangential images (integral and top flux,
 N_tan values each), its boundary images (the integral's boundary values and
-conormal flux, one value per boundary node each) and its free-row residual
-norm, and keeps no field: a reconstruction is a Cholesky solve of size K
-and four products with K columns (the two tangential images for the
-bridge's truncation check, the two boundary images for the pair) beside a
-bounded residual check, with no extension solve.
+conormal flux, one value per boundary node each) and a bound on its
+free-row residual norm, and keeps no field: a reconstruction is a
+Cholesky solve of size K and four products with K columns (the two
+tangential images for the bridge's truncation check, the two boundary
+images for the pair) beside a bounded residual check, with no extension
+solve.
 
-The build keeps no snapshot block either.  ``ExtensionSolver.solve_chunks``
-yields the snapshots _CHUNK at a time, with the free-row residual norms rho
-the solve measured and checked on them, and each chunk is reduced as it
-arrives: ``S[tw] U`` at the measurement trace rows tw, its images, its
-norms, and its values and ``S_ext U`` on the ring I (the exterior nodes
-with a stiffness neighbour off the exterior, on every level).  The penalty
-Gram then follows from the discrete Green identity
+The build forms no snapshot field either.  ``ExtensionSolver.solve_chunks``
+solves the snapshots _CHUNK at a time, contracted to the level functionals
+the build reads (the weighted level sum, the top free level, levels 1 and
+0 at every tangential node) and to every level at the tangential nodes the
+ring rows reach, with a per-column bound rho on the free-row residual norm
+checked on each chunk (measured, on the "lu" route).  Each chunk is
+reduced as it arrives: ``S[tw] U`` at the measurement trace rows tw (which
+read levels 0 and 1), its images, and its values and ``S_ext U`` on the
+ring I (the exterior nodes with a stiffness neighbour off the exterior, on
+every level).  The penalty Gram then follows from the discrete Green
+identity
 
     G_E = U_F^T (S U)_F + U_I^T (S_ext U)_I
 
@@ -59,7 +64,8 @@ rows of tw not in I) and the free rows carry a term.  The rows ``U_F`` are
 snapshot traces, rows of the identity, so the first term is ``(S U)_F``
 placed on the rows F of the Gram.  On the free rows S U is the solve's
 residual; that dropped term is at most ``||U_i|| rho_j`` in entry (i, j),
-with rho_j within 1e-8 of column j's load by the solve's check.
+with rho_j, which bounds the residual norm from above, within 1e-8 of
+column j's load by the solve's check.
 
 Convention: the second data component is the raw weighted trace
 ``lim t**(1-2s) d_t u``.  Measurements given as values of the fractional
@@ -162,8 +168,9 @@ class DataOperator:
     integral's values and conormal flux at the interior region's boundary
     nodes (``integrals[boundary]`` and ``boundary_flux`` of each column),
     ``lam_lo`` the truncation check's eigenvalue bound ``_lambda_lo`` of the
-    coefficient, ``residual_norms`` (K) each field's free-row residual norm
-    ``||(S u_k)[free]||`` as the solve measured it, and ``loads`` the
+    coefficient, ``residual_norms`` (K) an upper bound on each field's
+    free-row residual norm ``||(S u_k)[free]||``, the field-free solve's
+    bound (the measured norm on the "lu" route), and ``loads`` the
     free-row loads of the unit data, restricted to the rows they touch.
     G_E is the discrete Green identity's form of ``U^T S_ext U`` (see the
     module docstring): it drops the free-row term, at most
@@ -270,17 +277,30 @@ def build_data_operator(pipeline: BridgePipeline,
     solver = pipeline.solver
     vm = emesh.vertical
     widx = grid.w_indices
-    tw = emesh.trace_indices()[widx]
+    tr = emesh.trace_indices()
+    tw = tr[widx]
     K = len(widx)
     N = grid.num_nodes
-    J1 = vm.num_levels + 1
+    J = vm.num_levels
+    J1 = J + 1
     spikes = np.zeros((N, K))
     spikes[widx, np.arange(K)] = 1.0
+    # the trace rows at W reach levels 0 and 1 only
     S_w = solver.system.stiffness[tw]
+    S_w0, S_w1 = S_w[:, tr], S_w[:, tr + 1]
     nodes = _ring_nodes(pipeline)
     ring = (nodes[:, None] * J1 + np.arange(J1)).ravel()
+    # the ring rows' columns: every level of the tangential nodes they reach,
+    # in the node-major order of the solve's row profiles
     S_ring = _ring_energy_rows(pipeline, nodes)
-    nu = vm.level_weights()
+    reach = np.unique(S_ring.indices // J1)
+    S_ring = S_ring[:, (reach[:, None] * J1 + np.arange(J1)).ravel()]
+    # level functionals: the weighted sum, the top free level, levels 1 and 0
+    R = np.zeros((J1, 4))
+    R[:, 0] = vm.level_weights()
+    R[J - 1, 1] = 1.0
+    R[1, 2] = 1.0
+    R[0, 3] = 1.0
     r_top = vm.cell_resistances()[-1]
     S_traces = np.empty((K, K))
     ring_values = np.empty((len(ring), K))
@@ -288,16 +308,15 @@ def build_data_operator(pipeline: BridgePipeline,
     integrals = np.empty((N, K))
     top_fluxes = np.empty((N, K))
     residual_norms = np.empty(K)
-    # each chunk of snapshots is reduced as it is solved; no field is kept
-    for c0, U, rho in solver.solve_chunks(spikes):
-        chunk = slice(c0, c0 + U.shape[1])
-        S_traces[:, chunk] = S_w @ U
-        ring_values[:, chunk] = U[ring]
-        ring_images[:, chunk] = S_ring @ U
-        # (N_tan, J + 1, k), a view: one node's levels per row
-        cols = U.reshape(N, J1, -1)
-        integrals[:, chunk] = nu @ cols
-        top_fluxes[:, chunk] = cols[:, -2] / r_top
+    at = np.searchsorted(reach, nodes)
+    # each chunk of snapshots is reduced as it is solved; no field is formed
+    for c0, (C, P), rho in solver.solve_chunks(spikes, R, reach):
+        chunk = slice(c0, c0 + C.shape[2])
+        S_traces[:, chunk] = S_w0 @ C[:, 3] + S_w1 @ C[:, 2]
+        ring_values[:, chunk] = P[at].reshape(len(ring), -1)
+        ring_images[:, chunk] = S_ring @ P.reshape(-1, P.shape[2])
+        integrals[:, chunk] = C[:, 0]
+        top_fluxes[:, chunk] = C[:, 1] / r_top
         residual_norms[chunk] = rho
     ntraces = -S_traces / grid.node_volume
     # discrete Green identity (module docstring): off the ring the fields'
@@ -462,7 +481,7 @@ def reconstruct_cauchy_from_data(
     ``u = sum_k c_k u_k`` of them, and only its images are formed.
 
     The combination is checked like a solve.  Its free-row residual is at
-    most ``sum_k |c_k| rho_k`` (``rho`` the snapshots' residual norms), and
+    most ``sum_k |c_k| rho_k`` (``rho`` the snapshots' residual bounds), and
     that bound must stay within 1e-8 of the free-row load of ``f_hat``, else
     SolveError; zero data is exempt.  This refuses every combination whose
     own relative residual exceeds 1e-8.  Its vertical integral and top flux

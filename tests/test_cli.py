@@ -197,6 +197,18 @@ def test_dense_cap_is_checked_before_any_extension_build(
     assert "dense-eigendecomposition cap" in capsys.readouterr().err
 
 
+def test_runtime_refusal_leaves_no_output_directory(tmp_path, capsys):
+    """A run that the experiment refuses at run time (a TailError from the
+    truncation check at s = 0.1 and the default height) exits 2 and leaves
+    no output directory behind."""
+    p = write_config(tmp_path, experiment="bridge-residual", s=0.1, nodes=64,
+                     levels=64)
+    out = tmp_path / "out"
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    assert "truncation defect" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_tolerance_gives_exit_code_one(tmp_path):
     p = write_config(tmp_path, experiment="bridge-residual", nodes=32,
                      levels=24, params={"tolerance": 1e-12, "refinements": 1})

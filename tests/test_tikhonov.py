@@ -285,20 +285,22 @@ def test_basis_reconstruction_matches_fresh_solve(dim, s):
 
 
 def test_corrupted_basis_column_raises_solve_error(recon_setup, monkeypatch):
+    """One snapshot column solved wrongly (one of its free trace values, an
+    entry of the trace map's column of its node, off by 1e-3 of its unit
+    datum) fails the build's
+    field-free residual bound, as it fails the field path's assembled
+    check."""
     grid, pipe, aop, f, lam = recon_setup
     k = aop.basis_size // 2
-    # a free node one level above the trace, below the spike of column k
-    node = pipe.emesh.trace_indices()[grid.w_indices[k]] + 1
-    solve_chunk = pipe.solver._solve_chunk
-
-    def corrupted(D, u, levels):
-        solve_chunk(D, u, levels)  # before the chunk's residual is measured
-        for j in np.flatnonzero(D[grid.w_indices[k]]):
-            u[node, j] += 1e-3 * np.max(np.abs(u[:, j]))
-
-    monkeypatch.setattr(pipe.solver, "_solve_chunk", corrupted)
+    solver = pipe.solver
+    col = np.searchsorted(solver._data_nodes, grid.w_indices[k])
+    Z = solver._Z.copy()
+    Z[0, col] += 1e-3
+    monkeypatch.setattr(solver, "_Z", Z)
     with pytest.raises(SolveError, match="residual"):
         build_data_operator(pipe)
+    with pytest.raises(SolveError, match="residual"):
+        solver.solve_block(np.eye(grid.num_nodes)[:, grid.w_indices[k:k + 1]])
 
 
 def test_residual_norms_are_the_yielded_ones(recon_setup, monkeypatch):
@@ -308,10 +310,10 @@ def test_residual_norms_are_the_yielded_ones(recon_setup, monkeypatch):
     solve_chunks = pipe.solver.solve_chunks
     yielded = []
 
-    def recording(data):
-        for c0, u, rho in solve_chunks(data):
+    def recording(data, *args):
+        for c0, out, rho in solve_chunks(data, *args):
             yielded.append(rho.copy())
-            yield c0, u, rho
+            yield c0, out, rho
 
     monkeypatch.setattr(pipe.solver, "solve_chunks", recording)
     op = build_data_operator(pipe)
