@@ -94,6 +94,18 @@ class VerticalIntegralField:
 TAIL_FRACTION = 0.01
 
 
+def _pair_levels(vm) -> np.ndarray:
+    """The two level functionals the bridge reads, as a level map (J + 1
+    levels, 2): the vertical integral ``sum_j nu_j u_j`` (``nu`` the
+    vertical mesh's level weights) and the flux the pinned top draws,
+    ``u_{J-1} / r_{J-1}`` (``r`` the cell resistances)."""
+    J = vm.num_levels
+    R = np.zeros((J + 1, 2))
+    R[:, 0] = vm.level_weights()
+    R[J - 1, 1] = 1.0 / vm.cell_resistances()[-1]
+    return R
+
+
 def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
     """Full weighted vertical integral with a truncation check.
 
@@ -103,15 +115,16 @@ def vertical_integral(field: ExtensionField) -> VerticalIntegralField:
     ``q_i = u_{i,J-1} / r_{J-1}`` per tangential node (``r`` the cell
     resistances), and by the module's identity that flux is the source the
     truncation adds to v's equation; ``_checked_integral`` sizes its effect
-    and refuses a truncation where it is not small.  The coefficient's
-    smallest entry enters that bound, 1 when the field carries no system.
+    and refuses a truncation where it is not small.  Both are the level
+    functionals ``_pair_levels``.  The coefficient's smallest entry enters
+    that bound, 1 when the field carries no system.
     """
-    vm = field.emesh.vertical
-    cols = field.as_columns()
     a_min = 1.0 if field.system is None else field.system.coeff.lam_min
-    return _checked_integral(cols @ vm.level_weights(),
-                             cols[:, -2] / vm.cell_resistances()[-1],
-                             field.emesh, _lambda_lo(field.emesh.grid, a_min))
+    cols = field.as_columns()
+    # one product per functional: the integral is the level-weight sum of
+    # each node's levels to the bit
+    v, q = (cols @ r for r in _pair_levels(field.emesh.vertical).T)
+    return _checked_integral(v, q, field.emesh, _lambda_lo(field.emesh.grid, a_min))
 
 
 def _lambda_lo(grid: TangentialGrid, a_min: float) -> float:
@@ -248,7 +261,8 @@ class BridgePipeline:
     block of data at once.  The bridge solution and the Cauchy pair (so
     operator T and the density diagnostic) form no field: their solves are
     contracted to the two level functionals the vertical integral and its
-    truncation check read, the weighted level sum and the top free level.
+    truncation check read (``_pair_levels``), the weighted level sum and the
+    top flux.
     All methods are pure in the data argument, so concurrent use on a built
     pipeline is safe.
     """
@@ -272,12 +286,9 @@ class BridgePipeline:
         self.local_op = assemble_local(grid, coeff)
         self.solver = ExtensionSolver(self.emesh, coeff)
         self.cs = analytic_cs(s)
-        # the two level functionals the bridge reads: the weighted sum and
-        # the top free level (the truncation check's flux)
-        J = vm.num_levels
-        self._pair_levels = np.zeros((J + 1, 2))
-        self._pair_levels[:, 0] = vm.level_weights()
-        self._pair_levels[J - 1, 1] = 1.0
+        # the level map of the two functionals the bridge reads, held for
+        # every contracted solve
+        self._pair = self.solver.contraction(_pair_levels(vm))
         self._lam_lo = _lambda_lo(grid, coeff.lam_min)
 
     def _exterior(self, f: np.ndarray) -> np.ndarray:
@@ -298,14 +309,13 @@ class BridgePipeline:
     def _integrals(self, F: np.ndarray) -> np.ndarray:
         """The vertical integrals of the extensions of the columns of F,
         shape (N_tan, k), each through the truncation check, from field-free
-        solves contracted to the weighted level sum and the top free level:
-        the values ``vertical_integral`` reads off the fields, to rounding."""
+        solves contracted to ``_pair_levels``: the values
+        ``vertical_integral`` reads off the fields, to rounding."""
         F = self._exterior(F)
         out = np.empty(F.shape)
-        r_top = self.emesh.vertical.cell_resistances()[-1]
-        for c0, (C, _), _ in self.solver.solve_chunks(F, self._pair_levels):
+        for c0, (C, _), _ in self.solver.solve_chunks(F, self._pair):
             for j in range(C.shape[2]):
-                out[:, c0 + j] = _checked_integral(C[:, 0, j], C[:, 1, j] / r_top,
+                out[:, c0 + j] = _checked_integral(C[:, 0, j], C[:, 1, j],
                                                    self.emesh, self._lam_lo).values
         return out
 

@@ -74,36 +74,48 @@ There is one solve path, the chunk iterator ``solve_chunks``: a block of
 data, one datum per column, goes through the tensor solve _CHUNK columns at
 a time, one tensor-block solve per chunk, into work arrays allocated once
 per call, which bounds the dense temporaries whatever the block's width.
-A call may name a level map R (levels x r) and a set of tangential rows: it
-then yields, per chunk, the level functionals ``R^T u`` at every tangential
-node and every level of u at those rows, the field being the case R = I
-over all rows.  Without R it yields each chunk's assembled field with the
-norms of ``(S u - load)[free]`` measured on that very array.  Every column
-is checked first: that norm over ``||(load - S u_fixed)[free]||`` (u_fixed
-the constrained values) must stay below 1e-8, else SolveError.
-``solve_block`` collects the field chunks into one array and ``solve`` is
-its one-column case; a consumer that reduces each chunk as it arrives keeps
-no block.
+A call may name a contraction, a level map R (levels x r) and a set of
+tangential rows prepared once by ``contraction`` and held by a caller that
+repeats them: it then yields, per chunk, the level functionals ``R^T u`` at
+every tangential node and every level of u at those rows, the field being
+the case R = I over all rows.  Without one it yields each chunk's assembled
+field with the norms of ``(S u - load)[free]`` measured on that very array.
+Every column is checked first: that norm over ``||(load - S
+u_fixed)[free]||`` (u_fixed the constrained values) must stay below 1e-8,
+else SolveError.  ``solve_block`` collects the field chunks into one array
+and ``solve`` is its one-column case; a consumer that reduces each chunk as
+it arrives keeps no block.
 
 Field-free solves.  On a held basis a contracted call forms no field: the
-profiles are contracted with R per mode before the backward mode product,
-which then runs over r rows instead of every level, and the rows are formed
-from basis rows.  The assembled product ``S u`` is not available there, so
-the check reads an upper bound on the same norm, per column, from parts
-measured once per solver, on its first contracted solve (``_bound``): the
-per-mode profile residuals
-(with the vertical operator and level weights checked bitwise against the
-assembled stiffness), the basis defect ``||K_T V - m V Lam||_F`` and the
-lift defect ``||m K_L psi - g e_0||``, plus a stated floating-point term
-for forming and applying the field and the exact assembled residual of the
-free trace rows (``_residual_bound``).  The bound is pessimistic, mostly
-through the floating-point term's worst-case constants: over 32 data on
-the benchmark's 2D bump geometry (n = 24, J = 40, eigh route) it read 4.9e3
-to 2.4e4 times the assembled residual and at most 3.9e-12 of the load; on
-2D a = Id at n = 64, J = 48 (sine route, 16 unit data) up to 2.2e5 times
-and 7.1e-12 of the load, three decades under the tolerance.  On the "lu"
-route a contracted call forms the field, checks it as above and then
-contracts it.
+profiles, contracted with R per mode once per contraction, multiply the
+mode coefficients, the backward mode product then runs over r rows instead
+of every level, and the rows are formed from basis rows.  The assembled
+product ``S u`` is not available there, so the check reads an upper bound
+on the same norm, per column (``_residual_bound``), from parts measured once
+per solver, on its first contracted solve (``_bound``): the per-mode
+profile residuals (with the vertical operator and level weights checked
+bitwise against the assembled stiffness), the basis defect ``||K_T V - m V
+Lam||_F``, the orthogonality defect ``||V^T V - I||`` and the lift defect
+``||m K_L psi - g e_0||``, plus a stated floating-point term for forming
+and applying the field and the exact assembled residual of the free trace
+rows.  Those parts see faults in the solve's inputs; the yielded arrays
+themselves are read back by the level sums (``_level_sums``): summed over
+the levels of one tangential node, the free rows of ``S u - load``
+telescope to the tangential stiffness of the weighted level sum plus the
+fluxes through the top and first cells, so the level sum, the top free
+level and level 1 give a lower bound on the residual norm of any field
+with those functionals, on C and on C with the functionals at the rows
+read off the rows.  Where a map holds them (operator T holds the first two,
+which cover the free trace nodes; the data operator all three) a fault in
+the backward mode product, the rows or their assembly that lifts the lower
+bound over the upper one is reported through it.  The bound is
+pessimistic, mostly through the floating-point term's worst-case
+constants: over 32 data on the benchmark's 2D bump geometry (n = 24, J =
+40, eigh route) it read 4.9e3 to 2.4e4 times the assembled residual and at
+most 3.9e-12 of the load; on 2D a = Id at n = 64, J = 48 (sine route, 16
+unit data) up to 2.2e5 times and 7.1e-12 of the load, three decades under
+the tolerance.  On the "lu" route a contracted call forms the field, checks
+it as above and then contracts it.
 
 Sign conventions.  The weak form gives, for the trace row of a solution,
 ``(S u)[i, 0] = -m_i * lim t**(1-2s) d_t u``;  the fractional operator of
@@ -296,6 +308,37 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
+@dataclass(frozen=True)
+class Contraction:
+    """A level map R (J + 1 levels, r) and a set of tangential ``rows``
+    prepared for the contracted solves of ``ExtensionSolver.solve_chunks``
+    (``ExtensionSolver.contraction``).  On the "lu" route nothing more.
+
+    On a held basis: the level sums of the residual check read the columns
+    ``check`` of R, ``scale`` times the functionals ``need`` (the weighted
+    level sum, the top free level and level 1, those R has), at the
+    positions ``sum_at`` among T, the first ``n_c`` of them constrained
+    trace nodes, with the tangential stiffness rows ``K_sum`` there.
+    ``keep`` are the columns of R not zero on the free levels, ``RLpsi``
+    their contraction of the lift profile and ``profiles`` the block's
+    profiles contracted with them; ``pos`` are the positions among T of the
+    rows on the active set, ``on`` which rows those are."""
+
+    R: np.ndarray
+    rows: np.ndarray
+    need: np.ndarray | None = None
+    check: np.ndarray | None = None
+    scale: np.ndarray | None = None
+    sum_at: np.ndarray | None = None
+    K_sum: sp.csr_matrix | None = None
+    n_c: int = 0
+    keep: np.ndarray | None = None
+    RLpsi: np.ndarray | None = None
+    profiles: np.ndarray | None = None
+    pos: np.ndarray | None = None
+    on: np.ndarray | None = None
+
+
 class ExtensionSolver:
     """Tensor-structured solver for repeated trace data on one layout.
 
@@ -441,14 +484,15 @@ class ExtensionSolver:
         """What the per-column residual bound of a field-free solve reads
         (``_residual_bound``), measured once, on the first contracted solve
         on a held basis, so that a solver used only for fields never pays
-        for it (about 2 ms at 484 active nodes, mostly the basis defect).
-        The free levels' vertical operator and level weights are checked
-        against the assembled stiffness first."""
+        for it (4 to 8 ms at 484 active nodes, mostly the basis defect and
+        ``V^T V``).  The free levels' vertical operator and level weights
+        are checked against the assembled stiffness first."""
         K_T, diag, off, nu, v = self._bound_inputs
         self._check_vertical(diag, off, nu)
         m, g, psi = self.emesh.grid.node_volume, self._g, self._psi
+        vm = self.emesh.vertical
         S = self.system.stiffness
-        v_norm, defect, inner = self._block.basis_defect(self.emesh.grid, K_T, m)
+        v_norm, defect, orth, inner = self._block.basis_defect(self.emesh.grid, K_T, m)
         # |S| on the free rows, per level: M = ||K_T||_inf N + m |K_L|, whose
         # row sums weigh each level's column of M (Cauchy-Schwarz)
         k_norm = _max_abs_line_sum(K_T)
@@ -459,7 +503,7 @@ class ExtensionSolver:
         lift[:-1] += m * off * psi[1:]
         lift[1:] += m * off * psi[:-1]
         lift[0] -= g
-        J1 = self.emesh.vertical.num_levels + 1
+        J1 = vm.num_levels + 1
         trB = self.emesh.trace_indices()[self._T[self._B]]
         Sb = S[trB]
         up = Sb.indices % J1 != 0  # each free trace row's one level-1 entry
@@ -467,11 +511,12 @@ class ExtensionSolver:
             "forms": self._block.residual_forms(m, diag, off, nu, v, np.sqrt(w2)),
             "v_norm": v_norm,
             "defect": defect,
+            "orth": orth,
             # no lift on a free trace
             "lift": float(np.linalg.norm(lift)) if self._trace != "free" else 0.0,
-            # rounding: mode products (inner sums, and the basis's
-            # orthogonality stated at the same count), the stiffness's row
-            # sums and the profile combination, in units of eps
+            # rounding: mode products (inner sums, and the forward product's
+            # basis at the measured orthogonality), the stiffness's row sums
+            # and the profile combination, in units of eps
             "gamma": (inner + int(np.diff(S.indptr).max()) + 4) * np.finfo(float).eps,
             "m_psi": float(np.linalg.norm(M @ psi)),
             "k_norm": k_norm,
@@ -483,27 +528,69 @@ class ExtensionSolver:
                                   Sb.indptr - np.arange(len(trB) + 1)),
                                  shape=(len(trB), self.emesh.grid.num_nodes)),
             "SB1": Sb.data[up],
+            # the level sums: the tangential rows of T, the first level's
+            # weight and the top cell's conductance times m
+            "K_rows": self.system.tangential[self._T].tocsr(),
+            "nu0": float(vm.level_weights()[0]),
+            "c_top": m / float(vm.cell_resistances()[-1]),
         }
 
-    def _residual_bound(self, modes, a, xB, lift, u0, u1B) -> np.ndarray:
+    def _level_sums(self, F: np.ndarray, u0: np.ndarray, D: np.ndarray,
+                    plan: Contraction) -> np.ndarray:
+        """Per column, the norm of the sums of ``(S u - load)[free]`` over
+        the free levels of each tangential node ``plan.sum_at``, u a field
+        read off its level functionals F, shape (N_tan, 2 or 3, k): the
+        weighted level sum, the top free level and, where the trace is
+        constrained, level 1.
+
+        The vertical rows telescope, so the sum at node n is ``(K_tan
+        V)(n) + m u_top(n) / r_top``, V the weighted level sum: the whole
+        sum at a free trace node (less the load ``-m h(n)`` on a free
+        trace).  At a constrained trace node level 0 is not free, which
+        takes ``nu_0 (K_tan u_0)(n)`` off and adds the first cell's flux ``g
+        (u_1(n) - u_0(n))``.  A field has at most ``sqrt(|L| + 1)`` times its
+        residual norm here."""
+        bp = self._bound
+        nodes = self._T[plan.sum_at]
+        s = plan.K_sum @ F[:, 0] + bp["c_top"] * F[nodes, 1]
+        if self._trace == "free":
+            s += self.emesh.grid.node_volume * D[nodes]
+        elif plan.n_c:
+            # the constrained trace nodes come first
+            c = nodes[:plan.n_c]
+            s[:plan.n_c] += (self._g * (F[c, 2] - u0[c])
+                             - bp["nu0"] * (plan.K_sum @ u0)[:plan.n_c])
+        return _column_norms(s)
+
+    def _residual_bound(self, modes, a, xB, lift, u0, D, plan, C, P) -> np.ndarray:
         """Per column, an upper bound on ``||(S u - load)[free]||`` of the
         field a held basis would form, from the mode coefficients (a_i,
-        b_i) and the parts measured once (``_bound``):
+        b_i), the parts measured once (``_bound``) and the yielded arrays:
+        C, the level functionals of ``plan``, and P, every level at its
+        rows.
 
-        ``||V||_F sqrt(sum_i q_rho) + ||E_V||_F sqrt(sum_i q_N) + ||dpsi||
-        ||lift||`` on the T x L rows (the profile residuals, the basis defect
-        ``E_V = K_T V - m V Lam`` and the lift defect ``dpsi = m K_L psi - g
-        e_0``, the q the forms of ``residual_forms``), plus the stated
-        floating-point term ``gamma (||V||_F sqrt(sum_i q_w) + ||M psi||
-        ||lift|| + s0 ||u_0|| + 2 ||V||_F**2 (||a|| ||v|| + g ||xB||) +
-        ||K_T||_inf ||lift|| ||v||)``, ``gamma = (inner + w + 4) eps``: the
-        field formed by mode products (``inner`` summed inner dimensions)
-        and the profile combination, then applied by rows of w entries (M =
-        ``||K_T||_inf N + m |K_L|`` the level operator of |S|, s0 that of
-        the trace rows), the forward mode products, where the basis's
-        orthogonality is taken as stated to ``inner eps``, not measured, and
-        the tangential map ``a = K_T lift``.  The free trace rows' residual
-        is assembled exactly, from level 0 and the first free level at B."""
+        On the T x L rows, ``||V||_F sqrt(sum_i q_rho) + ||E_V||_F sqrt(sum_i
+        q_N) + ||dpsi|| ||lift|| + e (||a|| ||v|| + g ||xB||)`` (the profile
+        residuals, the basis defect ``E_V = K_T V - m V Lam``, the lift
+        defect ``dpsi = m K_L psi - g e_0`` and the orthogonality defect e,
+        ``||V V^T - I||_2 <= e``, on the two right-hand-side parts; the q
+        the forms of ``residual_forms``), plus the stated floating-point
+        term ``gamma (||V||_F sqrt(sum_i q_w) + ||M psi|| ||lift|| + s0
+        ||u_0|| + 2 ||V||_F**2 (||a|| ||v|| + g ||xB||) + ||K_T||_inf
+        ||lift|| ||v||)``, ``gamma = (inner + w + 4) eps``: the field formed
+        by mode products (``inner`` summed inner dimensions) and the profile
+        combination, then applied by rows of w entries (M = ``||K_T||_inf N
+        + m |K_L|`` the level operator of |S|, s0 that of the trace rows),
+        the forward mode products and the tangential map ``a = K_T lift``.
+        The free trace rows' residual is assembled exactly, from level 0
+        and the first free level at B (``_free_trace_rows``).
+
+        Where the plan's map holds the functionals the level sums read,
+        the yielded arrays are read once more, through ``_level_sums``: on
+        C, and on C with the functionals at the rows formed from P.  Each
+        gives a lower bound on the residual norm of a field that has those
+        functionals; a fault in forming them shows as a lower bound above
+        the upper one, and the larger is returned."""
         bp = self._bound
         ah = modes[0]
         nT = ah.shape[1]
@@ -516,28 +603,40 @@ class ExtensionSolver:
             X[:, 3 * nT:] = bh * bh
         rho, E, W = np.sqrt(np.maximum(X @ bp["forms"], 0.0)).T
         lift_n = _column_norms(lift)
+        a_n = _column_norms(a) * bp["v"]
         b_n = self._g * _column_norms(xB) if xB is not None else 0.0
-        main = bp["v_norm"] * rho + bp["defect"] * E + bp["lift"] * lift_n
-        fp = bp["gamma"] * (bp["v_norm"] * W + bp["m_psi"] * lift_n
-                            + bp["s0"] * _column_norms(u0)
-                            + 2.0 * bp["v_norm"] ** 2 * (_column_norms(a) * bp["v"] + b_n)
-                            + bp["k_norm"] * lift_n * bp["v"])
-        if u1B is None:
-            return main + fp
-        rB = _column_norms(bp["SB0"] @ u0 + bp["SB1"][:, None] * u1B)
-        return np.sqrt((main + fp) ** 2 + rB**2)
+        upper = (bp["v_norm"] * rho + bp["defect"] * E + bp["lift"] * lift_n
+                 + bp["orth"] * (a_n + b_n))
+        upper += bp["gamma"] * (bp["v_norm"] * W + bp["m_psi"] * lift_n
+                                + bp["s0"] * _column_norms(u0)
+                                + 2.0 * bp["v_norm"] ** 2 * (a_n + b_n)
+                                + bp["k_norm"] * lift_n * bp["v"])
+        if self._B.size:
+            upper = np.hypot(upper, self._free_trace_rows(u0, self._block.trace_level(modes)))
+        if not len(plan.sum_at):
+            return upper
+        F = C[:, plan.check] / plan.scale[:, None]
+        lower = self._level_sums(F, u0, D, plan)
+        if len(plan.rows):
+            F[plan.rows] = np.einsum("lq,nlk->nqk", plan.need, P)
+            lower = np.maximum(lower, self._level_sums(F, u0, D, plan))
+        return np.maximum(upper, lower / math.sqrt(len(self._psi) + 1))
 
-    def _contract_chunk(self, D, R, plan, rows, C, P, work) -> np.ndarray:
+    def _free_trace_rows(self, u0: np.ndarray, u1B: np.ndarray) -> np.ndarray:
+        """Per column, the norm of the free trace rows of ``S u`` at B,
+        assembled exactly from u's trace level u0 and its first free level
+        at B, u1B."""
+        bp = self._bound
+        return _column_norms(bp["SB0"] @ u0 + bp["SB1"][:, None] * u1B)
+
+    def _contract_chunk(self, D, plan, C, P, work) -> np.ndarray:
         """Write ``R^T u`` per tangential node into C (N_tan, r, k) and every
-        level of u at the tangential nodes ``rows`` into P (len(rows),
-        levels, k), u the fields of the data chunk D, without forming u:
-        the profiles are contracted with the free levels of R before the
-        backward mode product.  ``plan`` holds the columns ``keep`` of R
-        that are not zero on the free levels, R's free levels restricted to
-        them, and their contraction of the lift profile psi.  Returns the
-        per-column residual bound."""
+        level of u at the plan's rows into P (len(rows), levels, k), R the
+        plan's level map and u the fields of the data chunk D, without
+        forming u: the profiles are contracted with the free levels of R
+        before the backward mode product.  Returns the per-column residual
+        bound."""
         T, L, B = self._T, self._L, self._B
-        keep, RL, RLpsi = plan
         nT, k = len(T), D.shape[1]
         xB = self._Z @ D[self._data_nodes] if B.size else None
         a = self._rhs_tan @ D[self._rhs_nodes]
@@ -551,23 +650,68 @@ class ExtensionSolver:
             u0[self._data_nodes] = D[self._data_nodes]
             if B.size:
                 u0[T[B]] = xB
-        out = work[:RL.shape[1] * nT * k].reshape(RL.shape[1], nT, k)
-        self._block.levels(modes, out, RL)
-        out += np.multiply.outer(RLpsi, lift)
+        out = work[:len(plan.keep) * nT * k].reshape(len(plan.keep), nT, k)
+        self._block.levels(modes, out, plan.profiles)
+        out += np.multiply.outer(plan.RLpsi, lift)
         C[:] = 0.0
-        C[np.ix_(T, keep)] = out.transpose(1, 0, 2)
+        C[np.ix_(T, plan.keep)] = out.transpose(1, 0, 2)
         if L.start:
-            C += R[0][:, None] * u0[:, None, :]
-        if len(rows):
+            C += plan.R[0][:, None] * u0[:, None, :]
+        if len(plan.rows):
             P[:] = 0.0
-            P[:, 0] = u0[rows]
-            pos = self._tpos[rows]
-            on = pos >= 0
-            X = self._block.rows(modes, pos[on])
-            X += self._psi[:, None, None] * lift[pos[on]]
-            P[on, L] = X.transpose(1, 0, 2)
-        return self._residual_bound(modes, a, xB, lift, u0,
-                                    self._block.trace_level(modes) if B.size else None)
+            P[:, 0] = u0[plan.rows]
+            X = self._block.rows(modes, plan.pos)
+            X += self._psi[:, None, None] * lift[plan.pos]
+            P[plan.on, L] = X.transpose(1, 0, 2)
+        return self._residual_bound(modes, a, xB, lift, u0, D, plan, C, P)
+
+    def contraction(self, level_map, rows=None) -> Contraction:
+        """A level map R, shape (levels, r) over all J + 1 levels, and a set
+        of tangential rows (default none) prepared once for ``solve_chunks``
+        (``Contraction``); a caller that repeats R holds it.  ParamError
+        unless R has that shape."""
+        R = np.asarray(level_map, dtype=float)
+        J1 = self.emesh.vertical.num_levels + 1
+        if R.ndim != 2 or R.shape[0] != J1:
+            raise ParamError(f"level map must have shape ({J1}, r), got {R.shape}")
+        rows = np.asarray([] if rows is None else rows, dtype=int)
+        if self._block.route == "lu":
+            return Contraction(R, rows)
+        # the level sums read the weighted level sum, the top free level and
+        # level 1: the columns of R that are they, a multiple of a single
+        # level counting as that level
+        need = np.zeros((J1, 3))
+        need[:, 0] = self.emesh.vertical.level_weights()
+        need[J1 - 2, 1] = need[1, 2] = 1.0
+        check, scale = [], []
+        for e in need.T:
+            l0 = int(np.flatnonzero(e)[0])
+            q = next((q for q in range(R.shape[1]) if R[l0, q] != 0 and
+                      np.array_equal(R[l0, q] / e[l0] * e, R[:, q])), None)
+            check.append(q)
+            scale.append(None if q is None else R[l0, q] / e[l0])
+        # their nodes: every node of T with level 1 or a free trace, else
+        # the free trace nodes B, whose sums do without it; the constrained
+        # trace nodes first
+        free = np.zeros(len(self._T), dtype=bool)
+        free[self._B] = True
+        if check[0] is None or check[1] is None:
+            sum_at = np.zeros(0, dtype=int)
+        elif check[2] is not None or self._trace == "free":
+            sum_at = np.concatenate([np.flatnonzero(~free), self._B])
+        else:
+            sum_at = self._B
+        n_c = int(np.count_nonzero(~free[sum_at])) if self._trace != "free" else 0
+        has = [i for i in range(3) if check[i] is not None]
+        RL = R[self._L]
+        keep = np.flatnonzero(np.any(RL != 0, axis=0))
+        RL = np.ascontiguousarray(RL[:, keep])
+        pos = self._tpos[rows]
+        return Contraction(
+            R, rows, need[:, has], np.array([check[i] for i in has], dtype=int),
+            np.array([scale[i] for i in has]), sum_at,
+            self.system.tangential[self._T[sum_at]].tocsr(), n_c,
+            keep, RL.T @ self._psi, self._block.contract(RL), pos[pos >= 0], pos >= 0)
 
     def _trace_schur(self, K_T: sp.csc_matrix, nu0: float) -> np.ndarray:
         """The trace map Z, (|B|, |data nodes|): ``Z @ data[_data_nodes]``
@@ -653,19 +797,18 @@ class ExtensionSolver:
     def _field(self, values: np.ndarray) -> ExtensionField:
         return ExtensionField(emesh=self.emesh, values=values, system=self.system)
 
-    def solve_chunks(self, data: np.ndarray, level_map=None, rows=None):
+    def solve_chunks(self, data: np.ndarray, plan: Contraction | None = None):
         """Solve a block of data of shape (N_tan, k), one datum per column,
         _CHUNK columns at a time (one tensor-block solve per chunk).
 
         Yields ``(c0, out, rho)`` per chunk, for columns c0 to c0 + width.
-        With no ``level_map``, out is the assembled fields u, shape
-        (num_nodes, width), row-major, and rho their free-row residual
-        norms ``||(S u - load)[free]||`` measured on that very array.  With
-        a level map R, shape (levels, r) over all J + 1 levels, out is the
-        pair ``(C, P)``: ``C[n, q] = sum_l R[l, q] u(n, l)``, shape (N_tan,
-        r, width), and every level of u at the tangential nodes ``rows``
-        (default none), shape (len(rows), levels, width).  On a held basis
-        no field is formed and rho bounds the free-row residual norms from
+        With no ``plan``, out is the assembled fields u, shape (num_nodes,
+        width), row-major, and rho their free-row residual norms ``||(S u -
+        load)[free]||`` measured on that very array.  With a plan from
+        ``contraction(R, rows)``, out is the pair ``(C, P)``: ``C[n, q] =
+        sum_l R[l, q] u(n, l)``, shape (N_tan, r, width), and every level of u at the tangential nodes
+        ``rows``, shape (len(rows), levels, width).  On a held basis no
+        field is formed and rho bounds the free-row residual norms from
         above (``_residual_bound``); on the "lu" route the field is formed,
         measured and then contracted.  rho is checked (SolveError) before a
         chunk is yielded.  out is work storage the next chunk overwrites;
@@ -680,38 +823,32 @@ class ExtensionSolver:
         # work arrays for the widest chunk, allocated once; a narrower last
         # chunk takes their leading part, still contiguous
         width = min(data.shape[1], _CHUNK)
-        held = level_map is not None and self._block.route != "lu"
-        if level_map is not None:
-            R = np.asarray(level_map, dtype=float)
-            if R.ndim != 2 or R.shape[0] != J1:
-                raise ParamError(f"level map must have shape ({J1}, r), got {R.shape}")
-            rows = np.asarray([] if rows is None else rows, dtype=int)
-            C, P = np.empty(N * R.shape[1] * width), np.empty(len(rows) * J1 * width)
+        held = plan is not None and plan.profiles is not None
+        if plan is not None:
+            r, rows = plan.R.shape[1], plan.rows
+            C, P = np.empty(N * r * width), np.empty(len(rows) * J1 * width)
         if held:
-            keep = np.flatnonzero(np.any(R[self._L] != 0, axis=0))
-            RL = np.ascontiguousarray(R[self._L][:, keep])
-            plan = keep, RL, RL.T @ self._psi
-            work = np.empty(len(keep) * nT * width)
+            work = np.empty(len(plan.keep) * nT * width)
         else:
             fields, levels = np.empty(n * width), np.empty(nL * nT * width)
         for c0 in range(0, data.shape[1], _CHUNK):
             D = data[:, c0:c0 + _CHUNK]
             k = D.shape[1]
-            if level_map is not None:
-                Ck = C[:N * R.shape[1] * k].reshape(N, -1, k)
+            if plan is not None:
+                Ck = C[:N * r * k].reshape(N, r, k)
                 Pk = P[:len(rows) * J1 * k].reshape(len(rows), J1, k)
             if held:
-                rho = self._contract_chunk(D, R, plan, rows, Ck, Pk, work)
+                rho = self._contract_chunk(D, plan, Ck, Pk, work)
                 yield c0, (Ck, Pk), self._checked(rho, D)
                 continue
             u = fields[:n * k].reshape(n, k)
             self._solve_chunk(D, u, levels[:nL * nT * k].reshape(nL, nT, k))
             rho = self._residual_norms(u, D)
-            if level_map is None:
+            if plan is None:
                 yield c0, u, rho
                 continue
             u3 = u.reshape(N, J1, k)
-            np.matmul(R.T, u3, out=Ck)
+            np.matmul(plan.R.T, u3, out=Ck)
             Pk[:] = u3[rows]
             yield c0, (Ck, Pk), rho
 

@@ -59,7 +59,7 @@ nodes B.  The route is the basis's:
   product of the tangential data, a multiply by the profiles and a backward
   mode product over the levels; a caller that reads only r level
   functionals ``R^T X`` contracts the profiles with R first, so the
-  backward product runs over r rows (``_ModalBlock.levels``).  The trace
+  backward product runs over r rows (``_ModalBlock.contract``).  The trace
   sums are closed forms in the profiles' first rows and the basis rows at
   B.  No vertical eigenproblem is solved.
 * no held basis ("lu", past ``_MODAL_NODE_CAP``): the vertical pencil ``K_L phi = mu N phi``
@@ -199,18 +199,24 @@ def _sine_basis(grid):
     return "sine", tuple(factors), lam.ravel()
 
 
-def _basis_defect(grid, basis, K, m: float) -> tuple[float, float]:
-    """``(||V||_F, ||K V - m V diag(lam)||_F)`` for a held basis ``(route,
-    factors, lam)`` of the active-node stiffness K, without an N x N array.
+def _basis_defect(grid, basis, K, m: float) -> tuple[float, float, float]:
+    """``(||V||_F, ||K V - m V diag(lam)||_F, e)`` for a held basis
+    ``(route, factors, lam)`` of the active-node stiffness K, without an N x
+    N array, e a bound on ``||V^T V - I||_2``, which is also ``||V V^T -
+    I||_2`` for a square V.
 
-    The eigh route forms ``K V`` (one sparse-dense product).  The sine route
-    bounds the defect by its parts: the assembled K against m times the
-    Kronecker sum ``Ks`` of the per-axis second differences D_k (O(nnz)),
-    each factor's own defect ``D_k F_k - F_k diag(lam_k)``, and the held
-    eigenvalues against the Kronecker sum of the ``lam_k``:
+    The eigh route forms ``K V`` (one sparse-dense product) and takes e =
+    ``||V^T V - I||_F``.  The sine route bounds the defect by its parts: the
+    assembled K against m times the Kronecker sum ``Ks`` of the per-axis
+    second differences D_k (O(nnz)), each factor's own defect ``D_k F_k -
+    F_k diag(lam_k)``, and the held eigenvalues against the Kronecker sum of
+    the ``lam_k``:
 
     ``||K V - m V L||_F <= ||K - m Ks||_F ||V||_F + m sum_k ||E_k||_F
-    prod_(j != k) ||F_j||_F + m max|lam - sum_k lam_k| ||V||_F``.
+    prod_(j != k) ||F_j||_F + m max|lam - sum_k lam_k| ||V||_F``,
+
+    and e by ``prod_k (1 + ||F_k^T F_k - I||_F) - 1``, V^T V being the
+    Kronecker product of the ``F_k^T F_k``.
     """
     route, factors, lam = basis
     if route != "sine":
@@ -222,12 +228,12 @@ def _basis_defect(grid, basis, K, m: float) -> tuple[float, float]:
             E = K[r0:r0 + 256] @ V
             E -= V[r0:r0 + 256] * (m * lam)
             sq += float(np.einsum("ij,ij->", E, E))
-        return float(np.linalg.norm(V)), float(np.sqrt(sq))
+        return float(np.linalg.norm(V)), float(np.sqrt(sq)), _orthogonality_defect(V)
     norms = [float(np.linalg.norm(F)) for F in factors]
     v_norm = float(np.prod(norms))
     Ks = sp.csr_matrix(K.shape)
     axis_lam = np.zeros(())
-    defect = 0.0
+    defect, orth = 0.0, 1.0
     for k, (n, h, F) in enumerate(zip(grid.shape, grid.h, factors)):
         lam_k = _sine_eigenvalues(n, h)
         D = sp.diags([-np.ones(n - 3), 2.0 * np.ones(n - 2), -np.ones(n - 3)],
@@ -238,10 +244,18 @@ def _basis_defect(grid, basis, K, m: float) -> tuple[float, float]:
         E = D @ F - F * lam_k
         defect += m * float(np.linalg.norm(E)) * v_norm / norms[k]
         axis_lam = np.add.outer(axis_lam, lam_k)
+        orth *= 1.0 + _orthogonality_defect(F)
     diff = (sp.csr_matrix(K) - m * Ks).data
     defect += float(np.linalg.norm(diff)) * v_norm
     defect += m * float(np.max(np.abs(lam - axis_lam.ravel()))) * v_norm
-    return v_norm, defect
+    return v_norm, defect, orth - 1.0
+
+
+def _orthogonality_defect(F: np.ndarray) -> float:
+    """``||F^T F - I||_F``."""
+    G = F.T @ F
+    G[np.diag_indices_from(G)] -= 1.0
+    return float(np.linalg.norm(G))
 
 
 def _dense_basis(grid, K):
@@ -416,11 +430,14 @@ class _ModalBlock:
     A solve is split in two so that a caller reading only a few level
     functionals of the solution never forms it: ``modes`` is the forward
     mode product of the data (the mode coefficients a_i and b_i of the two
-    right-hand-side parts), and ``levels`` contracts the profiles with a
-    level map R (levels x r) per mode, ``R^T P[0]`` and ``R^T P[1]``, before
-    the backward mode product, which then runs over r rows instead of every
-    level; R = None takes every level.  ``rows`` forms every level at a few
-    tangential positions only, from basis rows."""
+    right-hand-side parts), and ``levels`` multiplies them by the profiles
+    and makes the backward mode product.  Given the profiles contracted
+    with a level map R (levels x r) per mode, ``contract(R)``, that is
+    ``R^T P[0]`` and ``R^T P[1]``, the backward product runs over r rows
+    instead of every level; the caller holds the contraction for as long as
+    it repeats R.  ``rows`` forms every level at a few tangential positions
+    only, from basis rows.  The block holds nothing per call, so concurrent
+    solves are safe."""
 
     def __init__(self, basis, m, diag, off, nu, v, B, g):
         self.route, self._factors, self._lam = basis
@@ -443,7 +460,6 @@ class _ModalBlock:
         # levels x modes, contiguous along the modes as the solves read them
         self._P = np.ascontiguousarray(P.transpose(0, 2, 1))
         self._B, self._g = B, g
-        self._contracted = None
         # a single dense factor keeps its rows at B for the first free level
         # there; a Kronecker basis makes one backward product instead
         self._VB = self._factors[0][B] if len(self._factors) == 1 else None
@@ -460,19 +476,17 @@ class _ModalBlock:
         R[1][:, self._B] = self._g * xB.T
         return _mode_product(self._factors, R, to_modes=True)
 
-    def levels(self, modes: np.ndarray, out: np.ndarray, R=None) -> None:
+    def contract(self, R: np.ndarray) -> np.ndarray:
+        """The profiles contracted with the level map R (levels x r) per
+        mode, ``R^T P[0]`` and ``R^T P[1]``, shape (2, r, modes)."""
+        return np.einsum("lq,slt->sqt", R, self._P)
+
+    def levels(self, modes: np.ndarray, out: np.ndarray, profiles=None) -> None:
         """Write ``sum_l R[l, q] X_l`` (X the block's solution, X_l its
-        level l over T) into ``out[q]``, shape (r, T, k); R = None writes
-        every level."""
+        level l over T) into ``out[q]``, shape (r, T, k), from the
+        contracted ``profiles = contract(R)``; with none, every level."""
         r, nT, k = out.shape
-        P = self._P[:len(modes)]
-        if R is not None:
-            # a caller repeats its level map: the last contraction is held
-            # (one tuple, replaced whole, so concurrent solves stay safe)
-            held = self._contracted
-            if held is None or not np.array_equal(held[0], R):
-                held = self._contracted = (R.copy(), np.einsum("lq,slt->sqt", R, self._P))
-            P = held[1][:len(modes)]
+        P = (self._P if profiles is None else profiles)[:len(modes)]
         # (rows, columns, modes): each mode's profiles times its data
         Y = out.reshape(r, k, nT)
         np.einsum("sqt,sct->qct", P, modes, out=Y)
@@ -496,10 +510,11 @@ class _ModalBlock:
     def solve(self, a: np.ndarray, xB, out: np.ndarray) -> None:
         self.levels(self.modes(a, xB), out)
 
-    def basis_defect(self, grid, K_T, m: float) -> tuple[float, float, int]:
-        """``(||V||_F, ||K_T V - m V diag(lam)||_F, inner)`` of the held
-        basis (``_basis_defect``), with ``inner`` the summed inner
-        dimensions of one mode product (the rounding count of its sums)."""
+    def basis_defect(self, grid, K_T, m: float) -> tuple[float, float, float, int]:
+        """``(||V||_F, ||K_T V - m V diag(lam)||_F, e, inner)`` of the held
+        basis (``_basis_defect``, e its orthogonality defect), with
+        ``inner`` the summed inner dimensions of one mode product (the
+        rounding count of its sums)."""
         basis = (self.route, self._factors, self._lam)
         return (*_basis_defect(grid, basis, K_T, m),
                 sum(F.shape[0] for F in self._factors))
@@ -618,10 +633,11 @@ def tensor_block(grid, coeff, K_T: sp.csc_matrix, m: float, diag: np.ndarray,
     the trace closure needs: ``G = [block^-1]_{0B, 0B}`` and, on every
     tangential node, ``H = [block^-1 (v (x) E_B)]_0`` of shape (T, |B|).
     A held-basis block also solves without forming the solution: ``modes``,
-    then ``levels`` with a level map R (the functionals ``R^T X``),
-    ``rows`` (every level at a few positions of T) and ``trace_level`` (the
-    first level at B); ``basis_defect`` and ``residual_forms`` give the
-    parts of the contracted solve's residual bound.
+    then ``levels`` with the profiles ``contract(R)`` of a level map R (the
+    functionals ``R^T X``), ``rows`` (every level at a few positions of T)
+    and ``trace_level`` (the first level at B); ``basis_defect`` and
+    ``residual_forms`` give the parts of the contracted solve's residual
+    bound.
     """
     basis = _eigenbasis(grid, coeff, K_T)
     if basis is None:

@@ -43,10 +43,13 @@ solve.
 
 The build forms no snapshot field either.  ``ExtensionSolver.solve_chunks``
 solves the snapshots _CHUNK at a time, contracted to the level functionals
-the build reads (the weighted level sum, the top free level, levels 1 and
-0 at every tangential node) and to every level at the tangential nodes the
-ring rows reach, with a per-column bound rho on the free-row residual norm
-checked on each chunk (measured, on the "lu" route).  Each chunk is
+the build reads (the bridge's vertical integral and top flux,
+``bridge._pair_levels``, and levels 1 and 0 at every tangential node) and
+to every level at the tangential nodes the ring rows reach, with a
+per-column bound rho on the free-row residual norm checked on each chunk
+(measured, on the "lu" route).  The check reads these very arrays back
+through the level sums of the solve (``ExtensionSolver._level_sums``), so a
+fault in forming them is refused like a fault in the solve.  Each chunk is
 reduced as it arrives: ``S[tw] U`` at the measurement trace rows tw (which
 read levels 0 and 1), its images, and its values and ``S_ext U`` on the
 ring I (the exterior nodes with a stiffness neighbour off the exterior, on
@@ -81,7 +84,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from .bridge import BridgePipeline, CauchyPair, _checked_integral, _lambda_lo
+from .bridge import BridgePipeline, CauchyPair, _checked_integral, _lambda_lo, _pair_levels
 from .errors import MeshMismatch, ParamError, RankError, SolveError
 from .fractional_core import _eigh_clipped, _reconstruct
 from .local_elliptic import _assemble
@@ -281,8 +284,7 @@ def build_data_operator(pipeline: BridgePipeline,
     tw = tr[widx]
     K = len(widx)
     N = grid.num_nodes
-    J = vm.num_levels
-    J1 = J + 1
+    J1 = vm.num_levels + 1
     spikes = np.zeros((N, K))
     spikes[widx, np.arange(K)] = 1.0
     # the trace rows at W reach levels 0 and 1 only
@@ -295,13 +297,9 @@ def build_data_operator(pipeline: BridgePipeline,
     S_ring = _ring_energy_rows(pipeline, nodes)
     reach = np.unique(S_ring.indices // J1)
     S_ring = S_ring[:, (reach[:, None] * J1 + np.arange(J1)).ravel()]
-    # level functionals: the weighted sum, the top free level, levels 1 and 0
-    R = np.zeros((J1, 4))
-    R[:, 0] = vm.level_weights()
-    R[J - 1, 1] = 1.0
-    R[1, 2] = 1.0
-    R[0, 3] = 1.0
-    r_top = vm.cell_resistances()[-1]
+    # level functionals: the vertical integral and the top flux, levels 1
+    # and 0
+    R = np.column_stack([_pair_levels(vm), np.eye(J1)[:, [1, 0]]])
     S_traces = np.empty((K, K))
     ring_values = np.empty((len(ring), K))
     ring_images = np.empty((len(ring), K))
@@ -310,13 +308,13 @@ def build_data_operator(pipeline: BridgePipeline,
     residual_norms = np.empty(K)
     at = np.searchsorted(reach, nodes)
     # each chunk of snapshots is reduced as it is solved; no field is formed
-    for c0, (C, P), rho in solver.solve_chunks(spikes, R, reach):
+    for c0, (C, P), rho in solver.solve_chunks(spikes, solver.contraction(R, reach)):
         chunk = slice(c0, c0 + C.shape[2])
         S_traces[:, chunk] = S_w0 @ C[:, 3] + S_w1 @ C[:, 2]
         ring_values[:, chunk] = P[at].reshape(len(ring), -1)
         ring_images[:, chunk] = S_ring @ P.reshape(-1, P.shape[2])
         integrals[:, chunk] = C[:, 0]
-        top_fluxes[:, chunk] = C[:, 1] / r_top
+        top_fluxes[:, chunk] = C[:, 1]
         residual_norms[chunk] = rho
     ntraces = -S_traces / grid.node_volume
     # discrete Green identity (module docstring): off the ring the fields'

@@ -44,15 +44,19 @@ def _solver(dim, bump, s, dirichlet_trace):
 _held_solver = functools.lru_cache(maxsize=None)(_solver)
 
 
-def _level_map(solver):
+def _level_map(solver, columns=3):
     """The functionals the consumers read: the weighted level sum, the top
-    free level and level 1."""
+    free level and level 1, or the first ``columns`` of them; with none, a
+    middle level alone.  The solver appends the level sum's functionals a
+    map lacks."""
     vm = solver.emesh.vertical
     R = np.zeros((LEVELS + 1, 3))
     R[:, 0] = vm.level_weights()
     R[LEVELS - 1, 1] = 1.0
     R[1, 2] = 1.0
-    return R
+    if not columns:
+        return np.eye(LEVELS + 1)[:, [LEVELS // 2]]
+    return R[:, :columns]
 
 
 def _data_and_rows(solver, rng):
@@ -69,7 +73,7 @@ def _data_and_rows(solver, rng):
 def _contracted(solver, F, R, rows):
     """The contracted call's outputs over every chunk, with its rho."""
     C, P, rho = [], [], []
-    for _, (c, p), r in solver.solve_chunks(F, R, rows):
+    for _, (c, p), r in solver.solve_chunks(F, solver.contraction(R, rows)):
         C.append(c.copy())
         P.append(p.copy())
         rho.append(r.copy())
@@ -81,36 +85,44 @@ def _field_path(solver, F, R, rows):
     U = solver.solve_block(F)
     u3 = U.reshape(solver.emesh.grid.num_nodes, LEVELS + 1, -1)
     rho = np.concatenate([r.copy() for _, _, r in solver.solve_chunks(F)])
-    return np.einsum("nlk,lq->nqk", u3, R), u3[rows], rho
+    return np.einsum("nlk,lq->nqk", u3, R), u3[rows], rho, u3
 
 
-def _assert_rel(a, b, tol):
+def _assert_rel(a, b, tol, scale=None):
     assert a.shape == b.shape
-    assert np.max(np.abs(a - b), initial=0.0) <= tol * np.max(np.abs(b), initial=0.0)
+    if scale is None:
+        scale = np.max(np.abs(b), initial=0.0)
+    assert np.max(np.abs(a - b), initial=0.0) <= tol * scale
 
 
 @given(st.sampled_from([1, 2, 3]), st.booleans(), st.sampled_from([0.05, 0.95]),
-       st.sampled_from([False, True, None]), st.integers(0, 2**16))
-@example(dim=2, bump=True, s=0.05, dirichlet_trace=False, seed=0)
-@example(dim=3, bump=True, s=0.95, dirichlet_trace=False, seed=1)
-@example(dim=1, bump=False, s=0.95, dirichlet_trace=None, seed=2)
+       st.sampled_from([False, True, None]), st.sampled_from([3, 2, 0]),
+       st.integers(0, 2**16))
+@example(dim=2, bump=True, s=0.05, dirichlet_trace=False, columns=3, seed=0)
+@example(dim=2, bump=True, s=0.05, dirichlet_trace=False, columns=3, seed=23)
+@example(dim=3, bump=True, s=0.95, dirichlet_trace=False, columns=2, seed=1)
+@example(dim=1, bump=False, s=0.95, dirichlet_trace=None, columns=0, seed=2)
 @settings(max_examples=40, deadline=None)
-def test_contracted_solve_equals_the_field_path(dim, bump, s, dirichlet_trace, seed):
+def test_contracted_solve_equals_the_field_path(dim, bump, s, dirichlet_trace, columns, seed):
     """On a held basis (sine for a = Id, eigh for a bump; dims 1-3, s near 0
-    and 1, every trace layout) the contracted outputs (level sum, top free
-    level, level 1, and every level at a few rows) equal the field path's
-    to 1e-12 relative (each functional against its own scale, the row
-    profiles against theirs), and the
-    residual bound is at least the assembled residual on every column."""
+    and 1, every trace layout, level maps with and without the level sum's
+    functionals) the contracted outputs (level sum, top free level, level
+    1, and every level at a few rows) equal the field path's to 1e-12
+    relative, and the residual bound is at least the assembled residual on
+    every column.  Each functional is measured against the size of its
+    inputs, ``||R_q||_1 max|u|``: at s near 0 the top free level has
+    decayed to about 1e-6 of the trace values, and the two paths sum its
+    modal expansion in different orders (seed 23: 5.6e-12 of the level's
+    own largest value).  The row profiles are measured against theirs."""
     solver = _held_solver(dim, bump, s, dirichlet_trace)
     assert solver._block.route == ("eigh" if bump else "sine")
     rng = np.random.default_rng(seed)
     F, rows = _data_and_rows(solver, rng)
-    R = _level_map(solver)
+    R = _level_map(solver, columns)
     C, P, bound = _contracted(solver, F, R, rows)
-    C_ref, P_ref, rho = _field_path(solver, F, R, rows)
+    C_ref, P_ref, rho, u3 = _field_path(solver, F, R, rows)
     for q in range(R.shape[1]):
-        _assert_rel(C[:, q], C_ref[:, q], 1e-12)
+        _assert_rel(C[:, q], C_ref[:, q], 1e-12, np.abs(R[:, q]).sum() * np.max(np.abs(u3)))
     _assert_rel(P, P_ref, 1e-12)
     assert np.all(bound >= rho)
 
@@ -136,9 +148,8 @@ def test_contracted_call_on_the_lu_route_is_the_field_path(dim, dirichlet_trace)
 
 def test_level_map_shape_is_checked():
     solver = _held_solver(1, False, 0.5, False)
-    F = np.zeros((solver.emesh.grid.num_nodes, 1))
     with pytest.raises(ParamError, match="level map"):
-        next(solver.solve_chunks(F, np.ones((LEVELS, 2))))
+        solver.contraction(np.ones((LEVELS, 2)))
 
 
 def test_bridge_reads_the_contraction():

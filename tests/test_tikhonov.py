@@ -285,11 +285,53 @@ def test_basis_reconstruction_matches_fresh_solve(dim, s):
 
 
 def test_corrupted_basis_column_raises_solve_error(recon_setup, monkeypatch):
-    """One snapshot column solved wrongly (one of its free trace values, an
-    entry of the trace map's column of its node, off by 1e-3 of its unit
-    datum) fails the build's
-    field-free residual bound, as it fails the field path's assembled
-    check."""
+    """One snapshot column solved wrongly: the backward mode product's
+    output at the node of column k's spike off by 1e-3 of its largest value
+    (every level functional the build reads there, and the field's value at
+    every level on the field path).  The build's contracted solves read the
+    yielded functionals through the level sums of their residual check and
+    refuse it, as the field path's assembled check does."""
+    grid, pipe, aop, f, lam = recon_setup
+    k = aop.basis_size // 2
+    solver = pipe.solver
+    pos = solver._tpos[grid.w_indices[k]]
+    levels = solver._block.levels
+
+    def corrupted(modes, out, profiles=None):
+        levels(modes, out, profiles)  # before the chunk's residual is checked
+        out[:, pos] += 1e-3 * np.max(np.abs(out), axis=1)
+
+    monkeypatch.setattr(solver._block, "levels", corrupted)
+    with pytest.raises(SolveError, match="residual"):
+        build_data_operator(pipe)
+    with pytest.raises(SolveError, match="residual"):
+        solver.solve_block(np.eye(grid.num_nodes)[:, grid.w_indices[k:k + 1]])
+
+
+def test_corrupted_snapshot_rows_raise_solve_error(recon_setup, monkeypatch):
+    """The every-level rows the build reads at the ring (``_ModalBlock.rows``,
+    formed from basis rows apart from the level functionals) with level 1
+    of one row off by 1e-3 of the rows' largest value: the level sums read
+    with the rows' own functionals refuse it."""
+    grid, pipe, aop, f, lam = recon_setup
+    solver = pipe.solver
+    rows = solver._block.rows
+
+    def corrupted(modes, pos):
+        X = rows(modes, pos)
+        X[0, 0] += 1e-3 * np.max(np.abs(X), axis=(0, 1))
+        return X
+
+    monkeypatch.setattr(solver._block, "rows", corrupted)
+    with pytest.raises(SolveError, match="residual"):
+        build_data_operator(pipe)
+
+
+def test_corrupted_trace_map_raises_solve_error(recon_setup, monkeypatch):
+    """One snapshot column solved wrongly through its input: one of its
+    free trace values, an entry of the trace map's column of its node, off
+    by 1e-3 of its unit datum, fails the build's field-free residual bound,
+    as it fails the field path's assembled check."""
     grid, pipe, aop, f, lam = recon_setup
     k = aop.basis_size // 2
     solver = pipe.solver
