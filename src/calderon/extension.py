@@ -583,7 +583,7 @@ class ExtensionSolver:
         + m |K_L|`` the level operator of |S|, s0 that of the trace rows),
         the forward mode products and the tangential map ``a = K_T lift``.
         The free trace rows' residual is assembled exactly, from level 0
-        and the first free level at B (``_free_trace_rows``).
+        and the first free level at B.
 
         Where the plan's map holds the functionals the level sums read,
         the yielded arrays are read once more, through ``_level_sums``: on
@@ -612,7 +612,9 @@ class ExtensionSolver:
                                 + 2.0 * bp["v_norm"] ** 2 * (a_n + b_n)
                                 + bp["k_norm"] * lift_n * bp["v"])
         if self._B.size:
-            upper = np.hypot(upper, self._free_trace_rows(u0, self._block.trace_level(modes)))
+            # the free trace rows, assembled exactly from level 0 and level 1
+            u1B = self._block.trace_level(modes)
+            upper = np.hypot(upper, _column_norms(bp["SB0"] @ u0 + bp["SB1"][:, None] * u1B))
         if not len(plan.sum_at):
             return upper
         F = C[:, plan.check] / plan.scale[:, None]
@@ -621,13 +623,6 @@ class ExtensionSolver:
             F[plan.rows] = np.einsum("lq,nlk->nqk", plan.need, P)
             lower = np.maximum(lower, self._level_sums(F, u0, D, plan))
         return np.maximum(upper, lower / math.sqrt(len(self._psi) + 1))
-
-    def _free_trace_rows(self, u0: np.ndarray, u1B: np.ndarray) -> np.ndarray:
-        """Per column, the norm of the free trace rows of ``S u`` at B,
-        assembled exactly from u's trace level u0 and its first free level
-        at B, u1B."""
-        bp = self._bound
-        return _column_norms(bp["SB0"] @ u0 + bp["SB1"][:, None] * u1B)
 
     def _contract_chunk(self, D, plan, C, P, work) -> np.ndarray:
         """Write ``R^T u`` per tangential node into C (N_tan, r, k) and every

@@ -191,6 +191,25 @@ def test_bound_bounds_the_residual_under_a_1e6_fault(monkeypatch, route, fault):
     assert np.all(bound >= field)
 
 
+@pytest.mark.parametrize("route", ["sine", "eigh"])
+def test_operator_T_refuses_a_fault_in_its_own_output(monkeypatch, route):
+    """The backward mode product's output at one free trace node off by
+    1e-3 of its largest value: the level sums over the free trace nodes,
+    read off the yielded level sum and top free level, refuse it."""
+    pipe = _pipeline(route)
+    solver = pipe.solver
+    pos = solver._B[len(solver._B) // 2]
+    levels = solver._block.levels
+
+    def corrupted(modes, out, profiles=None):
+        levels(modes, out, profiles)
+        out[:, pos] += 1e-3 * np.max(np.abs(out), axis=1)
+
+    monkeypatch.setattr(solver._block, "levels", corrupted)
+    with pytest.raises(SolveError, match="residual"):
+        cd.operator_T(pipe, w_bump(pipe.grid))
+
+
 def test_data_operator_build_refuses_a_fault(monkeypatch):
     """The data operator's contracted snapshot solves refuse a build fault
     too, so its residual norms never hold a bound that a fault broke."""
