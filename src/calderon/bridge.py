@@ -46,6 +46,7 @@ from .extension import (
     assemble_extension,
 )
 from .local_elliptic import (
+    LocalDtN,
     LocalOperator,
     _assemble,
     assemble_local,
@@ -149,8 +150,8 @@ def _checked_integral(values: np.ndarray, q: np.ndarray, emesh,
     zero at the top (a constant one, whose weighted integral diverges) is
     charged the same flux and trips this.
     """
-    tail = float(np.max(np.abs(q))) / lam_lo
-    ref = float(np.max(np.abs(values)))
+    tail = float(abs(q).max()) / lam_lo
+    ref = float(abs(values).max())
     if not tail <= TAIL_FRACTION * ref:
         raise TailError(
             f"truncation defect {tail:.3g} (top flux over the smallest "
@@ -435,6 +436,43 @@ def _weighted_specnorm(D: np.ndarray, w: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(sw[:, None] * D * (1 / sw)[None, :]))))
 
 
+@dataclass
+class _CoefficientMaps:
+    """One coefficient's pipeline, local DtN matrix, symmetrized nonlocal
+    DtN matrix and Cauchy pair of the bump datum ``w_bump``: what
+    ``_gaps`` compares."""
+
+    pipeline: BridgePipeline
+    local: LocalDtN
+    nonlocal_sym: np.ndarray
+    pair: CauchyPair
+
+
+def _coefficient_maps(grid: TangentialGrid, a: Coefficient, s: float, levels: int,
+                      height: float | None) -> _CoefficientMaps:
+    from .fractional_core import nonlocal_dtn_matrix, spectral_power
+
+    p = BridgePipeline(grid, a, s, levels=levels, height=height)
+    n = nonlocal_dtn_matrix(spectral_power(p.local_op, s))
+    return _CoefficientMaps(p, local_dtn_matrix(p.local_op), 0.5 * (n.matrix + n.matrix.T),
+                            p.cauchy_pair(w_bump(grid)))
+
+
+def _gaps(m1: _CoefficientMaps, m2: _CoefficientMaps) -> GapReport:
+    """The gaps of ``distinguishability_experiment`` between two
+    coefficients' maps."""
+    d1, d2 = m1.local, m2.local
+    wb = m1.pipeline.local_op.boundary_weights
+    dv = m1.pair.boundary_values - m2.pair.boundary_values
+    dq = m1.pair.boundary_flux - m2.pair.boundary_flux
+    return GapReport(
+        local_gap=_weighted_specnorm(d1.matrix - d2.matrix, d1.weights),
+        nonlocal_gap=float(np.max(np.abs(np.linalg.eigvalsh(m1.nonlocal_sym
+                                                            - m2.nonlocal_sym)))),
+        t_gap=float(np.sqrt(np.sum(wb * dv**2) + np.sum(wb * dq**2))),
+    )
+
+
 def distinguishability_experiment(
     grid: TangentialGrid,
     a1: Coefficient,
@@ -448,29 +486,8 @@ def distinguishability_experiment(
     bump datum spanning the measurement region.
 
     A nonzero interior perturbation must show up in both maps; identical
-    coefficients give gaps at rounding level.
+    coefficients give gaps at rounding level.  Each coefficient gets its
+    own build, also when ``a2`` is ``a1``.
     """
-    from .fractional_core import nonlocal_dtn_matrix, spectral_power
-
-    p1 = BridgePipeline(grid, a1, s, levels=levels, height=height)
-    p2 = BridgePipeline(grid, a2, s, levels=levels, height=height)
-    d1, d2 = local_dtn_matrix(p1.local_op), local_dtn_matrix(p2.local_op)
-    local_gap = _weighted_specnorm(d1.matrix - d2.matrix, d1.weights)
-
-    n1 = nonlocal_dtn_matrix(spectral_power(p1.local_op, s))
-    n2 = nonlocal_dtn_matrix(spectral_power(p2.local_op, s))
-    sym1 = 0.5 * (n1.matrix + n1.matrix.T)
-    sym2 = 0.5 * (n2.matrix + n2.matrix.T)
-    nonlocal_gap = float(np.max(np.abs(np.linalg.eigvalsh(sym1 - sym2))))
-
-    test_f = w_bump(grid)
-    c1 = p1.cauchy_pair(test_f)
-    c2 = p2.cauchy_pair(test_f)
-    wb = p1.local_op.boundary_weights
-    dv = c1.boundary_values - c2.boundary_values
-    dq = c1.boundary_flux - c2.boundary_flux
-    return GapReport(
-        local_gap=local_gap,
-        nonlocal_gap=nonlocal_gap,
-        t_gap=float(np.sqrt(np.sum(wb * dv**2) + np.sum(wb * dq**2))),
-    )
+    return _gaps(_coefficient_maps(grid, a1, s, levels, height),
+                 _coefficient_maps(grid, a2, s, levels, height))

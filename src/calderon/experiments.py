@@ -480,8 +480,10 @@ def _run_distinguishability(cfg: ExperimentConfig, rng) -> ExperimentResult:
     amplitudes = [float(a) for a in cfg.params.get("amplitudes", [0.05, 0.10, 0.20])]
     levels = int(cfg.params.get("levels", min(cfg.levels, 48)))
 
-    same = br.distinguishability_experiment(grid, base, base, cfg.s, levels=levels,
-                                            height=cfg.height)
+    # the base is built once for every row; the identical row compares it
+    # with a second, independent build
+    base_maps = br._coefficient_maps(grid, base, cfg.s, levels, cfg.height)
+    same = br._gaps(base_maps, br._coefficient_maps(grid, base, cfg.s, levels, cfg.height))
     center = grid.points[grid.omega_closure].mean(axis=0)
     rows = [[0.0, same.local_gap, same.nonlocal_gap, same.t_gap]]
     gaps_local, gaps_nonlocal = [], []
@@ -506,8 +508,7 @@ def _run_distinguishability(cfg: ExperimentConfig, rng) -> ExperimentResult:
 
             pert = Coefficient(grid=grid, diag=diag,
                                identity_outside=base.identity_outside)
-        rep = br.distinguishability_experiment(grid, base, pert, cfg.s,
-                                               levels=levels, height=cfg.height)
+        rep = br._gaps(base_maps, br._coefficient_maps(grid, pert, cfg.s, levels, cfg.height))
         rows.append([amp, rep.local_gap, rep.nonlocal_gap, rep.t_gap])
         gaps_local.append(rep.local_gap)
         gaps_nonlocal.append(rep.nonlocal_gap)

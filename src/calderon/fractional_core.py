@@ -268,8 +268,12 @@ def _dense_basis(grid, K):
         lam, V = _eigh_clipped(K.diagonal() / m,
                                0.5 * (K.diagonal(1) / m + K.diagonal(-1) / m))
     else:
-        A = K.toarray() / m
-        A = 0.5 * (A + A.T)  # rebinding frees the unsymmetrized copy before eigh
+        # symmetrized in place: the dense copy and the transpose's
+        # temporary are the only N x N arrays before eigh
+        A = K.toarray()
+        A /= m
+        A += A.T
+        A *= 0.5
         lam, V = _eigh_clipped(A)
     return "eigh", (V,), lam
 
@@ -502,10 +506,16 @@ class _ModalBlock:
 
     def rows(self, modes: np.ndarray, pos: np.ndarray) -> np.ndarray:
         """Every level of the solution at the positions ``pos`` among T,
-        shape (levels, len(pos), k): the profiles times the data, then the
-        basis rows at pos."""
-        Y = np.einsum("slt,sct->lct", self._P[:len(modes)], modes)
-        return np.matmul(Y, _factor_rows(self._factors, pos).T).transpose(0, 2, 1)
+        shape (levels, len(pos), k): the basis rows at pos times the data
+        of each right-hand-side part, then its profiles, so no product over
+        every level and mode is formed."""
+        W = _factor_rows(self._factors, pos)
+        k, nT = modes.shape[1], len(self._lam)
+        X = np.zeros((self._P.shape[1], len(pos) * k))
+        for P, a in zip(self._P, modes):
+            # nT given, not -1: pos may be empty
+            X += P @ (W[:, None, :] * a).reshape(len(pos) * k, nT).T
+        return X.reshape(len(X), len(pos), k)
 
     def solve(self, a: np.ndarray, xB, out: np.ndarray) -> None:
         self.levels(self.modes(a, xB), out)

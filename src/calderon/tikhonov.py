@@ -26,7 +26,10 @@ is minimized exactly through its normal equations
 positive definite, so the minimizer is unique.  The data operator holds the
 Cholesky factor of that matrix for the last alpha it was asked for, so
 repeated reconstructions at one alpha factor once and a sweep once per
-alpha; the Grams and the held factor are read-only, so it cannot go stale.
+alpha, and each solve is one LAPACK ``dpotrs`` on it; the Grams and the
+held factor are read-only, so it cannot go stale.  The data are validated
+once per call: ``minimize`` takes the pair ``reconstruct_cauchy_from_data``
+and ``alpha_sweep`` validated as it is.
 
 The snapshots serve the reconstruction too: the mixed solve of a
 minimizer's trace is, by linearity, the same combination of snapshot fields,
@@ -34,12 +37,13 @@ and a reconstruction reads only that combination's vertical integral, its
 flux through the top cell, its residual and its Cauchy pair.  So the build
 reduces each snapshot to its tangential images (integral and top flux,
 N_tan values each), its boundary images (the integral's boundary values and
-conormal flux, one value per boundary node each) and a bound on its
-free-row residual norm, and keeps no field: a reconstruction is a
-Cholesky solve of size K and four products with K columns (the two
-tangential images for the bridge's truncation check, the two boundary
-images for the pair) beside a bounded residual check, with no extension
-solve.
+conormal flux, one value per boundary node each), its free-row loads and a
+bound on its free-row residual norm, and keeps no field.  The images are
+the row blocks of one matrix (``DataOperator.images``), so a
+reconstruction is a Cholesky solve of size K and one product with K
+columns, which yields the two tangential images for the bridge's
+truncation check, the two boundary images for the pair and the load for
+the bounded residual check, with no extension solve.
 
 The build forms no snapshot field either.  ``ExtensionSolver.solve_chunks``
 solves the snapshots _CHUNK at a time, contracted to the level functionals
@@ -77,12 +81,14 @@ operator convert through ``t = -values / c_s``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .bridge import BridgePipeline, CauchyPair, _checked_integral, _lambda_lo, _pair_levels
 from .errors import MeshMismatch, ParamError, RankError, SolveError
@@ -155,26 +161,51 @@ def _ring_energy_rows(pipeline: BridgePipeline, nodes: np.ndarray) -> sp.csr_mat
             + sp.kron(columns, m * K_vert)).tocsr()
 
 
+def _image_cuts(grid) -> tuple[int, int, int, int]:
+    """Where the row blocks of the images matrix end: the integrals and the
+    top fluxes (N_tan rows each), the boundary values and the boundary
+    fluxes (one row per boundary node each); the load rows follow."""
+    N, nb = grid.num_nodes, len(grid.boundary_indices)
+    return N, 2 * N, 2 * N + nb, 2 * N + 2 * nb
+
+
+def _split(x: np.ndarray, cuts) -> tuple[np.ndarray, ...]:
+    """The five row blocks of ``x`` (the images matrix, or its product with
+    a coefficient vector) at ``cuts``, as views."""
+    a, b, c, d = cuts
+    return x[:a], x[a:b], x[b:c], x[c:d], x[d:]
+
+
 @dataclass
 class DataOperator:
-    """Snapshot basis reduced to its data map, its tangential images and its
-    penalty Gram matrices.
+    """Snapshot basis reduced to its data map, its images and its penalty
+    Gram matrices.
 
     The trace of basis field k at measurement node i is the identity
     ``delta_ik`` (unit data on the measurement region, read back at the
     trace), so a coefficient vector is its own trace; ``ntrace_matrix[i, k]``
     holds the weighted Neumann trace.  ``G_A`` and ``G_E`` are the data and
     penalty Grams in the coefficient basis.
-    ``integrals`` and ``top_fluxes`` (N_tan x K) hold each field's
-    level-weight vertical integral and its flux through the top cell,
-    ``boundary_values`` and ``boundary_fluxes`` (|boundary| x K) that
-    integral's values and conormal flux at the interior region's boundary
-    nodes (``integrals[boundary]`` and ``boundary_flux`` of each column),
-    ``lam_lo`` the truncation check's eigenvalue bound ``_lambda_lo`` of the
-    coefficient, ``residual_norms`` (K) an upper bound on each field's
-    free-row residual norm ``||(S u_k)[free]||``, the field-free solve's
-    bound (the measured norm on the "lu" route), and ``loads`` the
-    free-row loads of the unit data, restricted to the rows they touch.
+
+    ``images`` is one C-contiguous, read-only
+    ``(2 N_tan + 2 |boundary| + L) x K`` matrix: column k holds every
+    value a reconstruction reads of field k, so a reconstruction is one
+    product ``images @ c``.  Its row blocks, in order, are read as row
+    views of it, not copies:
+
+    * ``integrals`` and ``top_fluxes`` (N_tan x K): each field's
+      level-weight vertical integral and its flux through the top cell;
+    * ``boundary_values`` and ``boundary_fluxes`` (|boundary| x K): that
+      integral's values and conormal flux at the interior region's
+      boundary nodes (``integrals[boundary]`` and ``boundary_flux`` of each
+      column);
+    * ``loads`` (L x K): the free-row loads of the unit data, restricted
+      to the L rows they touch.
+
+    ``lam_lo`` is the truncation check's eigenvalue bound ``_lambda_lo`` of
+    the coefficient and ``residual_norms`` (K) an upper bound on each
+    field's free-row residual norm ``||(S u_k)[free]||``, the field-free
+    solve's bound (the measured norm on the "lu" route).
     G_E is the discrete Green identity's form of ``U^T S_ext U`` (see the
     module docstring): it drops the free-row term, at most
     ``||u_i|| rho_j`` in entry (i, j).  No extension field is kept, during
@@ -192,14 +223,34 @@ class DataOperator:
     N_minus: np.ndarray
     G_A: np.ndarray
     G_E: np.ndarray
-    integrals: np.ndarray
-    top_fluxes: np.ndarray
+    images: np.ndarray
     residual_norms: np.ndarray
-    loads: sp.csr_matrix
-    boundary_values: np.ndarray
-    boundary_fluxes: np.ndarray
     lam_lo: float
     _normal: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _cuts: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._cuts = _image_cuts(self.pipeline.grid)
+
+    @property
+    def integrals(self) -> np.ndarray:
+        return _split(self.images, self._cuts)[0]
+
+    @property
+    def top_fluxes(self) -> np.ndarray:
+        return _split(self.images, self._cuts)[1]
+
+    @property
+    def boundary_values(self) -> np.ndarray:
+        return _split(self.images, self._cuts)[2]
+
+    @property
+    def boundary_fluxes(self) -> np.ndarray:
+        return _split(self.images, self._cuts)[3]
+
+    @property
+    def loads(self) -> np.ndarray:
+        return _split(self.images, self._cuts)[4]
 
     @property
     def basis_size(self) -> int:
@@ -303,8 +354,10 @@ def build_data_operator(pipeline: BridgePipeline,
     S_traces = np.empty((K, K))
     ring_values = np.empty((len(ring), K))
     ring_images = np.empty((len(ring), K))
-    integrals = np.empty((N, K))
-    top_fluxes = np.empty((N, K))
+    loads = solver._load_columns(np.searchsorted(solver._data_nodes, widx))
+    cuts = _image_cuts(grid)
+    images = np.empty((cuts[-1] + loads.shape[0], K))
+    integrals, top_fluxes, boundary_values, boundary_fluxes, load_rows = _split(images, cuts)
     residual_norms = np.empty(K)
     at = np.searchsorted(reach, nodes)
     # each chunk of snapshots is reduced as it is solved; no field is formed
@@ -333,9 +386,12 @@ def build_data_operator(pipeline: BridgePipeline,
             f"data columns are rank deficient (sigma_min/sigma_max = "
             f"{sv.min() / sv.max():.2e}); refine the mesh"
         )
-    G_A.flags.writeable = False
-    G_E.flags.writeable = False
     op = pipeline.local_op
+    boundary_values[:] = integrals[grid.boundary_indices]
+    boundary_fluxes[:] = (op.boundary_rows @ integrals) / op.boundary_weights[:, None]
+    load_rows[:] = loads.toarray()
+    for a in (G_A, G_E, images):
+        a.flags.writeable = False
     return DataOperator(
         pipeline=pipeline,
         ntrace_matrix=ntraces,
@@ -343,30 +399,37 @@ def build_data_operator(pipeline: BridgePipeline,
         N_minus=N_minus,
         G_A=G_A,
         G_E=G_E,
-        integrals=integrals,
-        top_fluxes=top_fluxes,
+        images=images,
         residual_norms=residual_norms,
-        loads=solver._load_columns(np.searchsorted(solver._data_nodes, widx)),
-        boundary_values=integrals[grid.boundary_indices],
-        boundary_fluxes=(op.boundary_rows @ integrals) / op.boundary_weights[:, None],
         lam_lo=_lambda_lo(grid, pipeline.coeff.lam_min),
     )
 
 
 @dataclass
 class TikhonovSolution:
-    """Minimizer of J_alpha in the snapshot basis."""
+    """Minimizer of J_alpha in the snapshot basis.  ``misfit`` and
+    ``penalty`` are formed on first read, from the operator and the data
+    the minimizer was solved for."""
 
     coeffs: np.ndarray
     alpha: float
-    misfit: float
-    penalty: float
+    _aop: DataOperator = field(repr=False, compare=False)
+    _data: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def misfit(self) -> float:
+        return self._aop.misfit(self.coeffs, self._data)
+
+    @functools.cached_property
+    def penalty(self) -> float:
+        return self._aop.penalty(self.coeffs)
 
 
 def _measurement(values, K: int, name: str) -> np.ndarray:
     """``values`` as a float array of one finite value per measurement node,
-    else ParamError."""
-    x = np.asarray(values, dtype=float)
+    else ParamError.  The array is a copy: a solution reads its data when
+    its misfit is first read, after the caller may have changed its own."""
+    x = np.array(values, dtype=float)
     if x.shape != (K,):
         raise ParamError(f"{name} must hold one value per measurement node, "
                          f"shape ({K},), got shape {x.shape}")
@@ -375,38 +438,47 @@ def _measurement(values, K: int, name: str) -> np.ndarray:
     return x
 
 
+class _Measured(tuple):
+    """A data pair ``(f, t)`` whose two arrays ``_measurement`` returned:
+    ``minimize`` takes it as it is, without a second check."""
+
+    __slots__ = ()
+
+
+def _measured(data, K: int) -> _Measured:
+    if type(data) is _Measured:
+        return data
+    f, t = data
+    return _Measured((_measurement(f, K, "trace data"),
+                      _measurement(t, K, "weighted-trace data")))
+
+
 def minimize(Aop: DataOperator, data, alpha: float) -> TikhonovSolution:
     """Unique minimizer of J_alpha through the normal equations.
 
     ``data = (f, t)`` are the trace and raw weighted-trace values on the
     measurement nodes; data of another length or not finite, and an alpha
     that is not positive and finite, raise ParamError.  The system is solved
-    with the operator's held Cholesky factor for alpha, and its residual is
-    checked to 1e-10 relative (then a least-squares solve to 1e-8, else
-    SolveError).
+    by LAPACK ``dpotrs`` on the operator's held Cholesky factor for alpha,
+    and its residual is checked to 1e-10 relative (then a least-squares
+    solve to 1e-8, else SolveError).
     """
     alpha = float(alpha)
     if not 0.0 < alpha < math.inf:
         raise ParamError(f"alpha must be positive and finite, got {alpha}")
-    K = Aop.basis_size
-    f, t = data
-    data = (_measurement(f, K, "trace data"), _measurement(t, K, "weighted-trace data"))
-    M, factor = Aop._normal_equations(alpha)
+    data = _measured(data, Aop.basis_size)
+    M, (chol, lower) = Aop._normal_equations(alpha)
     rhs = Aop.adjoint_data(data)
     # the data are finite and the factor was checked when it was made; a
-    # coefficient vector that is not finite fails the residual check below
-    c = cho_solve(factor, rhs, check_finite=False)
+    # coefficient vector that is not finite, or one from a call dpotrs
+    # refused (info < 0), fails the residual check below
+    c, _ = dpotrs(chol, rhs, lower=lower)
     scale = np.linalg.norm(rhs)
     if scale > 0 and not np.linalg.norm(M @ c - rhs) <= 1e-10 * scale:
         c, *_ = np.linalg.lstsq(M, rhs, rcond=None)
         if not np.linalg.norm(M @ c - rhs) <= 1e-8 * scale:
             raise SolveError("normal-equation residual exceeds tolerance")
-    return TikhonovSolution(
-        coeffs=c,
-        alpha=alpha,
-        misfit=Aop.misfit(c, data),
-        penalty=Aop.penalty(c),
-    )
+    return TikhonovSolution(coeffs=c, alpha=alpha, _aop=Aop, _data=data)
 
 
 @dataclass
@@ -438,6 +510,7 @@ def alpha_sweep(Aop: DataOperator, data, alphas) -> SweepReport:
     if np.any(np.diff(alphas) >= 0):
         if len(alphas) > 1:
             raise ParamError("alpha schedule must be strictly decreasing")
+    data = _measured(data, Aop.basis_size)
     sols = [minimize(Aop, data, a) for a in alphas]
     return SweepReport(
         alphas=alphas,
@@ -478,16 +551,19 @@ def reconstruct_cauchy_from_data(
     the unit data, so by linearity that solve is the combination
     ``u = sum_k c_k u_k`` of them, and only its images are formed.
 
-    The combination is checked like a solve.  Its free-row residual is at
-    most ``sum_k |c_k| rho_k`` (``rho`` the snapshots' residual bounds), and
-    that bound must stay within 1e-8 of the free-row load of ``f_hat``, else
+    Every image of the combination comes from one product
+    ``Aop.images @ c``, read in its row blocks.  The combination is checked
+    like a solve.  Its free-row residual is at most ``sum_k |c_k| rho_k``
+    (``rho`` the snapshots' residual bounds), and that bound must stay
+    within 1e-8 of the free-row load of ``f_hat`` (the load block), else
     SolveError; zero data is exempt.  This refuses every combination whose
     own relative residual exceeds 1e-8.  Its vertical integral and top flux
-    (``Aop.integrals @ c`` and ``Aop.top_fluxes @ c``) then pass the
-    bridge's truncation check, and its Cauchy pair is the combination of
-    the snapshots' boundary images, the pair ``operator_T`` reads off the
-    integral.  Raises MeshMismatch when ``Aop`` was built for another
-    pipeline, whose solver its snapshots belong to.
+    (the first two blocks) then pass the bridge's truncation check, and its
+    Cauchy pair is the boundary blocks, the combination of the snapshots'
+    boundary images, the pair ``operator_T`` reads off the integral.  The
+    solution's misfit and penalty are formed only when read.  Raises
+    MeshMismatch when ``Aop`` was built for another pipeline, whose solver
+    its snapshots belong to.
 
     Data generated by the same forward pipeline makes this an inverse crime;
     use the fine-data generation path when that matters.
@@ -498,15 +574,18 @@ def reconstruct_cauchy_from_data(
             "snapshot fields belong to that pipeline's solver"
         )
     K = Aop.basis_size
-    f_w = _measurement(f_w, K, "f_w")
-    t = -_measurement(lambda_s_f, K, "lambda_s_f") / pipeline.cs
-    sol = minimize(Aop, (f_w, t), alpha)
+    # lambda_s_f is checked after the conversion, which is finite exactly
+    # when it is unless it overflows
+    data = _Measured((_measurement(f_w, K, "f_w"),
+                      _measurement(np.asarray(lambda_s_f, dtype=float) / -pipeline.cs,
+                                   K, "lambda_s_f")))
+    sol = minimize(Aop, data, alpha)
     c = sol.coeffs
-    scale = float(np.linalg.norm(Aop.loads @ c))
+    v, q, values, flux, load = _split(Aop.images @ c, Aop._cuts)
+    scale = float(np.linalg.norm(load))
     bound = float(np.abs(c) @ Aop.residual_norms)
     if scale > 0 and not bound <= 1e-8 * scale:
         raise SolveError(f"reconstruction residual bound {bound / scale:.2e} "
                          "exceeds tolerance")
-    _checked_integral(Aop.integrals @ c, Aop.top_fluxes @ c, pipeline.emesh, Aop.lam_lo)
-    return CauchyPair(boundary_values=Aop.boundary_values @ c,
-                      boundary_flux=Aop.boundary_fluxes @ c), sol
+    _checked_integral(v, q, pipeline.emesh, Aop.lam_lo)
+    return CauchyPair(boundary_values=values, boundary_flux=flux), sol

@@ -514,6 +514,24 @@ def test_power_and_tensor_block_hold_one_basis(dim, bump):
     assert np.array_equal(block._lam, P.eigvals)
 
 
+@pytest.mark.parametrize("nodes", [24, 30])
+def test_dense_basis_symmetrized_in_place_is_bitwise_unchanged(nodes):
+    """The 2D dense basis, symmetrized in place, holds the eigenpairs of
+    ``0.5 (A + A^T)`` with ``A = K / m`` formed out of place to the bit, at
+    484 and 784 active nodes, and its factor keeps the reference's C
+    order."""
+    grid = make_grid(dim=2, nodes=nodes)
+    act = grid.active
+    assert np.count_nonzero(act) == (nodes - 2) ** 2
+    K = cd.assemble_local(grid, _bump_or_identity(grid, True)).stiffness[act][:, act]
+    route, (V,), lam = fractional_core._dense_basis(grid, K)
+    A = K.toarray() / grid.node_volume
+    ref_lam, ref_V = _eigh_clipped(0.5 * (A + A.T))
+    assert route == "eigh"
+    assert np.array_equal(lam, ref_lam) and np.array_equal(V, ref_V)
+    assert V.flags.c_contiguous == ref_V.flags.c_contiguous
+
+
 @pytest.mark.parametrize("dim, bump", [(2, False), (1, True), (2, True)])
 def test_one_basis_per_coefficient(dim, bump, monkeypatch):
     """The sine, 1D "eigh" and 2D dense bases are built once per

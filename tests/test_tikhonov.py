@@ -360,8 +360,31 @@ def test_residual_norms_are_the_yielded_ones(recon_setup, monkeypatch):
     monkeypatch.setattr(pipe.solver, "solve_chunks", recording)
     op = build_data_operator(pipe)
     assert np.array_equal(op.residual_norms, np.concatenate(yielded))
-    loads = np.linalg.norm(op.loads.toarray(), axis=0)
+    loads = np.linalg.norm(op.loads, axis=0)
     assert np.all(op.residual_norms <= 1e-8 * loads)
+
+
+def test_images_are_one_matrix_of_row_views(recon_setup):
+    """The images a reconstruction reads are the row blocks of one
+    C-contiguous, read-only matrix, held as views of it, not copies; the
+    boundary blocks are the integral's values and conormal flux there and
+    the load rows the free-row loads of the unit data."""
+    grid, pipe, aop, f, lam = recon_setup
+    images = aop.images
+    blocks = (aop.integrals, aop.top_fluxes, aop.boundary_values, aop.boundary_fluxes,
+              aop.loads)
+    N, nb, K = grid.num_nodes, len(grid.boundary_indices), aop.basis_size
+    assert images.flags.c_contiguous and not images.flags.writeable
+    assert [b.shape[0] for b in blocks[:4]] == [N, N, nb, nb]
+    assert all(b.base is images for b in blocks)
+    assert np.array_equal(np.vstack(blocks), images)
+    assert np.array_equal(aop.boundary_values, aop.integrals[grid.boundary_indices])
+    for k in range(K):
+        assert np.array_equal(aop.boundary_fluxes[:, k],
+                              boundary_flux(pipe.local_op, aop.integrals[:, k]))
+    solver = pipe.solver
+    loads = solver._load_columns(np.searchsorted(solver._data_nodes, grid.w_indices))
+    assert np.array_equal(aop.loads, loads.toarray())
 
 
 def test_data_operator_keeps_no_field():
@@ -610,6 +633,51 @@ def test_corrupted_held_factor_trips_the_normal_equation_check(aop, monkeypatch,
     c = cd.minimize(op, data, 1e-3).coeffs
     assert fallbacks == [(K, K)]
     assert np.max(np.abs(c - clean)) <= 1e-8 * np.max(np.abs(clean))
+
+
+@pytest.mark.parametrize("factor, refused", [(0.5, False), (2.0, True)])
+def test_reconstruction_residual_bound_gate(recon_setup, factor, refused):
+    """The combination's free-row residual bound ``sum_k |c_k| rho_k`` must
+    stay within 1e-8 of its load ``||loads c||``: with the snapshots'
+    bounds scaled to twice that the reconstruction raises SolveError, at
+    half of it it passes."""
+    grid, pipe, aop, f, lam = recon_setup
+    f_w = f[grid.w_indices]
+    c = cd.reconstruct_cauchy_from_data(pipe, aop, f_w, lam, 1e-6)[1].coeffs
+    ratio = (np.abs(c) @ aop.residual_norms) / np.linalg.norm(aop.loads @ c)
+    assert 0.0 < ratio <= 1e-8
+    op = dataclasses.replace(aop, residual_norms=aop.residual_norms * (factor * 1e-8 / ratio))
+    if refused:
+        with pytest.raises(SolveError, match="residual bound"):
+            cd.reconstruct_cauchy_from_data(pipe, op, f_w, lam, 1e-6)
+    else:
+        cd.reconstruct_cauchy_from_data(pipe, op, f_w, lam, 1e-6)
+
+
+def test_reconstruction_falls_back_past_a_corrupted_held_factor(recon_setup, monkeypatch):
+    """A held factor that no longer solves M fails the reconstruction's
+    1e-10 normal-equation check; the least-squares fallback returns the
+    normal-equation solution and the reconstruction its pair."""
+    grid, pipe, aop, f, lam = recon_setup
+    f_w = f[grid.w_indices]
+    clean_pair, _ = cd.reconstruct_cauchy_from_data(pipe, aop, f_w, lam, 1e-3)
+    op = dataclasses.replace(aop)
+    M, (chol, lower) = op._normal_equations(1e-3)
+    op._normal = (1e-3, M, (chol * (1.0 + 1e-3), lower))
+    lstsq = np.linalg.lstsq
+    fallbacks = []
+
+    def spy(*args, **kwargs):
+        fallbacks.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    pair, sol = cd.reconstruct_cauchy_from_data(pipe, op, f_w, lam, 1e-3)
+    assert fallbacks == [(op.basis_size,) * 2]
+    ref = np.linalg.solve(M, op.adjoint_data((f_w, -lam / pipe.cs)))
+    assert np.max(np.abs(sol.coeffs - ref)) <= 1e-8 * np.max(np.abs(ref))
+    assert _max_rel(pair.boundary_values, clean_pair.boundary_values) <= 1e-8
+    assert _max_rel(pair.boundary_flux, clean_pair.boundary_flux) <= 1e-8
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
