@@ -268,11 +268,12 @@ def _dense_basis(grid, K):
         lam, V = _eigh_clipped(K.diagonal() / m,
                                0.5 * (K.diagonal(1) / m + K.diagonal(-1) / m))
     else:
-        # symmetrized in place: the dense copy and the transpose's
-        # temporary are the only N x N arrays before eigh
+        # symmetrized in place: the dense copy and one copy of its
+        # transpose are the only N x N arrays before eigh (``A += A.T``
+        # makes the same copy through numpy's overlap handling, slower)
         A = K.toarray()
         A /= m
-        A += A.T
+        A += A.T.copy()
         A *= 0.5
         lam, V = _eigh_clipped(A)
     return "eigh", (V,), lam
